@@ -6,11 +6,9 @@
 //!
 //! * **matmul** — the seed's indexed-write k-outer kernel (reimplemented
 //!   here as `naive_matmul`) vs the production slice-based `CMat::matmul`
-//!   / `matmul_into`, plus the runtime-dispatched SIMD kernels
-//!   (`matmul/simd/{64,128,256}`, `CMat::matmul_simd[_into]`) on whatever
-//!   tier this CPU resolves. (The transposed-B `matmul_blocked` variant
-//!   was deleted: the paired gate showed it consistently below naive at
-//!   mesh sizes, and a losing kernel in the gate is noise.)
+//!   / `matmul_into`. (The transposed-B `matmul_blocked` variant was
+//!   deleted: the paired gate showed it consistently below naive at mesh
+//!   sizes, and a losing kernel in the gate is noise.)
 //! * **mvm_batched** — the batched-MVM primitive at batch 1/8/64: each
 //!   round programs the fabric cold (`clear_program_cache` +
 //!   `set_partitions`) and streams the batch, so the row measures
@@ -19,14 +17,8 @@
 //! * **decompose** — an embed-materializing Clements baseline (every 2×2
 //!   Givens rotation built as an `N×N` matrix and applied with the naive
 //!   kernel, the seed's cost profile) vs the in-place `clements::decompose`.
-//! * **fabric program** — the three-tier programming trajectory:
-//!   `FlumenFabric::set_partitions` cold (SVD + two Clements
-//!   decompositions per call), in-memory cache hit, disk-warm (program
-//!   library load + replay), and fleet-warm (a fresh fabric sharing the
-//!   library).
-//! * **delta reprogram** — full state restore vs the incremental MZI
-//!   phase-diff path on adjacent (one shared partition) and disjoint
-//!   partition states.
+//! * **fabric program** — `FlumenFabric::set_partitions` cold (SVD + two
+//!   Clements decompositions per call) vs a program-cache hit.
 //! * **offload taskgen** — per-core task-queue generation in offload mode
 //!   (now content-addresses every weight strip) plus a reduced Fig. 14
 //!   Mesh-vs-Flumen-A run for an end-to-end wall-clock anchor.
@@ -39,7 +31,7 @@ use flumen::SystemTopology;
 use flumen_bench::{quick_mode, speedup};
 use flumen_linalg::{random_unitary, CMat, RMat, C64};
 use flumen_photonics::clements;
-use flumen_photonics::{FlumenFabric, PartitionConfig, ProgStoreStats, ProgramStore};
+use flumen_photonics::{FlumenFabric, PartitionConfig};
 use flumen_sweep::{BenchSize, BenchSpec, JobSpec};
 use flumen_system::SystemConfig;
 use flumen_trace::{RecordingTracer, TraceCategory, TraceEvent};
@@ -123,14 +115,8 @@ fn bench_matmul(c: &mut Criterion) {
             C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
         });
         // The optimized seed-order kernel must stay bit-identical to the
-        // seed's; the SIMD pair must be bit-identical to each other (their
-        // pinned-FMA contract vs the seed order is proptested in
-        // `flumen-linalg`'s kernel-equivalence harness).
+        // seed's.
         assert_eq!(naive_matmul(&a, &b), a.matmul(&b));
-        let simd = a.matmul_simd(&b);
-        let mut simd_into = CMat::zeros(n, n);
-        a.matmul_simd_into(&b, &mut simd_into);
-        assert_eq!(simd, simd_into);
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
             bch.iter(|| naive_matmul(&a, &b))
         });
@@ -141,16 +127,6 @@ fn bench_matmul(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("k_outer_into", n), &n, |bch, _| {
             bch.iter(|| a.matmul_into(&b, &mut out))
         });
-        // SIMD rows at the sizes where the micro-kernel is the story
-        // (below n=64 the packed-B setup dominates).
-        if n >= 64 {
-            group.bench_with_input(BenchmarkId::new("simd", n), &n, |bch, _| {
-                bch.iter(|| a.matmul_simd(&b))
-            });
-            group.bench_with_input(BenchmarkId::new("simd_into", n), &n, |bch, _| {
-                bch.iter(|| a.matmul_simd_into(&b, &mut out))
-            });
-        }
     }
     group.finish();
 }
@@ -204,17 +180,14 @@ fn bench_decompose(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three-tier programming trajectory: cold (SVD + two Clements
-/// decompositions), in-memory cache hit, disk-warm (program library
-/// load and replay, memory tier cleared each round), and fleet-warm (a
-/// brand-new fabric sharing the library — the replica-startup cost).
-/// Returns the store's counters for the trace mirror.
-fn bench_fabric_program(c: &mut Criterion) -> ProgStoreStats {
+/// Programming a compute partition cold (SVD + two Clements
+/// decompositions) vs replaying the cached program.
+fn bench_fabric_program(c: &mut Criterion) {
     let mut group = c.benchmark_group("fabric_program");
     group.sample_size(30);
-    // 16-wide compute partitions: the decomposition cost a library entry
-    // saves grows O(n³) while load+replay grows O(n²), so the tier split
-    // is measured at a size where programming is actually expensive.
+    // 16-wide compute partitions: the decomposition cost a cache hit
+    // saves grows O(n³) while replay grows O(n²), so the split is
+    // measured at a size where programming is actually expensive.
     let mut rng = StdRng::seed_from_u64(7);
     let m = RMat::from_fn(16, 16, |_, _| rng.gen_range(-1.0..1.0));
     let cfg = [
@@ -228,149 +201,13 @@ fn bench_fabric_program(c: &mut Criterion) -> ProgStoreStats {
             fab.set_partitions(&cfg).unwrap();
         })
     });
-    let golden = fab.transfer_matrix();
     // Prime once, then every reprogram replays the cached phase lists.
     fab.set_partitions(&cfg).unwrap();
     group.bench_function(BenchmarkId::from_parameter("mem_hit"), |bch| {
         bch.iter(|| fab.set_partitions(&cfg).unwrap())
     });
     assert!(fab.program_cache_stats().hits > 0);
-
-    // Disk-warm: the program library holds the decomposition; clearing
-    // the memory tier each round makes every reprogram a store load.
-    let dir = std::env::temp_dir().join(format!("flumen-bench-progstore-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ProgramStore::open(&dir).expect("bench store dir");
-    fab.set_program_store(store.clone());
-    fab.clear_program_cache();
-    fab.set_partitions(&cfg).unwrap(); // one cold pass writes through to disk
-    assert_eq!(
-        fab.transfer_matrix(),
-        golden,
-        "store tier must replay bit-identically"
-    );
-    group.bench_function(BenchmarkId::from_parameter("disk_warm"), |bch| {
-        bch.iter(|| {
-            fab.clear_program_cache();
-            fab.set_partitions(&cfg).unwrap();
-        })
-    });
-    assert!(store.stats().hits > 0);
-
-    // Fleet-warm: a brand-new fabric (a fresh sweep worker / serve
-    // replica) attaches the shared library and programs without ever
-    // decomposing — the whole replica-startup path.
-    group.bench_function(BenchmarkId::from_parameter("fleet_warm"), |bch| {
-        bch.iter(|| {
-            let mut f = FlumenFabric::new(32).unwrap();
-            f.set_program_store(store.clone());
-            f.set_partitions(&cfg).unwrap();
-            criterion::black_box(&f);
-        })
-    });
-    let mut replica = FlumenFabric::new(32).unwrap();
-    replica.set_program_store(store.clone());
-    replica.set_partitions(&cfg).unwrap();
-    assert_eq!(
-        replica.transfer_matrix(),
-        golden,
-        "fleet-warm replica must replay bit-identically"
-    );
     group.finish();
-    let stats = store.stats();
-    let _ = std::fs::remove_dir_all(&dir);
-    stats
-}
-
-/// Full reprogramming vs the incremental delta path: transition a
-/// programmed fabric between two partition layouts that share one
-/// partition (adjacent) or nothing (disjoint). The `full` row is the
-/// status-quo transition — mem-warm `set_partitions`, which replays and
-/// rewrites every element even for the unchanged partition — and the
-/// delta rows program only the MZIs whose phase bits differ
-/// ([`FlumenFabric::apply_program_state_delta`]), the minimal set that
-/// feeds the `mzim_programmed_mzis` energy term. Returns the adjacent
-/// transition's changed-MZI count for the trace mirror.
-fn bench_delta_reprogram(c: &mut Criterion) -> usize {
-    let mut group = c.benchmark_group("delta_reprogram");
-    group.sample_size(30);
-    let mut rng = StdRng::seed_from_u64(21);
-    let mat = |rng: &mut StdRng| RMat::from_fn(8, 8, |_, _| rng.gen_range(-1.0..1.0));
-    let (ma, mb, mc, md, shared) = (
-        mat(&mut rng),
-        mat(&mut rng),
-        mat(&mut rng),
-        mat(&mut rng),
-        mat(&mut rng),
-    );
-    let cfg_a = [
-        (8usize, PartitionConfig::Compute(&ma)),
-        (8, PartitionConfig::Compute(&shared)),
-    ];
-    let cfg_adj = [
-        (8usize, PartitionConfig::Compute(&mb)),
-        (8, PartitionConfig::Compute(&shared)), // bottom partition shared
-    ];
-    let mut fab = FlumenFabric::new(16).unwrap();
-    fab.set_partitions(&cfg_a).unwrap();
-    let state_a = fab.capture_program_state();
-    fab.set_partitions(&cfg_adj).unwrap();
-    let state_adj = fab.capture_program_state();
-    fab.set_partitions(&[
-        (8, PartitionConfig::Compute(&mc)),
-        (8, PartitionConfig::Compute(&md)), // nothing shared
-    ])
-    .unwrap();
-    let state_dis = fab.capture_program_state();
-
-    // Equivalence spot-check (the progstore suite pins it bit-for-bit):
-    // the delta path must land on exactly the state a full restore writes,
-    // and the adjacent diff must be a strict subset of the mesh.
-    fab.restore_program_state(&state_a).unwrap();
-    let adj = fab.apply_program_state_delta(&state_adj).unwrap();
-    let via_delta = fab.transfer_matrix();
-    fab.restore_program_state(&state_adj).unwrap();
-    assert_eq!(
-        fab.transfer_matrix(),
-        via_delta,
-        "delta diverged from full restore"
-    );
-    assert!(
-        adj.changed_mzis > 0 && adj.changed_mzis < adj.total_mzis,
-        "adjacent transition must change some but not all MZIs ({}/{})",
-        adj.changed_mzis,
-        adj.total_mzis
-    );
-
-    // Both layouts are already in the program cache, so the full row
-    // measures pure reprogramming (replay + rewrite everything), not
-    // decomposition — the delta rows must beat *that*, not a cold pass.
-    let mut flip = false;
-    group.bench_function(BenchmarkId::from_parameter("full"), |bch| {
-        bch.iter(|| {
-            flip = !flip;
-            fab.set_partitions(if flip { &cfg_adj } else { &cfg_a })
-                .unwrap();
-        })
-    });
-    let mut flip = false;
-    group.bench_function(BenchmarkId::from_parameter("adjacent"), |bch| {
-        bch.iter(|| {
-            flip = !flip;
-            fab.apply_program_state_delta(if flip { &state_adj } else { &state_a })
-                .unwrap();
-        })
-    });
-    let mut flip = false;
-    group.bench_function(BenchmarkId::from_parameter("disjoint"), |bch| {
-        bch.iter(|| {
-            flip = !flip;
-            fab.apply_program_state_delta(if flip { &state_dis } else { &state_a })
-                .unwrap();
-        })
-    });
-    group.finish();
-    adj.changed_mzis
 }
 
 fn bench_offload_taskgen(c: &mut Criterion) {
@@ -453,13 +290,8 @@ fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
     // silently passing the gate.
     let below_floor = |ratio: f64| !(ratio.is_finite() && ratio >= MATMUL_REGRESSION_FLOOR);
     let rounds = if quick { 9 } else { 25 };
-    // The portable SIMD tier is a determinism fallback (bit-identical to
-    // the vector tiers, not fast); only hardware tiers are held to the
-    // perf floor. `FLUMEN_SIMD=0` CI legs therefore gate 2 variants.
-    let gate_simd = flumen_linalg::simd_backend().is_hardware();
-    let variants = ["k_outer", "k_outer_into", "simd"];
-    let gated = if gate_simd { 3 } else { 2 };
-    let measure = |n: usize, rounds: usize| -> [f64; 3] {
+    let variants = ["k_outer", "k_outer_into"];
+    let measure = |n: usize, rounds: usize| -> [f64; 2] {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let a = CMat::from_fn(n, n, |_, _| {
             C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
@@ -473,7 +305,7 @@ fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
             f();
             t0.elapsed().as_secs_f64() * 1e9
         };
-        let mut best = [0.0f64; 3];
+        let mut best = [0.0f64; 2];
         for _ in 0..rounds {
             let naive = time(&mut || {
                 criterion::black_box(naive_matmul(&a, &b));
@@ -486,10 +318,6 @@ fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
                     a.matmul_into(&b, &mut out);
                     criterion::black_box(&out);
                 }),
-                time(&mut || {
-                    a.matmul_simd_into(&b, &mut out);
-                    criterion::black_box(&out);
-                }),
             ];
             for (b, &t) in best.iter_mut().zip(round.iter()) {
                 *b = b.max(naive / t);
@@ -500,8 +328,8 @@ fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
     let mut slow = Vec::new();
     for n in [16usize, 32, 64, 128] {
         let first = measure(n, rounds);
-        let mut confirm: Option<[f64; 3]> = None;
-        for (i, variant) in variants.iter().enumerate().take(gated) {
+        let mut confirm: Option<[f64; 2]> = None;
+        for (i, variant) in variants.iter().enumerate() {
             let mut ratio = first[i];
             if below_floor(ratio) {
                 let second = *confirm.get_or_insert_with(|| measure(n, rounds * 3));
@@ -521,8 +349,7 @@ fn main() {
     bench_matmul(&mut c);
     bench_mvm_batched(&mut c);
     bench_decompose(&mut c);
-    let progstore_stats = bench_fabric_program(&mut c);
-    let delta_mzis = bench_delta_reprogram(&mut c);
+    bench_fabric_program(&mut c);
     bench_offload_taskgen(&mut c);
     let results = c.take_results();
 
@@ -531,21 +358,14 @@ fn main() {
     let cold = median_nanos(&results, "fabric_program/cold");
     let hit = median_nanos(&results, "fabric_program/mem_hit");
     let cache_speedup = cold / hit;
-    let disk_warm_speedup = cold / median_nanos(&results, "fabric_program/disk_warm");
-    let fleet_warm_speedup = cold / median_nanos(&results, "fabric_program/fleet_warm");
-    let delta_full = median_nanos(&results, "delta_reprogram/full");
-    let delta_speedup = delta_full / median_nanos(&results, "delta_reprogram/adjacent");
-    let delta_speedup_disjoint = delta_full / median_nanos(&results, "delta_reprogram/disjoint");
     let mut regressions = matmul_regressions(quick);
 
-    // SIMD speedups vs naive (median/median). The n=128 point is the
-    // headline the roadmap asks for (≥4× on the full run with a hardware
-    // tier); all three land in `derived` so the trajectory is archived.
-    let simd_speedup = |n: usize| {
+    // Production-kernel speedups vs naive (median/median), archived in
+    // `derived` at every measured size.
+    let matmul_speedup = |n: usize| {
         median_nanos(&results, &format!("matmul/naive/{n}"))
-            / median_nanos(&results, &format!("matmul/simd/{n}"))
+            / median_nanos(&results, &format!("matmul/k_outer_into/{n}"))
     };
-    let (simd_n64, simd_n128, simd_n256) = (simd_speedup(64), simd_speedup(128), simd_speedup(256));
 
     // Batched-MVM amortization: cost of a batch-1 round (1×programming +
     // 1×propagation) vs the per-vector cost at batch 64. Wall-clock
@@ -562,19 +382,11 @@ fn main() {
         .map(|&(_, r)| r)
         .fold(f64::INFINITY, f64::min);
     let derived = [
-        (
-            "matmul_speedup_n16",
-            median_nanos(&results, "matmul/naive/16")
-                / median_nanos(&results, "matmul/k_outer_into/16"),
-        ),
-        (
-            "matmul_speedup_n32",
-            median_nanos(&results, "matmul/naive/32")
-                / median_nanos(&results, "matmul/k_outer_into/32"),
-        ),
-        ("matmul_speedup_n64", simd_n64),
-        ("matmul_speedup_n128", simd_n128),
-        ("matmul_speedup_n256", simd_n256),
+        ("matmul_speedup_n16", matmul_speedup(16)),
+        ("matmul_speedup_n32", matmul_speedup(32)),
+        ("matmul_speedup_n64", matmul_speedup(64)),
+        ("matmul_speedup_n128", matmul_speedup(128)),
+        ("matmul_speedup_n256", matmul_speedup(256)),
         ("mvm_batched_per_vec_speedup_b64", mvm_per_vec_speedup),
         (
             "decompose_speedup_n16",
@@ -587,10 +399,6 @@ fn main() {
                 / median_nanos(&results, "decompose/in_place/32"),
         ),
         ("fabric_program_cache_speedup", cache_speedup),
-        ("fabric_program_disk_warm_speedup", disk_warm_speedup),
-        ("fabric_program_fleet_warm_speedup", fleet_warm_speedup),
-        ("delta_reprogram_speedup", delta_speedup),
-        ("delta_reprogram_speedup_disjoint", delta_speedup_disjoint),
         ("fig14_reduced_geomean_speedup", fig14_geomean),
         ("fig14_reduced_wall_ms", fig14_wall_ms),
         // 1.0 when any matmul variant ran slower than
@@ -646,7 +454,8 @@ fn main() {
     // canonical JSONL.
     let rec = RecordingTracer::new();
     let th = rec.handle();
-    for (n, s) in [(64u64, simd_n64), (128, simd_n128), (256, simd_n256)] {
+    for n in [64u64, 128, 256] {
+        let s = matmul_speedup(n as usize);
         th.emit(|| TraceEvent::counter(TraceCategory::Sweep, "perf::matmul", 0, 0, s).with_id(n));
     }
     for (b, per_vec) in [(1u64, mvm_b1), (64, mvm_b64_per_vec)] {
@@ -655,17 +464,6 @@ fn main() {
                 .with_id(b)
                 .with_arg("per_vec_speedup_b64", mvm_per_vec_speedup)
         });
-    }
-    // Program-library counters from the fabric_program rows, under the
-    // registered `progstore::*` names, so the library's hit/miss/delta
-    // behaviour is overlayable on simulation traces alongside `perf::*`.
-    for (name, v) in [
-        ("progstore::hit", progstore_stats.hits),
-        ("progstore::miss", progstore_stats.misses),
-        ("progstore::corrupt", progstore_stats.corrupt),
-        ("progstore::delta_mzis", delta_mzis as u64),
-    ] {
-        th.emit(|| TraceEvent::counter(TraceCategory::Sweep, name, 0, 0, v as f64));
     }
     if let Ok(path) = std::env::var("FLUMEN_BENCH_TRACE") {
         let mut buf = Vec::new();
@@ -678,23 +476,6 @@ fn main() {
         quick || cache_speedup >= 5.0,
         "program cache hit must be ≥5x faster than cold programming (got {cache_speedup:.2}x)"
     );
-    assert!(
-        quick || disk_warm_speedup >= 3.0,
-        "disk-warm programming must be ≥3x faster than cold (got {disk_warm_speedup:.2}x)"
-    );
-    assert!(
-        quick || delta_speedup >= 2.0,
-        "delta reprogramming must be ≥2x faster than a full restore on adjacent states (got {delta_speedup:.2}x)"
-    );
-    // Headline acceptance: on a hardware SIMD tier the full run must show
-    // the register-tiled kernel ≥4× over the seed kernel at mesh scale.
-    if !quick && flumen_linalg::simd_backend().is_hardware() {
-        assert!(
-            simd_n128 >= 4.0,
-            "SIMD matmul at n=128 must be ≥4x naive on a hardware tier (got {simd_n128:.2}x on {})",
-            flumen_linalg::simd_backend().name()
-        );
-    }
     if !regressions.is_empty() {
         for (name, ratio) in &regressions {
             let floor = if name.starts_with("mvm_batched/") {

@@ -1,9 +1,8 @@
 //! The `flumen-audit` lint pass: determinism lints over taint-marked
-//! functions plus the unsafe-SIMD discipline checks.
+//! functions.
 //!
-//! Determinism lints (fire only inside functions the
-//! [`crate::taint`] pass marked as reachable from a bit-determinism
-//! root):
+//! The lints fire only inside functions the [`crate::taint`] pass
+//! marked as reachable from a bit-determinism root:
 //!
 //! * **det-hash-iter** — iteration over a `HashMap`/`HashSet`
 //!   (`.iter()`, `.keys()`, `.values()`, `.drain()`, bare `for … in
@@ -17,20 +16,6 @@
 //! * **det-ambient-id** — `thread::current()` or a pointer address
 //!   laundered into an integer (`.as_ptr() as usize`).
 //!
-//! Unsafe-discipline lints (fire everywhere outside test code):
-//!
-//! * **unsafe-safety-comment** — an `unsafe` keyword with no
-//!   `// SAFETY:` (or `/// # Safety`) comment within the preceding
-//!   [`SAFETY_COMMENT_WINDOW`] lines.
-//! * **target-feature-gate** — a call whose every candidate callee is
-//!   `#[target_feature]`, from a caller that neither carries the same
-//!   features nor contains a runtime dispatch guard
-//!   (`is_x86_feature_detected!`, a configured guard fn).
-//! * **unchecked-ptr-arith** — raw-pointer arithmetic
-//!   (`.add`/`.offset`/`get_unchecked`) inside an `unsafe fn` in a
-//!   configured module with no `assert!`/`debug_assert!` preamble
-//!   before the first pointer op.
-//!
 //! Suppression reuses the `// flumen-check: allow(<lint>)` machinery;
 //! findings can also be parked in a committed baseline file
 //! (see [`load_baseline`] / [`partition_baseline`]).
@@ -42,42 +27,6 @@ use crate::taint::{self, TaintConfig, TaintSet};
 use crate::FileDiagnostic;
 use std::collections::BTreeSet;
 use std::path::Path;
-
-/// How many lines above an `unsafe` keyword a SAFETY comment may sit
-/// (a multi-line comment plus attributes like `#[target_feature(...)]`
-/// and `#[allow(...)]` may separate the `SAFETY` keyword from it).
-pub const SAFETY_COMMENT_WINDOW: u32 = 6;
-
-/// Policy for the audit pass.
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// Taint roots and exemptions.
-    pub taint: TaintConfig,
-    /// Fn names whose call counts as a runtime feature-dispatch guard.
-    pub guard_fns: Vec<String>,
-    /// Modules whose `unsafe fn`s must bound pointer arithmetic with a
-    /// checked preamble.
-    pub ptr_modules: Vec<String>,
-    /// Modules exempt from `det-unordered-reduction` (the pinned-FMA
-    /// kernels fix their own accumulation order).
-    pub reduction_exempt: Vec<String>,
-}
-
-impl AuditConfig {
-    /// The Flumen workspace policy.
-    pub fn flumen() -> Self {
-        AuditConfig {
-            taint: TaintConfig::flumen(),
-            guard_fns: vec![
-                "simd_backend".into(),
-                "cpu_has_avx2".into(),
-                "cpu_has_avx512".into(),
-            ],
-            ptr_modules: vec!["linalg::simd".into()],
-            reduction_exempt: vec!["linalg::simd".into()],
-        }
-    }
-}
 
 /// Hash-container methods that expose iteration order. Keyed access
 /// (`get`, `insert`, `remove`, `entry`, `contains_key`, `len`) is fine.
@@ -97,23 +46,10 @@ const ITER_METHODS: &[&str] = &[
 /// Order-sensitive reduction adapters.
 const REDUCTIONS: &[&str] = &["sum", "product", "fold", "reduce"];
 
-/// Raw-pointer ops that must sit behind a checked preamble.
-const PTR_OPS: &[&str] = &["add", "offset", "sub", "get_unchecked", "get_unchecked_mut"];
-
-/// Assertion macros that count as a checked preamble.
-const ASSERT_MACROS: &[&str] = &[
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
-
 /// Runs the full audit over a built index. Diagnostics are sorted by
 /// file then line; allow directives are already applied.
-pub fn audit_index(index: &WorkspaceIndex, cfg: &AuditConfig) -> Vec<FileDiagnostic> {
-    let taint = taint::propagate(index, &cfg.taint);
+pub fn audit_index(index: &WorkspaceIndex, cfg: &TaintConfig) -> Vec<FileDiagnostic> {
+    let taint = taint::propagate(index, cfg);
     let mut out: Vec<FileDiagnostic> = Vec::new();
 
     // Per-file allow directives (and malformed-directive findings).
@@ -128,24 +64,17 @@ pub fn audit_index(index: &WorkspaceIndex, cfg: &AuditConfig) -> Vec<FileDiagnos
     }
 
     for (id, f) in index.fns.iter().enumerate() {
-        if f.is_test {
+        if f.is_test || !taint.is_tainted(id) {
             continue;
         }
         let file = &index.files[f.file];
-        let mut push = |diag: Diagnostic| {
+        det_lints(&taint, id, f, file, &mut |diag: Diagnostic| {
             out.push(FileDiagnostic {
                 file: file.file.clone(),
                 diag,
             })
-        };
-        if taint.is_tainted(id) {
-            det_lints(index, &taint, id, f, file, cfg, &mut push);
-        }
-        target_feature_gate(index, f, file, cfg, &mut push);
-        unchecked_ptr_arith(f, file, cfg, &mut push);
+        });
     }
-
-    unsafe_safety_comments(index, &mut out);
 
     // Apply allow directives (same or directly preceding line), then
     // order deterministically.
@@ -266,12 +195,10 @@ fn rev_matching(file: &FileIndex, close_idx: usize, open: char, close: char) -> 
 
 /// The five determinism lints, applied to one tainted fn body.
 fn det_lints(
-    index: &WorkspaceIndex,
     taint: &TaintSet,
     id: usize,
     f: &FnDef,
     file: &FileIndex,
-    cfg: &AuditConfig,
     push: &mut dyn FnMut(Diagnostic),
 ) {
     let root = taint
@@ -284,7 +211,6 @@ fn det_lints(
     } else {
         format!("reached from `{root}`")
     };
-    let _ = index;
 
     for site in &f.calls {
         // det-hash-iter -------------------------------------------------
@@ -303,11 +229,7 @@ fn det_lints(
             }
         }
         // det-unordered-reduction ---------------------------------------
-        if site.is_method
-            && REDUCTIONS.contains(&site.name.as_str())
-            && !module_matches(&f.module, &cfg.reduction_exempt)
-            && site.tok >= 1
-        {
+        if site.is_method && REDUCTIONS.contains(&site.name.as_str()) && site.tok >= 1 {
             if let Some(base) = chain_base(file, site.tok - 1) {
                 let hash_base = match ident_at(file, base) {
                     Some("self") => f.self_is_hash,
@@ -440,144 +362,6 @@ fn det_lints(
             }
         }
         j += 1;
-    }
-}
-
-fn module_matches(module: &str, list: &[String]) -> bool {
-    list.iter()
-        .any(|m| module == m || module.starts_with(&format!("{m}::")))
-}
-
-/// target-feature-gate: a call whose every candidate is
-/// `#[target_feature]` needs the caller gated.
-fn target_feature_gate(
-    index: &WorkspaceIndex,
-    f: &FnDef,
-    file: &FileIndex,
-    cfg: &AuditConfig,
-    push: &mut dyn FnMut(Diagnostic),
-) {
-    // A caller is gated when its body invokes a dispatch guard.
-    let has_guard = f
-        .macros
-        .iter()
-        .any(|(m, _, _)| m == "is_x86_feature_detected")
-        || f.calls
-            .iter()
-            .any(|c| cfg.guard_fns.iter().any(|g| g == &c.name));
-
-    for site in &f.calls {
-        if site.is_method {
-            continue; // feature kernels are invoked as path calls
-        }
-        let cands = taint::resolve_call(index, f.file, &f.module, site);
-        if cands.is_empty() {
-            continue;
-        }
-        let all_featured = cands
-            .iter()
-            .all(|&c| !index.fns[c].target_features.is_empty());
-        if !all_featured {
-            continue;
-        }
-        let needed: BTreeSet<&str> = cands
-            .iter()
-            .flat_map(|&c| index.fns[c].target_features.iter().map(String::as_str))
-            .collect();
-        let caller_has: BTreeSet<&str> = f.target_features.iter().map(String::as_str).collect();
-        if needed.is_subset(&caller_has) {
-            continue; // same-feature fn calling a sibling kernel
-        }
-        if has_guard {
-            continue;
-        }
-        let _ = file;
-        push(Diagnostic {
-            lint: Lint::TargetFeatureGate,
-            line: site.line,
-            message: format!(
-                "`{}` targets #[target_feature({})] code but `{}` neither shares the \
-                 attribute nor performs a runtime dispatch check \
-                 (is_x86_feature_detected! / {})",
-                site.segments.join("::"),
-                needed.iter().cloned().collect::<Vec<_>>().join(","),
-                f.path,
-                cfg.guard_fns.join("/")
-            ),
-        });
-    }
-}
-
-/// unchecked-ptr-arith: raw-pointer math in configured unsafe fns must
-/// follow an assertion preamble.
-fn unchecked_ptr_arith(
-    f: &FnDef,
-    file: &FileIndex,
-    cfg: &AuditConfig,
-    push: &mut dyn FnMut(Diagnostic),
-) {
-    if !f.is_unsafe || !module_matches(&f.module, &cfg.ptr_modules) {
-        return;
-    }
-    let first_op = f
-        .calls
-        .iter()
-        .filter(|c| c.is_method && PTR_OPS.contains(&c.name.as_str()))
-        .map(|c| (c.tok, c.line, c.name.clone()))
-        .min();
-    let Some((op_tok, op_line, op_name)) = first_op else {
-        return;
-    };
-    let checked = f
-        .macros
-        .iter()
-        .any(|(m, _, tok)| ASSERT_MACROS.contains(&m.as_str()) && *tok < op_tok);
-    let _ = file;
-    if !checked {
-        push(Diagnostic {
-            lint: Lint::UncheckedPtrArith,
-            line: op_line,
-            message: format!(
-                "raw-pointer `.{op_name}(…)` in unsafe fn `{}` with no checked preamble; \
-                 bound the index arithmetic with a debug_assert! before the first pointer op",
-                f.path
-            ),
-        });
-    }
-}
-
-/// unsafe-safety-comment: every production `unsafe` keyword needs a
-/// SAFETY comment within the preceding [`SAFETY_COMMENT_WINDOW`] lines.
-fn unsafe_safety_comments(index: &WorkspaceIndex, out: &mut Vec<FileDiagnostic>) {
-    for file in &index.files {
-        for (i, t) in file.toks.iter().enumerate() {
-            if file.mask.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            if !matches!(&t.kind, TokKind::Ident(s) if s == "unsafe") {
-                continue;
-            }
-            let lo = t.line.saturating_sub(SAFETY_COMMENT_WINDOW);
-            let covered = file.comments.iter().any(|c| {
-                c.line >= lo
-                    && c.line <= t.line
-                    && (c.text.contains("SAFETY") || c.text.contains("# Safety"))
-            });
-            if !covered {
-                out.push(FileDiagnostic {
-                    file: file.file.clone(),
-                    diag: Diagnostic {
-                        lint: Lint::UnsafeSafetyComment,
-                        line: t.line,
-                        message: format!(
-                            "`unsafe` in `{}` with no `// SAFETY:` comment within {} lines; \
-                             state the invariant that makes this sound",
-                            file.module, SAFETY_COMMENT_WINDOW
-                        ),
-                    },
-                });
-            }
-        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! CLI for the cross-crate determinism & unsafe-SIMD audit.
+//! CLI for the cross-crate determinism audit.
 //!
 //! ```text
 //! flumen-audit [--root <dir>] [--deny] [--json <file>]

@@ -4,9 +4,8 @@
 //! pass needs to know *which function* a token sits in and *who calls
 //! whom* across crates, so this module grows the lexer output into a
 //! lightweight index: every `fn` definition with its module-qualified
-//! path, body token range, attributes (`#[target_feature]`), call and
-//! macro sites, plus the file's `use` edges and the set of identifiers
-//! known to be hash-container typed. Still no `syn`, still no external
+//! path, body token range and call sites, plus the file's `use` edges
+//! and the set of identifiers known to be hash-container typed. Still no `syn`, still no external
 //! dependencies — the scanner is a recursive token walk that only has
 //! to be right about item structure (`mod`/`impl`/`trait`/`fn` nesting
 //! and brace matching), not about expressions.
@@ -25,7 +24,7 @@ use std::path::PathBuf;
 /// One workspace source file handed to the index builder.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
-    /// Module path of the file (`sweep::exec`, `linalg::simd`).
+    /// Module path of the file (`sweep::exec`, `linalg::cmat`).
     pub module: String,
     /// Display / diagnostic path (workspace-relative for real files).
     pub file: PathBuf,
@@ -38,8 +37,8 @@ pub struct SourceFile {
 pub struct CallSite {
     /// Callee name (last path segment, or the method name).
     pub name: String,
-    /// Full path segments when written as a path call (`avx2::matmul`
-    /// → `["avx2", "matmul"]`); just the name for plain calls.
+    /// Full path segments when written as a path call (`exec::run_plan`
+    /// → `["exec", "run_plan"]`); just the name for plain calls.
     pub segments: Vec<String>,
     /// Whether this is a `.name(…)` method call.
     pub is_method: bool,
@@ -65,11 +64,6 @@ pub struct FnDef {
     /// Token range of the body: `[open_brace, past_close)`. `(0, 0)`
     /// for bodyless trait-method signatures.
     pub body: (usize, usize),
-    /// Whether the definition is `unsafe fn`.
-    pub is_unsafe: bool,
-    /// Features from a `#[target_feature(enable = "…")]` attribute,
-    /// split on commas; empty when the attribute is absent.
-    pub target_features: Vec<String>,
     /// Whether the fn sits in an `impl` whose header names
     /// `HashMap`/`HashSet` (so a bare `self` receiver is hash-typed).
     pub self_is_hash: bool,
@@ -77,11 +71,9 @@ pub struct FnDef {
     pub is_test: bool,
     /// Call sites inside the body.
     pub calls: Vec<CallSite>,
-    /// Macro invocations inside the body: `(name, line, token index)`.
-    pub macros: Vec<(String, u32, usize)>,
 }
 
-/// Per-file index: tokens, comments, test mask and scan results.
+/// Per-file index: tokens, comments and scan results.
 #[derive(Debug)]
 pub struct FileIndex {
     /// Display path.
@@ -90,10 +82,8 @@ pub struct FileIndex {
     pub module: String,
     /// Token stream.
     pub toks: Vec<Tok>,
-    /// Line comments (allow directives, `// SAFETY:` markers).
+    /// Line comments (allow directives).
     pub comments: Vec<LineComment>,
-    /// Per-token test mask from [`lints::test_mask`].
-    pub mask: Vec<bool>,
     /// Identifiers known to be `HashMap`/`HashSet`-typed anywhere in
     /// this file (struct fields, locals, params — an over-approximation
     /// keyed by name).
@@ -136,7 +126,6 @@ impl WorkspaceIndex {
                 module: s.module.clone(),
                 toks,
                 comments,
-                mask,
                 hash_names,
                 use_edges,
             });
@@ -230,8 +219,6 @@ impl Scanner<'_> {
     /// fns whose enclosing impl targets a hash container.
     fn scan_items(&mut self, lo: usize, hi: usize, module: &str, self_is_hash: bool) {
         let mut i = lo;
-        let mut pending_tf: Vec<String> = Vec::new();
-        let mut pending_unsafe = false;
         while i < hi {
             match ident_at(self.toks, i) {
                 _ if punct_at(self.toks, i, '#') => {
@@ -244,19 +231,7 @@ impl Scanner<'_> {
                         i += 1;
                         continue;
                     };
-                    let end = lints::skip_bracketed(self.toks, open);
-                    if (open..end).any(|k| ident_at(self.toks, k) == Some("target_feature")) {
-                        for k in open..end {
-                            if let Some(TokKind::Str(s)) = self.toks.get(k).map(|t| &t.kind) {
-                                pending_tf.extend(s.split(',').map(|f| f.trim().to_string()));
-                            }
-                        }
-                    }
-                    i = end;
-                }
-                Some("unsafe") => {
-                    pending_unsafe = true;
-                    i += 1;
+                    i = lints::skip_bracketed(self.toks, open);
                 }
                 Some("use") => {
                     i = self.scan_use(i + 1, hi);
@@ -275,8 +250,6 @@ impl Scanner<'_> {
                     } else {
                         i += 1;
                     }
-                    pending_tf.clear();
-                    pending_unsafe = false;
                 }
                 Some("impl") | Some("trait") => {
                     let is_impl = ident_at(self.toks, i) == Some("impl");
@@ -303,8 +276,6 @@ impl Scanner<'_> {
                     } else {
                         i = j + 1;
                     }
-                    pending_tf.clear();
-                    pending_unsafe = false;
                 }
                 Some("fn") => {
                     if let Some(name) = ident_at(self.toks, i + 1) {
@@ -338,10 +309,10 @@ impl Scanner<'_> {
                                 _ => j += 1,
                             }
                         }
-                        let (calls, macros) = if body.1 > body.0 {
+                        let calls = if body.1 > body.0 {
                             scan_body(self.toks, body.0, body.1)
                         } else {
-                            (Vec::new(), Vec::new())
+                            Vec::new()
                         };
                         let is_test = self.mask.get(i).copied().unwrap_or(false);
                         self.fns.push(FnDef {
@@ -351,42 +322,22 @@ impl Scanner<'_> {
                             path: format!("{module}::{name}"),
                             line,
                             body,
-                            is_unsafe: pending_unsafe,
-                            target_features: std::mem::take(&mut pending_tf),
                             self_is_hash,
                             is_test,
                             calls,
-                            macros,
                         });
-                        pending_unsafe = false;
                         i = j;
                     } else {
                         // `fn(…)` pointer type or malformed — not an item.
                         i += 1;
-                        pending_unsafe = false;
                     }
                 }
                 _ => {
                     // Any other token at item level (struct/enum bodies,
-                    // const exprs, …): attributes seen so far belong to
-                    // whatever item this is, not to a later fn.
+                    // const exprs, …).
                     if let Some(TokKind::Punct('{')) = self.toks.get(i).map(|t| &t.kind) {
                         i = lints::skip_braced(self.toks, i);
-                        pending_tf.clear();
-                        pending_unsafe = false;
                     } else {
-                        if matches!(
-                            ident_at(self.toks, i),
-                            Some("struct")
-                                | Some("enum")
-                                | Some("static")
-                                | Some("const")
-                                | Some("type")
-                                | Some("union")
-                        ) {
-                            pending_tf.clear();
-                            pending_unsafe = false;
-                        }
                         i += 1;
                     }
                 }
@@ -508,10 +459,9 @@ fn skip_angles(toks: &[Tok], i: usize) -> usize {
     toks.len()
 }
 
-/// Collects call sites and macro invocations in `[lo, hi)`.
-fn scan_body(toks: &[Tok], lo: usize, hi: usize) -> (Vec<CallSite>, Vec<(String, u32, usize)>) {
+/// Collects call sites in `[lo, hi)`.
+fn scan_body(toks: &[Tok], lo: usize, hi: usize) -> Vec<CallSite> {
     let mut calls = Vec::new();
-    let mut macros = Vec::new();
     let mut j = lo;
     while j < hi {
         let Some(name) = ident_at(toks, j) else {
@@ -524,7 +474,6 @@ fn scan_body(toks: &[Tok], lo: usize, hi: usize) -> (Vec<CallSite>, Vec<(String,
                 || punct_at(toks, j + 2, '[')
                 || punct_at(toks, j + 2, '{'))
         {
-            macros.push((name.to_string(), toks[j].line, j));
             j += 2;
             continue;
         }
@@ -565,7 +514,7 @@ fn scan_body(toks: &[Tok], lo: usize, hi: usize) -> (Vec<CallSite>, Vec<(String,
         });
         j += 1;
     }
-    (calls, macros)
+    calls
 }
 
 #[cfg(test)]
@@ -614,22 +563,6 @@ mod tests {
             vec![("helper", false), ("thing", false), ("method", true)]
         );
         assert_eq!(top.calls[1].segments, vec!["other", "thing"]);
-    }
-
-    #[test]
-    fn target_feature_and_unsafe_are_attached() {
-        let ix = idx(&[(
-            "k",
-            r#"
-            #[target_feature(enable = "avx2,fma")]
-            pub(super) unsafe fn kern(p: *const f64) {}
-            fn plain() {}
-            "#,
-        )]);
-        assert_eq!(ix.fns[0].target_features, vec!["avx2", "fma"]);
-        assert!(ix.fns[0].is_unsafe);
-        assert!(ix.fns[1].target_features.is_empty());
-        assert!(!ix.fns[1].is_unsafe);
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub fn collect_workspace_sources(root: &Path) -> Result<Vec<index::SourceFile>, 
 pub fn audit_workspace(root: &Path) -> Result<Vec<FileDiagnostic>, String> {
     let sources = collect_workspace_sources(root)?;
     let ix = index::WorkspaceIndex::build(&sources);
-    Ok(audit::audit_index(&ix, &audit::AuditConfig::flumen()))
+    Ok(audit::audit_index(&ix, &taint::TaintConfig::flumen()))
 }
 
 /// Audits an in-memory set of `(module, source)` snippets under the
@@ -152,7 +152,7 @@ pub fn audit_snippets(sources: &[(&str, &str)]) -> Vec<FileDiagnostic> {
         })
         .collect();
     let ix = index::WorkspaceIndex::build(&files);
-    audit::audit_index(&ix, &audit::AuditConfig::flumen())
+    audit::audit_index(&ix, &taint::TaintConfig::flumen())
 }
 
 /// Extracts `REGISTERED_EVENT_NAMES` from the trace crate's source, so

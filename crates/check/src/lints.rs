@@ -47,16 +47,6 @@ pub enum Lint {
     /// (`thread::current`, `ThreadId`, `as_ptr() as usize`) inside a
     /// tainted function (`flumen-audit`).
     DetAmbientId,
-    /// An `unsafe` block / fn / impl without an adjacent `// SAFETY:`
-    /// comment (`flumen-audit`).
-    UnsafeSafetyComment,
-    /// A `#[target_feature]` fn called from a function that neither
-    /// carries the same feature attribute nor performs a runtime
-    /// dispatch check (`flumen-audit`).
-    TargetFeatureGate,
-    /// Raw-pointer index arithmetic (`.add`/`.offset`/`get_unchecked`)
-    /// in an unsafe fn with no checked preamble (`flumen-audit`).
-    UncheckedPtrArith,
 }
 
 impl Lint {
@@ -73,9 +63,6 @@ impl Lint {
             Lint::DetWallClock => "det-wall-clock",
             Lint::DetUnseededRng => "det-unseeded-rng",
             Lint::DetAmbientId => "det-ambient-id",
-            Lint::UnsafeSafetyComment => "unsafe-safety-comment",
-            Lint::TargetFeatureGate => "target-feature-gate",
-            Lint::UncheckedPtrArith => "unchecked-ptr-arith",
         }
     }
 
@@ -91,9 +78,6 @@ impl Lint {
             "det-wall-clock" => Some(Lint::DetWallClock),
             "det-unseeded-rng" => Some(Lint::DetUnseededRng),
             "det-ambient-id" => Some(Lint::DetAmbientId),
-            "unsafe-safety-comment" => Some(Lint::UnsafeSafetyComment),
-            "target-feature-gate" => Some(Lint::TargetFeatureGate),
-            "unchecked-ptr-arith" => Some(Lint::UncheckedPtrArith),
             _ => None,
         }
     }
@@ -138,7 +122,6 @@ impl CheckConfig {
                 "core::scheduler".into(),
                 "photonics::fabric".into(),
                 "photonics::mesh".into(),
-                "photonics::progstore".into(),
                 "sim::event".into(),
                 "sim::kernel".into(),
                 "serve::queue".into(),

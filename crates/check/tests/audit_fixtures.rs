@@ -2,8 +2,7 @@
 //! case, an allow-suppressed case, and (for the directive machinery) a
 //! bad-allow case. Snippets are audited under the real Flumen policy,
 //! so fixtures that must be tainted live in root modules
-//! (`sweep::exec`) and fixtures for the unsafe lints live in the
-//! modules the policy scopes them to (`linalg::simd`).
+//! (`sweep::exec`).
 
 use flumen_check::{audit_snippets, FileDiagnostic, Lint};
 
@@ -300,168 +299,6 @@ fn det_ambient_id_allow_comment_suppresses() {
     let diags = audit_snippets(&[(
         "sweep::exec",
         "pub fn run_plan() {\n    // flumen-check: allow(det-ambient-id)\n    let _id = std::thread::current();\n}\n",
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-// ---------------------------------------------------------- SAFETY comments
-
-#[test]
-fn unsafe_safety_comment_fires_without_comment() {
-    let diags = audit_snippets(&[(
-        "linalg::kern",
-        "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
-    )]);
-    assert!(
-        fired(&diags, Lint::UnsafeSafetyComment),
-        "got: {:?}",
-        lints_of(&diags)
-    );
-}
-
-#[test]
-fn unsafe_safety_comment_satisfied_by_adjacent_comment() {
-    let diags = audit_snippets(&[(
-        "linalg::kern",
-        "pub fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees `p` is valid for reads\n    unsafe { *p }\n}\n",
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-#[test]
-fn unsafe_safety_comment_allow_comment_suppresses() {
-    let diags = audit_snippets(&[(
-        "linalg::kern",
-        "pub fn f(p: *const u8) -> u8 {\n    // flumen-check: allow(unsafe-safety-comment)\n    unsafe { *p }\n}\n",
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-#[test]
-fn unsafe_safety_comment_exempts_test_code() {
-    let diags = audit_snippets(&[(
-        "linalg::kern",
-        "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { unsafe { std::hint::unreachable_unchecked() } }\n}\n",
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-// ------------------------------------------------------- target-feature gate
-
-#[test]
-fn target_feature_gate_fires_on_unguarded_call() {
-    let diags = audit_snippets(&[(
-        "linalg::kern",
-        r#"
-        #[target_feature(enable = "avx2")]
-        // SAFETY: caller must hold the avx2 witness
-        unsafe fn kern() {}
-        pub fn call_bad() {
-            // SAFETY: (deliberately bogus fixture: no runtime check)
-            unsafe { kern() }
-        }
-        "#,
-    )]);
-    assert!(
-        fired(&diags, Lint::TargetFeatureGate),
-        "got: {:?}",
-        lints_of(&diags)
-    );
-}
-
-#[test]
-fn target_feature_gate_satisfied_by_runtime_check() {
-    let diags = audit_snippets(&[(
-        "linalg::kern",
-        r#"
-        #[target_feature(enable = "avx2")]
-        // SAFETY: caller must hold the avx2 witness
-        unsafe fn kern() {}
-        pub fn call_good() {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature confirmed just above
-                unsafe { kern() }
-            }
-        }
-        "#,
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-#[test]
-fn target_feature_gate_satisfied_by_matching_attribute() {
-    // A same-feature sibling kernel needs no re-dispatch.
-    let diags = audit_snippets(&[(
-        "linalg::kern",
-        r#"
-        #[target_feature(enable = "avx2")]
-        // SAFETY: caller must hold the avx2 witness
-        unsafe fn inner() {}
-        #[target_feature(enable = "avx2")]
-        // SAFETY: caller must hold the avx2 witness
-        unsafe fn outer() { inner() }
-        "#,
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-#[test]
-fn target_feature_gate_allow_comment_suppresses() {
-    let diags = audit_snippets(&[(
-        "linalg::kern",
-        r#"
-        #[target_feature(enable = "avx2")]
-        // SAFETY: caller must hold the avx2 witness
-        unsafe fn kern() {}
-        pub fn call_vetted() {
-            // SAFETY: gated by the caller's dispatch table
-            // flumen-check: allow(target-feature-gate)
-            unsafe { kern() }
-        }
-        "#,
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-// --------------------------------------------------------- unchecked ptr
-
-#[test]
-fn unchecked_ptr_arith_fires_without_preamble() {
-    let diags = audit_snippets(&[(
-        "linalg::simd",
-        "// SAFETY: caller bounds `n`\npub unsafe fn raw(p: *const f64, n: usize) -> f64 { *p.add(n) }\n",
-    )]);
-    assert!(
-        fired(&diags, Lint::UncheckedPtrArith),
-        "got: {:?}",
-        lints_of(&diags)
-    );
-}
-
-#[test]
-fn unchecked_ptr_arith_satisfied_by_assert_preamble() {
-    let diags = audit_snippets(&[(
-        "linalg::simd",
-        "// SAFETY: bound checked in the preamble\npub unsafe fn raw(p: &[f64], n: usize) -> f64 {\n    debug_assert!(n < p.len());\n    *p.as_ptr().add(n)\n}\n",
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-#[test]
-fn unchecked_ptr_arith_scoped_to_configured_modules() {
-    // Outside `linalg::simd` the lint does not apply.
-    let diags = audit_snippets(&[(
-        "trace::raw",
-        "// SAFETY: caller bounds `n`\npub unsafe fn raw(p: *const f64, n: usize) -> f64 { *p.add(n) }\n",
-    )]);
-    assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
-}
-
-#[test]
-fn unchecked_ptr_arith_allow_comment_suppresses() {
-    let diags = audit_snippets(&[(
-        "linalg::simd",
-        "// SAFETY: caller bounds `n`\n// flumen-check: allow(unchecked-ptr-arith)\npub unsafe fn raw(p: *const f64, n: usize) -> f64 { *p.add(n) }\n",
     )]);
     assert!(diags.is_empty(), "got: {:?}", lints_of(&diags));
 }

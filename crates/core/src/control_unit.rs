@@ -207,34 +207,6 @@ impl MzimControlUnit {
         self.program_cache_misses
     }
 
-    /// Pre-seeds the program cache with an explicit resident set — the
-    /// matrix-memory model of a fleet-warm replica whose programs were
-    /// compiled elsewhere (e.g. a
-    /// `flumen_photonics::ProgramStore::manifest_keys` manifest). Keys are
-    /// deduplicated and bounded by `params.program_cache_entries`
-    /// (FIFO: later keys win); zero keys are skipped (0 marks "no cache
-    /// key" on tasks). Returns the number of keys resident afterwards.
-    ///
-    /// Determinism contract: simulation results depend only on the
-    /// explicit `keys` slice passed here. Hash-checked flows (golden
-    /// grid, sweep/serve result hashes) must not derive this list from
-    /// ambient disk state, or cold and warm stores would diverge.
-    pub fn preload_program_cache(&mut self, keys: &[u64]) -> usize {
-        if self.params.program_cache_entries == 0 {
-            return 0;
-        }
-        for &key in keys {
-            if key == 0 || self.cache_keys.contains(&key) {
-                continue;
-            }
-            while self.cache_keys.len() >= self.params.program_cache_entries {
-                self.cache_keys.pop_front();
-            }
-            self.cache_keys.push_back(key);
-        }
-        self.cache_keys.len()
-    }
-
     /// Currently queued compute requests.
     pub fn queued(&self) -> usize {
         self.queue.len()
@@ -713,26 +685,6 @@ mod tests {
         drive(&mut cu, &mut net, 1000);
         assert_eq!(cu.program_cache_hits(), 0);
         assert_eq!(cu.program_cache_misses(), 0);
-    }
-
-    #[test]
-    fn preloaded_keys_hit_on_first_access() {
-        let mut cu = cached_unit(4);
-        let mut net = net16();
-        // A fleet-warm replica: keys 42 and 7 were compiled elsewhere.
-        assert_eq!(cu.preload_program_cache(&[42, 7, 7, 0]), 2);
-        cu.on_request(0, 0, 2, 1, [4, 16, 4, 0, 42]);
-        cu.on_request(0, 0, 2, 2, [4, 16, 4, 0, 7]);
-        cu.on_request(0, 0, 2, 3, [4, 16, 4, 0, 9]);
-        drive(&mut cu, &mut net, 2000);
-        assert_eq!(cu.program_cache_hits(), 2, "preloaded keys hit cold");
-        assert_eq!(cu.program_cache_misses(), 1);
-        // With the cache disabled, preloading is a no-op.
-        let mut off = cached_unit(0);
-        assert_eq!(off.preload_program_cache(&[1, 2, 3]), 0);
-        // The resident set is bounded by the configured capacity.
-        let mut tiny = cached_unit(2);
-        assert_eq!(tiny.preload_program_cache(&[1, 2, 3, 4]), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! model.
 
 use flumen_linalg::BlockMatrix;
-use flumen_photonics::{AnalogModel, PhotonicsError, ProgramStore, SvdCircuit};
+use flumen_photonics::{AnalogModel, PhotonicsError, SvdCircuit};
 use flumen_workloads::{Benchmark, MvmJob};
 
 /// Executes jobs on programmed SVD-MZIM blocks.
@@ -20,11 +20,6 @@ pub struct PhotonicExecutor {
     pub n: usize,
     /// Analog precision model.
     pub model: AnalogModel,
-    /// Optional shared program library: block decompositions are served
-    /// from / written through to the store. Store entries replay
-    /// bit-identically to cold decomposition, so attaching a store never
-    /// changes job results — only host-side programming time.
-    pub store: Option<ProgramStore>,
 }
 
 impl PhotonicExecutor {
@@ -33,7 +28,6 @@ impl PhotonicExecutor {
         PhotonicExecutor {
             n,
             model: AnalogModel::ideal(),
-            store: None,
         }
     }
 
@@ -42,14 +36,7 @@ impl PhotonicExecutor {
         PhotonicExecutor {
             n,
             model: AnalogModel::eight_bit(),
-            store: None,
         }
-    }
-
-    /// Attaches a shared on-disk program library (builder style).
-    pub fn with_store(mut self, store: ProgramStore) -> Self {
-        self.store = Some(store);
-        self
     }
 
     /// Runs one job: programs a circuit per matrix sub-block, streams
@@ -73,8 +60,7 @@ impl PhotonicExecutor {
         let mut circuits = Vec::with_capacity(br * bc);
         for i in 0..br {
             for j in 0..bc {
-                let mut c =
-                    SvdCircuit::program_with_store(blocks.block(i, j), self.store.as_ref())?;
+                let mut c = SvdCircuit::program(blocks.block(i, j))?;
                 if !self.model.is_ideal() {
                     c.quantize_phases(&self.model);
                 }
@@ -153,29 +139,6 @@ mod tests {
         let exec = PhotonicExecutor::ideal(8);
         let results = exec.run_benchmark(&bench, None).unwrap();
         assert!(bench.verify(&results, 1e-7));
-    }
-
-    #[test]
-    fn store_backed_executor_is_bit_identical_and_fleet_warm() {
-        let dir = std::env::temp_dir().join(format!("flumen-exec-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ProgramStore::open(&dir).unwrap();
-        let bench = Rotation3d::small();
-        let plain = PhotonicExecutor::ideal(4);
-        let baseline = plain.run_benchmark(&bench, Some(4)).unwrap();
-
-        // Cold store: results identical, entries written through.
-        let cold = PhotonicExecutor::ideal(4).with_store(store.clone());
-        assert_eq!(cold.run_benchmark(&bench, Some(4)).unwrap(), baseline);
-        assert!(store.stats().writes > 0);
-
-        // A second "replica" sharing the store never decomposes.
-        let warm = PhotonicExecutor::ideal(4).with_store(store.clone());
-        let writes_before = store.stats().writes;
-        assert_eq!(warm.run_benchmark(&bench, Some(4)).unwrap(), baseline);
-        assert!(store.stats().hits > 0, "fleet-warm replica hits the store");
-        assert_eq!(store.stats().writes, writes_before);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

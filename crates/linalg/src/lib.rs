@@ -48,7 +48,6 @@ mod error;
 mod hash;
 mod qr;
 mod rmat;
-pub mod simd;
 mod svd;
 
 pub use block::BlockMatrix;
@@ -58,5 +57,4 @@ pub use error::{LinalgError, Result};
 pub use hash::sha256_hex;
 pub use qr::{qr, random_orthogonal, random_unitary, Qr};
 pub use rmat::RMat;
-pub use simd::{simd_backend, SimdBackend};
 pub use svd::{spectral_norm, spectral_scale, svd, Svd};

@@ -21,7 +21,6 @@ pub mod imperfection;
 pub mod loss;
 mod mesh;
 mod mzi;
-pub mod progstore;
 pub mod reck;
 pub mod routing;
 mod svd_circuit;
@@ -30,11 +29,10 @@ pub use analog::AnalogModel;
 pub use device::DeviceParams;
 pub use error::{PhotonicsError, Result};
 pub use fabric::{
-    FabricProgramState, FabricTrace, FlumenFabric, Partition, PartitionConfig, PartitionRole,
-    ProgramCacheStats, ReprogramStats,
+    FabricTrace, FlumenFabric, Partition, PartitionConfig, PartitionRole, ProgramCacheStats,
+    ReprogramStats,
 };
 pub use imperfection::{crosstalk_floor_db, CouplerImbalance, ThermalModel};
 pub use mesh::{MziSlot, MzimMesh, RouteTrace};
 pub use mzi::{Attenuator, MziPhase};
-pub use progstore::{PartitionProgram, ProgStoreStats, ProgramStore};
 pub use svd_circuit::SvdCircuit;

@@ -11,10 +11,9 @@
 //! digitally after readout.
 
 use crate::analog::AnalogModel;
-use crate::clements::{apply_program, program_mesh};
+use crate::clements::program_mesh;
 use crate::mesh::MzimMesh;
 use crate::mzi::Attenuator;
-use crate::progstore::{derive_program, matrix_key, PartitionProgram, ProgramStore};
 use crate::{PhotonicsError, Result};
 use flumen_linalg::{spectral_scale, svd, RMat, C64};
 
@@ -62,65 +61,6 @@ impl SvdCircuit {
         let mut c = Self::program_prescaled(&scaled)?;
         c.scale = norm;
         Ok(c)
-    }
-
-    /// Programs the circuit like [`SvdCircuit::program`], consulting an
-    /// optional [`ProgramStore`] first: a store hit replays the persisted
-    /// decomposition (bit-identical to the cold path — both run the same
-    /// [`derive_program`] pipeline and the store round-trips every `f64`
-    /// bit), a miss derives and writes the entry through for the next
-    /// caller. With `store == None` this *is* [`SvdCircuit::program`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SvdCircuit::program`].
-    pub fn program_with_store(m: &RMat, store: Option<&ProgramStore>) -> Result<Self> {
-        let Some(store) = store else {
-            return Self::program(m);
-        };
-        let key = matrix_key(m);
-        let w = m.rows();
-        if let Some(prog) = store.load(&key, w) {
-            return Self::from_program(&prog);
-        }
-        let prog = derive_program(m)?;
-        store.store(&key, w, &prog);
-        Self::from_program(&prog)
-    }
-
-    /// Builds the circuit from a pre-derived [`PartitionProgram`]
-    /// (typically a [`ProgramStore`] entry). Replaying the stored Clements
-    /// programs is deterministic, so the result is bit-identical to
-    /// [`SvdCircuit::program`] on the matrix the program was derived from.
-    ///
-    /// # Errors
-    ///
-    /// [`PhotonicsError::InvalidSize`] for inconsistent program
-    /// dimensions; propagates mesh programming errors.
-    pub fn from_program(prog: &PartitionProgram) -> Result<Self> {
-        let n = prog.width();
-        if n < 2 || prog.u_prog.n != n || prog.sigma.len() != n {
-            return Err(PhotonicsError::InvalidSize {
-                n,
-                requirement: "partition program meshes and σ must agree, ≥ 2×2",
-            });
-        }
-        let mut v_mesh = MzimMesh::new(n);
-        apply_program(&mut v_mesh, &prog.v_prog)?;
-        let mut u_mesh = MzimMesh::new(n);
-        apply_program(&mut u_mesh, &prog.u_prog)?;
-        let attens = prog
-            .sigma
-            .iter()
-            .map(|&s| Attenuator::with_amplitude(s.min(1.0)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(SvdCircuit {
-            n,
-            v_mesh,
-            attens,
-            u_mesh,
-            scale: prog.norm,
-        })
     }
 
     /// Programs the circuit for a matrix whose singular values are already
@@ -370,38 +310,6 @@ mod tests {
         for v in y {
             assert!(v.abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn store_hit_is_bit_identical_to_cold_program() {
-        let dir = std::env::temp_dir().join(format!("flumen-svd-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ProgramStore::open(&dir).unwrap();
-        for n in [2usize, 4, 8] {
-            let m = random_mat(40 + n as u64, n);
-            let cold = SvdCircuit::program(&m).unwrap();
-            // First store-backed program: miss + write-through.
-            let written = SvdCircuit::program_with_store(&m, Some(&store)).unwrap();
-            // Second: served from disk.
-            let warm = SvdCircuit::program_with_store(&m, Some(&store)).unwrap();
-            let x: Vec<f64> = (0..n).map(|i| ((i + 1) as f64 * 0.37).sin()).collect();
-            let y_cold = cold.apply(&x);
-            assert_eq!(y_cold, written.apply(&x), "n={n} write-through path");
-            assert_eq!(y_cold, warm.apply(&x), "n={n} disk-warm path");
-            assert_eq!(cold.scale().to_bits(), warm.scale().to_bits());
-            assert_eq!(cold.sigmas(), warm.sigmas());
-        }
-        assert_eq!(store.stats().hits, 3);
-        assert_eq!(store.stats().writes, 3);
-        // `None` delegates to the plain path.
-        let m = random_mat(99, 4);
-        let a = SvdCircuit::program(&m).unwrap();
-        let b = SvdCircuit::program_with_store(&m, None).unwrap();
-        assert_eq!(
-            a.apply(&[0.1, 0.2, 0.3, 0.4]),
-            b.apply(&[0.1, 0.2, 0.3, 0.4])
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

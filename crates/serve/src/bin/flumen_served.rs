@@ -17,11 +17,11 @@
 //! `--timeout 0` disables in-queue deadlines.
 
 use flumen_serve::{
-    prepopulate_program_store, run_scenario, AdmissionConfig, ArrivalProcess, ClassPolicy, JobMix,
-    ScenarioSpec, ServeConfig, ShedPolicy,
+    run_scenario, AdmissionConfig, ArrivalProcess, ClassPolicy, JobMix, ScenarioSpec, ServeConfig,
+    ShedPolicy,
 };
 use flumen_sim::{Cycles, ToJson};
-use flumen_sweep::{CheckpointStore, ProgramStore};
+use flumen_sweep::CheckpointStore;
 use flumen_trace::TraceHandle;
 use std::process::ExitCode;
 
@@ -200,17 +200,6 @@ fn main() -> ExitCode {
         "flumen_served: {} · rate {}/Mcycle · horizon {} cycles · {} clients · seed {:#x}",
         flags.scenario, flags.rate, flags.horizon, flags.clients, flags.seed
     );
-    // Warm the shared program library (FLUMEN_PROGSTORE_DIR) before
-    // serving so replicas start fleet-warm. Host-side only — the result
-    // hash below is identical with or without a store.
-    if let Some(pstore) = ProgramStore::from_env() {
-        let rep =
-            prepopulate_program_store(&spec, 4, &pstore, flags.threads, &TraceHandle::disabled());
-        println!(
-            "  program library: {} distinct blocks · {} compiled · {} fleet-warm",
-            rep.distinct_blocks, rep.compiled, rep.warm_hits
-        );
-    }
     let report = match run_scenario(&spec, &cfg, store.as_ref(), &TraceHandle::disabled()) {
         Ok(r) => r,
         Err(e) => {

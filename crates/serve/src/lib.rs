@@ -38,9 +38,7 @@ pub use exec::{execute_payloads, Payload, PayloadTable};
 pub use queue::{BoundedQueue, Queued};
 pub use request::{Outcome, Request, RequestClass, RequestRecord};
 pub use scenario::{ArrivalProcess, JobMix, ScenarioSpec, MCYCLE};
-pub use server::{
-    prepopulate_program_store, run_scenario, serve_requests, ServeError, ServeReport,
-};
+pub use server::{run_scenario, serve_requests, ServeError, ServeReport};
 
 /// Engine configuration: admission policy plus the two parallelism
 /// knobs. `workers` is *simulated* service parallelism (how many

@@ -16,7 +16,7 @@ use crate::scenario::ScenarioSpec;
 use crate::ServeConfig;
 use flumen_sim::{Cycles, EventQueue, Json, ToJson};
 use flumen_sweep::hash::sha256_hex;
-use flumen_sweep::{precompile_plan, CheckpointStore, PrecompileReport, ProgramStore};
+use flumen_sweep::CheckpointStore;
 use flumen_trace::{EventKind, Histogram, TraceCategory, TraceEvent, TraceHandle};
 
 /// What the engine schedules on the sim event queue.
@@ -136,34 +136,6 @@ pub fn run_scenario(
     let jobs: Vec<_> = requests.iter().map(|r| r.job.clone()).collect();
     let table = execute_payloads(&jobs, cfg.exec_threads, store);
     serve_requests(spec, &requests, cfg, &table, trace)
-}
-
-/// Pre-populates a shared program library with every distinct partition
-/// program the scenario's payload jobs need at partition width `width`,
-/// so steady-state replicas (and the correctness-path
-/// `PhotonicExecutor`s) start fleet-warm and never decompose.
-///
-/// Host-side only: the store feeds mesh *programming*, whose entries
-/// replay bit-identically to cold decomposition, so the queueing
-/// simulation and every result hash are unchanged whether or not this
-/// ran — the property the CI double-run job pins down. Emits one
-/// `progstore::prepopulate` instant with the compile/warm counts.
-pub fn prepopulate_program_store(
-    spec: &ScenarioSpec,
-    width: usize,
-    store: &ProgramStore,
-    threads: usize,
-    trace: &TraceHandle,
-) -> PrecompileReport {
-    let jobs: Vec<_> = spec.generate().into_iter().map(|r| r.job).collect();
-    let report = precompile_plan(&jobs, width, store, threads);
-    trace.emit(|| {
-        TraceEvent::instant(TraceCategory::Serve, "progstore::prepopulate", 0, 0)
-            .with_arg("distinct_blocks", report.distinct_blocks as f64)
-            .with_arg("compiled", report.compiled as f64)
-            .with_arg("warm_hits", report.warm_hits as f64)
-    });
-    report
 }
 
 /// Drives the queueing simulation over a pre-generated request trace and

@@ -208,11 +208,14 @@ impl Json {
         }
     }
 
-    /// Parses a value from text.
+    /// Parses a value from text. Hostile input — malformed escapes,
+    /// nesting deeper than [`MAX_DEPTH`] — is an `Err`, never a panic.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -258,9 +261,17 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the simulator writes (a full-system checkpoint) nests 10
+/// levels; the bound only stops a file of repeated `[` from recursing
+/// the parser off the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -300,8 +311,22 @@ impl Parser<'_> {
             Some(b'N') if self.eat("NaN") => Ok(Json::Num(f64::NAN)),
             Some(b'I') if self.eat("Infinity") => Ok(Json::Num(f64::INFINITY)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') if self.bytes[self.pos..].starts_with(b"-Infinity") => {
                 self.pos += "-Infinity".len();
                 Ok(Json::Num(f64::NEG_INFINITY))
@@ -353,11 +378,12 @@ impl Parser<'_> {
                         b'r' => s.push('\r'),
                         b't' => s.push('\t'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return err("truncated \\u escape");
-                            }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4]).unwrap();
+                            // `get` also refuses a range that splits a
+                            // multi-byte character.
+                            let hex = self
+                                .text
+                                .get(self.pos..self.pos + 4)
+                                .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| JsonError(format!("bad \\u escape `{hex}`")))?;
                             self.pos += 4;
@@ -367,10 +393,13 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-scan the full UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| JsonError("invalid utf-8".into()))?;
-                    let ch = rest.chars().next().unwrap();
+                    // Re-scan the full UTF-8 character (escapes consume
+                    // whole characters, so `pos - 1` is a boundary).
+                    let ch = self
+                        .text
+                        .get(self.pos - 1..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| JsonError("invalid utf-8".into()))?;
                     s.push(ch);
                     self.pos += ch.len_utf8() - 1;
                 }

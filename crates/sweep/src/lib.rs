@@ -33,7 +33,6 @@ pub mod exec;
 pub mod hash;
 pub mod job;
 pub mod metrics;
-pub mod progstore;
 pub mod sink;
 
 /// Canonical JSON (re-exported from `flumen-sim`, where it moved so
@@ -43,9 +42,7 @@ pub use flumen_sim::json;
 pub use cache::{CacheEntry, ResultCache};
 pub use checkpoint::CheckpointStore;
 pub use exec::{run_plan, JobRecord, SweepOptions, SweepPlan, SweepReport};
-pub use flumen_photonics::progstore::{ProgStoreStats, ProgramStore};
 pub use job::{
     BenchKind, BenchSize, BenchSpec, JobResult, JobSpec, NetSpec, NocStatsPoint, CODE_VERSION,
 };
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use progstore::{plan_weight_blocks, precompile_blocks, precompile_plan, PrecompileReport};

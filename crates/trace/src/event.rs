@@ -79,11 +79,6 @@ pub const REGISTERED_EVENT_NAMES: &[&str] = &[
     "perf::matmul",
     "perf::mvm_batched",
     "pkt",
-    "progstore::corrupt",
-    "progstore::delta_mzis",
-    "progstore::hit",
-    "progstore::miss",
-    "progstore::prepopulate",
     "reconfig",
     "reject",
     "request",

@@ -74,7 +74,6 @@ fn eight_bit_jpeg_dct_stays_within_analog_tolerance() {
     let exec = PhotonicExecutor {
         n: 8,
         model: AnalogModel::eight_bit(),
-        store: None,
     };
     let results = exec.run_benchmark(&bench, None).unwrap();
     // Coefficients span roughly ±4 after the level shift; a few LSBs of an
