@@ -2,9 +2,11 @@
 //!
 //! FIPS 180-4, no external dependencies. Used by `flumen-sweep` to hash
 //! canonical-JSON job specs and by the fabric's MeshProgram cache to key
-//! weight matrices (`f64::to_bits` little-endian bytes). Speed is
-//! irrelevant at these payload sizes; collision resistance and stability
-//! across runs/platforms are what the cache keys need.
+//! weight matrices (`f64::to_bits` little-endian bytes). Collision
+//! resistance and stability across runs/platforms are what the cache
+//! keys need. Speed matters too: hashing a spec costs microseconds, so a
+//! caller that hashes per request rather than per distinct spec pays for
+//! it (the serve engine hashes each distinct payload once per call).
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -101,10 +103,24 @@ mod tests {
 
     #[test]
     fn multi_block_input() {
-        // 200 bytes crosses the 64-byte block boundary several times.
-        let data = vec![0x61u8; 200];
-        // Distinct from the empty and short inputs; stable across calls.
-        assert_eq!(sha256_hex(&data), sha256_hex(&data));
-        assert_ne!(sha256_hex(&data), sha256_hex(&data[..199]));
+        // Expected digests from coreutils:
+        //   head -c N /dev/zero | tr '\0' a | sha256sum
+        // Lengths 55/56 and 119/120 straddle the point where the length
+        // field no longer fits in the last block; 63/64/65 straddle a
+        // block boundary; 200 spans four blocks.
+        let lens = [55, 56, 63, 64, 65, 119, 120, 200];
+        let digests = [
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0",
+            "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            "c2a908d98f5df987ade41b5fce213067efbcc21ef2240212a41e54b5e7c28ae5",
+        ];
+        for (len, want) in lens.into_iter().zip(digests) {
+            assert_eq!(sha256_hex(&vec![b'a'; len]), want, "{len} bytes of 'a'");
+        }
     }
 }

@@ -69,11 +69,45 @@ fn service_of(spec: &JobSpec, result: &JobResult) -> Cycles {
     Cycles::new(raw.max(1))
 }
 
+/// The distinct payloads among `specs` as `(content hash, spec)` pairs in
+/// first-seen order, plus each input's index into that list.
+///
+/// A spec that is `==` to one already listed reuses its pair unhashed:
+/// every type inside [`JobSpec`] derives `PartialEq`, and the canonical
+/// JSON prints `0.0` and `-0.0` alike, so equal specs serialize to the
+/// same bytes and hence hash alike. Only a spec matching no listed one is
+/// hashed, once per occurrence; if its hash is already listed it maps to
+/// that pair. That is the NaN case: a spec holding a NaN is never `==`
+/// to anything, yet its clones share one hash and so one payload.
+pub(crate) fn distinct_payloads<'a>(
+    specs: impl IntoIterator<Item = &'a JobSpec>,
+) -> (Vec<(String, &'a JobSpec)>, Vec<usize>) {
+    let mut distinct: Vec<(String, &JobSpec)> = Vec::new();
+    let index = specs
+        .into_iter()
+        .map(|spec| {
+            if let Some(i) = distinct.iter().position(|(_, seen)| *seen == spec) {
+                return i;
+            }
+            let hash = spec.content_hash();
+            distinct
+                .iter()
+                .position(|(seen, _)| *seen == hash)
+                .unwrap_or_else(|| {
+                    distinct.push((hash, spec));
+                    distinct.len() - 1
+                })
+        })
+        .collect();
+    (distinct, index)
+}
+
 /// Executes every distinct job among `specs` and returns the memo table.
 ///
-/// Work is deduplicated by content hash and drained from a shared queue
-/// by `threads` scoped workers (the same hand-rolled pool shape as
-/// `flumen_sweep::run_plan` — no async runtime exists in this tree).
+/// Work is deduplicated by [`distinct_payloads`] (each distinct spec
+/// hashed once) and drained from a shared queue by `threads` scoped
+/// workers (the same hand-rolled pool shape as `flumen_sweep::run_plan`
+/// — no async runtime exists in this tree).
 /// With `store` set, full-system jobs checkpoint under their content
 /// hash and resume from the newest valid snapshot.
 ///
@@ -88,16 +122,7 @@ pub fn execute_payloads(
     store: Option<&CheckpointStore>,
 ) -> PayloadTable {
     // Dedup in first-seen order so the work list is deterministic.
-    let mut distinct: Vec<(String, &JobSpec)> = Vec::new();
-    {
-        let mut seen = std::collections::BTreeSet::new();
-        for spec in specs {
-            let h = spec.content_hash();
-            if seen.insert(h.clone()) {
-                distinct.push((h, spec));
-            }
-        }
-    }
+    let (distinct, _) = distinct_payloads(specs);
 
     let threads = threads.max(1).min(distinct.len().max(1));
     let next = Mutex::new(0usize);
@@ -139,18 +164,91 @@ mod tests {
     use flumen_noc::harness::RunConfig;
     use flumen_noc::traffic::TrafficPattern;
     use flumen_sweep::NetSpec;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn noc_job(seed: u64) -> JobSpec {
+        noc_job_at(0.1, seed)
+    }
+
+    fn noc_job_at(load: f64, seed: u64) -> JobSpec {
         JobSpec::NocPoint {
             net: NetSpec::Ring { nodes: 8 },
             pattern: TrafficPattern::UniformRandom,
-            load: 0.1,
+            load,
             cfg: RunConfig {
                 warmup: 100,
                 measure: 400,
                 seed,
                 ..RunConfig::default()
             },
+        }
+    }
+
+    /// Payloads a request list draws from: distinct seeds, both zeros
+    /// (equal specs), NaN loads (equal hashes, never `==`), full runs.
+    fn pool() -> Vec<JobSpec> {
+        let full = |eta| {
+            let mut job = crate::JobMix::standard().choices()[0].1.clone();
+            if let JobSpec::FullRun { cfg, .. } = &mut job {
+                cfg.control.scheduler.eta = eta;
+            }
+            job
+        };
+        vec![
+            noc_job(1),
+            noc_job(2),
+            noc_job_at(0.0, 1),
+            noc_job_at(-0.0, 1),
+            noc_job_at(f64::NAN, 1),
+            noc_job_at(f64::NAN, 2),
+            full(0.0),
+            full(-0.0),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every input maps to a pair carrying its own content hash, and
+        /// the pairs are exactly a naive first-seen dedup by hash.
+        #[test]
+        fn distinct_payloads_match_naive_dedup_by_hash(
+            seed in any::<u64>(),
+            mask in 1u32..256,
+            len in 0usize..48,
+        ) {
+            // A small mix: the pool members selected by `mask`, each
+            // request holding its own clone.
+            let mix: Vec<JobSpec> = pool()
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, spec)| spec)
+                .collect();
+            let mut rng = flumen_sim::SimRng::seed_from_u64(seed);
+            let specs: Vec<JobSpec> = (0..len)
+                .map(|_| mix[rng.gen_range(0..mix.len())].clone())
+                .collect();
+
+            let (distinct, index) = distinct_payloads(&specs);
+            prop_assert_eq!(index.len(), specs.len());
+            for (spec, &k) in specs.iter().zip(&index) {
+                prop_assert_eq!(&distinct[k].0, &spec.content_hash());
+            }
+
+            let mut naive: Vec<(String, &JobSpec)> = Vec::new();
+            for spec in &specs {
+                let h = spec.content_hash();
+                if naive.iter().all(|(seen, _)| *seen != h) {
+                    naive.push((h, spec));
+                }
+            }
+            prop_assert_eq!(distinct.len(), naive.len());
+            for ((h, spec), (nh, nspec)) in distinct.iter().zip(&naive) {
+                prop_assert_eq!(h, nh);
+                prop_assert!(std::ptr::eq(*spec, *nspec), "pair {} is not the first spec seen", h);
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 //! content-addressed [`PayloadTable`].
 
 use crate::admission::{AdmissionController, Counters, Offer, Pop};
-use crate::exec::{execute_payloads, PayloadTable};
+use crate::exec::{distinct_payloads, execute_payloads, Payload, PayloadTable};
 use crate::request::{Outcome, Request, RequestClass, RequestRecord};
 use crate::scenario::ScenarioSpec;
 use crate::ServeConfig;
@@ -155,14 +155,20 @@ pub fn serve_requests(
     }
     // Resolve every request's payload up front: an unknown payload is a
     // harness bug surfaced before simulated time starts, and the hot
-    // loop below then runs lookup-free.
-    let payloads: Vec<&crate::exec::Payload> = requests
+    // loop below then runs lookup-free. Each distinct payload is hashed
+    // and looked up once; requests reach it through their pair index.
+    let (distinct, index) = distinct_payloads(requests.iter().map(|r| &r.job));
+    let resolved: Vec<Option<&Payload>> = distinct.iter().map(|(h, _)| table.get(h)).collect();
+    let payloads: Vec<&Payload> = requests
         .iter()
-        .map(|r| {
-            let h = r.job.content_hash();
-            table
-                .get(&h)
-                .ok_or_else(|| ServeError(format!("request {} payload {h} not executed", r.id)))
+        .zip(&index)
+        .map(|(r, &k)| {
+            resolved[k].ok_or_else(|| {
+                ServeError(format!(
+                    "request {} payload {} not executed",
+                    r.id, distinct[k].0
+                ))
+            })
         })
         .collect::<Result<_, _>>()?;
 
@@ -170,22 +176,16 @@ pub fn serve_requests(
     // share one execution (one "mesh programming"), so each distinct
     // payload serves a batch of `k` requests. Emitted once per distinct
     // payload, in first-seen request order, before simulated time starts.
-    {
-        let mut batch: Vec<(String, u64)> = Vec::new();
-        for r in requests {
-            let h = r.job.content_hash();
-            match batch.iter_mut().find(|(k, _)| *k == h) {
-                Some((_, count)) => *count += 1,
-                None => batch.push((h, 1)),
-            }
-        }
-        for (i, (_, count)) in batch.iter().enumerate() {
-            trace.emit(|| {
-                TraceEvent::instant(TraceCategory::Serve, "serve::batch", 0, 0)
-                    .with_id(i as u64)
-                    .with_arg("requests", *count as f64)
-            });
-        }
+    let mut batch = vec![0u64; distinct.len()];
+    for &k in &index {
+        batch[k] += 1;
+    }
+    for (i, count) in batch.iter().enumerate() {
+        trace.emit(|| {
+            TraceEvent::instant(TraceCategory::Serve, "serve::batch", 0, 0)
+                .with_id(i as u64)
+                .with_arg("requests", *count as f64)
+        });
     }
 
     let mut events: EventQueue<ServeEvent> = EventQueue::new();
@@ -210,7 +210,7 @@ pub fn serve_requests(
         admission: &mut AdmissionController,
         workers: &mut [Option<u64>],
         records: &mut [RequestRecord],
-        payloads: &[&crate::exec::Payload],
+        payloads: &[&Payload],
         events: &mut EventQueue<ServeEvent>,
         trace: &TraceHandle,
     ) {

@@ -66,13 +66,17 @@ impl ResultCache {
 
     /// Looks up a job by content hash. Returns `None` on miss *or* on an
     /// unreadable/corrupt entry (which then simply gets recomputed and
-    /// rewritten — corruption is never fatal).
+    /// rewritten — corruption is never fatal), and on an entry stored
+    /// under another hash (a copied or renamed file).
     pub fn load(&self, hash: &str) -> Option<CacheEntry> {
         let text = fs::read_to_string(self.entry_path(hash)).ok()?;
         let j = Json::parse(&text).ok()?;
         // Defense in depth: the version is part of the hash already, but a
         // hand-edited or migrated entry should still never be served stale.
         if j.get("code_version").ok()?.as_str().ok()? != CODE_VERSION {
+            return None;
+        }
+        if j.get("hash").ok()?.as_str().ok()? != hash {
             return None;
         }
         Some(CacheEntry {
@@ -203,6 +207,18 @@ mod tests {
         let hash = cache.store(&spec, &spec.execute(), 1.0);
         fs::write(cache.entry_path(&hash), "{ not json").unwrap();
         assert!(cache.load(&hash).is_none());
+
+        fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    fn entry_copied_under_another_hash_misses() {
+        let cache = tmp_cache("copied");
+        let (a, b) = (tiny_noc_spec(5), tiny_noc_spec(6));
+        let ha = cache.store(&a, &a.execute(), 1.0);
+        fs::copy(cache.entry_path(&ha), cache.entry_path(&b.content_hash())).unwrap();
+        assert!(cache.load(&ha).is_some());
+        assert!(cache.load(&b.content_hash()).is_none());
 
         fs::remove_dir_all(cache.dir()).unwrap();
     }

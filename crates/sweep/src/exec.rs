@@ -194,12 +194,14 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
 
     let mut trace_events: Vec<TraceEvent> = Vec::new();
 
-    // Resolve cache hits first (serial: this is pure file I/O).
+    // Resolve cache hits first (serial: this is pure file I/O). An entry
+    // counts only if it was stored for this very spec; anything else is a
+    // miss that recomputes and overwrites it.
     if !opts.force {
-        for (i, hash) in hashes.iter().enumerate() {
-            if let Some(entry) = cache.load(hash) {
+        for (i, (hash, spec)) in hashes.iter().zip(plan.jobs()).enumerate() {
+            if let Some(entry) = cache.load(hash).filter(|e| e.spec == *spec) {
                 if opts.verbose {
-                    eprintln!("  [sweep] cached  {}", plan.jobs()[i].label());
+                    eprintln!("  [sweep] cached  {}", spec.label());
                 }
                 trace_events.push(
                     TraceEvent::instant(

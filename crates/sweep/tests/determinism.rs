@@ -233,3 +233,61 @@ fn duplicate_jobs_execute_once_and_share_the_result() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Two tiny NoC jobs that differ only in their seed, with job A's result
+/// cached and published under job B's filename by `misfile`.
+fn misfiled_pair(dir: &Path, misfile: impl Fn(&str, &str, &str) -> String) -> (JobSpec, JobSpec) {
+    let job = |seed| JobSpec::NocPoint {
+        net: NetSpec::Ring { nodes: 8 },
+        pattern: TrafficPattern::UniformRandom,
+        load: 0.1,
+        cfg: tiny_cfg(seed),
+    };
+    let (a, b) = (job(7), job(8));
+    let mut plan = SweepPlan::new();
+    plan.push(a.clone());
+    run_plan(&plan, &opts(1, dir));
+    let cache = ResultCache::open(dir);
+    let (ha, hb) = (a.content_hash(), b.content_hash());
+    let text = std::fs::read_to_string(cache.entry_path(&ha)).unwrap();
+    std::fs::write(cache.entry_path(&hb), misfile(&text, &ha, &hb)).unwrap();
+    (a, b)
+}
+
+/// Runs `b` alone and checks it was recomputed to its own result, not
+/// served job A's from the misfiled entry.
+fn assert_recomputes_own_result(dir: &Path, a: &JobSpec, b: &JobSpec) {
+    let mut plan = SweepPlan::new();
+    plan.push(b.clone());
+    let report = run_plan(&plan, &opts(1, dir));
+    assert_eq!(report.cache_hits(), 0, "misfiled entry served as a hit");
+    let own = b.execute().latency().avg_latency.to_bits();
+    let other = a.execute().latency().avg_latency.to_bits();
+    assert_ne!(own, other, "the two seeds must give different results");
+    assert_eq!(report.results[0].latency().avg_latency.to_bits(), own);
+    // The recompute overwrote the misfiled entry with B's own.
+    let entry = ResultCache::open(dir).load(&b.content_hash()).unwrap();
+    assert_eq!(entry.spec, *b);
+}
+
+#[test]
+fn copied_entry_under_another_hash_is_recomputed() {
+    let dir = tmp_dir("copied");
+    let (a, b) = misfiled_pair(&dir, |text, _, _| text.to_string());
+    assert_recomputes_own_result(&dir, &a, &b);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn entry_holding_another_spec_is_recomputed() {
+    let dir = tmp_dir("respec");
+    // The misfiled copy also names B's hash, so only its spec gives it
+    // away.
+    let (a, b) = misfiled_pair(&dir, |text, ha, hb| text.replace(ha, hb));
+    let entry = ResultCache::open(&dir).load(&b.content_hash()).unwrap();
+    assert_eq!(entry.spec, a);
+    assert_recomputes_own_result(&dir, &a, &b);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
