@@ -454,6 +454,12 @@ impl ExternalServer<MzimCrossbar> for MzimControlUnit {
         self.queue.len() + self.active.len() + self.finished.len()
     }
 
+    // Idle only when empty: an active partition adds to
+    // `mzim_active_cycles` every cycle, which is left to the stepped path.
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.active.is_empty() && self.finished.is_empty()
+    }
+
     fn drain_counts(&mut self, counts: &mut ActivityCounts) {
         counts.merge(&self.counts);
         self.counts = ActivityCounts::default();

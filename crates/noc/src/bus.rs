@@ -213,6 +213,14 @@ impl Network for OpticalBus {
     fn pending(&self) -> usize {
         self.src_queues.iter().map(|q| q.len()).sum::<usize>() + self.in_flight.len()
     }
+
+    fn advance_idle(&mut self, cycles: u64) {
+        debug_assert_eq!(self.pending(), 0, "advance_idle on a busy network");
+        // A drained step grants nothing, and scanning the token does not
+        // move it: only the clock turns.
+        self.cycle += cycles;
+        self.stats.cycles += cycles;
+    }
 }
 
 // Checkpoint support. As with the crossbar, `in_flight` keeps its exact

@@ -54,6 +54,18 @@ impl RrToken {
             _ => (self.pos + 1) % n,
         };
     }
+
+    /// Advances the token by `k` positions: exactly `k` calls to
+    /// [`RrToken::rotate`].
+    pub(crate) fn advance(&mut self, k: u64, n: usize) {
+        if k == 0 {
+            return;
+        }
+        self.pos = match n {
+            0 => 0,
+            _ => (self.pos % n + (k % n as u64) as usize) % n,
+        };
+    }
 }
 
 impl ToJson for RrToken {
@@ -97,6 +109,23 @@ mod tests {
         t.rotate(3);
         t.rotate(3);
         assert_eq!(t.pos(), 0);
+    }
+
+    #[test]
+    fn advance_equals_repeated_rotate() {
+        for n in 1..7 {
+            for start in 0..2 * n {
+                for k in 0..3 * n as u64 {
+                    let mut stepped = RrToken { pos: start };
+                    for _ in 0..k {
+                        stepped.rotate(n);
+                    }
+                    let mut jumped = RrToken { pos: start };
+                    jumped.advance(k, n);
+                    assert_eq!(jumped, stepped, "n {n} start {start} k {k}");
+                }
+            }
+        }
     }
 
     #[test]

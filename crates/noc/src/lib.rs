@@ -81,4 +81,15 @@ pub trait Network {
     fn stats_mut(&mut self) -> &mut NetStats;
     /// Packets somewhere in the network (source queues + in flight).
     fn pending(&self) -> usize;
+    /// Advances `cycles` cycles of a drained network (`pending() == 0`),
+    /// leaving it exactly as that many [`Network::step`] calls would. The
+    /// default makes those calls; a network whose empty step only turns
+    /// counters overrides it with the closed form.
+    fn advance_idle(&mut self, cycles: u64) {
+        debug_assert_eq!(self.pending(), 0, "advance_idle on a busy network");
+        for _ in 0..cycles {
+            let delivered = self.step();
+            debug_assert!(delivered.is_empty(), "a drained network delivered");
+        }
+    }
 }

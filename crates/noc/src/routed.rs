@@ -406,6 +406,17 @@ impl Network for RoutedNetwork {
                 .map(|r| r.inputs.iter().map(|q| q.len()).sum::<usize>())
                 .sum::<usize>()
     }
+
+    fn advance_idle(&mut self, cycles: u64) {
+        debug_assert_eq!(self.pending(), 0, "advance_idle on a busy network");
+        // A drained step moves no flit; each router only rotates its token.
+        for r in &mut self.routers {
+            let nports = r.inputs.len();
+            r.rr.advance(cycles, nports);
+        }
+        self.cycle += cycles;
+        self.stats.cycles += cycles;
+    }
 }
 
 flumen_sim::json_struct!(Router {

@@ -36,6 +36,13 @@ impl WavefrontArbiter {
         self.priority = p % self.n.max(1);
     }
 
+    /// Turns the priority diagonal as `rounds` calls to
+    /// [`WavefrontArbiter::arbitrate`] would.
+    pub(crate) fn advance(&mut self, rounds: u64) {
+        let n = self.n.max(1);
+        self.priority = (self.priority + (rounds % n as u64) as usize) % n;
+    }
+
     /// Computes a maximal-ish matching for the given request matrix.
     /// `requests[i]` lists the outputs input `i` wants (usually one — the
     /// head packet's destination). Returns `grants[i] = Some(output)`.
@@ -124,6 +131,26 @@ mod tests {
             winners.push(w);
         }
         assert!(winners.contains(&0) && winners.contains(&1), "{winners:?}");
+    }
+
+    #[test]
+    fn advance_equals_repeated_arbitration() {
+        for n in 1..6 {
+            for rounds in 0..3 * n as u64 {
+                let mut stepped = WavefrontArbiter::new(n);
+                stepped.set_priority(n / 2);
+                let mut jumped = stepped.clone();
+                for _ in 0..rounds {
+                    stepped.arbitrate(&vec![vec![]; n], &vec![false; n], &vec![false; n]);
+                }
+                jumped.advance(rounds);
+                assert_eq!(
+                    jumped.priority(),
+                    stepped.priority(),
+                    "n {n} rounds {rounds}"
+                );
+            }
+        }
     }
 
     #[test]

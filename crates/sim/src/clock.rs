@@ -36,6 +36,13 @@ impl Clock {
     pub fn tick(&mut self) {
         self.now += 1;
     }
+
+    /// Jumps forward to `to`, the end of an idle span.
+    #[inline]
+    pub fn advance_to(&mut self, to: Cycles) {
+        debug_assert!(to.value() >= self.now, "the clock never runs backwards");
+        self.now = to.value();
+    }
 }
 
 impl ToJson for Clock {
@@ -64,5 +71,7 @@ mod tests {
         let back = Clock::from_json(&c.to_json()).unwrap();
         assert_eq!(back, c);
         assert_eq!(Clock::at(Cycles::new(5)), c);
+        c.advance_to(Cycles::new(12));
+        assert_eq!(c.now(), Cycles::new(12));
     }
 }

@@ -20,6 +20,10 @@ pub struct RunOutcome {
 ///
 /// Exactly the legacy `while !finished && cycle < max` loop, with the
 /// distinction the old loops dropped: the caller learns *why* it stopped.
+/// A span [`Component::idle_until`] reports is crossed in one
+/// [`Component::advance_idle`] jump, capped at `max_cycles` so a
+/// truncated run stops on the cycle the stepping loop would; `done` is
+/// checked again after every jump.
 pub fn run_until<C: Component>(
     c: &mut C,
     ctx: &mut SimCtx,
@@ -27,14 +31,24 @@ pub fn run_until<C: Component>(
     max_cycles: Cycles,
 ) -> RunOutcome {
     while !c.done(clock.now()) {
-        if clock.now() >= max_cycles {
+        let now = clock.now();
+        if now >= max_cycles {
             return RunOutcome {
-                cycles: clock.now(),
+                cycles: now,
                 truncated: true,
             };
         }
-        c.step(clock.now(), ctx);
-        clock.tick();
+        match c.idle_until(now) {
+            Some(until) if until > now => {
+                let to = until.min(max_cycles);
+                c.advance_idle(now, to);
+                clock.advance_to(to);
+            }
+            _ => {
+                c.step(now, ctx);
+                clock.tick();
+            }
+        }
     }
     RunOutcome {
         cycles: clock.now(),
@@ -122,6 +136,88 @@ mod tests {
         assert!(out.truncated);
         assert_eq!(out.cycles, Cycles::new(4));
         assert_eq!(c.steps, 4);
+    }
+
+    /// Busy on the listed cycles, idle between them, done after the last.
+    struct Bursty {
+        busy: Vec<u64>,
+        stepped: Vec<u64>,
+        jumps: Vec<(u64, u64)>,
+    }
+
+    impl Bursty {
+        fn new(busy: &[u64]) -> Self {
+            Bursty {
+                busy: busy.to_vec(),
+                stepped: Vec::new(),
+                jumps: Vec::new(),
+            }
+        }
+    }
+
+    impl Component for Bursty {
+        fn step(&mut self, now: Cycles, _ctx: &mut SimCtx) {
+            assert!(self.busy.contains(&now.value()), "stepped idle cycle {now}");
+            self.stepped.push(now.value());
+        }
+
+        fn done(&self, now: Cycles) -> bool {
+            self.busy.last().is_none_or(|&b| now.value() > b)
+        }
+
+        fn idle_until(&self, now: Cycles) -> Option<Cycles> {
+            if self.busy.contains(&now.value()) {
+                return None;
+            }
+            let next = self.busy.iter().find(|&&b| b > now.value());
+            Some(Cycles::new(next.copied().unwrap_or(u64::MAX)))
+        }
+
+        fn advance_idle(&mut self, now: Cycles, to: Cycles) {
+            assert!(to > now, "empty jump {now}..{to}");
+            self.jumps.push((now.value(), to.value()));
+        }
+    }
+
+    #[test]
+    fn run_until_jumps_idle_spans_and_steps_busy_cycles() {
+        let mut c = Bursty::new(&[0, 5, 6, 20]);
+        let mut ctx = SimCtx::new(0);
+        let mut clock = Clock::new();
+        let out = run_until(&mut c, &mut ctx, &mut clock, Cycles::new(1000));
+        assert_eq!(out.cycles, Cycles::new(21));
+        assert!(!out.truncated);
+        assert_eq!(c.stepped, vec![0, 5, 6, 20]);
+        assert_eq!(c.jumps, vec![(1, 5), (7, 20)]);
+    }
+
+    #[test]
+    fn jump_is_capped_and_truncates_at_exactly_max_cycles() {
+        let mut c = Bursty::new(&[0, 5, 6, 20]);
+        let mut ctx = SimCtx::new(0);
+        let mut clock = Clock::new();
+        let out = run_until(&mut c, &mut ctx, &mut clock, Cycles::new(12));
+        assert!(out.truncated);
+        assert_eq!(out.cycles, Cycles::new(12));
+        assert_eq!(clock.now(), Cycles::new(12));
+        assert_eq!(c.stepped, vec![0, 5, 6]);
+        assert_eq!(c.jumps, vec![(1, 5), (7, 12)]);
+    }
+
+    #[test]
+    fn jump_to_a_far_event_stops_at_the_cap() {
+        let mut c = Bursty::new(&[3]);
+        c.busy.push(u64::MAX - 1);
+        let mut ctx = SimCtx::new(0);
+        let mut clock = Clock::new();
+        let out = run_until(&mut c, &mut ctx, &mut clock, Cycles::new(50));
+        assert!(out.truncated);
+        assert_eq!(out.cycles, Cycles::new(50));
+        assert_eq!(c.stepped, vec![3]);
+        assert_eq!(c.jumps, vec![(0, 3), (4, 50)]);
+        for &(_, to) in &c.jumps {
+            assert!(to <= 50, "jump past max_cycles");
+        }
     }
 
     #[test]

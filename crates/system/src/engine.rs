@@ -57,6 +57,13 @@ pub trait ExternalServer<N: Network> {
     fn outstanding(&self) -> usize;
     /// Folds the server's activity (MZIM energy events) into the run counts.
     fn drain_counts(&mut self, counts: &mut ActivityCounts);
+    /// Whether [`ExternalServer::step`] is a no-op until the next
+    /// [`ExternalServer::on_request`]: it would change no state, touch no
+    /// wire and complete nothing. The engine skips idle cycles only while
+    /// this holds; the default, "never idle", keeps every cycle stepped.
+    fn is_idle(&self) -> bool {
+        false
+    }
 }
 
 /// A no-op server that rejects everything instantly; used by the baseline
@@ -90,6 +97,9 @@ impl<N: Network> ExternalServer<N> for NullServer {
         self.queue.len()
     }
     fn drain_counts(&mut self, _counts: &mut ActivityCounts) {}
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty()
+    }
 }
 
 #[derive(Debug)]
@@ -643,6 +653,9 @@ enum AccessOutcome {
 
 // The engine as a kernel component: it keeps its own `cycle` field (every
 // internal path reads it) and the kernel clock mirrors it one-for-one.
+// `SystemSim::step` stays the per-cycle reference; idle spans are crossed
+// by advancing only the network and the cycle, which is all an idle step
+// changes.
 impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
     fn step(&mut self, now: Cycles, _ctx: &mut SimCtx) {
         debug_assert_eq!(
@@ -655,6 +668,46 @@ impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
 
     fn done(&self, _now: Cycles) -> bool {
         self.finished()
+    }
+
+    /// A cycle is idle when the network is drained, the server is idle,
+    /// and every core is busy, waiting, at a barrier, or out of work. Such
+    /// a cycle changes nothing but the clock and the network's counters,
+    /// until the earliest of: a core's `busy_until` (even with an empty
+    /// queue, since [`SystemSim::finished`] flips then), the head of
+    /// `server_jobs`, and the next utilization sample.
+    fn idle_until(&self, now: Cycles) -> Option<Cycles> {
+        debug_assert_eq!(now.value(), self.cycle);
+        let now = self.cycle;
+        if self.net.pending() != 0 || !self.server.is_idle() {
+            return None;
+        }
+        let mut next = u64::MAX;
+        for core in &self.cores {
+            if core.busy_until > now {
+                next = next.min(core.busy_until);
+            } else if core.waiting == 0
+                && core.barrier.is_none()
+                && (core.stream.is_some() || !core.queue.is_empty())
+            {
+                return None;
+            }
+        }
+        if let Some(t) = self.server_jobs.peek_deadline() {
+            next = next.min(t.value());
+        }
+        if self.trace_interval > 0 {
+            // Samples fall on the positive multiples of the interval.
+            let iv = self.trace_interval;
+            next = next.min(now.div_ceil(iv).max(1).saturating_mul(iv));
+        }
+        (next > now).then_some(Cycles::new(next))
+    }
+
+    fn advance_idle(&mut self, now: Cycles, to: Cycles) {
+        debug_assert_eq!(now.value(), self.cycle);
+        self.net.advance_idle(to.value() - self.cycle);
+        self.cycle = to.value();
     }
 }
 
