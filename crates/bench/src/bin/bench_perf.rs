@@ -1,493 +1,226 @@
-//! `bench_perf` — the performance trajectory of the photonic compute
-//! pipeline, before vs after the cache-efficiency work.
+//! `bench_perf` — the end-to-end performance trajectory: cold wall time
+//! of the Figs. 14/15 grid per topology, with one paired regression gate.
 //!
-//! Measures four layers with the vendored criterion stand-in and writes
-//! `BENCH_perf.json` (repo root, or `FLUMEN_BENCH_OUT`):
+//! Every job runs directly (no sweep cache) on two paths:
 //!
-//! * **matmul** — the seed's indexed-write k-outer kernel (reimplemented
-//!   here as `naive_matmul`) vs the production slice-based `CMat::matmul`
-//!   / `matmul_into`. (The transposed-B `matmul_blocked` variant was
-//!   deleted: the paired gate showed it consistently below naive at mesh
-//!   sizes, and a losing kernel in the gate is noise.)
-//! * **mvm_batched** — the batched-MVM primitive at batch 1/8/64: each
-//!   round programs the fabric cold (`clear_program_cache` +
-//!   `set_partitions`) and streams the batch, so the row measures
-//!   1×programming + B×propagation and the per-vector cost shows the
-//!   amortization the power model splits the same way.
-//! * **decompose** — an embed-materializing Clements baseline (every 2×2
-//!   Givens rotation built as an `N×N` matrix and applied with the naive
-//!   kernel, the seed's cost profile) vs the in-place `clements::decompose`.
-//! * **fabric program** — `FlumenFabric::set_partitions` cold (SVD + two
-//!   Clements decompositions per call) vs a program-cache hit.
-//! * **offload taskgen** — per-core task-queue generation in offload mode
-//!   (now content-addresses every weight strip) plus a reduced Fig. 14
-//!   Mesh-vs-Flumen-A run for an end-to-end wall-clock anchor.
+//! * **run** — [`run_benchmark`], whose engine jumps over idle cycles;
+//! * **step** — [`run_benchmark_checkpointed`] with a checkpoint interval
+//!   no run reaches, which calls `SystemSim::step` on every cycle and
+//!   never writes a file.
 //!
-//! `--quick` runs one sample per benchmark and the smallest fig14 subset
-//! (the CI smoke configuration); a full run takes a few minutes.
+//! It writes `BENCH_perf.json` (repo root, or `FLUMEN_BENCH_OUT`) with one
+//! row per [`SystemTopology`]:
+//!
+//! * `wall_ms` — best-of-rounds wall time of the topology's column (all
+//!   benchmarks) on the run path;
+//! * `cycles` — simulated cycles summed over the column;
+//! * `mcycles_per_s` — `cycles` over `wall_ms`;
+//! * `step_wall_ms` — best-of-rounds wall time on the step path;
+//! * `step_ratio` — the gate's estimator, below;
+//! * `cycles_match` — whether both paths simulated the same cycles on
+//!   every pair.
+//!
+//! **The gate.** The rounds are interleaved (every round visits every
+//! topology), and each round times both paths back to back on every
+//! benchmark, so machine drift hits both alike. The verdict is the best
+//! per-round ratio `step_wall / wall`: idle skipping must never lose to
+//! stepping (`≥ 1.0`) on any topology, and both paths must simulate the
+//! same cycles on every pair. Best-of-rounds is one-sided in the right
+//! way: a path that is really slower loses in every round, while noise
+//! needs only one clean round to clear.
+//!
+//! Full mode runs `paper_benchmarks()` for 2 rounds; `--quick` runs
+//! `small_benchmarks()` for 5 rounds (the CI configuration).
 
-use criterion::{BenchResult, BenchmarkId, Criterion};
-use flumen::SystemTopology;
-use flumen_bench::{quick_mode, speedup};
-use flumen_linalg::{random_unitary, CMat, RMat, C64};
-use flumen_photonics::clements;
-use flumen_photonics::{FlumenFabric, PartitionConfig};
-use flumen_sweep::{BenchSize, BenchSpec, JobSpec};
-use flumen_system::SystemConfig;
-use flumen_trace::{RecordingTracer, TraceCategory, TraceEvent};
-use flumen_workloads::taskgen::{generate, ExecMode, TaskGenConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use flumen::{
+    run_benchmark, run_benchmark_checkpointed, CheckpointPolicy, RuntimeConfig, SystemTopology,
+};
+use flumen_bench::{quick_mode, Table};
+use flumen_trace::TraceHandle;
+use flumen_units::Cycles;
+use flumen_workloads::{paper_benchmarks, small_benchmarks};
 use std::time::Instant;
 
-/// The seed's dense kernel: k-outer loop accumulating straight into the
-/// indexed output element. Kept here as the "before" measurement; the
-/// proptest suite pins `CMat::matmul` bit-identical to this ordering.
-fn naive_matmul(a: &CMat, b: &CMat) -> CMat {
-    assert_eq!(a.cols(), b.rows());
-    let mut out = CMat::zeros(a.rows(), b.cols());
-    for r in 0..a.rows() {
-        for k in 0..a.cols() {
-            let av = a[(r, k)];
-            if av == C64::ZERO {
-                continue;
-            }
-            for c in 0..b.cols() {
-                let t = out[(r, c)] + av * b[(k, c)];
-                out[(r, c)] = t;
-            }
-        }
+/// Idle skipping must never lose to stepping every cycle.
+const STEP_RATIO_FLOOR: f64 = 1.0;
+
+/// One topology's column of the grid, measured over every round.
+struct Row {
+    topology: SystemTopology,
+    cycles: u64,
+    /// Best-of-rounds wall time of the run path, ms.
+    wall_ms: f64,
+    /// Best-of-rounds wall time of the step path, ms.
+    step_wall_ms: f64,
+    /// Best per-round `step_wall / wall`.
+    step_ratio: f64,
+    /// Whether both paths simulated the same cycles on every pair.
+    cycles_match: bool,
+}
+
+impl Row {
+    fn mcycles_per_s(&self) -> f64 {
+        mcycles_per_s(self.cycles, self.wall_ms)
     }
-    out
-}
 
-/// Cost model of the pre-optimization Clements decomposition: each of the
-/// `n(n−1)/2` Givens rotations materialized as an embedded `n×n` matrix
-/// and applied with the naive kernel. The rotation angles are arbitrary —
-/// only the arithmetic shape (allocation + full matmul per rotation)
-/// matters for the before/after comparison.
-fn decompose_embed_baseline(u: &CMat) -> CMat {
-    let n = u.rows();
-    let mut work = u.clone();
-    let mut step = 0usize;
-    for sweep in 0..n {
-        for i in 0..n.saturating_sub(1 + sweep % 2) {
-            if step >= n * (n - 1) / 2 {
-                return work;
-            }
-            step += 1;
-            let (theta, phi) = (0.3 + 0.01 * step as f64, 0.7 + 0.02 * step as f64);
-            let (c, s) = (theta.cos(), theta.sin());
-            let w = C64::cis(phi);
-            let rot = CMat::from_fn(n, n, |r, col| {
-                if r == i && col == i {
-                    w * C64::from_re(c)
-                } else if r == i && col == i + 1 {
-                    w * C64::from_re(-s)
-                } else if r == i + 1 && col == i {
-                    C64::from_re(s)
-                } else if r == i + 1 && col == i + 1 {
-                    C64::from_re(c)
-                } else if r == col {
-                    C64::from_re(1.0)
-                } else {
-                    C64::ZERO
-                }
-            });
-            work = naive_matmul(&rot, &work);
-        }
+    /// NaN ratios (a zero-duration fluke) count as regressed rather than
+    /// silently passing the gate.
+    fn regressed(&self) -> bool {
+        !(self.step_ratio >= STEP_RATIO_FLOOR && self.cycles_match)
     }
-    work
 }
 
-fn bench_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul");
-    group.sample_size(30);
-    // The matmul rows feed the <0.95× regression gate, so even the CI
-    // smoke run takes enough samples for a stable min-time estimate.
-    group.min_samples(7);
-    for n in [16usize, 32, 64, 128, 256] {
-        let mut rng = StdRng::seed_from_u64(n as u64);
-        let a = CMat::from_fn(n, n, |_, _| {
-            C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        let b = CMat::from_fn(n, n, |_, _| {
-            C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        // The optimized seed-order kernel must stay bit-identical to the
-        // seed's.
-        assert_eq!(naive_matmul(&a, &b), a.matmul(&b));
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
-            bch.iter(|| naive_matmul(&a, &b))
-        });
-        group.bench_with_input(BenchmarkId::new("k_outer", n), &n, |bch, _| {
-            bch.iter(|| a.matmul(&b))
-        });
-        let mut out = CMat::zeros(n, n);
-        group.bench_with_input(BenchmarkId::new("k_outer_into", n), &n, |bch, _| {
-            bch.iter(|| a.matmul_into(&b, &mut out))
-        });
+fn mcycles_per_s(cycles: u64, wall_ms: f64) -> f64 {
+    Cycles::new(cycles).count_f64() / (wall_ms * 1e3)
+}
+
+/// Integral values (cycle counts, the regression flag) print as integers.
+fn num(v: f64) -> String {
+    if v.fract() == 0.0 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.3}")
     }
-    group.finish();
 }
 
-/// The batched-MVM trajectory: each iteration programs the fabric cold
-/// and streams a `B`-vector batch through `compute_batch_in`, so the
-/// measured cost is exactly 1×programming + B×propagation. The derived
-/// per-vector ratio (batch-1 cost vs batch-64 cost / 64) is the
-/// wall-clock analogue of the power model's programming/propagation
-/// split, and the regression gate holds it at ≥ 5×.
-fn bench_mvm_batched(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mvm_batched");
-    group.sample_size(30);
-    group.min_samples(7);
-    let mut rng = StdRng::seed_from_u64(17);
-    let n = 8usize;
-    let m = RMat::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
-    let cfg = [
-        (n, PartitionConfig::Compute(&m)),
-        (n, PartitionConfig::Idle),
-    ];
-    let mut fab = FlumenFabric::new(2 * n).unwrap();
-    for batch in [1usize, 8, 64] {
-        let xs: Vec<Vec<f64>> = (0..batch)
-            .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |bch, _| {
-            bch.iter(|| {
-                fab.clear_program_cache();
-                fab.set_partitions(&cfg).unwrap();
-                criterion::black_box(fab.compute_batch_in(0, &xs).unwrap())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_decompose(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decompose");
-    group.sample_size(20);
-    for n in [16usize, 32] {
-        let mut rng = StdRng::seed_from_u64(100 + n as u64);
-        let u = random_unitary(n, &mut rng);
-        group.bench_with_input(BenchmarkId::new("embed_baseline", n), &n, |bch, _| {
-            bch.iter(|| decompose_embed_baseline(&u))
-        });
-        group.bench_with_input(BenchmarkId::new("in_place", n), &n, |bch, _| {
-            bch.iter(|| clements::decompose(&u).unwrap())
-        });
-    }
-    group.finish();
-}
-
-/// Programming a compute partition cold (SVD + two Clements
-/// decompositions) vs replaying the cached program.
-fn bench_fabric_program(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fabric_program");
-    group.sample_size(30);
-    // 16-wide compute partitions: the decomposition cost a cache hit
-    // saves grows O(n³) while replay grows O(n²), so the split is
-    // measured at a size where programming is actually expensive.
-    let mut rng = StdRng::seed_from_u64(7);
-    let m = RMat::from_fn(16, 16, |_, _| rng.gen_range(-1.0..1.0));
-    let cfg = [
-        (16usize, PartitionConfig::Compute(&m)),
-        (16, PartitionConfig::Idle),
-    ];
-    let mut fab = FlumenFabric::new(32).unwrap();
-    group.bench_function(BenchmarkId::from_parameter("cold"), |bch| {
-        bch.iter(|| {
-            fab.clear_program_cache();
-            fab.set_partitions(&cfg).unwrap();
-        })
-    });
-    // Prime once, then every reprogram replays the cached phase lists.
-    fab.set_partitions(&cfg).unwrap();
-    group.bench_function(BenchmarkId::from_parameter("mem_hit"), |bch| {
-        bch.iter(|| fab.set_partitions(&cfg).unwrap())
-    });
-    assert!(fab.program_cache_stats().hits > 0);
-    group.finish();
-}
-
-fn bench_offload_taskgen(c: &mut Criterion) {
-    let mut group = c.benchmark_group("offload_taskgen");
-    group.sample_size(10);
-    let sys = SystemConfig::paper();
-    let cfg = TaskGenConfig::default();
-    let bench = flumen_workloads::Vgg16Fc::small();
-    group.bench_function(BenchmarkId::from_parameter("vgg_fc_small"), |bch| {
-        bch.iter(|| generate(&bench, &sys, ExecMode::Offload, &cfg))
-    });
-    group.finish();
-}
-
-/// Reduced Fig. 14: Mesh vs Flumen-A on the small benchmark set, executed
-/// directly (no result cache) so the wall time is a real end-to-end
-/// anchor. Returns (geomean speedup, wall milliseconds).
-fn reduced_fig14(quick: bool) -> (f64, f64) {
-    let cfg = flumen::RuntimeConfig::paper();
-    let mut specs = BenchSpec::all(BenchSize::Small);
-    if quick {
-        specs.truncate(1);
-    }
-    let t0 = Instant::now();
-    let mut speedups = Vec::new();
-    for bench in specs {
-        let mut per_topo = Vec::new();
-        for topology in [SystemTopology::Mesh, SystemTopology::FlumenA] {
-            let job = JobSpec::FullRun {
-                bench,
-                topology,
-                cfg: cfg.clone(),
-            };
-            per_topo.push(job.execute().full_run().clone());
-        }
-        speedups.push(speedup(per_topo[0].cycles, per_topo[1].cycles));
-        println!(
-            "  fig14[{}]: mesh {} / flumen-a {} cycles → {:.2}x",
-            per_topo[0].benchmark,
-            per_topo[0].cycles,
-            per_topo[1].cycles,
-            speedups.last().unwrap()
-        );
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (flumen_bench::geomean(&speedups), wall_ms)
-}
-
-fn median_nanos(results: &[BenchResult], name: &str) -> f64 {
-    results
-        .iter()
-        .find(|r| r.name == name)
-        .map(|r| r.median.as_secs_f64() * 1e9)
-        .unwrap_or(f64::NAN)
-}
-
-/// The regression gate: every optimized matmul variant must run at least
-/// `MATMUL_REGRESSION_FLOOR` × the naive kernel's speed at every size —
-/// this is the check that would have caught `k_outer_into/128` at 0.64×.
-const MATMUL_REGRESSION_FLOOR: f64 = 0.95;
-
-/// Measures the gate with *interleaved paired* sampling: every round
-/// times naive and each variant back-to-back, and the verdict is each
-/// variant's **best per-round ratio** against the naive time of the same
-/// round. The grouped criterion rows run each variant's samples
-/// consecutively, so frequency drift between groups shows up as a fake
-/// 5–10% "regression" of whichever kernel ran later; pairing removes that
-/// bias. Best-of-rounds makes the estimator one-sided in the right way:
-/// an equal-speed kernel only needs one clean round to clear the floor
-/// (machine noise here is ±5%, exactly at the threshold), while a real
-/// regression is slow in *every* round and cannot luck past it.
-///
-/// Returns `(name, speedup-vs-naive)` for every variant/size below the
-/// floor (empty when the gate passes). A failing pair is re-measured
-/// once with 3× the rounds before it is declared regressed — a real
-/// regression (the 0.64× bug this gate exists for) fails both passes,
-/// while a one-process scheduling skew almost never survives the retry.
-fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
-    // NaN ratios (a zero-duration fluke) count as regressed rather than
-    // silently passing the gate.
-    let below_floor = |ratio: f64| !(ratio.is_finite() && ratio >= MATMUL_REGRESSION_FLOOR);
-    let rounds = if quick { 9 } else { 25 };
-    let variants = ["k_outer", "k_outer_into"];
-    let measure = |n: usize, rounds: usize| -> [f64; 2] {
-        let mut rng = StdRng::seed_from_u64(n as u64);
-        let a = CMat::from_fn(n, n, |_, _| {
-            C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        let b = CMat::from_fn(n, n, |_, _| {
-            C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        let mut out = CMat::zeros(n, n);
-        let time = |f: &mut dyn FnMut()| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e9
-        };
-        let mut best = [0.0f64; 2];
-        for _ in 0..rounds {
-            let naive = time(&mut || {
-                criterion::black_box(naive_matmul(&a, &b));
-            });
-            let round = [
-                time(&mut || {
-                    criterion::black_box(a.matmul(&b));
-                }),
-                time(&mut || {
-                    a.matmul_into(&b, &mut out);
-                    criterion::black_box(&out);
-                }),
-            ];
-            for (b, &t) in best.iter_mut().zip(round.iter()) {
-                *b = b.max(naive / t);
-            }
-        }
-        best
-    };
-    let mut slow = Vec::new();
-    for n in [16usize, 32, 64, 128] {
-        let first = measure(n, rounds);
-        let mut confirm: Option<[f64; 2]> = None;
-        for (i, variant) in variants.iter().enumerate() {
-            let mut ratio = first[i];
-            if below_floor(ratio) {
-                let second = *confirm.get_or_insert_with(|| measure(n, rounds * 3));
-                ratio = ratio.max(second[i]);
-            }
-            if below_floor(ratio) {
-                slow.push((format!("matmul/{variant}/{n}"), ratio));
-            }
-        }
-    }
-    slow
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 fn main() {
     let quick = quick_mode();
-    let mut c = Criterion::with_smoke(quick);
-    bench_matmul(&mut c);
-    bench_mvm_batched(&mut c);
-    bench_decompose(&mut c);
-    bench_fabric_program(&mut c);
-    bench_offload_taskgen(&mut c);
-    let results = c.take_results();
-
-    let (fig14_geomean, fig14_wall_ms) = reduced_fig14(quick);
-
-    let cold = median_nanos(&results, "fabric_program/cold");
-    let hit = median_nanos(&results, "fabric_program/mem_hit");
-    let cache_speedup = cold / hit;
-    let mut regressions = matmul_regressions(quick);
-
-    // Production-kernel speedups vs naive (median/median), archived in
-    // `derived` at every measured size.
-    let matmul_speedup = |n: usize| {
-        median_nanos(&results, &format!("matmul/naive/{n}"))
-            / median_nanos(&results, &format!("matmul/k_outer_into/{n}"))
+    let (benches, rounds) = if quick {
+        (small_benchmarks(), 5)
+    } else {
+        (paper_benchmarks(), 2)
+    };
+    let cfg = RuntimeConfig::paper();
+    let step_policy = CheckpointPolicy {
+        dir: std::env::temp_dir().join(format!("flumen-bench-perf-{}", std::process::id())),
+        key: "bench_perf".into(),
+        every_cycles: u64::MAX,
     };
 
-    // Batched-MVM amortization: cost of a batch-1 round (1×programming +
-    // 1×propagation) vs the per-vector cost at batch 64. Wall-clock
-    // analogue of the power model's programming/propagation split; gated
-    // at ≥5× (programming dominates a single propagation by far more).
-    let mvm_b1 = median_nanos(&results, "mvm_batched/1");
-    let mvm_b64_per_vec = median_nanos(&results, "mvm_batched/64") / 64.0;
-    let mvm_per_vec_speedup = mvm_b1 / mvm_b64_per_vec;
-    if !(mvm_per_vec_speedup.is_finite() && mvm_per_vec_speedup >= 5.0) {
-        regressions.push(("mvm_batched/per_vec_b64".into(), mvm_per_vec_speedup));
+    let mut rows: Vec<Row> = SystemTopology::all()
+        .into_iter()
+        .map(|topology| Row {
+            topology,
+            cycles: 0,
+            wall_ms: f64::INFINITY,
+            step_wall_ms: f64::INFINITY,
+            step_ratio: 0.0,
+            cycles_match: true,
+        })
+        .collect();
+    for _ in 0..rounds {
+        for row in rows.iter_mut() {
+            let (mut wall, mut step, mut cycles) = (0.0, 0.0, 0);
+            for bench in &benches {
+                let t0 = Instant::now();
+                let run = run_benchmark(bench.as_ref(), row.topology, &cfg);
+                wall += ms_since(t0);
+                let t0 = Instant::now();
+                let stepped = run_benchmark_checkpointed(
+                    bench.as_ref(),
+                    row.topology,
+                    &cfg,
+                    &step_policy,
+                    TraceHandle::disabled(),
+                )
+                .expect("the step path never touches a checkpoint file");
+                step += ms_since(t0);
+                row.cycles_match &= run.cycles == stepped.cycles;
+                cycles += run.cycles;
+            }
+            row.cycles = cycles;
+            row.wall_ms = row.wall_ms.min(wall);
+            row.step_wall_ms = row.step_wall_ms.min(step);
+            row.step_ratio = row.step_ratio.max(step / wall);
+        }
     }
-    let worst_ratio = regressions
+
+    let mut table = Table::new(&[
+        "topology",
+        "cycles",
+        "wall_ms",
+        "Mcycles/s",
+        "step_wall_ms",
+        "step/wall",
+    ]);
+    for r in &rows {
+        table.row(vec![
+            r.topology.name().into(),
+            r.cycles.to_string(),
+            format!("{:.1}", r.wall_ms),
+            format!("{:.3}", r.mcycles_per_s()),
+            format!("{:.1}", r.step_wall_ms),
+            format!("{:.2}", r.step_ratio),
+        ]);
+    }
+    table.print();
+
+    let regressions: Vec<&str> = rows
         .iter()
-        .map(|&(_, r)| r)
-        .fold(f64::INFINITY, f64::min);
+        .filter(|r| r.regressed())
+        .map(|r| r.topology.name())
+        .collect();
+    let total_cycles: u64 = rows.iter().map(|r| r.cycles).sum();
+    let total_wall_ms: f64 = rows.iter().map(|r| r.wall_ms).sum();
     let derived = [
-        ("matmul_speedup_n16", matmul_speedup(16)),
-        ("matmul_speedup_n32", matmul_speedup(32)),
-        ("matmul_speedup_n64", matmul_speedup(64)),
-        ("matmul_speedup_n128", matmul_speedup(128)),
-        ("matmul_speedup_n256", matmul_speedup(256)),
-        ("mvm_batched_per_vec_speedup_b64", mvm_per_vec_speedup),
+        ("cycles", Cycles::new(total_cycles).count_f64()),
+        ("wall_ms", total_wall_ms),
+        ("mcycles_per_s", mcycles_per_s(total_cycles, total_wall_ms)),
+        ("step_wall_ms", rows.iter().map(|r| r.step_wall_ms).sum()),
         (
-            "decompose_speedup_n16",
-            median_nanos(&results, "decompose/embed_baseline/16")
-                / median_nanos(&results, "decompose/in_place/16"),
+            "min_step_ratio",
+            rows.iter()
+                .map(|r| r.step_ratio)
+                .fold(f64::INFINITY, f64::min),
         ),
-        (
-            "decompose_speedup_n32",
-            median_nanos(&results, "decompose/embed_baseline/32")
-                / median_nanos(&results, "decompose/in_place/32"),
-        ),
-        ("fabric_program_cache_speedup", cache_speedup),
-        ("fig14_reduced_geomean_speedup", fig14_geomean),
-        ("fig14_reduced_wall_ms", fig14_wall_ms),
-        // 1.0 when any matmul variant ran slower than
-        // MATMUL_REGRESSION_FLOOR × naive (min-time comparison); the
-        // binary then exits non-zero, failing the CI bench-smoke job.
+        // 1 when any topology failed the gate; the binary then exits
+        // non-zero, failing the CI bench-perf-gate job.
         ("regression", if regressions.is_empty() { 0.0 } else { 1.0 }),
     ];
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"suite\": \"flumen-perf\",\n");
-    json.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let nanos = r.median.as_secs_f64() * 1e9;
-        let min_ns = r.min.as_secs_f64() * 1e9;
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_ns\": {nanos:.1}, \"min_ns\": {min_ns:.1}}}{}\n",
-            r.name,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"regressions\": [\n");
-    for (i, (name, ratio)) in regressions.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"speedup_vs_naive\": {ratio:.3}}}{}\n",
-            if i + 1 < regressions.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"derived\": {\n");
-    for (i, (k, v)) in derived.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{k}\": {v:.3}{}\n",
-            if i + 1 < derived.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
+    let results: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"topology\": \"{}\", \"cycles\": {}, \"wall_ms\": {:.3}, \
+                 \"mcycles_per_s\": {:.3}, \"step_wall_ms\": {:.3}, \"step_ratio\": {:.3}, \
+                 \"cycles_match\": {}}}",
+                r.topology.name(),
+                r.cycles,
+                r.wall_ms,
+                r.mcycles_per_s(),
+                r.step_wall_ms,
+                r.step_ratio,
+                r.cycles_match
+            )
+        })
+        .collect();
+    let derived_json: Vec<String> = derived
+        .iter()
+        .map(|(k, v)| format!("    \"{k}\": {}", num(*v)))
+        .collect();
+    let json = format!(
+        "{{\n  \"suite\": \"flumen-perf\",\n  \"mode\": \"{}\",\n  \"rounds\": {rounds},\n  \
+         \"results\": [\n{}\n  ],\n  \"regressions\": {regressions:?},\n  \
+         \"derived\": {{\n{}\n  }}\n}}\n",
+        if quick { "quick" } else { "full" },
+        results.join(",\n"),
+        derived_json.join(",\n"),
+    );
 
     let out = std::env::var("FLUMEN_BENCH_OUT").unwrap_or_else(|_| "BENCH_perf.json".into());
     std::fs::write(&out, &json).expect("write BENCH_perf.json");
     println!("\n  → wrote {out}");
     for (k, v) in derived {
-        println!("  {k}: {v:.3}");
+        println!("  {k}: {}", num(v));
     }
-
-    // Mirror the headline metrics onto the trace bus under the registered
-    // `perf::*` names so sweep tooling can overlay bench trajectories on
-    // simulation traces. `FLUMEN_BENCH_TRACE=<path>` archives them as
-    // canonical JSONL.
-    let rec = RecordingTracer::new();
-    let th = rec.handle();
-    for n in [64u64, 128, 256] {
-        let s = matmul_speedup(n as usize);
-        th.emit(|| TraceEvent::counter(TraceCategory::Sweep, "perf::matmul", 0, 0, s).with_id(n));
-    }
-    for (b, per_vec) in [(1u64, mvm_b1), (64, mvm_b64_per_vec)] {
-        th.emit(|| {
-            TraceEvent::counter(TraceCategory::Sweep, "perf::mvm_batched", 0, 0, per_vec)
-                .with_id(b)
-                .with_arg("per_vec_speedup_b64", mvm_per_vec_speedup)
-        });
-    }
-    if let Ok(path) = std::env::var("FLUMEN_BENCH_TRACE") {
-        let mut buf = Vec::new();
-        flumen_trace::jsonl::write_jsonl(&mut buf, &rec.events()).expect("encode perf trace");
-        std::fs::write(&path, &buf).expect("write perf trace");
-        println!("  → wrote {path}");
-    }
-
     assert!(
-        quick || cache_speedup >= 5.0,
-        "program cache hit must be ≥5x faster than cold programming (got {cache_speedup:.2}x)"
+        regressions.is_empty(),
+        "idle-skip gate failed on {regressions:?}: step/wall below {STEP_RATIO_FLOOR} \
+         or cycles differ between the paths"
     );
-    if !regressions.is_empty() {
-        for (name, ratio) in &regressions {
-            let floor = if name.starts_with("mvm_batched/") {
-                5.0
-            } else {
-                MATMUL_REGRESSION_FLOOR
-            };
-            eprintln!("  REGRESSION {name}: {ratio:.3}x vs baseline (floor {floor})");
-        }
-        panic!(
-            "{} benchmark(s) regressed below their floor (worst {worst_ratio:.3}x)",
-            regressions.len()
-        );
-    }
 }

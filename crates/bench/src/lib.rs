@@ -202,11 +202,6 @@ pub fn grid_row<'a>(
         .expect("grid row exists")
 }
 
-/// Pretty ratio formatting ("3.42x").
-pub fn fmt_ratio(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 /// Cycle-count speedup of `subject` over `baseline` (`baseline ÷
 /// subject`) — the one blessed cycles→float site for the figure binaries.
 pub fn speedup(baseline_cycles: u64, subject_cycles: u64) -> f64 {
@@ -288,10 +283,5 @@ mod tests {
         assert_eq!(t.csv_headers(), vec!["a", "bench"]);
         assert_eq!(t.csv_rows().len(), 1);
         t.print();
-    }
-
-    #[test]
-    fn ratio_format() {
-        assert_eq!(fmt_ratio(3.417), "3.42x");
     }
 }

@@ -3,10 +3,12 @@
 //! — the data behind paper Figs. 13/14/15.
 
 use crate::control_unit::{ControlUnitParams, MzimControlUnit};
-use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, OpticalBus, RoutedNetwork};
+use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, Network, OpticalBus, RoutedNetwork};
 use flumen_power::{system_energy, EnergyBreakdown, EnergyParams, NopKind};
 use flumen_sim::{Snapshot, Snapshotable};
-use flumen_system::{ActivityCounts, NullServer, RunResult, SystemConfig, SystemSim};
+use flumen_system::{
+    ActivityCounts, CoreTask, ExternalServer, NullServer, RunResult, SystemConfig, SystemSim,
+};
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use flumen_workloads::taskgen::{self, ExecMode, TaskGenConfig};
 use flumen_workloads::Benchmark;
@@ -183,6 +185,32 @@ pub fn run_benchmark_traced(
     cfg: &RuntimeConfig,
     tracer: TraceHandle,
 ) -> FullRunResult {
+    let r = run_topology(bench, topology, cfg, tracer, ToCompletion(cfg.max_cycles));
+    finish_result(bench, topology, cfg, r)
+}
+
+/// How an entry point runs the system that [`run_topology`] built for
+/// it. A trait rather than a closure because the network and server types
+/// differ per topology.
+trait SimRunner {
+    type Out;
+    fn run<N, S>(self, sim: SystemSim<N, S>) -> Self::Out
+    where
+        N: Network + Snapshotable,
+        S: ExternalServer<N> + Snapshotable;
+}
+
+/// Generates `bench`'s task queues for `topology`, builds the topology's
+/// network and home-node server (the MZIM control unit on Flumen-A, a
+/// [`NullServer`] elsewhere) with `tracer` installed, and hands the system
+/// to `runner`.
+fn run_topology<R: SimRunner>(
+    bench: &dyn Benchmark,
+    topology: SystemTopology,
+    cfg: &RuntimeConfig,
+    tracer: TraceHandle,
+    runner: R,
+) -> R::Out {
     let mode = match topology {
         SystemTopology::FlumenA => ExecMode::Offload,
         _ => ExecMode::Local,
@@ -190,57 +218,76 @@ pub fn run_benchmark_traced(
     let tasks = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
 
     let chiplets = cfg.system.chiplets;
-    let r = match topology {
-        SystemTopology::Ring => run_sim(
-            RoutedNetwork::new(
+    let crossbar = || MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar");
+    match topology {
+        SystemTopology::Ring => {
+            let net = RoutedNetwork::new(
                 flumen_noc::RoutedTopology::Ring { nodes: chiplets },
                 flumen_noc::RoutedConfig::default(),
             )
-            .expect("ring of ≥3 chiplets"),
-            cfg,
-            tasks,
-            tracer,
-        ),
-        SystemTopology::Mesh => {
-            let (w, h) = mesh_dims(chiplets);
-            run_sim(
-                RoutedNetwork::new(
-                    flumen_noc::RoutedTopology::Mesh {
-                        width: w,
-                        height: h,
-                    },
-                    flumen_noc::RoutedConfig::default(),
-                )
-                .expect("mesh of ≥2×2 chiplets"),
-                cfg,
-                tasks,
-                tracer,
-            )
+            .expect("ring of ≥3 chiplets");
+            assemble(net, NullServer::default(), tasks, cfg, tracer, runner)
         }
-        SystemTopology::OptBus => run_sim(
-            OpticalBus::new(chiplets, flumen_noc::BusConfig::default()).expect("optbus"),
-            cfg,
+        SystemTopology::Mesh => {
+            let (width, height) = mesh_dims(chiplets);
+            let net = RoutedNetwork::new(
+                flumen_noc::RoutedTopology::Mesh { width, height },
+                flumen_noc::RoutedConfig::default(),
+            )
+            .expect("mesh of ≥2×2 chiplets");
+            assemble(net, NullServer::default(), tasks, cfg, tracer, runner)
+        }
+        SystemTopology::OptBus => {
+            let net = OpticalBus::new(chiplets, flumen_noc::BusConfig::default()).expect("optbus");
+            assemble(net, NullServer::default(), tasks, cfg, tracer, runner)
+        }
+        SystemTopology::FlumenI => assemble(
+            crossbar(),
+            NullServer::default(),
             tasks,
-            tracer,
-        ),
-        SystemTopology::FlumenI => run_sim(
-            MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar"),
             cfg,
-            tasks,
             tracer,
+            runner,
         ),
         SystemTopology::FlumenA => {
-            let net = MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar");
             let mut server = MzimControlUnit::new(cfg.control.clone());
             server.set_tracer(tracer.clone());
-            let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
-            sim.set_tracer(tracer);
-            sim.set_trace_interval(cfg.trace_interval);
-            sim.run(cfg.max_cycles)
+            assemble(crossbar(), server, tasks, cfg, tracer, runner)
         }
-    };
+    }
+}
 
-    finish_result(bench, topology, cfg, r)
+fn assemble<N, S, R>(
+    net: N,
+    server: S,
+    tasks: Vec<Vec<CoreTask>>,
+    cfg: &RuntimeConfig,
+    tracer: TraceHandle,
+    runner: R,
+) -> R::Out
+where
+    N: Network + Snapshotable,
+    S: ExternalServer<N> + Snapshotable,
+    R: SimRunner,
+{
+    let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
+    sim.set_tracer(tracer);
+    sim.set_trace_interval(cfg.trace_interval);
+    runner.run(sim)
+}
+
+/// Runs the system to completion or the cycle budget, skipping idle spans.
+struct ToCompletion(u64);
+
+impl SimRunner for ToCompletion {
+    type Out = RunResult;
+    fn run<N, S>(self, sim: SystemSim<N, S>) -> RunResult
+    where
+        N: Network + Snapshotable,
+        S: ExternalServer<N> + Snapshotable,
+    {
+        sim.run(self.0)
+    }
 }
 
 fn finish_result(
@@ -271,18 +318,6 @@ fn finish_result(
     }
 }
 
-fn run_sim<N: flumen_noc::Network>(
-    net: N,
-    cfg: &RuntimeConfig,
-    tasks: Vec<Vec<flumen_system::CoreTask>>,
-    tracer: TraceHandle,
-) -> RunResult {
-    let mut sim = SystemSim::new(cfg.system.clone(), net, NullServer::default(), tasks);
-    sim.set_tracer(tracer);
-    sim.set_trace_interval(cfg.trace_interval);
-    sim.run(cfg.max_cycles)
-}
-
 /// Runs a benchmark on a photonic crossbar with a reduced wavelength count
 /// (Fig. 1's bandwidth sensitivity: 16/32/64 λ ↔ 64/128/256 bits/cycle),
 /// recording the link-utilization trace.
@@ -305,26 +340,7 @@ pub fn run_utilization_trace(
     let mut sim = SystemSim::new(cfg.system.clone(), net, NullServer::default(), tasks);
     sim.set_trace_interval(trace_interval);
     let r = sim.run(cfg.max_cycles);
-    let seconds = cfg.system.cycles_to_seconds(r.cycles);
-    let energy = system_energy(
-        &r.counts,
-        &r.net_stats,
-        seconds,
-        cfg.system.cores,
-        NopKind::FlumenComm,
-        &cfg.energy,
-    );
-    FullRunResult {
-        topology: SystemTopology::FlumenI,
-        benchmark: bench.name().to_string(),
-        cycles: r.cycles,
-        seconds,
-        truncated: r.truncated,
-        counts: r.counts,
-        net_stats: r.net_stats,
-        energy,
-        utilization_trace: r.utilization_trace,
-    }
+    finish_result(bench, SystemTopology::FlumenI, cfg, r)
 }
 
 /// Where and how often a checkpointed run snapshots itself.
@@ -356,116 +372,60 @@ pub fn run_benchmark_checkpointed(
     policy: &CheckpointPolicy,
     tracer: TraceHandle,
 ) -> io::Result<FullRunResult> {
-    let mode = match topology {
-        SystemTopology::FlumenA => ExecMode::Offload,
-        _ => ExecMode::Local,
+    let runner = Checkpointed {
+        policy,
+        max_cycles: cfg.max_cycles,
+        tracer: tracer.clone(),
     };
-    let tasks = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
-
-    let chiplets = cfg.system.chiplets;
-    let r = match topology {
-        SystemTopology::Ring => run_sim_checkpointed(
-            RoutedNetwork::new(
-                flumen_noc::RoutedTopology::Ring { nodes: chiplets },
-                flumen_noc::RoutedConfig::default(),
-            )
-            .expect("ring of ≥3 chiplets"),
-            NullServer::default(),
-            cfg,
-            tasks,
-            policy,
-            tracer.clone(),
-        )?,
-        SystemTopology::Mesh => {
-            let (w, h) = mesh_dims(chiplets);
-            run_sim_checkpointed(
-                RoutedNetwork::new(
-                    flumen_noc::RoutedTopology::Mesh {
-                        width: w,
-                        height: h,
-                    },
-                    flumen_noc::RoutedConfig::default(),
-                )
-                .expect("mesh of ≥2×2 chiplets"),
-                NullServer::default(),
-                cfg,
-                tasks,
-                policy,
-                tracer.clone(),
-            )?
-        }
-        SystemTopology::OptBus => run_sim_checkpointed(
-            OpticalBus::new(chiplets, flumen_noc::BusConfig::default()).expect("optbus"),
-            NullServer::default(),
-            cfg,
-            tasks,
-            policy,
-            tracer.clone(),
-        )?,
-        SystemTopology::FlumenI => run_sim_checkpointed(
-            MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar"),
-            NullServer::default(),
-            cfg,
-            tasks,
-            policy,
-            tracer.clone(),
-        )?,
-        SystemTopology::FlumenA => {
-            let mut server = MzimControlUnit::new(cfg.control.clone());
-            server.set_tracer(tracer.clone());
-            run_sim_checkpointed(
-                MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar"),
-                server,
-                cfg,
-                tasks,
-                policy,
-                tracer.clone(),
-            )?
-        }
-    };
-
+    let r = run_topology(bench, topology, cfg, tracer, runner)?;
     Ok(finish_result(bench, topology, cfg, r))
 }
 
-fn run_sim_checkpointed<N, S>(
-    net: N,
-    server: S,
-    cfg: &RuntimeConfig,
-    tasks: Vec<Vec<flumen_system::CoreTask>>,
-    policy: &CheckpointPolicy,
+/// Steps the system cycle by cycle, resuming from and writing checkpoints
+/// under `policy`.
+struct Checkpointed<'a> {
+    policy: &'a CheckpointPolicy,
+    max_cycles: u64,
     tracer: TraceHandle,
-) -> io::Result<RunResult>
-where
-    N: flumen_noc::Network + Snapshotable,
-    S: flumen_system::ExternalServer<N> + Snapshotable,
-{
-    let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
-    sim.set_tracer(tracer.clone());
-    sim.set_trace_interval(cfg.trace_interval);
+}
 
-    if let Some(snap) = policy.load_latest() {
-        sim.restore(&snap.state)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))?;
-        let now = sim.cycle();
-        tracer.emit(|| TraceEvent::instant(TraceCategory::System, "resume", now, 0));
-    }
-
-    // Step manually so the simulation can be snapshotted mid-flight; the
-    // final consuming `run` call finds the system already finished (or
-    // already out of budget) and only performs result finalization, so the
-    // outcome is identical to an uninterrupted `SystemSim::run`.
-    let every = policy.every_cycles.max(1);
-    while !sim.finished() && sim.cycle() < cfg.max_cycles {
-        sim.step();
-        let now = sim.cycle();
-        if now.is_multiple_of(every) && !sim.finished() && now < cfg.max_cycles {
-            policy.write(now, sim.snapshot())?;
-            tracer.emit(|| TraceEvent::instant(TraceCategory::System, "checkpoint", now, 0));
+impl SimRunner for Checkpointed<'_> {
+    type Out = io::Result<RunResult>;
+    fn run<N, S>(self, mut sim: SystemSim<N, S>) -> io::Result<RunResult>
+    where
+        N: Network + Snapshotable,
+        S: ExternalServer<N> + Snapshotable,
+    {
+        let Checkpointed {
+            policy,
+            max_cycles,
+            tracer,
+        } = self;
+        if let Some(snap) = policy.load_latest() {
+            sim.restore(&snap.state)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))?;
+            let now = sim.cycle();
+            tracer.emit(|| TraceEvent::instant(TraceCategory::System, "resume", now, 0));
         }
+
+        // Step manually so the simulation can be snapshotted mid-flight;
+        // the final consuming `run` call finds the system already finished
+        // (or already out of budget) and only performs result
+        // finalization, so the outcome is identical to an uninterrupted
+        // `SystemSim::run`.
+        let every = policy.every_cycles.max(1);
+        while !sim.finished() && sim.cycle() < max_cycles {
+            sim.step();
+            let now = sim.cycle();
+            if now.is_multiple_of(every) && !sim.finished() && now < max_cycles {
+                policy.write(now, sim.snapshot())?;
+                tracer.emit(|| TraceEvent::instant(TraceCategory::System, "checkpoint", now, 0));
+            }
+        }
+        let result = sim.run(max_cycles);
+        policy.clear()?;
+        Ok(result)
     }
-    let result = sim.run(cfg.max_cycles);
-    policy.clear()?;
-    Ok(result)
 }
 
 impl CheckpointPolicy {

@@ -181,14 +181,9 @@ impl CMat {
 
     /// Matrix product `A·B`.
     ///
-    /// Delegates to the allocation-reusing scratch-staged kernel of
-    /// [`CMat::matmul_into`]: wide output rows accumulate in a stack
-    /// scratch chunk across the whole `k` loop, so the hot loop never
-    /// stores to `out` and cannot hit store-forward 4K aliasing against
-    /// the `B` stream (which made the old store-per-`k` form up to ~2×
-    /// slower whenever the allocator placed `out` and `B` ≡ mod 4 KiB).
-    /// Each output element is the ascending-`k` fold
-    /// `((0 + a₀b₀) + a₁b₁) + …` with zero `A`-elements skipped — the
+    /// Delegates to the allocation-reusing kernel of
+    /// [`CMat::matmul_into`]. Each output element is the ascending-`k`
+    /// fold `((0 + a₀b₀) + a₁b₁) + …` with zero `A`-elements skipped — the
     /// exact term sequence of the seed's triple loop, so results are
     /// bit-identical to it (proptested in `tests/proptest_kernels.rs`).
     ///
@@ -203,10 +198,9 @@ impl CMat {
 
     /// Allocation-free matrix product: `out ← A·B`.
     ///
-    /// Streams `B` rows in ascending `k`, accumulating output-row chunks
-    /// in a stack scratch buffer and storing each finished chunk to `out`
-    /// exactly once, with the same zero-`A` skip as [`CMat::matmul`] —
-    /// the two kernels are bit-identical (proptested).
+    /// Streams `B` rows in ascending `k` into each output row (k-outer,
+    /// like [`crate::RMat::matmul_into`]), with the same zero-`A` skip as
+    /// [`CMat::matmul`].
     ///
     /// # Panics
     ///
@@ -228,67 +222,19 @@ impl CMat {
             out.cols
         );
         let cols = other.cols;
-        let inner = self.cols;
-        // Accumulate each output row in a stack scratch chunk and copy it
-        // to `out` once per chunk. The k-loop's stores land in the scratch
-        // buffer, never in `out`, so the kernel's speed cannot depend on
-        // where the caller's `out` allocation sits relative to `B`: the
-        // earlier row-streaming form stored into `o_row` on every `k`, and
-        // whenever the `out` and `B` allocations landed ≡ mod 4 KiB those
-        // stores false-conflicted with the next rows' `B` loads
-        // (store-forward 4K aliasing) — a layout-dependent ~2× slowdown
-        // that `bench_perf` caught at n=128. The c-inner axpy over the
-        // chunk vectorizes like the seed's triple loop (a 4-column
-        // register tile measured ~5% slower across sizes).
-        //
-        // Narrow matrices skip the staging: their row stride spreads the
-        // stores across many distinct page offsets, so the aliasing
-        // hazard is diluted away, while the fill + copy-back overhead is
-        // a measurable fraction of the whole product. The hazard needs
-        // few distinct `stride mod 4 KiB` residues, i.e. wide rows.
-        if cols < 64 {
-            for (a_row, o_row) in self
-                .data
-                .chunks_exact(inner)
-                .zip(out.data.chunks_exact_mut(cols))
-            {
-                o_row.fill(C64::ZERO);
-                for (b_row, &a) in other.data.chunks_exact(cols).zip(a_row.iter()) {
-                    if a == C64::ZERO {
-                        continue;
-                    }
-                    for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
-            return;
-        }
-        const CHUNK: usize = 128;
-        // One scratch buffer per call, cleared `w` elements at a time, so
-        // matrices narrower than the chunk don't pay for its full width.
-        let mut scratch = [C64::ZERO; CHUNK];
         for (a_row, o_row) in self
             .data
-            .chunks_exact(inner)
+            .chunks_exact(self.cols)
             .zip(out.data.chunks_exact_mut(cols))
         {
-            let mut c0 = 0usize;
-            while c0 < cols {
-                let w = CHUNK.min(cols - c0);
-                let chunk = &mut scratch[..w];
-                chunk.fill(C64::ZERO);
-                for (b_row, &a) in other.data.chunks_exact(cols).zip(a_row.iter()) {
-                    if a == C64::ZERO {
-                        continue;
-                    }
-                    let b_chunk = &b_row[c0..c0 + w];
-                    for (o, &b) in chunk.iter_mut().zip(b_chunk.iter()) {
-                        *o += a * b;
-                    }
+            o_row.fill(C64::ZERO);
+            for (b_row, &a) in other.data.chunks_exact(cols).zip(a_row.iter()) {
+                if a == C64::ZERO {
+                    continue;
                 }
-                o_row[c0..c0 + w].copy_from_slice(chunk);
-                c0 += w;
+                for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
+                    *o += a * b;
+                }
             }
         }
     }

@@ -456,16 +456,6 @@ impl FlumenFabric {
         }
     }
 
-    /// Drops every cached program and zeroes the hit/miss/eviction
-    /// counters.
-    pub fn clear_program_cache(&mut self) {
-        self.program_cache.clear();
-        self.program_cache_order.clear();
-        self.program_cache_hits = 0;
-        self.program_cache_misses = 0;
-        self.program_cache_evictions = 0;
-    }
-
     /// Phase-diff statistics from the most recent successful
     /// [`FlumenFabric::set_partitions`] call.
     pub fn last_reprogram(&self) -> ReprogramStats {
@@ -990,9 +980,11 @@ mod tests {
         assert_eq!(cold.program_cache_stats().entries, 1);
 
         // Re-programming the same matrix hits the cache and produces the
-        // exact same mesh state (PartialEq on CMat is bitwise).
+        // exact same mesh state (PartialEq on CMat is bitwise) without
+        // deriving a program again (no SVD, no Clements decomposition).
         cold.set_partitions(&cfg).unwrap();
         assert_eq!(cold.program_cache_stats().hits, 1);
+        assert_eq!(cold.program_cache_stats().misses, 1);
         assert_eq!(cold.transfer_matrix(), cold_t);
     }
 
@@ -1055,21 +1047,6 @@ mod tests {
             misses + 1,
             "LRU entry was evicted"
         );
-    }
-
-    #[test]
-    fn clear_program_cache_resets_counters() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let m = RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0));
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_partitions(&[
-            (4, PartitionConfig::Compute(&m)),
-            (4, PartitionConfig::Idle),
-        ])
-        .unwrap();
-        f.clear_program_cache();
-        let stats = f.program_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
     }
 
     #[test]

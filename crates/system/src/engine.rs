@@ -890,7 +890,17 @@ where
     fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
         use flumen_sim::FromJson;
         self.barrier_counts = BTreeMap::from_json(j.get("barrier_counts")?)?;
-        self.cores = Vec::from_json(j.get("cores")?)?;
+        let cores: Vec<CoreState> = Vec::from_json(j.get("cores")?)?;
+        // A core count other than the configured one would index past the
+        // per-core caches (more cores) or never release a barrier (fewer).
+        if cores.len() != self.cfg.cores {
+            return Err(flumen_sim::JsonError(format!(
+                "SystemSim.cores: snapshot has {} cores, instance has {}",
+                cores.len(),
+                self.cfg.cores
+            )));
+        }
+        self.cores = cores;
         self.counts = ActivityCounts::from_json(j.get("counts")?)?;
         self.cycle = u64::from_json(j.get("cycle")?)?;
         self.external_waiting = BTreeMap::from_json(j.get("external_waiting")?)?;
@@ -1122,32 +1132,33 @@ mod tests {
         assert!(!r2.truncated);
     }
 
+    /// Remote-homed traffic that keeps the network, caches, pending maps
+    /// and server-jobs queue all populated mid-run.
+    fn mid_run_tasks() -> Vec<Vec<CoreTask>> {
+        let mut tasks = empty_tasks(4);
+        let reads: Vec<u64> = (0..200u64).map(|i| 64 + i * 4 * 64).collect();
+        let writes: Vec<u64> = (0..120u64).map(|i| 128 + i * 4 * 64).collect();
+        tasks[0].push(CoreTask::Stream {
+            ops: 50,
+            reads,
+            writes,
+        });
+        tasks[1].push(CoreTask::NetRequest {
+            dst_chiplet: 3,
+            req_bits: 128,
+            reply_bits: 512,
+            server_cycles: 500,
+        });
+        for t in tasks.iter_mut() {
+            t.push(CoreTask::Barrier { id: 2 });
+            t.push(CoreTask::Compute { ops: 64 });
+        }
+        tasks
+    }
+
     #[test]
     fn snapshot_mid_run_resumes_bit_identically() {
-        // Remote-homed traffic keeps the network, caches, pending maps and
-        // server-jobs queue all populated at the checkpoint.
-        let mk_tasks = || {
-            let mut tasks = empty_tasks(4);
-            let reads: Vec<u64> = (0..200u64).map(|i| 64 + i * 4 * 64).collect();
-            let writes: Vec<u64> = (0..120u64).map(|i| 128 + i * 4 * 64).collect();
-            tasks[0].push(CoreTask::Stream {
-                ops: 50,
-                reads,
-                writes,
-            });
-            tasks[1].push(CoreTask::NetRequest {
-                dst_chiplet: 3,
-                req_bits: 128,
-                reply_bits: 512,
-                server_cycles: 500,
-            });
-            for t in tasks.iter_mut() {
-                t.push(CoreTask::Barrier { id: 2 });
-                t.push(CoreTask::Compute { ops: 64 });
-            }
-            tasks
-        };
-        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mk_tasks());
+        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
         a.set_trace_interval(50);
         for _ in 0..150 {
             a.step();
@@ -1155,7 +1166,7 @@ mod tests {
         assert!(!a.finished(), "checkpoint must land mid-run");
         let snap = a.snapshot();
 
-        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mk_tasks());
+        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
         b.set_trace_interval(50);
         b.restore(&snap).unwrap();
         assert_eq!(b.cycle, a.cycle);
@@ -1176,6 +1187,37 @@ mod tests {
         assert_eq!(a.net.stats().delivered, b.net.stats().delivered);
         assert_eq!(a.net.stats().latency_sum, b.net.stats().latency_sum);
         assert_eq!(a.net.stats().link_busy, b.net.stats().link_busy);
+    }
+
+    #[test]
+    fn restore_rejects_a_core_count_other_than_the_configured_one() {
+        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        for _ in 0..150 {
+            a.step();
+        }
+        assert!(!a.finished(), "checkpoint must land mid-run");
+        let snap = a.snapshot();
+        let with_cores = |edit: &dyn Fn(&mut Vec<flumen_sim::Json>)| {
+            let mut j = snap.clone();
+            if let flumen_sim::Json::Obj(m) = &mut j {
+                if let Some(flumen_sim::Json::Arr(cores)) = m.get_mut("cores") {
+                    edit(cores);
+                }
+            }
+            j
+        };
+        let dropped = with_cores(&|cores| {
+            cores.pop();
+        });
+        let appended = with_cores(&|cores| cores.push(cores[0].clone()));
+        for (what, tampered) in [("dropped", dropped), ("appended", appended)] {
+            let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+            let err = b.restore(&tampered).expect_err(what);
+            assert!(err.0.contains("cores"), "{what}: {err}");
+            // The instance is not stepped: a longer core array would index
+            // past the per-core caches, a shorter one never releases the
+            // barrier.
+        }
     }
 
     #[test]

@@ -76,8 +76,6 @@ pub const REGISTERED_EVENT_NAMES: &[&str] = &[
     "offload",
     "offload_done",
     "partition",
-    "perf::matmul",
-    "perf::mvm_batched",
     "pkt",
     "reconfig",
     "reject",
