@@ -454,10 +454,21 @@ impl ExternalServer<MzimCrossbar> for MzimControlUnit {
         self.queue.len() + self.active.len() + self.finished.len()
     }
 
-    // Idle only when empty: an active partition adds to
-    // `mzim_active_cycles` every cycle, which is left to the stepped path.
-    fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.active.is_empty() && self.finished.is_empty()
+    // With nothing queued or finished, a step before the earliest active
+    // partition's deadline only adds one to `mzim_active_cycles`: no
+    // request can time out, be rejected or be admitted, and no wire is
+    // released.
+    fn quiet_until(&self, _now: u64) -> Option<u64> {
+        if !self.queue.is_empty() || !self.finished.is_empty() {
+            return None;
+        }
+        Some(self.active.peek_deadline().map_or(u64::MAX, Cycles::value))
+    }
+
+    fn advance_quiet(&mut self, cycles: u64) {
+        if !self.active.is_empty() {
+            self.counts.mzim_active_cycles += cycles;
+        }
     }
 
     fn drain_counts(&mut self, counts: &mut ActivityCounts) {
@@ -770,6 +781,80 @@ mod tests {
         cu.drain_counts(&mut ca);
         cu_b.drain_counts(&mut cb);
         assert_eq!(ca, cb);
+    }
+
+    #[test]
+    fn quiet_span_ends_at_the_earliest_partition_deadline() {
+        let mut cu = unit();
+        let mut net = net16();
+        assert_eq!(cu.quiet_until(0), Some(u64::MAX), "empty unit");
+        cu.on_request(0, 0, 2, 1, [40, 64, 4, 0, 0]);
+        assert_eq!(cu.quiet_until(0), None, "queued request");
+        let _ = drive(&mut cu, &mut net, 1);
+        cu.on_request(1, 8, 13, 2, [4, 16, 4, 0, 0]);
+        let _ = drive(&mut cu, &mut net, 1);
+        assert_eq!(cu.active.len(), 2);
+        let first = cu.active.peek_deadline().unwrap().value();
+        assert_eq!(cu.quiet_until(net.cycle()), Some(first));
+        cu.finished.push(ExternalOutcome {
+            tag: 9,
+            accepted: true,
+        });
+        assert_eq!(cu.quiet_until(net.cycle()), None, "unreported completion");
+    }
+
+    /// A unit that jumps each quiet span with `advance_quiet`, as the
+    /// engine does, ends in the same state as one stepped every cycle.
+    #[test]
+    fn quiet_span_jumps_match_stepping_every_cycle() {
+        use flumen_sim::Snapshotable;
+        // Overlapping partitions, a cached repeat and a late arrival, so
+        // spans end at deadlines and at requests alike.
+        let requests: [(u64, usize, u64, ExternalPayload); 4] = [
+            (0, 2, 1, [20, 64, 4, 0, 42]),
+            (3, 13, 2, [4, 16, 4, 0, 7]),
+            (250, 5, 3, [20, 64, 4, 0, 42]),
+            (900, 9, 4, [2, 8, 8, 0, 0]),
+        ];
+        let end = 3000;
+        let run = |jump: bool| {
+            let mut cu = cached_unit(2);
+            let mut net = net16();
+            let mut out = Vec::new();
+            let mut jumps = 0;
+            while net.cycle() < end {
+                let now = net.cycle();
+                for &(at, chiplet, tag, payload) in &requests {
+                    if at == now {
+                        cu.on_request(now, 0, chiplet, tag, payload);
+                    }
+                }
+                let next_request = requests.iter().map(|r| r.0).filter(|&at| at > now).min();
+                let quiet = cu
+                    .quiet_until(now)
+                    .map(|t| t.min(next_request.unwrap_or(u64::MAX)).min(end));
+                match quiet {
+                    Some(t) if jump && t > now && net.pending() == 0 => {
+                        cu.advance_quiet(t - now);
+                        net.advance_idle(t - now);
+                        jumps += 1;
+                    }
+                    _ => {
+                        out.extend(cu.step(now, &mut net));
+                        net.step();
+                    }
+                }
+            }
+            assert!(!jump || jumps > 0, "the jumping unit never jumped");
+            let mut counts = ActivityCounts::default();
+            let snap = cu.snapshot().to_canonical();
+            cu.drain_counts(&mut counts);
+            (out, snap, net.snapshot().to_canonical(), counts)
+        };
+        let (stepped, jumped) = (run(false), run(true));
+        assert_eq!(stepped.0.len(), requests.len());
+        assert!(stepped.3.mzim_active_cycles > 0);
+        assert_eq!(stepped, jumped);
     }
 
     #[test]

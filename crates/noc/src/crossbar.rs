@@ -58,13 +58,17 @@ pub struct MzimCrossbar {
     /// [`Network::pending`] is O(1); derived state, recomputed on restore.
     queued_unicast: usize,
     queued_mcast: usize,
+    /// Bit `j` of `requests[i]` is set iff `voq[i][j]` is non-empty: the
+    /// arbiter's request row for input `i`. Derived state, recomputed on
+    /// restore.
+    requests: Vec<u64>,
     arb: WavefrontArbiter,
     in_busy_until: Vec<u64>,
     out_busy_until: Vec<u64>,
     /// Last output each input was connected to (for reconfig charging).
     last_config: Vec<Option<usize>>,
-    /// Wires reserved for compute partitions.
-    reserved: Vec<bool>,
+    /// Wires reserved for compute partitions, bit `w` for wire `w`.
+    reserved: u64,
     in_flight: FlightBuffer<Packet>,
     cycle: u64,
     stats: NetStats,
@@ -76,11 +80,12 @@ impl MzimCrossbar {
     ///
     /// # Errors
     ///
-    /// Returns [`NocError::InvalidTopology`] for fewer than 2 endpoints.
+    /// Returns [`NocError::InvalidTopology`] outside 2..=64 endpoints: the
+    /// arbiter holds one input's requests in a `u64`.
     pub fn new(nodes: usize, cfg: CrossbarConfig) -> Result<Self> {
-        if nodes < 2 {
+        if !(2..=64).contains(&nodes) {
             return Err(NocError::InvalidTopology {
-                reason: "crossbar needs ≥ 2 nodes".into(),
+                reason: format!("crossbar needs 2..=64 nodes, got {nodes}"),
             });
         }
         Ok(MzimCrossbar {
@@ -92,11 +97,12 @@ impl MzimCrossbar {
             mcast_queues: (0..nodes).map(|_| Fifo::unbounded()).collect(),
             queued_unicast: 0,
             queued_mcast: 0,
+            requests: vec![0; nodes],
             arb: WavefrontArbiter::new(nodes),
             in_busy_until: vec![0; nodes],
             out_busy_until: vec![0; nodes],
             last_config: vec![None; nodes],
-            reserved: vec![false; nodes],
+            reserved: 0,
             in_flight: FlightBuffer::new(),
             cycle: 0,
             stats: NetStats::new(nodes),
@@ -127,7 +133,7 @@ impl MzimCrossbar {
         }
         let now = self.cycle;
         for &w in wires {
-            self.reserved[w] = true;
+            self.reserved |= 1 << w;
             self.tracer
                 .emit(|| TraceEvent::instant(TraceCategory::Noc, "wire_reserve", now, w as u32));
         }
@@ -150,7 +156,7 @@ impl MzimCrossbar {
         }
         let now = self.cycle;
         for &w in wires {
-            self.reserved[w] = false;
+            self.reserved &= !(1 << w);
             self.tracer
                 .emit(|| TraceEvent::instant(TraceCategory::Noc, "wire_release", now, w as u32));
         }
@@ -159,7 +165,9 @@ impl MzimCrossbar {
 
     /// Which endpoints are currently reserved for compute.
     pub fn reserved_wires(&self) -> Vec<usize> {
-        (0..self.nodes).filter(|&w| self.reserved[w]).collect()
+        (0..self.nodes)
+            .filter(|&w| self.reserved >> w & 1 == 1)
+            .collect()
     }
 
     /// Request-buffer occupancies per input — the MZIM control unit's
@@ -171,29 +179,27 @@ impl MzimCrossbar {
     }
 
     /// Starts transmitting a packet from input `input` (already dequeued).
+    /// The input and every destination stay busy past `now`, since
+    /// serialization takes at least one cycle.
     fn start(&mut self, input: usize, pkt: Packet, now: u64) {
-        let dests = pkt.dests();
+        let unicast = !pkt.is_multicast();
         let ser = pkt.ser_cycles(self.cfg.bits_per_cycle);
         // Reconfiguration charge: new unicast path, or any multicast tree.
-        let reconf = if dests.len() == 1 && self.last_config[input] == Some(dests[0]) {
+        let reconf = if unicast && self.last_config[input] == Some(pkt.dst) {
             0
         } else {
             self.stats.reconfigurations += 1;
             self.tracer.emit(|| {
                 TraceEvent::instant(TraceCategory::Noc, "reconfig", now, input as u32)
                     .with_id(pkt.id)
-                    .with_arg("ndest", dests.len() as f64)
+                    .with_arg("ndest", pkt.dest_iter().count() as f64)
             });
             self.cfg.reconfig_cycles
         };
-        self.last_config[input] = if dests.len() == 1 {
-            Some(dests[0])
-        } else {
-            None
-        };
+        self.last_config[input] = unicast.then_some(pkt.dst);
         let busy = now + reconf + ser;
         self.in_busy_until[input] = busy;
-        for &d in &dests {
+        for d in pkt.dest_iter() {
             self.out_busy_until[d] = busy;
         }
         self.stats.link_busy[input] += reconf + ser;
@@ -212,6 +218,54 @@ impl MzimCrossbar {
             });
         }
         self.in_flight.push(busy + self.cfg.port_latency, pkt);
+    }
+
+    /// One cycle of connection set-up: multicast heads first (they need
+    /// several outputs at once), then the unicast VOQs through the
+    /// wavefront arbiter. Grants start in input order, which fixes the
+    /// order of `in_flight` and so the order of same-cycle deliveries.
+    fn allocate(&mut self, now: u64) {
+        let mut row_busy = self.reserved;
+        let mut col_busy = self.reserved;
+        for i in 0..self.nodes {
+            if self.in_busy_until[i] > now {
+                row_busy |= 1 << i;
+            }
+            if self.out_busy_until[i] > now {
+                col_busy |= 1 << i;
+            }
+        }
+        if self.queued_mcast > 0 {
+            for i in 0..self.nodes {
+                if row_busy >> i & 1 == 1 {
+                    continue;
+                }
+                let Some(head) = self.mcast_queues[i].front() else {
+                    continue;
+                };
+                let dests = head.dest_iter().fold(0u64, |m, d| m | 1 << d);
+                if dests & col_busy != 0 {
+                    continue;
+                }
+                if let Some(pkt) = self.mcast_queues[i].pop_front() {
+                    self.queued_mcast -= 1;
+                    self.start(i, pkt, now);
+                    row_busy |= 1 << i;
+                    col_busy |= dests;
+                }
+            }
+        }
+        let grants = self.arb.arbitrate(&self.requests, row_busy, col_busy);
+        for (i, j) in grants.iter() {
+            let voq = &mut self.voq[i][j];
+            if let Some(pkt) = voq.pop_front() {
+                if voq.is_empty() {
+                    self.requests[i] &= !(1 << j);
+                }
+                self.queued_unicast -= 1;
+                self.start(i, pkt, now);
+            }
+        }
     }
 }
 
@@ -237,7 +291,7 @@ impl Network for MzimCrossbar {
                 pkt.src as u32,
             )
             .with_id(pkt.id)
-            .with_arg("ndest", pkt.dests().len() as f64)
+            .with_arg("ndest", pkt.dest_iter().count() as f64)
             .with_arg("bits", pkt.bits as f64)
         });
         if pkt.is_multicast() {
@@ -246,56 +300,17 @@ impl Network for MzimCrossbar {
         } else {
             self.queued_unicast += 1;
             let (src, dst) = (pkt.src, pkt.dst);
+            self.requests[src] |= 1 << dst;
             self.voq[src][dst].push_back(pkt);
         }
     }
 
     fn step(&mut self) -> Vec<Delivery> {
         let now = self.cycle;
-        // Multicast heads first (they need several outputs at once).
-        for i in 0..self.nodes {
-            if self.reserved[i] || self.in_busy_until[i] > now {
-                continue;
-            }
-            let ready = self.mcast_queues[i].front().is_some_and(|p| {
-                !p.dests()
-                    .iter()
-                    .any(|&d| self.out_busy_until[d] > now || self.reserved[d])
-            });
-            if !ready {
-                continue;
-            }
-            if let Some(pkt) = self.mcast_queues[i].pop_front() {
-                self.queued_mcast -= 1;
-                self.start(i, pkt, now);
-            }
-        }
-        // Unicast VOQs via the wavefront arbiter: each input requests every
-        // output it has traffic for.
-        let requests: Vec<Vec<usize>> = (0..self.nodes)
-            .map(|i| {
-                if self.reserved[i] || self.in_busy_until[i] > now {
-                    return Vec::new();
-                }
-                (0..self.nodes)
-                    .filter(|&j| !self.voq[i][j].is_empty() && !self.reserved[j])
-                    .collect()
-            })
-            .collect();
-        let row_busy: Vec<bool> = (0..self.nodes)
-            .map(|i| self.in_busy_until[i] > now || self.reserved[i])
-            .collect();
-        let col_busy: Vec<bool> = (0..self.nodes)
-            .map(|o| self.out_busy_until[o] > now || self.reserved[o])
-            .collect();
-        let grants = self.arb.arbitrate(&requests, &row_busy, &col_busy);
-        for (i, g) in grants.iter().enumerate() {
-            if let Some(j) = g {
-                if let Some(pkt) = self.voq[i][*j].pop_front() {
-                    self.queued_unicast -= 1;
-                    self.start(i, pkt, now);
-                }
-            }
+        if self.queued_unicast + self.queued_mcast > 0 {
+            self.allocate(now);
+        } else {
+            self.arb.advance(1);
         }
         // Deliveries.
         let mut deliveries = Vec::new();
@@ -305,8 +320,9 @@ impl Network for MzimCrossbar {
             tracer,
             ..
         } = self;
-        in_flight.drain_due(now, |pkt| {
-            for d in pkt.dests() {
+        in_flight.drain_due(now, |mut pkt| {
+            let extra = std::mem::take(&mut pkt.extra_dests);
+            for d in std::iter::once(pkt.dst).chain(extra) {
                 let lat = now.saturating_sub(pkt.created_at);
                 stats.record_latency(lat);
                 tracer.emit(|| {
@@ -322,7 +338,6 @@ impl Network for MzimCrossbar {
                 });
                 let mut p = pkt.clone();
                 p.dst = d;
-                p.extra_dests.clear();
                 deliveries.push(Delivery { packet: p, at: now });
             }
         });
@@ -364,6 +379,9 @@ impl Network for MzimCrossbar {
 impl flumen_sim::Snapshotable for MzimCrossbar {
     fn snapshot(&self) -> flumen_sim::Json {
         use flumen_sim::ToJson;
+        let reserved: Vec<bool> = (0..self.nodes)
+            .map(|w| self.reserved >> w & 1 == 1)
+            .collect();
         flumen_sim::Json::obj([
             ("arb_priority", self.arb.priority().to_json()),
             ("cycle", self.cycle.to_json()),
@@ -372,7 +390,7 @@ impl flumen_sim::Snapshotable for MzimCrossbar {
             ("last_config", self.last_config.to_json()),
             ("mcast_queues", self.mcast_queues.to_json()),
             ("out_busy_until", self.out_busy_until.to_json()),
-            ("reserved", self.reserved.to_json()),
+            ("reserved", reserved.to_json()),
             ("stats", self.stats.to_json()),
             ("voq", self.voq.to_json()),
         ])
@@ -397,6 +415,7 @@ impl flumen_sim::Snapshotable for MzimCrossbar {
         check_len("MzimCrossbar.out_busy_until", out_busy_until.len(), n)?;
         let reserved: Vec<bool> = Vec::from_json(j.get("reserved")?)?;
         check_len("MzimCrossbar.reserved", reserved.len(), n)?;
+        let reserved = bitmask(reserved);
         let stats = NetStats::from_json(j.get("stats")?)?;
         check_len("MzimCrossbar.stats.link_busy", stats.link_busy.len(), n)?;
         let voq: Vec<Vec<Fifo<Packet>>> = Vec::from_json(j.get("voq")?)?;
@@ -417,6 +436,10 @@ impl flumen_sim::Snapshotable for MzimCrossbar {
         self.last_config = last_config;
         self.queued_mcast = mcast_queues.iter().map(Fifo::len).sum();
         self.queued_unicast = voq.iter().flatten().map(Fifo::len).sum();
+        self.requests = voq
+            .iter()
+            .map(|row| bitmask(row.iter().map(|q| !q.is_empty())))
+            .collect();
         self.mcast_queues = mcast_queues;
         self.out_busy_until = out_busy_until;
         self.reserved = reserved;
@@ -424,6 +447,14 @@ impl flumen_sim::Snapshotable for MzimCrossbar {
         self.voq = voq;
         Ok(())
     }
+}
+
+/// The mask with bit `i` set iff the `i`-th flag is set.
+fn bitmask(flags: impl IntoIterator<Item = bool>) -> u64 {
+    flags
+        .into_iter()
+        .enumerate()
+        .fold(0, |m, (i, f)| m | u64::from(f) << i)
 }
 
 #[cfg(test)]
@@ -592,8 +623,52 @@ mod tests {
                 }
                 let queued: usize = net.queue_depths().iter().sum();
                 assert_eq!(net.pending(), queued + net.in_flight.len(), "seed {seed}");
+                for (i, row) in net.voq.iter().enumerate() {
+                    for (j, q) in row.iter().enumerate() {
+                        let bit = net.requests[i] >> j & 1 == 1;
+                        assert_eq!(
+                            bit,
+                            !q.is_empty(),
+                            "seed {seed} id {id}: request bit {i}->{j}"
+                        );
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn endpoint_count_is_bounded() {
+        for nodes in [0, 1, 65, 128] {
+            assert!(
+                MzimCrossbar::new(nodes, CrossbarConfig::default()).is_err(),
+                "{nodes} nodes"
+            );
+        }
+        for nodes in [2, 64] {
+            assert!(MzimCrossbar::new(nodes, CrossbarConfig::default()).is_ok());
+        }
+    }
+
+    /// The top endpoint of a 64-node crossbar sends and receives like any
+    /// other: a packet 0→63 and one 63→0 take the latency a 16-node
+    /// crossbar gives 0→15.
+    #[test]
+    fn top_endpoint_of_64_nodes_delivers() {
+        let mut small = MzimCrossbar::flumen_16();
+        small.inject(Packet::new(1, 0, 15, 512, 0));
+        let want = drain(&mut small, 50);
+        assert_eq!(want.len(), 1);
+        let mut big = MzimCrossbar::new(64, CrossbarConfig::default()).unwrap();
+        big.inject(Packet::new(1, 0, 63, 512, 0));
+        big.inject(Packet::new(2, 63, 0, 512, 0));
+        let got = drain(&mut big, 50);
+        assert_eq!(got.len(), 2);
+        for d in &got {
+            assert_eq!(d.latency(), want[0].latency(), "packet {}", d.packet.id);
+        }
+        assert_eq!(big.pending(), 0);
+        assert_eq!(big.requests, vec![0; 64]);
     }
 
     #[test]

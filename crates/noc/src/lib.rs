@@ -54,7 +54,7 @@ pub use fabric::{torus, ComposedFabric};
 pub use packet::{Delivery, Packet};
 pub use routed::{RoutedConfig, RoutedNetwork, RoutedTopology};
 pub use stats::NetStats;
-pub use wavefront::WavefrontArbiter;
+pub use wavefront::{Grants, WavefrontArbiter};
 
 /// A cycle-steppable network.
 ///

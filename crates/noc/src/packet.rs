@@ -62,10 +62,12 @@ impl Packet {
 
     /// All destinations (primary plus extras).
     pub fn dests(&self) -> Vec<usize> {
-        let mut d = Vec::with_capacity(1 + self.extra_dests.len());
-        d.push(self.dst);
-        d.extend_from_slice(&self.extra_dests);
-        d
+        self.dest_iter().collect()
+    }
+
+    /// All destinations (primary plus extras), without allocating.
+    pub(crate) fn dest_iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.dst).chain(self.extra_dests.iter().copied())
     }
 
     /// Whether this packet has more than one destination.

@@ -56,6 +56,56 @@ fn check_conservation<N: Network>(mut net: N, seed: u64, packets: usize) -> Resu
     Ok(())
 }
 
+/// An `n`-bit mask with each bit set with probability `p`.
+fn random_mask(rng: &mut StdRng, n: usize, p: f64) -> u64 {
+    (0..n).fold(0, |m, i| m | u64::from(rng.gen_bool(p)) << i)
+}
+
+/// The set bits of `mask` below `n`, ascending.
+fn bits(mask: u64, n: usize) -> Vec<usize> {
+    (0..n).filter(|&j| mask >> j & 1 == 1).collect()
+}
+
+/// The list-based wavefront walk the mask arbiter replaced, kept as the
+/// reference it must match cell for cell.
+struct OracleArbiter {
+    n: usize,
+    priority: usize,
+}
+
+impl OracleArbiter {
+    fn arbitrate(
+        &mut self,
+        requests: &[Vec<usize>],
+        row_busy: &[bool],
+        col_busy: &[bool],
+    ) -> Vec<Option<usize>> {
+        assert_eq!(requests.len(), self.n);
+        let n = self.n;
+        let mut grants: Vec<Option<usize>> = vec![None; n];
+        let mut col_taken: Vec<bool> = col_busy.to_vec();
+        let mut row_taken: Vec<bool> = row_busy.to_vec();
+
+        // Walk n anti-diagonals starting at the priority diagonal.
+        for d in 0..n {
+            let diag = (self.priority + d) % n;
+            for i in 0..n {
+                let j = (diag + n - i) % n;
+                if row_taken[i] || col_taken[j] {
+                    continue;
+                }
+                if requests[i].contains(&j) {
+                    grants[i] = Some(j);
+                    row_taken[i] = true;
+                    col_taken[j] = true;
+                }
+            }
+        }
+        self.priority = (self.priority + 1) % n;
+        grants
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -134,26 +184,57 @@ proptest! {
     }
 
     #[test]
-    fn wavefront_grants_are_always_a_matching(n in 2usize..12, seed in any::<u32>()) {
+    fn wavefront_grants_are_always_a_matching(n in 2usize..65, seed in any::<u32>()) {
         let mut rng = StdRng::seed_from_u64(seed as u64);
-        let requests: Vec<Vec<usize>> = (0..n)
+        let requests: Vec<u64> = (0..n)
             .map(|_| {
                 let k = rng.gen_range(0..3);
-                (0..k).map(|_| rng.gen_range(0..n)).collect()
+                (0..k).fold(0u64, |m, _| m | 1 << rng.gen_range(0..n))
             })
             .collect();
-        let row_busy: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
-        let col_busy: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+        let row_busy = random_mask(&mut rng, n, 0.2);
+        let col_busy = random_mask(&mut rng, n, 0.2);
         let mut arb = WavefrontArbiter::new(n);
-        let grants = arb.arbitrate(&requests, &row_busy, &col_busy);
+        let grants = arb.arbitrate(&requests, row_busy, col_busy);
         let mut used_out = vec![false; n];
-        for (i, g) in grants.iter().enumerate() {
-            if let Some(j) = g {
-                prop_assert!(!row_busy[i], "granted a busy row");
-                prop_assert!(!col_busy[*j], "granted a busy col");
-                prop_assert!(requests[i].contains(j), "granted an unrequested output");
-                prop_assert!(!used_out[*j], "output granted twice");
-                used_out[*j] = true;
+        for (i, j) in grants.iter() {
+            prop_assert!(row_busy >> i & 1 == 0, "granted a busy row");
+            prop_assert!(col_busy >> j & 1 == 0, "granted a busy col");
+            prop_assert!(requests[i] >> j & 1 == 1, "granted an unrequested output");
+            prop_assert!(!used_out[j], "output granted twice");
+            used_out[j] = true;
+        }
+    }
+
+    /// The mask arbiter grants exactly what the list-based reference walk
+    /// grants and leaves the same next priority, for every port count the
+    /// crossbar allows, request densities from empty to full, and busy
+    /// rows and columns, over two consecutive rounds.
+    #[test]
+    fn wavefront_masks_match_list_oracle(n in 1usize..65, priority in any::<usize>(), seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for density in [0.0, 0.1, 0.5, 0.9, 1.0] {
+            for busy in [0.0, 0.2, 0.5] {
+                let requests: Vec<u64> = (0..n).map(|_| random_mask(&mut rng, n, density)).collect();
+                let row_busy = random_mask(&mut rng, n, busy);
+                let col_busy = random_mask(&mut rng, n, busy);
+                let mut arb = WavefrontArbiter::new(n);
+                arb.set_priority(priority);
+                let mut oracle = OracleArbiter { n, priority: priority % n };
+                for _ in 0..2 {
+                    let got = arb.arbitrate(&requests, row_busy, col_busy);
+                    let want = oracle.arbitrate(
+                        &requests.iter().map(|&m| bits(m, n)).collect::<Vec<_>>(),
+                        &(0..n).map(|i| row_busy >> i & 1 == 1).collect::<Vec<_>>(),
+                        &(0..n).map(|j| col_busy >> j & 1 == 1).collect::<Vec<_>>(),
+                    );
+                    let mut granted = vec![None; n];
+                    for (i, j) in got.iter() {
+                        granted[i] = Some(j);
+                    }
+                    prop_assert_eq!(granted, want);
+                    prop_assert_eq!(arb.priority(), oracle.priority);
+                }
             }
         }
     }

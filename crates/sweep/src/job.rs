@@ -203,7 +203,8 @@ impl NetSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec describes an invalid topology (e.g. 1 node).
+    /// Panics if the spec describes an invalid topology (e.g. 1 node, or
+    /// a flumen crossbar above 64 nodes).
     pub fn build(&self) -> Box<dyn Network> {
         match *self {
             NetSpec::Ring { nodes } => Box::new(

@@ -57,13 +57,19 @@ pub trait ExternalServer<N: Network> {
     fn outstanding(&self) -> usize;
     /// Folds the server's activity (MZIM energy events) into the run counts.
     fn drain_counts(&mut self, counts: &mut ActivityCounts);
-    /// Whether [`ExternalServer::step`] is a no-op until the next
-    /// [`ExternalServer::on_request`]: it would change no state, touch no
-    /// wire and complete nothing. The engine skips idle cycles only while
-    /// this holds; the default, "never idle", keeps every cycle stepped.
-    fn is_idle(&self) -> bool {
-        false
+    /// The cycle `t > now` up to which every [`ExternalServer::step`]
+    /// from `now` on, with no [`ExternalServer::on_request`] between,
+    /// would touch no wire, complete nothing and change no state that
+    /// [`ExternalServer::advance_quiet`] cannot reproduce; `u64::MAX`
+    /// when that holds until the next request. The engine skips idle
+    /// cycles only inside such a span; the default, `None`, keeps every
+    /// cycle stepped.
+    fn quiet_until(&self, _now: u64) -> Option<u64> {
+        None
     }
+    /// Applies what `cycles` steps inside a span reported by
+    /// [`ExternalServer::quiet_until`] would have changed.
+    fn advance_quiet(&mut self, _cycles: u64) {}
 }
 
 /// A no-op server that rejects everything instantly; used by the baseline
@@ -97,8 +103,8 @@ impl<N: Network> ExternalServer<N> for NullServer {
         self.queue.len()
     }
     fn drain_counts(&mut self, _counts: &mut ActivityCounts) {}
-    fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+    fn quiet_until(&self, _now: u64) -> Option<u64> {
+        self.queue.is_empty().then_some(u64::MAX)
     }
 }
 
@@ -670,19 +676,20 @@ impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
         self.finished()
     }
 
-    /// A cycle is idle when the network is drained, the server is idle,
+    /// A cycle is idle when the network is drained, the server is quiet,
     /// and every core is busy, waiting, at a barrier, or out of work. Such
-    /// a cycle changes nothing but the clock and the network's counters,
-    /// until the earliest of: a core's `busy_until` (even with an empty
-    /// queue, since [`SystemSim::finished`] flips then), the head of
-    /// `server_jobs`, and the next utilization sample.
+    /// a cycle changes nothing but the clock, the network's counters and
+    /// what [`ExternalServer::advance_quiet`] applies, until the earliest
+    /// of: the end of the server's quiet span, a core's `busy_until` (even
+    /// with an empty queue, since [`SystemSim::finished`] flips then), the
+    /// head of `server_jobs`, and the next utilization sample.
     fn idle_until(&self, now: Cycles) -> Option<Cycles> {
         debug_assert_eq!(now.value(), self.cycle);
         let now = self.cycle;
-        if self.net.pending() != 0 || !self.server.is_idle() {
+        if self.net.pending() != 0 {
             return None;
         }
-        let mut next = u64::MAX;
+        let mut next = self.server.quiet_until(now)?;
         for core in &self.cores {
             if core.busy_until > now {
                 next = next.min(core.busy_until);
@@ -706,7 +713,9 @@ impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
 
     fn advance_idle(&mut self, now: Cycles, to: Cycles) {
         debug_assert_eq!(now.value(), self.cycle);
-        self.net.advance_idle(to.value() - self.cycle);
+        let cycles = to.value() - self.cycle;
+        self.server.advance_quiet(cycles);
+        self.net.advance_idle(cycles);
         self.cycle = to.value();
     }
 }
