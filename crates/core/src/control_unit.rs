@@ -868,6 +868,29 @@ mod tests {
         assert!(narrow.restore(&snap).is_err());
     }
 
+    /// A snapshot whose active partition holds a wire past the fabric
+    /// restores as an `Err` and leaves the unit untouched, instead of
+    /// restoring a state whose next `step` indexes past `wire_busy`.
+    #[test]
+    fn restore_rejects_out_of_range_active_wires() {
+        use flumen_sim::{Json, Snapshotable};
+        let mut cu = unit();
+        let mut net = net16();
+        cu.on_request(0, 0, 2, 1, [20, 64, 4, 0, 0]);
+        let _ = drive(&mut cu, &mut net, 1);
+        assert_eq!(cu.active.len(), 1);
+        let text = cu.snapshot().to_canonical();
+        let tampered = text.replace(r#""wires":[0,1,2,3]"#, r#""wires":[0,1,2,8]"#);
+        assert_ne!(tampered, text, "snapshot holds the granted wires");
+        let bad = Json::parse(&tampered).unwrap();
+        let mut fresh = unit();
+        assert!(fresh.restore(&bad).is_err());
+        assert_eq!(
+            fresh.snapshot().to_canonical(),
+            unit().snapshot().to_canonical()
+        );
+    }
+
     #[test]
     fn timeout_rejects_stuck_requests() {
         let params = ControlUnitParams {
@@ -935,9 +958,11 @@ impl flumen_sim::FromJson for CompRequest {
 flumen_sim::json_struct!(ActivePartition { ports, tag, wires });
 
 // Checkpoint support. Parameters and the tracer are reconstruction-time
-// state and not serialized; restore validates the wire count against the
-// already-configured instance. The program cache rides as hex (content
-// hashes use the full 64-bit range) in FIFO order.
+// state and not serialized. Restore parses every field first, checks the
+// wire count and every active partition's wires against the
+// already-configured instance, and changes nothing on `Err`. The program
+// cache rides as hex (content hashes use the full 64-bit range) in FIFO
+// order.
 impl flumen_sim::Snapshotable for MzimControlUnit {
     fn snapshot(&self) -> flumen_sim::Json {
         use flumen_sim::{Json, ToJson};
@@ -958,24 +983,39 @@ impl flumen_sim::Snapshotable for MzimControlUnit {
 
     fn restore(&mut self, j: &flumen_sim::Json) -> std::result::Result<(), flumen_sim::JsonError> {
         use flumen_sim::{FromJson, JsonError};
+        let n = self.params.fabric_n;
         let wire_busy = Vec::<bool>::from_json(j.get("wire_busy")?)?;
-        if wire_busy.len() != self.params.fabric_n {
+        if wire_busy.len() != n {
             return Err(JsonError(format!(
-                "MzimControlUnit.wire_busy: snapshot has {} wires, instance has {}",
+                "MzimControlUnit.wire_busy: snapshot has {} wires, instance has {n}",
                 wire_busy.len(),
-                self.params.fabric_n
             )));
         }
-        self.queue = VecDeque::from_json(j.get("queue")?)?;
-        self.active = EventQueue::from_json(j.get("active")?)?;
+        let active = EventQueue::<ActivePartition>::from_json(j.get("active")?)?;
+        let wires = active.iter_sorted().flat_map(|(_, p)| &p.wires);
+        if let Some(w) = wires.copied().find(|&w| w >= n) {
+            return Err(JsonError(format!(
+                "MzimControlUnit.active: wire {w} is past the {n}-wire fabric"
+            )));
+        }
+        let queue = VecDeque::from_json(j.get("queue")?)?;
+        let counts = ActivityCounts::from_json(j.get("counts")?)?;
+        let finished = Vec::from_json(j.get("finished")?)?;
+        let admitted = j.get("admitted")?.as_u64()?;
+        let rejected = j.get("rejected")?.as_u64()?;
+        let cache_keys = flumen_sim::json::u64s_from_hex(j.get("cache_keys")?)?.into();
+        let program_cache_hits = j.get("program_cache_hits")?.as_u64()?;
+        let program_cache_misses = j.get("program_cache_misses")?.as_u64()?;
+        self.queue = queue;
+        self.active = active;
         self.wire_busy = wire_busy;
-        self.counts = ActivityCounts::from_json(j.get("counts")?)?;
-        self.finished = Vec::from_json(j.get("finished")?)?;
-        self.admitted = j.get("admitted")?.as_u64()?;
-        self.rejected = j.get("rejected")?.as_u64()?;
-        self.cache_keys = flumen_sim::json::u64s_from_hex(j.get("cache_keys")?)?.into();
-        self.program_cache_hits = j.get("program_cache_hits")?.as_u64()?;
-        self.program_cache_misses = j.get("program_cache_misses")?.as_u64()?;
+        self.counts = counts;
+        self.finished = finished;
+        self.admitted = admitted;
+        self.rejected = rejected;
+        self.cache_keys = cache_keys;
+        self.program_cache_hits = program_cache_hits;
+        self.program_cache_misses = program_cache_misses;
         Ok(())
     }
 }

@@ -13,8 +13,6 @@
 //!   with the `flumen-noc` crossbar and the `flumen-system` multicore.
 //! * [`runtime`] — one-call benchmark execution on Ring / Mesh / OptBus /
 //!   Flumen-I / Flumen-A (the data behind paper Figs. 13–15).
-//! * [`PhotonicExecutor`] — numerical execution of the benchmarks on the
-//!   actual E-field circuit model (correctness + 8-bit analog accuracy).
 //!
 //! The photonic fabric itself ([`FlumenFabric`]), its communication
 //! routing and compute circuits live in `flumen-photonics` and are
@@ -47,12 +45,10 @@
 #![warn(missing_debug_implementations)]
 
 mod control_unit;
-mod numerics;
 pub mod runtime;
 pub mod scheduler;
 
 pub use control_unit::{ControlUnitParams, MzimControlUnit};
-pub use numerics::PhotonicExecutor;
 pub use runtime::{
     run_benchmark, run_benchmark_checkpointed, run_benchmark_traced, run_utilization_trace,
     CheckpointPolicy, FullRunResult, RuntimeConfig, SystemTopology,

@@ -9,8 +9,7 @@
 //! batching changes is *cycles* — the one-time mesh programming is paid
 //! once instead of `B` times. The energy half of the identity
 //! (`batched_total == 1×programming + B×propagation`, bit-exact) is
-//! pinned in `flumen-power`; the numeric half (batched results
-//! bit-identical to singles) in `flumen-photonics`.
+//! pinned in `flumen-power` and checked here for every shape exercised.
 
 use flumen::{ControlUnitParams, MzimControlUnit};
 use flumen_noc::{CrossbarConfig, MzimCrossbar, Network};

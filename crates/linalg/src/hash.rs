@@ -1,10 +1,9 @@
 //! A compact SHA-256 for content-addressing.
 //!
 //! FIPS 180-4, no external dependencies. Used by `flumen-sweep` to hash
-//! canonical-JSON job specs and by the fabric's MeshProgram cache to key
-//! weight matrices (`f64::to_bits` little-endian bytes). Collision
-//! resistance and stability across runs/platforms are what the cache
-//! keys need. Speed matters too: hashing a spec costs microseconds, so a
+//! canonical-JSON job specs and by taskgen to key offloaded weight
+//! strips. Collision resistance and stability across runs/platforms are
+//! what the cache keys need. Speed matters too: hashing a spec costs microseconds, so a
 //! caller that hashes per request rather than per distinct spec pays for
 //! it (the serve engine hashes each distinct payload once per call).
 

@@ -13,20 +13,19 @@
 //! * [`svd`], [`spectral_norm`], [`spectral_scale`] — one-sided Jacobi SVD,
 //!   used to lower arbitrary weight blocks onto SVD-MZIM circuits
 //!   (paper §3.3.1).
-//! * [`BlockMatrix`] — zero-padding and `N×N` block decomposition for block
-//!   matrix multiplication on an `N`-input fabric (paper Eqs. 2–3).
 //!
-//! # Example: lowering a weight matrix for an 8-input MZIM
+//! # Example: lowering a weight matrix onto an SVD circuit
 //!
 //! ```
-//! use flumen_linalg::{spectral_scale, BlockMatrix, RMat};
+//! use flumen_linalg::{spectral_scale, svd, RMat};
 //!
 //! # fn main() -> Result<(), flumen_linalg::LinalgError> {
-//! let weights = RMat::from_fn(10, 12, |r, c| ((r + c) % 5) as f64 / 5.0);
+//! let weights = RMat::from_fn(8, 8, |r, c| ((r + c) % 5) as f64 / 5.0);
 //! let (scaled, norm) = spectral_scale(&weights)?;   // σ_max(scaled) == 1
-//! let blocks = BlockMatrix::decompose(&scaled, 8);  // 2×2 grid of 8×8 blocks
-//! let x = vec![0.25; 12];
-//! let y = blocks.mul_vec_exact(&x);                 // photonic-style block MVM
+//! let f = svd(&scaled)?;                            // scaled = U Σ Vᵀ
+//! assert!(f.sigma.iter().all(|&s| s <= 1.0 + 1e-9)); // Σ fits the attenuators
+//! let x = vec![0.25; 8];
+//! let y = f.reconstruct().mul_vec(&x);
 //! let y_true = weights.mul_vec(&x);
 //! for (a, b) in y.iter().zip(y_true.iter()) {
 //!     assert!((a * norm - b).abs() < 1e-9);
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod block;
 mod cmat;
 mod complex;
 mod error;
@@ -50,7 +48,6 @@ mod qr;
 mod rmat;
 mod svd;
 
-pub use block::BlockMatrix;
 pub use cmat::CMat;
 pub use complex::C64;
 pub use error::{LinalgError, Result};

@@ -94,12 +94,6 @@ impl RMat {
         &self.data
     }
 
-    /// Mutable borrow of the underlying row-major storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// A borrowed view of row `r`.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -235,35 +229,6 @@ impl RMat {
     pub fn from_cmat_re(m: &CMat) -> RMat {
         RMat::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)].re)
     }
-
-    /// Zero-pads to `new_rows × new_cols` (paper Eq. 2), placing `self` in
-    /// the top-left corner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape is smaller than the current shape.
-    pub fn zero_pad(&self, new_rows: usize, new_cols: usize) -> RMat {
-        assert!(
-            new_rows >= self.rows && new_cols >= self.cols,
-            "zero_pad target must not shrink the matrix"
-        );
-        let mut out = RMat::zeros(new_rows, new_cols);
-        for r in 0..self.rows {
-            out.data[r * new_cols..r * new_cols + self.cols].copy_from_slice(self.row(r));
-        }
-        out
-    }
-
-    /// Extracts the `rows×cols` sub-block whose top-left corner is
-    /// `(r0, c0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block exceeds the matrix bounds.
-    pub fn sub_block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> RMat {
-        assert!(r0 + rows <= self.rows && c0 + cols <= self.cols);
-        RMat::from_fn(rows, cols, |r, c| self[(r0 + r, c0 + c)])
-    }
 }
 
 impl Index<(usize, usize)> for RMat {
@@ -373,33 +338,6 @@ mod tests {
         for r in 0..3 {
             assert!((y1[r] - y2[(r, 0)]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn zero_pad_places_top_left() {
-        let a = RMat::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let p = a.zero_pad(3, 4);
-        assert_eq!(p[(0, 0)], 1.0);
-        assert_eq!(p[(1, 1)], 4.0);
-        assert_eq!(p[(2, 3)], 0.0);
-        assert_eq!(p[(0, 2)], 0.0);
-        assert_eq!(p.rows(), 3);
-        assert_eq!(p.cols(), 4);
-    }
-
-    #[test]
-    fn sub_block_roundtrip() {
-        let a = RMat::from_fn(4, 4, |r, c| (r * 4 + c) as f64);
-        let b = a.sub_block(1, 2, 2, 2);
-        assert_eq!(b[(0, 0)], 6.0);
-        assert_eq!(b[(1, 1)], 11.0);
-    }
-
-    #[test]
-    fn pad_then_extract_is_identity() {
-        let a = RMat::from_fn(3, 5, |r, c| (r * 5 + c) as f64);
-        let padded = a.zero_pad(8, 8);
-        assert!(padded.sub_block(0, 0, 3, 5).approx_eq(&a, 0.0));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use flumen_linalg::{
-    qr, random_orthogonal, random_unitary, spectral_norm, spectral_scale, svd, BlockMatrix, CMat,
-    RMat, C64,
+    qr, random_orthogonal, random_unitary, spectral_norm, spectral_scale, svd, CMat, RMat, C64,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,19 +91,6 @@ proptest! {
         for c in 0..n {
             let col_norm: f64 = (0..n).map(|r| q[(r, c)] * q[(r, c)]).sum::<f64>().sqrt();
             prop_assert!((col_norm - 1.0).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn block_mvm_matches_dense((rows, cols) in (1usize..12, 1usize..12), n in 1usize..6, seed in any::<u32>()) {
-        let m = rmat_from_seed(rows, cols, seed);
-        let x: Vec<f64> = (0..cols).map(|i| (i as f64 * 0.37).sin()).collect();
-        let blocks = BlockMatrix::decompose(&m, n);
-        let yb = blocks.mul_vec_exact(&x);
-        let yd = m.mul_vec(&x);
-        prop_assert_eq!(yb.len(), yd.len());
-        for (a, b) in yb.iter().zip(yd.iter()) {
-            prop_assert!((a - b).abs() < 1e-8 * (1.0 + b.abs()));
         }
     }
 

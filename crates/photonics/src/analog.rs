@@ -55,14 +55,6 @@ impl AnalogModel {
         }
     }
 
-    /// Whether this model changes values at all.
-    pub fn is_ideal(&self) -> bool {
-        self.input_bits == 0
-            && self.phase_bits == 0
-            && self.output_bits == 0
-            && self.readout_noise_rel == 0.0
-    }
-
     /// Quantizes `x` to a symmetric signed grid of `bits` bits over
     /// `[-full_scale, +full_scale]`. `bits == 0` returns `x` unchanged.
     pub fn quantize(x: f64, bits: u32, full_scale: f64) -> f64 {
@@ -140,7 +132,6 @@ mod tests {
     #[test]
     fn ideal_passes_through() {
         let m = AnalogModel::ideal();
-        assert!(m.is_ideal());
         let mut xs = vec![0.123456789, -0.987654321];
         let orig = xs.clone();
         m.quantize_inputs(&mut xs);

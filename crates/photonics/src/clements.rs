@@ -122,37 +122,6 @@ pub fn decompose(u: &CMat) -> Result<MeshProgram> {
     })
 }
 
-impl MeshProgram {
-    /// Programs `mesh` **once** and streams a batch of input vectors
-    /// through it — the batched-MVM primitive. In a photonic accelerator
-    /// the expensive step is writing `n(n−1)/2` MZI phases (thermo-optic
-    /// settling, DAC writes); per-vector propagation is cheap. This method
-    /// makes that amortization explicit: one [`apply_program`] call, `B`
-    /// propagations.
-    ///
-    /// **Contract:** output `i` is bit-identical to programming the mesh
-    /// and then calling [`MzimMesh::propagate`] on `inputs[i]` alone —
-    /// batching never changes numerics.
-    ///
-    /// # Errors
-    ///
-    /// * Propagates [`apply_program`] errors (size mismatch, unroutable).
-    /// * [`PhotonicsError::DimensionMismatch`] if any input vector's
-    ///   length differs from the program size `n`.
-    pub fn apply_batch(&self, mesh: &mut MzimMesh, inputs: &[Vec<C64>]) -> Result<Vec<Vec<C64>>> {
-        apply_program(mesh, self)?;
-        for x in inputs {
-            if x.len() != self.n {
-                return Err(PhotonicsError::DimensionMismatch {
-                    expected: self.n,
-                    actual: x.len(),
-                });
-            }
-        }
-        Ok(mesh.propagate_batch(inputs))
-    }
-}
-
 /// Programs a physical mesh so its transfer matrix equals `u`.
 ///
 /// The program's application-ordered ops are placed into physical columns by

@@ -18,15 +18,14 @@
 //! traffic and run matrix products.
 
 use crate::analog::AnalogModel;
-use crate::clements::{apply_program_in_range, decompose, program_mesh, MeshProgram};
+use crate::clements::{apply_program_in_range, decompose, program_mesh};
 use crate::device::DeviceParams;
 use crate::mesh::MzimMesh;
-use crate::mzi::{Attenuator, MziPhase};
+use crate::mzi::Attenuator;
 use crate::routing;
 use crate::{PhotonicsError, Result};
-use flumen_linalg::{sha256_hex, spectral_scale, svd, CMat, RMat, C64};
+use flumen_linalg::{spectral_scale, svd, CMat, RMat, C64};
 use flumen_units::Decibels;
-use std::collections::{BTreeMap, VecDeque};
 
 /// What a fabric partition is currently doing.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,33 +65,6 @@ pub enum PartitionConfig<'a> {
     /// Program a compute circuit for the given `w×w` matrix (spectral-norm
     /// scaling is applied automatically).
     Compute(&'a RMat),
-}
-
-/// Hit/miss statistics of the fabric's MeshProgram cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProgramCacheStats {
-    /// Compute-partition programs served from the in-memory cache (SVD +
-    /// Clements decomposition skipped).
-    pub hits: u64,
-    /// In-memory misses: programs derived from scratch, then cached.
-    pub misses: u64,
-    /// Entries dropped by LRU eviction since the last counter reset.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-}
-
-/// Phase-diff statistics from the most recent successful
-/// [`FlumenFabric::set_partitions`] call: how much of the mesh actually
-/// changed, for incremental-reprogramming latency/energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReprogramStats {
-    /// Mesh MZIs whose phase pair differs from before the call.
-    pub changed_mzis: usize,
-    /// Attenuator-column MZIs whose amplitude differs from before the call.
-    pub changed_attens: usize,
-    /// Total programmable mesh MZIs (`N(N−1)/2`).
-    pub total_mzis: usize,
 }
 
 /// Per-path trace through the fabric, for loss accounting.
@@ -143,66 +115,6 @@ pub struct FlumenFabric {
     /// Phase screen at the fabric outputs.
     out_phases: Vec<f64>,
     partitions: Vec<Partition>,
-    /// Content-addressed MeshProgram cache keyed by SHA-256 over the weight
-    /// matrix bits; survives [`FlumenFabric::reset`].
-    program_cache: BTreeMap<String, PartitionProgram>,
-    /// LRU recency order of `program_cache` keys (front = coldest).
-    program_cache_order: VecDeque<String>,
-    program_cache_hits: u64,
-    program_cache_misses: u64,
-    program_cache_evictions: u64,
-    last_reprogram: ReprogramStats,
-}
-
-/// MeshProgram-cache capacity. Weight strips repeat heavily within an
-/// offload batch (§3.3); a few dozen entries cover the working set of
-/// every benchmark workload while bounding memory to ~capacity·N² phases.
-const PROGRAM_CACHE_CAPACITY: usize = 32;
-
-/// Everything a compute partition needs, minus the mesh writes: the two
-/// Clements programs for `Vᵀ` and `U`, the singular values for the Σ
-/// attenuator column, and the folded-out spectral norm. Replaying a
-/// program is deterministic, so a cache hit configures the mesh
-/// bit-identically to a fresh derivation.
-#[derive(Debug, Clone)]
-struct PartitionProgram {
-    v_prog: MeshProgram,
-    u_prog: MeshProgram,
-    sigma: Vec<f64>,
-    norm: f64,
-}
-
-/// Derives the partition program for a `w×w` weight matrix: spectral
-/// pre-scaling, SVD, and one Clements decomposition per unitary factor —
-/// the cold path the program cache short-circuits.
-fn derive_program(m: &RMat) -> Result<PartitionProgram> {
-    let (scaled, norm) = spectral_scale(m)?;
-    let f = svd(&scaled)?;
-    for &s in &f.sigma {
-        if s > 1.0 + 1e-9 {
-            return Err(PhotonicsError::SingularValueTooLarge { sigma: s });
-        }
-    }
-    Ok(PartitionProgram {
-        v_prog: decompose(&f.v.transpose().to_cmat())?,
-        u_prog: decompose(&f.u.to_cmat())?,
-        sigma: f.sigma,
-        norm,
-    })
-}
-
-/// Content-address of a weight matrix: SHA-256 over dimensions plus the
-/// little-endian `f64::to_bits` of every element (row-major). Bit-exact —
-/// matrices differing only in `-0.0` vs `+0.0` or NaN payloads hash apart,
-/// which errs on the side of a spurious miss, never a wrong hit.
-fn matrix_key(m: &RMat) -> String {
-    let mut bytes = Vec::with_capacity(16 + m.as_slice().len() * 8);
-    bytes.extend_from_slice(&(m.rows() as u64).to_le_bytes());
-    bytes.extend_from_slice(&(m.cols() as u64).to_le_bytes());
-    for v in m.as_slice() {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    sha256_hex(&bytes)
 }
 
 impl FlumenFabric {
@@ -230,12 +142,6 @@ impl FlumenFabric {
                 width: n,
                 role: PartitionRole::Idle,
             }],
-            program_cache: BTreeMap::new(),
-            program_cache_order: VecDeque::new(),
-            program_cache_hits: 0,
-            program_cache_misses: 0,
-            program_cache_evictions: 0,
-            last_reprogram: ReprogramStats::default(),
         })
     }
 
@@ -339,8 +245,6 @@ impl FlumenFabric {
                 requirement: "partition widths must be even, ≥ 2, and sum to the fabric size",
             });
         }
-        let phases_before: Vec<MziPhase> = self.mesh.iter().map(|s| s.phase).collect();
-        let attens_before: Vec<f64> = self.attens.iter().map(|a| a.amplitude()).collect();
         self.reset();
         self.partitions.clear();
         let mut base = 0usize;
@@ -360,26 +264,14 @@ impl FlumenFabric {
             });
             base += width;
         }
-        self.last_reprogram = ReprogramStats {
-            changed_mzis: self
-                .mesh
-                .iter()
-                .zip(phases_before.iter())
-                .filter(|(s, p)| s.phase != **p)
-                .count(),
-            changed_attens: self
-                .attens
-                .iter()
-                .zip(attens_before.iter())
-                .filter(|(a, b)| a.amplitude() != **b)
-                .count(),
-            total_mzis: self.mesh.mzi_count(),
-        };
         Ok(())
     }
 
-    /// Programs wires `[base, base+w)` as a `w`-input SVD circuit. Returns
-    /// the spectral-norm scale factor.
+    /// Programs wires `[base, base+w)` as a `w`-input SVD circuit:
+    /// spectral pre-scaling, SVD, and one Clements decomposition per
+    /// unitary factor — `Vᵀ` on the left half-columns, `U` on the right —
+    /// with `Σ` on the attenuator column. Returns the spectral-norm scale
+    /// factor.
     fn program_compute_partition(&mut self, base: usize, w: usize, m: &RMat) -> Result<f64> {
         if m.rows() != w || m.cols() != w {
             return Err(PhotonicsError::DimensionMismatch {
@@ -393,73 +285,24 @@ impl FlumenFabric {
                 requirement: "compute partitions need width ≤ N/2 (half-columns per mesh)",
             });
         }
-        let key = matrix_key(m);
-        if let Some(cached) = self.program_cache.get(&key) {
-            let cached = cached.clone();
-            self.program_cache_hits += 1;
-            self.cache_touch(&key);
-            return self.apply_program(base, w, &cached);
+        let (scaled, norm) = spectral_scale(m)?;
+        let f = svd(&scaled)?;
+        for &s in &f.sigma {
+            if s > 1.0 + 1e-9 {
+                return Err(PhotonicsError::SingularValueTooLarge { sigma: s });
+            }
         }
-        self.program_cache_misses += 1;
-        let entry = derive_program(m)?;
-        let result = self.apply_program(base, w, &entry)?;
-        self.cache_insert(key, entry);
-        Ok(result)
-    }
-
-    /// Writes a (possibly cached) compute program onto wires
-    /// `[base, base+w)`. Deterministic given the program, so cache hits and
-    /// cold derivations produce bit-identical mesh state.
-    fn apply_program(&mut self, base: usize, w: usize, prog: &PartitionProgram) -> Result<f64> {
+        let v_prog = decompose(&f.v.transpose().to_cmat())?;
+        let u_prog = decompose(&f.u.to_cmat())?;
         let half = self.n / 2;
-        let v_out = apply_program_in_range(&mut self.mesh, &prog.v_prog, base, 0, half)?;
-        let u_out = apply_program_in_range(&mut self.mesh, &prog.u_prog, base, half, half)?;
+        let v_out = apply_program_in_range(&mut self.mesh, &v_prog, base, 0, half)?;
+        let u_out = apply_program_in_range(&mut self.mesh, &u_prog, base, half, half)?;
         for i in 0..w {
             self.mid_phases[base + i] = v_out[i];
             self.out_phases[base + i] = u_out[i];
-            self.attens[base + i] = Attenuator::with_amplitude(prog.sigma[i].min(1.0))?;
+            self.attens[base + i] = Attenuator::with_amplitude(f.sigma[i].min(1.0))?;
         }
-        Ok(prog.norm)
-    }
-
-    /// Marks `key` most-recently-used.
-    fn cache_touch(&mut self, key: &str) {
-        if let Some(pos) = self.program_cache_order.iter().position(|k| k == key) {
-            if let Some(k) = self.program_cache_order.remove(pos) {
-                self.program_cache_order.push_back(k);
-            }
-        }
-    }
-
-    /// Inserts a derived program, evicting the least-recently-used entries
-    /// once the capacity is reached.
-    fn cache_insert(&mut self, key: String, entry: PartitionProgram) {
-        while self.program_cache.len() >= PROGRAM_CACHE_CAPACITY {
-            if let Some(coldest) = self.program_cache_order.pop_front() {
-                self.program_cache.remove(&coldest);
-                self.program_cache_evictions += 1;
-            } else {
-                break;
-            }
-        }
-        self.program_cache_order.push_back(key.clone());
-        self.program_cache.insert(key, entry);
-    }
-
-    /// Hit/miss statistics of the MeshProgram cache.
-    pub fn program_cache_stats(&self) -> ProgramCacheStats {
-        ProgramCacheStats {
-            hits: self.program_cache_hits,
-            misses: self.program_cache_misses,
-            evictions: self.program_cache_evictions,
-            entries: self.program_cache.len(),
-        }
-    }
-
-    /// Phase-diff statistics from the most recent successful
-    /// [`FlumenFabric::set_partitions`] call.
-    pub fn last_reprogram(&self) -> ReprogramStats {
-        self.last_reprogram
+        Ok(norm)
     }
 
     /// Routes a permutation inside communication partition `part`
@@ -570,64 +413,6 @@ impl FlumenFabric {
             *y *= scale;
         }
         Ok(ys)
-    }
-
-    /// Runs the compute partition `part` over a **batch** of input vectors
-    /// with one fabric configuration (ideal analog model).
-    ///
-    /// The fabric is programmed by [`FlumenFabric::set_partitions`] before
-    /// this call; the batch then streams through the fixed phase state.
-    /// This is the `mvm_batched` primitive: one programming (the expensive
-    /// thermo-optic/DAC step, amortized by the program cache and counted
-    /// once in the power model) and `B` cheap propagations.
-    ///
-    /// **Contract:** element `i` of the result is bit-identical to
-    /// `self.compute_in(part, &xs[i])` — batching never changes numerics.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlumenFabric::compute_in`]; the first invalid vector aborts
-    /// the batch.
-    pub fn compute_batch_in(&self, part: usize, xs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        self.compute_batch_in_with_model(part, xs, &AnalogModel::ideal(), 0)
-    }
-
-    /// Batched [`FlumenFabric::compute_in_with_model`].
-    ///
-    /// Vector `i` uses readout-noise seed `seed.wrapping_add(i as u64)`, so
-    /// the batch is bit-identical to the sequence of single calls
-    /// `compute_in_with_model(part, &xs[i], model, seed + i)` — distinct
-    /// vectors draw independent noise, and the equivalence to single-vector
-    /// execution stays exact (the conservation property the batched-offload
-    /// tests pin down).
-    ///
-    /// # Errors
-    ///
-    /// See [`FlumenFabric::compute_in`]; the first invalid vector aborts
-    /// the batch.
-    pub fn compute_batch_in_with_model(
-        &self,
-        part: usize,
-        xs: &[Vec<f64>],
-        model: &AnalogModel,
-        seed: u64,
-    ) -> Result<Vec<Vec<f64>>> {
-        let mut out = Vec::with_capacity(xs.len());
-        for (i, x) in xs.iter().enumerate() {
-            out.push(self.compute_in_with_model(part, x, model, seed.wrapping_add(i as u64))?);
-        }
-        Ok(out)
-    }
-
-    /// Batched [`FlumenFabric::propagate`]: one fixed fabric state, `B`
-    /// E-field propagations. Element `i` is bit-identical to
-    /// `self.propagate(&inputs[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input vector's length differs from `n`.
-    pub fn propagate_batch(&self, inputs: &[Vec<C64>]) -> Vec<Vec<C64>> {
-        inputs.iter().map(|x| self.propagate(x)).collect()
     }
 
     /// Physical E-field propagation through the whole fabric: left
@@ -891,6 +676,15 @@ mod tests {
         f.set_partitions(&[(8, PartitionConfig::Comm)]).unwrap();
         assert!(f.compute_in(0, &[0.0; 8]).is_err());
         assert!(f.compute_in(3, &[0.0; 4]).is_err());
+        // An input whose length is not the compute partition's width.
+        let m = RMat::identity(4);
+        f.set_partitions(&[
+            (4, PartitionConfig::Compute(&m)),
+            (4, PartitionConfig::Idle),
+        ])
+        .unwrap();
+        assert!(f.compute_in(0, &[0.5; 4]).is_ok());
+        assert!(f.compute_in(0, &[0.5; 5]).is_err());
     }
 
     #[test]
@@ -962,111 +756,6 @@ mod tests {
         for i in 0..4 {
             assert!((y[i] - t[i]).abs() < 0.05 * fs.max(1e-9));
         }
-    }
-
-    #[test]
-    fn cache_hit_programs_bit_identically() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let m = RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0));
-        let cfg = [
-            (4usize, PartitionConfig::Compute(&m)),
-            (4, PartitionConfig::Idle),
-        ];
-        let mut cold = FlumenFabric::new(8).unwrap();
-        cold.set_partitions(&cfg).unwrap();
-        let cold_t = cold.transfer_matrix();
-        assert_eq!(cold.program_cache_stats().hits, 0);
-        assert_eq!(cold.program_cache_stats().misses, 1);
-        assert_eq!(cold.program_cache_stats().entries, 1);
-
-        // Re-programming the same matrix hits the cache and produces the
-        // exact same mesh state (PartialEq on CMat is bitwise) without
-        // deriving a program again (no SVD, no Clements decomposition).
-        cold.set_partitions(&cfg).unwrap();
-        assert_eq!(cold.program_cache_stats().hits, 1);
-        assert_eq!(cold.program_cache_stats().misses, 1);
-        assert_eq!(cold.transfer_matrix(), cold_t);
-    }
-
-    fn random_mats(seed: u64, count: usize) -> Vec<RMat> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..count)
-            .map(|_| RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0)))
-            .collect()
-    }
-
-    fn compute(f: &mut FlumenFabric, m: &RMat) {
-        f.set_partitions(&[(4, PartitionConfig::Compute(m)), (4, PartitionConfig::Idle)])
-            .unwrap()
-    }
-
-    #[test]
-    fn cache_overflow_rederives_evicted_programs_bit_identically() {
-        let mats = random_mats(22, 2 * PROGRAM_CACHE_CAPACITY + 3);
-        let mut f = FlumenFabric::new(8).unwrap();
-        compute(&mut f, &mats[0]);
-        let first_t = f.transfer_matrix();
-        for m in &mats[1..] {
-            compute(&mut f, m);
-        }
-        let stats = f.program_cache_stats();
-        assert_eq!(stats.entries, PROGRAM_CACHE_CAPACITY);
-        assert_eq!(stats.misses, mats.len() as u64);
-        assert_eq!(
-            stats.evictions,
-            (mats.len() - PROGRAM_CACHE_CAPACITY) as u64
-        );
-        // mats[0] was evicted long ago: a fresh derivation, same mesh bits.
-        compute(&mut f, &mats[0]);
-        assert_eq!(f.program_cache_stats().hits, 0);
-        assert_eq!(f.transfer_matrix(), first_t);
-    }
-
-    #[test]
-    fn cache_evicts_lru_at_capacity() {
-        let mats = random_mats(23, PROGRAM_CACHE_CAPACITY + 1);
-        let mut f = FlumenFabric::new(8).unwrap();
-        for m in &mats[..PROGRAM_CACHE_CAPACITY] {
-            compute(&mut f, m);
-        }
-        // Touch mats[0]: it becomes most-recently-used.
-        compute(&mut f, &mats[0]);
-        assert_eq!(f.program_cache_stats().hits, 1);
-        // Overflowing the cache must now evict mats[1] (the LRU entry),
-        // not mats[0] (which FIFO would have dropped).
-        compute(&mut f, &mats[PROGRAM_CACHE_CAPACITY]);
-        let stats = f.program_cache_stats();
-        assert_eq!(stats.entries, PROGRAM_CACHE_CAPACITY);
-        assert_eq!(stats.evictions, 1);
-        compute(&mut f, &mats[0]);
-        assert_eq!(f.program_cache_stats().hits, 2, "recently-used survived");
-        let misses = f.program_cache_stats().misses;
-        compute(&mut f, &mats[1]);
-        assert_eq!(
-            f.program_cache_stats().misses,
-            misses + 1,
-            "LRU entry was evicted"
-        );
-    }
-
-    #[test]
-    fn reprogram_stats_diff_changed_mzis() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let m = RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0));
-        let cfg = [
-            (4usize, PartitionConfig::Compute(&m)),
-            (4, PartitionConfig::Idle),
-        ];
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_partitions(&cfg).unwrap();
-        let first = f.last_reprogram();
-        assert!(first.changed_mzis > 0);
-        assert_eq!(first.total_mzis, 28);
-        // Identical re-program: every phase lands on its previous value.
-        f.set_partitions(&cfg).unwrap();
-        let second = f.last_reprogram();
-        assert_eq!(second.changed_mzis, 0);
-        assert_eq!(second.changed_attens, 0);
     }
 
     #[test]

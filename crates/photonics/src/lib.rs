@@ -28,10 +28,7 @@ mod svd_circuit;
 pub use analog::AnalogModel;
 pub use device::DeviceParams;
 pub use error::{PhotonicsError, Result};
-pub use fabric::{
-    FabricTrace, FlumenFabric, Partition, PartitionConfig, PartitionRole, ProgramCacheStats,
-    ReprogramStats,
-};
+pub use fabric::{FabricTrace, FlumenFabric, Partition, PartitionConfig, PartitionRole};
 pub use imperfection::{crosstalk_floor_db, CouplerImbalance, ThermalModel};
 pub use mesh::{MziSlot, MzimMesh, RouteTrace};
 pub use mzi::{Attenuator, MziPhase};

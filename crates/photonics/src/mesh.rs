@@ -197,22 +197,6 @@ impl MzimMesh {
         field
     }
 
-    /// Propagates a batch of input vectors through the mesh with a single
-    /// phase programming. The mesh state is read once and streamed over
-    /// every vector — the photonic batched-MVM access pattern where one
-    /// mesh configuration amortizes over `B` propagations.
-    ///
-    /// **Contract:** element `i` of the result is bit-identical to
-    /// `self.propagate(&inputs[i])` — batching changes scheduling and
-    /// energy accounting, never numerics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input vector's length differs from `n`.
-    pub fn propagate_batch(&self, inputs: &[Vec<C64>]) -> Vec<Vec<C64>> {
-        inputs.iter().map(|x| self.propagate(x)).collect()
-    }
-
     /// The full `n×n` complex transfer matrix of the mesh.
     pub fn transfer_matrix(&self) -> CMat {
         let mut u = CMat::identity(self.n);

@@ -1,35 +1,24 @@
 //! The typed component interface the kernel drives.
 
 use crate::rng::SimRng;
-use flumen_trace::TraceHandle;
 use flumen_units::Cycles;
 
-/// Shared per-step services: the deterministic random stream and the trace
-/// sink. Threading these through the kernel (rather than storing them in
-/// every simulated struct) is what lets a snapshot capture *all* run state
-/// in one place.
+/// Shared per-step services: the deterministic random stream. Threading it
+/// through the kernel (rather than storing it in every simulated struct)
+/// is what lets a snapshot capture *all* run state in one place.
 #[derive(Debug)]
 pub struct SimCtx {
     /// The run's random stream. Components must draw from this — never
     /// from ambient OS entropy — so runs replay bit-identically.
     pub rng: SimRng,
-    /// The trace sink; disabled by default, free when disabled.
-    pub tracer: TraceHandle,
 }
 
 impl SimCtx {
-    /// A context with a seeded stream and tracing disabled.
+    /// A context with a seeded stream.
     pub fn new(seed: u64) -> Self {
         SimCtx {
             rng: SimRng::seed_from_u64(seed),
-            tracer: TraceHandle::disabled(),
         }
-    }
-
-    /// Installs a trace sink.
-    pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
-        self.tracer = tracer;
-        self
     }
 }
 

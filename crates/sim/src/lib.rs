@@ -7,7 +7,7 @@
 //! * [`Clock`] — a single `u64` cycle domain, surfaced as unit-checked
 //!   [`flumen_units::Cycles`].
 //! * [`Component`] — the typed step interface the kernel drives, with
-//!   shared services ([`SimRng`], tracing) threaded through [`SimCtx`].
+//!   the shared [`SimRng`] threaded through [`SimCtx`].
 //! * [`EventQueue`] — deterministic `(deadline, FIFO)` scheduled wakeups
 //!   for DRAM returns, phase-programming completions, and reconfiguration
 //!   guard times.

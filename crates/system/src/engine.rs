@@ -897,33 +897,83 @@ where
     }
 
     fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
-        use flumen_sim::FromJson;
-        self.barrier_counts = BTreeMap::from_json(j.get("barrier_counts")?)?;
+        use flumen_sim::{FromJson, JsonError};
+        let (num_cores, chiplets) = (self.cfg.cores, self.cfg.chiplets);
         let cores: Vec<CoreState> = Vec::from_json(j.get("cores")?)?;
         // A core count other than the configured one would index past the
         // per-core caches (more cores) or never release a barrier (fewer).
-        if cores.len() != self.cfg.cores {
-            return Err(flumen_sim::JsonError(format!(
-                "SystemSim.cores: snapshot has {} cores, instance has {}",
+        if cores.len() != num_cores {
+            return Err(JsonError(format!(
+                "SystemSim.cores: snapshot has {} cores, instance has {num_cores}",
                 cores.len(),
-                self.cfg.cores
             )));
         }
-        self.cores = cores;
-        self.counts = ActivityCounts::from_json(j.get("counts")?)?;
-        self.cycle = u64::from_json(j.get("cycle")?)?;
-        self.external_waiting = BTreeMap::from_json(j.get("external_waiting")?)?;
+        let external_waiting: BTreeMap<u64, (usize, Vec<CoreTask>)> =
+            BTreeMap::from_json(j.get("external_waiting")?)?;
+        let pending_replies: BTreeMap<u64, usize> = BTreeMap::from_json(j.get("pending_replies")?)?;
+        let pending_requests: BTreeMap<u64, ReqInfo> =
+            BTreeMap::from_json(j.get("pending_requests")?)?;
+        let server_jobs: EventQueue<Packet> = EventQueue::from_json(j.get("server_jobs")?)?;
+        // Every core and chiplet the in-flight state names must exist: a
+        // later step indexes `cores[core]` and the network's per-node
+        // queues with them. A writeback's `requester_core` is the
+        // `usize::MAX` sentinel and is never indexed.
+        let requesters = pending_requests
+            .values()
+            .filter(|r| !matches!(r.kind, ReqKind::Writeback { .. }))
+            .map(|r| r.requester_core);
+        let bad_core = external_waiting
+            .values()
+            .map(|(core, _)| *core)
+            .chain(pending_replies.values().copied())
+            .chain(requesters)
+            .find(|&c| c >= num_cores);
+        if let Some(core) = bad_core {
+            return Err(JsonError(format!(
+                "SystemSim: snapshot names core {core}, instance has {num_cores}"
+            )));
+        }
+        let reply_nodes = server_jobs.iter_sorted().flat_map(|(_, p)| {
+            [p.src, p.dst]
+                .into_iter()
+                .chain(p.extra_dests.iter().copied())
+        });
+        let bad_chiplet = pending_requests
+            .values()
+            .map(|r| r.src_chiplet)
+            .chain(reply_nodes)
+            .find(|&c| c >= chiplets);
+        if let Some(chiplet) = bad_chiplet {
+            return Err(JsonError(format!(
+                "SystemSim: snapshot names chiplet {chiplet}, instance has {chiplets}"
+            )));
+        }
+        let barrier_counts = BTreeMap::from_json(j.get("barrier_counts")?)?;
+        let counts = ActivityCounts::from_json(j.get("counts")?)?;
+        let cycle = u64::from_json(j.get("cycle")?)?;
+        let last_trace_busy = u64::from_json(j.get("last_trace_busy")?)?;
+        let next_tag = u64::from_json(j.get("next_tag")?)?;
+        let trace = Vec::from_json(j.get("trace")?)?;
+        // Sub-components restore in place, and only once every engine
+        // field has parsed and passed its checks. Each checks its own
+        // state, but a later one's `Err` can leave an earlier one
+        // restored; callers drop the instance on `Err`.
         caches_restore(&mut self.l1d, j.get("l1d")?, "SystemSim.l1d")?;
         caches_restore(&mut self.l2, j.get("l2")?, "SystemSim.l2")?;
         caches_restore(&mut self.l3, j.get("l3")?, "SystemSim.l3")?;
-        self.last_trace_busy = u64::from_json(j.get("last_trace_busy")?)?;
         self.net.restore(j.get("net")?)?;
-        self.next_tag = u64::from_json(j.get("next_tag")?)?;
-        self.pending_replies = BTreeMap::from_json(j.get("pending_replies")?)?;
-        self.pending_requests = BTreeMap::from_json(j.get("pending_requests")?)?;
         self.server.restore(j.get("server")?)?;
-        self.server_jobs = EventQueue::from_json(j.get("server_jobs")?)?;
-        self.trace = Vec::from_json(j.get("trace")?)?;
+        self.barrier_counts = barrier_counts;
+        self.cores = cores;
+        self.counts = counts;
+        self.cycle = cycle;
+        self.external_waiting = external_waiting;
+        self.last_trace_busy = last_trace_busy;
+        self.next_tag = next_tag;
+        self.pending_replies = pending_replies;
+        self.pending_requests = pending_requests;
+        self.server_jobs = server_jobs;
+        self.trace = trace;
         Ok(())
     }
 }
@@ -1227,6 +1277,95 @@ mod tests {
             // past the per-core caches, a shorter one never releases the
             // barrier.
         }
+    }
+
+    /// In-flight state that names a core or chiplet the instance does not
+    /// have restores as an `Err` and leaves the engine untouched, instead
+    /// of restoring a state whose next step indexes past `cores` or the
+    /// network's per-node queues. A writeback's `usize::MAX` requester is
+    /// a sentinel and still restores.
+    #[test]
+    fn restore_rejects_out_of_range_cores_and_chiplets() {
+        use flumen_sim::{Json, ToJson};
+        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        for _ in 0..150 {
+            a.step();
+        }
+        assert!(!a.finished(), "checkpoint must land mid-run");
+        let snap = a.snapshot();
+        let with_entry = |path: &[&str], entry: Json| {
+            let mut j = snap.clone();
+            let mut node = &mut j;
+            for key in path {
+                let Json::Obj(m) = node else {
+                    panic!("{key}: not an object")
+                };
+                node = m.get_mut(*key).expect("field in snapshot");
+            }
+            let Json::Arr(entries) = node else {
+                panic!("{path:?}: not an array")
+            };
+            entries.push(entry);
+            j
+        };
+        let tag = Json::Num(1e6);
+        let request = |kind: ReqKind, requester_core: usize, src_chiplet: usize| {
+            let info = ReqInfo {
+                kind,
+                requester_core,
+                src_chiplet,
+            };
+            Json::Arr(vec![tag.clone(), info.to_json()])
+        };
+        let line = ReqKind::RemoteLine {
+            addr: 64,
+            write: false,
+        };
+        let reply = |src: usize, dst: usize| {
+            let pkt = Packet::new(1_000_000, src, dst, 512, 0);
+            Json::Arr(vec![Json::Num(1e6), Json::Num(1e6), pkt.to_json()])
+        };
+        let waiting = Json::Arr(vec![Json::Num(4.0), Json::Arr(vec![])]);
+        let tampered = [
+            (
+                "reply core",
+                with_entry(
+                    &["pending_replies"],
+                    Json::Arr(vec![tag.clone(), Json::Num(4.0)]),
+                ),
+            ),
+            (
+                "offload core",
+                with_entry(&["external_waiting"], Json::Arr(vec![tag.clone(), waiting])),
+            ),
+            (
+                "requester core",
+                with_entry(&["pending_requests"], request(line.clone(), 4, 0)),
+            ),
+            (
+                "requester chiplet",
+                with_entry(&["pending_requests"], request(line, 0, 4)),
+            ),
+            (
+                "reply destination",
+                with_entry(&["server_jobs", "entries"], reply(0, 4)),
+            ),
+            (
+                "reply source",
+                with_entry(&["server_jobs", "entries"], reply(4, 0)),
+            ),
+        ];
+        for (what, bad) in tampered {
+            let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+            let err = b.restore(&bad).expect_err(what);
+            assert!(err.0.contains("names"), "{what}: {err}");
+            assert_eq!(b.cycle, 0, "{what}: a failed restore changed the engine");
+        }
+        let writeback = request(ReqKind::Writeback { addr: 64 }, usize::MAX, 0);
+        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        b.restore(&with_entry(&["pending_requests"], writeback))
+            .expect("writeback sentinel restores");
+        assert_eq!(b.cycle, a.cycle);
     }
 
     #[test]

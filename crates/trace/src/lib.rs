@@ -27,8 +27,8 @@
 //!
 //! * [`RecordingTracer`] — bounded ring buffer; the test seam behind the
 //!   invariant suite ([`invariants`]).
-//! * [`MetricsRegistry`] — counters + power-of-two-bucket histograms in
-//!   the same reservoir style as `NetStats`.
+//! * [`Histogram`] — power-of-two-bucket histograms in the same
+//!   reservoir style as `NetStats`.
 //! * [`chrome`] — Chrome-trace-format JSON, loadable in `chrome://tracing`
 //!   and [Perfetto](https://ui.perfetto.dev).
 //! * [`jsonl`] — one canonical JSON object per event, pluggable into the
@@ -46,6 +46,6 @@ mod recorder;
 mod tracer;
 
 pub use event::{registered, EventKind, TraceCategory, TraceEvent, REGISTERED_EVENT_NAMES};
-pub use metrics::{pow2_bucket, pow2_percentile, Histogram, MetricsRegistry};
+pub use metrics::{pow2_bucket, pow2_percentile, Histogram};
 pub use recorder::RecordingTracer;
 pub use tracer::{TraceHandle, Tracer};

@@ -1,12 +1,12 @@
 //! Integration: photonic fabric ↔ linear algebra ↔ workloads.
 //!
 //! Exercises the full physical path — Clements programming, partition
-//! barriers, SVD circuits, analog precision — against the benchmarks'
+//! barriers, SVD circuits, loss equalization — against the benchmarks'
 //! golden math.
 
-use flumen::{AnalogModel, FlumenFabric, PartitionConfig, PhotonicExecutor};
+use flumen::{FlumenFabric, PartitionConfig};
 use flumen_linalg::{random_unitary, spectral_norm, RMat, C64};
-use flumen_workloads::{dct8_matrix, small_benchmarks, Benchmark, ImageBlur, Jpeg, Rotation3d};
+use flumen_workloads::{dct8_matrix, Benchmark, ImageBlur, Rotation3d};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,30 +55,6 @@ fn dct_matrix_runs_on_full_fabric_as_unitary() {
         assert!((o.re - e).abs() < 1e-8);
         assert!(o.im.abs() < 1e-8);
     }
-}
-
-#[test]
-fn every_small_benchmark_verifies_through_the_photonic_model() {
-    for bench in small_benchmarks() {
-        let n = if bench.name() == "jpeg" { 8 } else { 4 };
-        let results = PhotonicExecutor::ideal(n)
-            .run_benchmark(bench.as_ref(), None)
-            .unwrap();
-        assert!(bench.verify(&results, 1e-7), "{}", bench.name());
-    }
-}
-
-#[test]
-fn eight_bit_jpeg_dct_stays_within_analog_tolerance() {
-    let bench = Jpeg::small();
-    let exec = PhotonicExecutor {
-        n: 8,
-        model: AnalogModel::eight_bit(),
-    };
-    let results = exec.run_benchmark(&bench, None).unwrap();
-    // Coefficients span roughly ±4 after the level shift; a few LSBs of an
-    // 8-bit pipeline is ~0.1.
-    assert!(bench.verify(&results, 0.25), "8-bit DCT error too large");
 }
 
 #[test]
