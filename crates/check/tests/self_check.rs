@@ -54,3 +54,38 @@ fn a_planted_violation_would_be_caught() {
     let diags = flumen_check::check_source("noc::routed", bad, &cfg);
     assert_eq!(diags.len(), 3, "{diags:?}");
 }
+
+/// Every module path the lint and taint policies name must still exist:
+/// a deleted or renamed module would otherwise empty a lint's scope
+/// without any finding to show for it.
+#[test]
+fn policy_module_paths_name_real_modules() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let modules: Vec<String> = flumen_check::collect_workspace_sources(&root)
+        .expect("workspace walk succeeds")
+        .into_iter()
+        .map(|s| s.module)
+        .collect();
+    let check = flumen_check::CheckConfig::flumen();
+    let taint = flumen_check::taint::TaintConfig::flumen();
+    let lists = [
+        ("hot_paths", &check.hot_paths),
+        ("unit_literal_exempt", &check.unit_literal_exempt),
+        ("cast_exempt", &check.cast_exempt),
+        ("root_modules", &taint.root_modules),
+        ("exempt_modules", &taint.exempt_modules),
+    ];
+    for (list, paths) in lists {
+        for path in paths {
+            let sub = format!("{path}::");
+            assert!(
+                modules.iter().any(|m| m == path || m.starts_with(&sub)),
+                "{list} names `{path}`, which matches no workspace module"
+            );
+        }
+    }
+    assert!(
+        check.hot_paths.iter().any(|p| p == "sim::kernel"),
+        "the kernel's cycle loop must stay a hot path"
+    );
+}

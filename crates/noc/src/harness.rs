@@ -1,20 +1,18 @@
-//! Measurement harness: warmup / measurement phases, latency-vs-load
-//! sweeps and saturation detection (regenerates paper Fig. 11).
+//! Measurement harness: Booksim-style warmup and measurement windows and
+//! saturation detection (regenerates paper Fig. 11).
 //!
-//! The cycle loops here run on the `flumen-sim` kernel: a synthetic-traffic
-//! driver implements [`flumen_sim::Component`] and the phase structure is
-//! the shared [`SimPhase`] enum rather than hand-rolled `for` loops. The
-//! RNG sequence is unchanged from the pre-kernel harness — one stream
-//! seeded from [`RunConfig::seed`] spans warmup and measurement — so every
-//! measured point is bit-identical to the legacy loops.
+//! A point is two plain cycle loops, warmup then measure, over one random
+//! stream seeded from [`RunConfig::seed`]; statistics reset at the edge
+//! between them. [`drain`] steps a network until its in-flight packets
+//! are delivered.
 //!
 //! Every entry point is generic over `N: Network + ?Sized`, so the same
 //! harness drives hand-written fabrics, `&mut dyn Network` trait objects,
 //! and the composed torus ([`crate::torus`]) without adaptation.
 
 use crate::traffic::{BernoulliInjector, TrafficPattern};
-use crate::{Network, Packet};
-use flumen_sim::{run_phase, run_until, Clock, Component, Cycles, SimCtx, SimPhase};
+use crate::Network;
+use flumen_sim::SimRng;
 
 /// One measured operating point of a latency-load sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,25 +59,6 @@ impl Default for RunConfig {
     }
 }
 
-/// A network under synthetic load: injects Bernoulli traffic each cycle,
-/// then steps the network. The kernel's shared [`SimCtx`] RNG drives
-/// destination and injection draws.
-struct TrafficDriver<'a, N: Network + ?Sized> {
-    net: &'a mut N,
-    inj: BernoulliInjector,
-    n: usize,
-}
-
-impl<N: Network + ?Sized> Component for TrafficDriver<'_, N> {
-    fn step(&mut self, now: Cycles, ctx: &mut SimCtx) {
-        for p in self.inj.generate(self.n, now.value(), &mut ctx.rng) {
-            self.net.inject(p);
-        }
-        self.net.step();
-    }
-    // Synthetic load never quiesces; phases are fixed windows.
-}
-
 /// Runs one offered-load point on a network.
 pub fn measure_point<N: Network + ?Sized>(
     net: &mut N,
@@ -88,39 +67,32 @@ pub fn measure_point<N: Network + ?Sized>(
     cfg: &RunConfig,
 ) -> LatencyPoint {
     let n = net.num_nodes();
-    let mut driver = TrafficDriver {
-        net,
-        inj: BernoulliInjector::new(
-            offered_load,
-            cfg.packet_bits,
-            cfg.link_bits_per_cycle,
-            pattern,
-        ),
-        n,
+    let mut inj = BernoulliInjector::new(
+        offered_load,
+        cfg.packet_bits,
+        cfg.link_bits_per_cycle,
+        pattern,
+    );
+    let mut rng = SimRng::seed_from_u64(cfg.seed);
+    // Injects this cycle's Bernoulli traffic, then steps the network.
+    let mut cycle = |net: &mut N, now: u64| {
+        for p in inj.generate(n, now, &mut rng) {
+            net.inject(p);
+        }
+        net.step();
     };
-    let mut ctx = SimCtx::new(cfg.seed);
-    let mut clock = Clock::new();
 
-    run_phase(
-        SimPhase::Warmup,
-        &mut driver,
-        &mut ctx,
-        &mut clock,
-        Cycles::new(cfg.warmup),
-    );
-    driver.net.stats_mut().reset();
-    let backlog_before = driver.net.pending();
+    for now in 0..cfg.warmup {
+        cycle(net, now);
+    }
+    net.stats_mut().reset();
+    let backlog_before = net.pending();
+    for now in cfg.warmup..cfg.warmup + cfg.measure {
+        cycle(net, now);
+    }
 
-    run_phase(
-        SimPhase::Measure,
-        &mut driver,
-        &mut ctx,
-        &mut clock,
-        Cycles::new(cfg.measure),
-    );
-
-    let stats = driver.net.stats();
-    let backlog_after = driver.net.pending();
+    let stats = net.stats();
+    let backlog_after = net.pending();
     // Saturated when the backlog grows materially over the measured window.
     let saturated = backlog_after > backlog_before + (n * 8) || stats.avg_latency().is_none();
     LatencyPoint {
@@ -132,105 +104,19 @@ pub fn measure_point<N: Network + ?Sized>(
     }
 }
 
-/// Sweeps offered load over `loads` for a fresh network per point.
-pub fn latency_load_sweep<F, N>(
-    mut make_net: F,
-    pattern: TrafficPattern,
-    loads: &[f64],
-    cfg: &RunConfig,
-) -> Vec<LatencyPoint>
-where
-    F: FnMut() -> N,
-    N: Network,
-{
-    loads
-        .iter()
-        .map(|&load| {
-            let mut net = make_net();
-            measure_point(&mut net, pattern, load, cfg)
-        })
-        .collect()
-}
-
-/// A network with no new injections, counting deliveries as in-flight
-/// packets complete.
-struct DrainDriver<'a, N: Network + ?Sized> {
-    net: &'a mut N,
-    delivered: u64,
-}
-
-impl<N: Network + ?Sized> Component for DrainDriver<'_, N> {
-    fn step(&mut self, _now: Cycles, _ctx: &mut SimCtx) {
-        self.delivered += self.net.step().len() as u64;
-    }
-
-    fn done(&self, _now: Cycles) -> bool {
-        self.net.pending() == 0
-    }
-}
-
 /// Steps the network until it drains (no pending packets) or `max_cycles`
 /// elapse; returns the number of deliveries observed while draining.
 /// Conservation-style tests run this after their injection phase so every
 /// in-flight packet reaches its trace `AsyncEnd` before the stream is
 /// checked.
 pub fn drain<N: Network + ?Sized>(net: &mut N, max_cycles: u64) -> u64 {
-    let mut driver = DrainDriver { net, delivered: 0 };
-    let mut ctx = SimCtx::new(0);
-    let mut clock = Clock::new();
-    run_phase(
-        SimPhase::Drain,
-        &mut driver,
-        &mut ctx,
-        &mut clock,
-        Cycles::new(max_cycles),
-    );
-    driver.delivered
-}
-
-/// A cycle-stamped packet schedule feeding a network: packets inject when
-/// the *network's* clock reaches their `created_at` (the network may have
-/// been pre-stepped, so its absolute cycle — not the kernel phase clock —
-/// is the reference).
-struct ScheduleDriver<'a, N: Network + ?Sized> {
-    net: &'a mut N,
-    schedule: Vec<Packet>,
-    next: usize,
-}
-
-impl<N: Network + ?Sized> Component for ScheduleDriver<'_, N> {
-    fn step(&mut self, _now: Cycles, _ctx: &mut SimCtx) {
-        let due = self.net.cycle();
-        while self.next < self.schedule.len() && self.schedule[self.next].created_at <= due {
-            self.net.inject(self.schedule[self.next].clone());
-            self.next += 1;
-        }
-        self.net.step();
+    let mut delivered = 0;
+    let mut cycles = 0;
+    while net.pending() != 0 && cycles < max_cycles {
+        delivered += net.step().len() as u64;
+        cycles += 1;
     }
-
-    fn done(&self, _now: Cycles) -> bool {
-        self.next >= self.schedule.len() && self.net.pending() == 0
-    }
-}
-
-/// Injects an explicit packet schedule (cycle-stamped) and runs until the
-/// network drains or `max_cycles` elapse. Returns total cycles simulated.
-/// Used by trace-driven studies (e.g. Fig. 1 link-utilization traces).
-pub fn run_schedule<N: Network + ?Sized>(
-    net: &mut N,
-    mut schedule: Vec<Packet>,
-    max_cycles: u64,
-) -> u64 {
-    schedule.sort_by_key(|p| p.created_at);
-    let mut driver = ScheduleDriver {
-        net,
-        schedule,
-        next: 0,
-    };
-    let mut ctx = SimCtx::new(0);
-    let mut clock = Clock::new();
-    let out = run_until(&mut driver, &mut ctx, &mut clock, Cycles::new(max_cycles));
-    out.cycles.value()
+    delivered
 }
 
 // JSON bridges (canonical serialized form; field names feed sweep job
@@ -282,12 +168,17 @@ mod tests {
     #[test]
     fn latency_monotone_with_load_on_mesh() {
         let cfg = quick_cfg();
-        let pts = latency_load_sweep(
-            RoutedNetwork::mesh_4x4,
-            TrafficPattern::UniformRandom,
-            &[0.05, 0.3, 0.6],
-            &cfg,
-        );
+        let pts: Vec<LatencyPoint> = [0.05, 0.3, 0.6]
+            .iter()
+            .map(|&load| {
+                measure_point(
+                    &mut RoutedNetwork::mesh_4x4(),
+                    TrafficPattern::UniformRandom,
+                    load,
+                    &cfg,
+                )
+            })
+            .collect();
         assert!(pts[0].avg_latency < pts[1].avg_latency);
         assert!(pts[1].avg_latency <= pts[2].avg_latency * 1.5);
     }
@@ -328,17 +219,5 @@ mod tests {
             &cfg,
         );
         assert!(p.saturated);
-    }
-
-    #[test]
-    fn run_schedule_drains() {
-        let mut net = MzimCrossbar::flumen_16();
-        let schedule: Vec<Packet> = (0..64)
-            .map(|k| Packet::new(k, (k % 16) as usize, ((k + 3) % 16) as usize, 512, k))
-            .collect();
-        let cycles = run_schedule(&mut net, schedule, 50_000);
-        assert_eq!(net.pending(), 0);
-        assert!(cycles < 50_000);
-        assert_eq!(net.stats().delivered, 64);
     }
 }

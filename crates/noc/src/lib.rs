@@ -15,9 +15,8 @@
 //! A fifth network, the 2-D [`torus`], is not hand-written: [`fabric`]
 //! composes it from input-queued routers joined by credit channels.
 //!
-//! The [`harness`] module measures latency-vs-load curves (paper Fig. 11)
-//! and runs explicit packet schedules (paper Fig. 1). Both drive any
-//! [`Network`].
+//! The [`harness`] module measures latency-vs-load points (paper Fig. 11)
+//! on any [`Network`].
 //!
 //! # Example
 //!

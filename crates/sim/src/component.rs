@@ -1,28 +1,8 @@
 //! The typed component interface the kernel drives.
 
-use crate::rng::SimRng;
 use flumen_units::Cycles;
 
-/// Shared per-step services: the deterministic random stream. Threading it
-/// through the kernel (rather than storing it in every simulated struct)
-/// is what lets a snapshot capture *all* run state in one place.
-#[derive(Debug)]
-pub struct SimCtx {
-    /// The run's random stream. Components must draw from this — never
-    /// from ambient OS entropy — so runs replay bit-identically.
-    pub rng: SimRng,
-}
-
-impl SimCtx {
-    /// A context with a seeded stream.
-    pub fn new(seed: u64) -> Self {
-        SimCtx {
-            rng: SimRng::seed_from_u64(seed),
-        }
-    }
-}
-
-/// One simulated subsystem advancing on the shared clock.
+/// One simulated subsystem advancing cycle by cycle.
 ///
 /// The kernel calls [`Component::step`] once per cycle with the current
 /// time, except over spans the component reports idle through
@@ -33,11 +13,10 @@ impl SimCtx {
 /// call out internally, preserving its intra-cycle ordering.
 pub trait Component {
     /// Advances the component through cycle `now`.
-    fn step(&mut self, now: Cycles, ctx: &mut SimCtx);
+    fn step(&mut self, now: Cycles);
 
     /// Whether the component has quiesced (no queued or in-flight work).
-    /// Open-ended components (e.g. synthetic traffic drivers) never
-    /// quiesce and keep the default.
+    /// Components that never quiesce keep the default.
     fn done(&self, _now: Cycles) -> bool {
         false
     }

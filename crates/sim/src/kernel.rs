@@ -1,14 +1,12 @@
-//! The cycle-stepping driver loops.
+//! The kernel's one cycle loop.
 
-use crate::clock::Clock;
-use crate::component::{Component, SimCtx};
-use crate::phase::SimPhase;
+use crate::component::Component;
 use flumen_units::Cycles;
 
 /// How a kernel loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOutcome {
-    /// Cycles elapsed when the loop exited (the clock's final time).
+    /// The cycle the loop exited on.
     pub cycles: Cycles,
     /// `true` when the cycle cap fired before the component quiesced. A
     /// truncated run's statistics describe an unfinished execution and
@@ -16,22 +14,18 @@ pub struct RunOutcome {
     pub truncated: bool,
 }
 
-/// Steps `c` until it reports [`Component::done`] or `max_cycles` elapses.
+/// Steps `c` from cycle `start` until it reports [`Component::done`] or
+/// cycle `max_cycles` is reached.
 ///
-/// Exactly the legacy `while !finished && cycle < max` loop, with the
-/// distinction the old loops dropped: the caller learns *why* it stopped.
+/// The `while !done && now < max { step }` loop, except that the caller
+/// learns *why* it stopped.
 /// A span [`Component::idle_until`] reports is crossed in one
 /// [`Component::advance_idle`] jump, capped at `max_cycles` so a
 /// truncated run stops on the cycle the stepping loop would; `done` is
 /// checked again after every jump.
-pub fn run_until<C: Component>(
-    c: &mut C,
-    ctx: &mut SimCtx,
-    clock: &mut Clock,
-    max_cycles: Cycles,
-) -> RunOutcome {
-    while !c.done(clock.now()) {
-        let now = clock.now();
+pub fn run_until<C: Component>(c: &mut C, start: Cycles, max_cycles: Cycles) -> RunOutcome {
+    let mut now = start;
+    while !c.done(now) {
         if now >= max_cycles {
             return RunOutcome {
                 cycles: now,
@@ -42,49 +36,17 @@ pub fn run_until<C: Component>(
             Some(until) if until > now => {
                 let to = until.min(max_cycles);
                 c.advance_idle(now, to);
-                clock.advance_to(to);
+                now = to;
             }
             _ => {
-                c.step(now, ctx);
-                clock.tick();
+                c.step(now);
+                now += Cycles::new(1);
             }
         }
     }
     RunOutcome {
-        cycles: clock.now(),
+        cycles: now,
         truncated: false,
-    }
-}
-
-/// Steps `c` for exactly `cycles` cycles, ignoring quiescence — the shape
-/// of fixed-length warmup and measurement windows.
-pub fn run_for<C: Component>(c: &mut C, ctx: &mut SimCtx, clock: &mut Clock, cycles: Cycles) {
-    let end = clock.now() + cycles;
-    while clock.now() < end {
-        c.step(clock.now(), ctx);
-        clock.tick();
-    }
-}
-
-/// Runs one named phase: [`SimPhase::Warmup`] and [`SimPhase::Measure`]
-/// are fixed windows of `limit` cycles; [`SimPhase::Drain`] runs to
-/// quiescence with `limit` as a safety cap.
-pub fn run_phase<C: Component>(
-    phase: SimPhase,
-    c: &mut C,
-    ctx: &mut SimCtx,
-    clock: &mut Clock,
-    limit: Cycles,
-) -> RunOutcome {
-    match phase {
-        SimPhase::Warmup | SimPhase::Measure => {
-            run_for(c, ctx, clock, limit);
-            RunOutcome {
-                cycles: clock.now(),
-                truncated: false,
-            }
-        }
-        SimPhase::Drain => run_until(c, ctx, clock, clock.now() + limit),
     }
 }
 
@@ -98,7 +60,7 @@ mod tests {
     }
 
     impl Component for Countdown {
-        fn step(&mut self, _now: Cycles, _ctx: &mut SimCtx) {
+        fn step(&mut self, _now: Cycles) {
             if self.remaining > 0 {
                 self.remaining -= 1;
             }
@@ -116,9 +78,7 @@ mod tests {
             remaining: 10,
             steps: 0,
         };
-        let mut ctx = SimCtx::new(0);
-        let mut clock = Clock::new();
-        let out = run_until(&mut c, &mut ctx, &mut clock, Cycles::new(1000));
+        let out = run_until(&mut c, Cycles::new(0), Cycles::new(1000));
         assert_eq!(out.cycles, Cycles::new(10));
         assert!(!out.truncated);
         assert_eq!(c.steps, 10);
@@ -130,9 +90,7 @@ mod tests {
             remaining: 10,
             steps: 0,
         };
-        let mut ctx = SimCtx::new(0);
-        let mut clock = Clock::new();
-        let out = run_until(&mut c, &mut ctx, &mut clock, Cycles::new(4));
+        let out = run_until(&mut c, Cycles::new(0), Cycles::new(4));
         assert!(out.truncated);
         assert_eq!(out.cycles, Cycles::new(4));
         assert_eq!(c.steps, 4);
@@ -156,7 +114,7 @@ mod tests {
     }
 
     impl Component for Bursty {
-        fn step(&mut self, now: Cycles, _ctx: &mut SimCtx) {
+        fn step(&mut self, now: Cycles) {
             assert!(self.busy.contains(&now.value()), "stepped idle cycle {now}");
             self.stepped.push(now.value());
         }
@@ -182,9 +140,7 @@ mod tests {
     #[test]
     fn run_until_jumps_idle_spans_and_steps_busy_cycles() {
         let mut c = Bursty::new(&[0, 5, 6, 20]);
-        let mut ctx = SimCtx::new(0);
-        let mut clock = Clock::new();
-        let out = run_until(&mut c, &mut ctx, &mut clock, Cycles::new(1000));
+        let out = run_until(&mut c, Cycles::new(0), Cycles::new(1000));
         assert_eq!(out.cycles, Cycles::new(21));
         assert!(!out.truncated);
         assert_eq!(c.stepped, vec![0, 5, 6, 20]);
@@ -192,14 +148,21 @@ mod tests {
     }
 
     #[test]
+    fn run_until_resumes_from_its_start_cycle() {
+        let mut c = Bursty::new(&[0, 5, 6, 20]);
+        let out = run_until(&mut c, Cycles::new(6), Cycles::new(1000));
+        assert_eq!(out.cycles, Cycles::new(21));
+        assert!(!out.truncated);
+        assert_eq!(c.stepped, vec![6, 20]);
+        assert_eq!(c.jumps, vec![(7, 20)]);
+    }
+
+    #[test]
     fn jump_is_capped_and_truncates_at_exactly_max_cycles() {
         let mut c = Bursty::new(&[0, 5, 6, 20]);
-        let mut ctx = SimCtx::new(0);
-        let mut clock = Clock::new();
-        let out = run_until(&mut c, &mut ctx, &mut clock, Cycles::new(12));
+        let out = run_until(&mut c, Cycles::new(0), Cycles::new(12));
         assert!(out.truncated);
         assert_eq!(out.cycles, Cycles::new(12));
-        assert_eq!(clock.now(), Cycles::new(12));
         assert_eq!(c.stepped, vec![0, 5, 6]);
         assert_eq!(c.jumps, vec![(1, 5), (7, 12)]);
     }
@@ -208,9 +171,7 @@ mod tests {
     fn jump_to_a_far_event_stops_at_the_cap() {
         let mut c = Bursty::new(&[3]);
         c.busy.push(u64::MAX - 1);
-        let mut ctx = SimCtx::new(0);
-        let mut clock = Clock::new();
-        let out = run_until(&mut c, &mut ctx, &mut clock, Cycles::new(50));
+        let out = run_until(&mut c, Cycles::new(0), Cycles::new(50));
         assert!(out.truncated);
         assert_eq!(out.cycles, Cycles::new(50));
         assert_eq!(c.stepped, vec![3]);
@@ -218,41 +179,5 @@ mod tests {
         for &(_, to) in &c.jumps {
             assert!(to <= 50, "jump past max_cycles");
         }
-    }
-
-    #[test]
-    fn phases_compose_on_one_clock() {
-        let mut c = Countdown {
-            remaining: 30,
-            steps: 0,
-        };
-        let mut ctx = SimCtx::new(0);
-        let mut clock = Clock::new();
-        run_phase(
-            SimPhase::Warmup,
-            &mut c,
-            &mut ctx,
-            &mut clock,
-            Cycles::new(8),
-        );
-        assert_eq!(clock.now(), Cycles::new(8));
-        run_phase(
-            SimPhase::Measure,
-            &mut c,
-            &mut ctx,
-            &mut clock,
-            Cycles::new(12),
-        );
-        assert_eq!(clock.now(), Cycles::new(12 + 8));
-        let out = run_phase(
-            SimPhase::Drain,
-            &mut c,
-            &mut ctx,
-            &mut clock,
-            Cycles::new(100),
-        );
-        assert!(!out.truncated);
-        assert_eq!(c.steps, 30);
-        assert_eq!(clock.now(), Cycles::new(30));
     }
 }

@@ -4,9 +4,8 @@ use crate::json::{FromJson, Json, JsonError, ToJson};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// A seeded, snapshotable random source threaded through
-/// [`crate::SimCtx`] so components share one stream instead of carrying
-/// per-struct RNG state.
+/// A seeded, snapshotable random source: one stream per run, so a run
+/// replays bit-identically from its seed.
 ///
 /// Wraps the vendored xoshiro256++ [`StdRng`] and exposes its raw state,
 /// which is what makes mid-run checkpoints exact: restoring the four state

@@ -13,7 +13,7 @@
 //! * `parse(to_canonical(x)) == x`, and the same for the pretty form.
 
 use flumen_sim::json::MAX_DEPTH;
-use flumen_sim::{Clock, Cycles, EventQueue, Json, SimRng, Snapshot, ToJson};
+use flumen_sim::{Cycles, EventQueue, Json, SimRng, Snapshot, ToJson};
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng;
@@ -23,18 +23,17 @@ use std::collections::BTreeMap;
 /// sweep cache stores it.
 const JOB_SPEC: &str = r#"{"bench":{"kind":"jpeg","size":"small"},"cfg":{"control":{"arbitration_cycles":4,"chiplets_per_wire":2,"compute_lambdas":8,"config_pipeline":0.995,"fabric_n":8,"max_partitions":2,"program_cache_entries":0,"scheduler":{"buffer_capacity":16,"eta":0.4,"max_wait":100000,"reject_beta":0.85,"tau":100,"zeta":0.5},"stream_cycles_per_batch":0.5,"switch_cycles":15},"energy":{"core_busy_pj":10,"core_leak_w_per_core":0.25,"core_op_pj":6,"dram_background_w":0.5,"dram_pj":6000,"elec_router_static_w":0.02,"flumen_dacadc_static_w":0.35,"l1_pj":0.6,"l2_pj":2.5,"l3_leak_w":0.4,"l3_pj":20,"mesh_bit_pj":1.17,"mzim_comm_static_w":0.3,"optbus_static_w":0.5,"photonic_bit_pj":0.703,"ring_bit_pj":3.159},"max_cycles":80000000,"system":{"chiplets":16,"cores":64,"dram_latency":120,"freq_ghz":2.5,"ipc":2,"l1d":{"latency":1,"line_bytes":64,"size_bytes":32768,"ways":8},"l1i":{"latency":1,"line_bytes":64,"size_bytes":32768,"ways":4},"l2":{"latency":4,"line_bytes":64,"size_bytes":524288,"ways":8},"l3_slice":{"latency":20,"line_bytes":64,"size_bytes":1048576,"ways":16},"mlp":4,"reply_bits":576,"req_bits":128},"taskgen":{"max_configs_per_request":4096,"max_vectors_per_request":1024,"ops_per_mac":6,"svd_partition":4,"unit_macs":16384,"unitary_partition":8},"trace_interval":0},"job":"full_run","topology":"mesh"}"#;
 
-/// A checkpoint envelope over kernel state: clock, event queue, RNG, and
+/// A checkpoint envelope over kernel state: cycle, event queue, RNG, and
 /// the value shapes component snapshots use (non-finite floats, hex
 /// words, escaped and non-ASCII strings).
 fn snapshot_doc() -> String {
-    let clock = Clock::at(Cycles::new(17));
     let mut events: EventQueue<(u64, String)> = EventQueue::new();
     events.schedule(Cycles::new(40), (3, "dram".into()));
     events.schedule(Cycles::new(25), (1, "phase λ".into()));
     let mut rng = SimRng::seed_from_u64(0xF1);
     let _: u64 = rng.gen();
     let state = Json::obj([
-        ("clock", clock.to_json()),
+        ("clock", 17u64.to_json()),
         ("events", events.to_json()),
         ("rng", rng.to_json()),
         (

@@ -1,8 +1,8 @@
 //! Canonical SHA-256 for content-addressing job specs.
 //!
 //! The FIPS 180-4 implementation lives in [`flumen_linalg::sha256_hex`]
-//! so lower layers (the fabric's MeshProgram cache) can content-address
-//! weight matrices without depending on the sweep crate; this module
+//! so lower layers (taskgen, which keys offloaded weight strips) can
+//! content-address data without depending on the sweep crate; this module
 //! keeps the sweep-facing path stable.
 
 pub use flumen_linalg::sha256_hex;

@@ -16,8 +16,8 @@
 //!   pure cache hits; changing any parameter (or [`CODE_VERSION`])
 //!   changes the hash and re-simulates exactly the affected jobs.
 //!
-//! Sinks ([`sink`]) write JSONL/CSV result files and append a per-sweep
-//! manifest line for auditability.
+//! Sinks ([`sink`]) write JSONL result and trace files and append a
+//! per-sweep manifest line for auditability.
 //!
 //! Environment knobs: `FLUMEN_SWEEP_THREADS` (worker count),
 //! `FLUMEN_SWEEP_FORCE=1` (bypass cache), `FLUMEN_SWEEP_CHECKPOINT`

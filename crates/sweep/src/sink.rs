@@ -1,4 +1,4 @@
-//! Result sinks: JSONL dumps, CSV tables and the run manifest.
+//! Result sinks: JSONL dumps, trace files and the run manifest.
 //!
 //! The manifest (`manifest.jsonl` next to the cache) appends one line per
 //! sweep invocation — job count, hit/miss split, wall time — so a data
@@ -70,23 +70,6 @@ pub fn write_trace_files(
     let mut f = fs::File::create(&jsonl).expect("create trace jsonl");
     flumen_trace::jsonl::write_jsonl(&mut f, events).expect("write trace jsonl");
     (chrome, jsonl)
-}
-
-/// Writes a CSV file (headers + rows).
-///
-/// # Panics
-///
-/// Panics on I/O failure.
-pub fn write_csv_file(path: &Path, headers: &[&str], rows: &[Vec<String>]) {
-    let mut s = headers.join(",") + "\n";
-    for r in rows {
-        s.push_str(&r.join(","));
-        s.push('\n');
-    }
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).expect("create sink dir");
-    }
-    fs::write(path, s).expect("write csv");
 }
 
 /// Appends one summary line for this sweep to `<dir>/manifest.jsonl`.
@@ -163,16 +146,6 @@ mod tests {
         let manifest = fs::read_to_string(base.join("manifest.jsonl")).unwrap();
         let j = Json::parse(manifest.lines().next().unwrap()).unwrap();
         assert_eq!(j.get("jobs").unwrap().as_usize().unwrap(), 2);
-
-        write_csv_file(
-            &base.join("t.csv"),
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()]],
-        );
-        assert_eq!(
-            fs::read_to_string(base.join("t.csv")).unwrap(),
-            "a,b\n1,2\n"
-        );
 
         fs::remove_dir_all(&base).unwrap();
     }

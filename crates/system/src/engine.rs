@@ -19,7 +19,7 @@ use crate::config::SystemConfig;
 use crate::counts::ActivityCounts;
 use crate::tasks::CoreTask;
 use flumen_noc::{NetStats, Network, Packet};
-use flumen_sim::{run_until, Clock, Component, Cycles, EventQueue, SimCtx, Snapshotable};
+use flumen_sim::{run_until, Component, Cycles, EventQueue, Snapshotable};
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -289,12 +289,11 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
 
     /// Runs until [`SystemSim::finished`] or `max_cycles`, returning the
     /// result. Call once per constructed system (possibly after a
-    /// checkpoint [`Snapshotable::restore`], in which case the kernel clock
-    /// resumes from the restored cycle).
+    /// checkpoint [`Snapshotable::restore`], in which case the run resumes
+    /// from the restored cycle).
     pub fn run(mut self, max_cycles: u64) -> RunResult {
-        let mut ctx = SimCtx::new(0);
-        let mut clock = Clock::at(Cycles::new(self.cycle));
-        let out = run_until(&mut self, &mut ctx, &mut clock, Cycles::new(max_cycles));
+        let start = Cycles::new(self.cycle);
+        let out = run_until(&mut self, start, Cycles::new(max_cycles));
         if out.truncated {
             let now = self.cycle;
             self.tracer
@@ -657,18 +656,13 @@ enum AccessOutcome {
     Remote,
 }
 
-// The engine as a kernel component: it keeps its own `cycle` field (every
-// internal path reads it) and the kernel clock mirrors it one-for-one.
-// `SystemSim::step` stays the per-cycle reference; idle spans are crossed
-// by advancing only the network and the cycle, which is all an idle step
-// changes.
+// The engine as a kernel component: its `cycle` field is the one cycle
+// counter (every internal path reads it), and the kernel's `now` always
+// equals it. `SystemSim::step` stays the per-cycle reference; idle spans
+// are crossed by advancing only the network and the cycle, which is all an
+// idle step changes.
 impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
-    fn step(&mut self, now: Cycles, _ctx: &mut SimCtx) {
-        debug_assert_eq!(
-            now.value(),
-            self.cycle,
-            "kernel clock and engine cycle must agree"
-        );
+    fn step(&mut self, _now: Cycles) {
         self.step();
     }
 
@@ -678,13 +672,12 @@ impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
 
     /// A cycle is idle when the network is drained, the server is quiet,
     /// and every core is busy, waiting, at a barrier, or out of work. Such
-    /// a cycle changes nothing but the clock, the network's counters and
+    /// a cycle changes nothing but the cycle, the network's counters and
     /// what [`ExternalServer::advance_quiet`] applies, until the earliest
     /// of: the end of the server's quiet span, a core's `busy_until` (even
     /// with an empty queue, since [`SystemSim::finished`] flips then), the
     /// head of `server_jobs`, and the next utilization sample.
-    fn idle_until(&self, now: Cycles) -> Option<Cycles> {
-        debug_assert_eq!(now.value(), self.cycle);
+    fn idle_until(&self, _now: Cycles) -> Option<Cycles> {
         let now = self.cycle;
         if self.net.pending() != 0 {
             return None;
@@ -711,8 +704,7 @@ impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
         (next > now).then_some(Cycles::new(next))
     }
 
-    fn advance_idle(&mut self, now: Cycles, to: Cycles) {
-        debug_assert_eq!(now.value(), self.cycle);
+    fn advance_idle(&mut self, _now: Cycles, to: Cycles) {
         let cycles = to.value() - self.cycle;
         self.server.advance_quiet(cycles);
         self.net.advance_idle(cycles);
@@ -841,6 +833,20 @@ impl Snapshotable for NullServer {
     }
 }
 
+/// Appends every chiplet `task` sends to, its fallback tasks included.
+fn push_task_chiplets(task: &CoreTask, out: &mut Vec<usize>) {
+    match task {
+        CoreTask::NetRequest { dst_chiplet, .. } => out.push(*dst_chiplet),
+        CoreTask::NetSend { dst_chiplets, .. } => out.extend(dst_chiplets),
+        CoreTask::External { fallback, .. } => {
+            for t in fallback {
+                push_task_chiplets(t, out);
+            }
+        }
+        CoreTask::Compute { .. } | CoreTask::Stream { .. } | CoreTask::Barrier { .. } => {}
+    }
+}
+
 fn caches_snapshot(caches: &[Cache]) -> flumen_sim::Json {
     flumen_sim::Json::Arr(caches.iter().map(Snapshotable::snapshot).collect())
 }
@@ -938,10 +944,21 @@ where
                 .into_iter()
                 .chain(p.extra_dests.iter().copied())
         });
+        // Queued tasks, and the fallbacks of pending offloads, name the
+        // chiplets their requests and sends will target.
+        let mut task_chiplets = Vec::new();
+        for task in cores
+            .iter()
+            .flat_map(|c| &c.queue)
+            .chain(external_waiting.values().flat_map(|(_, fallback)| fallback))
+        {
+            push_task_chiplets(task, &mut task_chiplets);
+        }
         let bad_chiplet = pending_requests
             .values()
             .map(|r| r.src_chiplet)
             .chain(reply_nodes)
+            .chain(task_chiplets)
             .find(|&c| c >= chiplets);
         if let Some(chiplet) = bad_chiplet {
             return Err(JsonError(format!(
@@ -1366,6 +1383,78 @@ mod tests {
         b.restore(&with_entry(&["pending_requests"], writeback))
             .expect("writeback sentinel restores");
         assert_eq!(b.cycle, a.cycle);
+    }
+
+    /// A queued `NetRequest` or `NetSend`, at the top level or inside an
+    /// offload's fallback, that targets a chiplet the instance does not
+    /// have restores as an `Err`, instead of restoring a state whose step
+    /// panics on the network's per-node queues when it issues the task.
+    #[test]
+    fn restore_rejects_tasks_naming_missing_chiplets() {
+        use flumen_sim::{FromJson, Json, ToJson};
+        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        for _ in 0..150 {
+            a.step();
+        }
+        assert!(!a.finished(), "checkpoint must land mid-run");
+        let snap = a.snapshot();
+        let request = CoreTask::NetRequest {
+            dst_chiplet: 4,
+            req_bits: 128,
+            reply_bits: 512,
+            server_cycles: 10,
+        };
+        let send = CoreTask::NetSend {
+            dst_chiplets: vec![1, 4],
+            bits: 128,
+        };
+        let offload = CoreTask::External {
+            payload: [0; 5],
+            fallback: vec![CoreTask::Compute { ops: 8 }, send.clone()],
+        };
+        // Edits one snapshot field through its typed form.
+        let edited = |key: &str, edit: &dyn Fn(&mut Json)| {
+            let mut j = snap.clone();
+            if let Json::Obj(m) = &mut j {
+                edit(m.get_mut(key).expect("field in snapshot"));
+            }
+            j
+        };
+        let queued = |task: &CoreTask| {
+            edited("cores", &|j| {
+                let mut cores: Vec<CoreState> = FromJson::from_json(j).unwrap();
+                cores[2].queue.push_back(task.clone());
+                *j = cores.to_json();
+            })
+        };
+        let waiting = edited("external_waiting", &|j| {
+            let mut waiting: BTreeMap<u64, (usize, Vec<CoreTask>)> =
+                FromJson::from_json(j).unwrap();
+            waiting.insert(1_000_000, (0, vec![request.clone()]));
+            *j = waiting.to_json();
+        });
+        let tampered = [
+            ("queued request", queued(&request)),
+            ("queued multicast", queued(&send)),
+            ("queued offload fallback", queued(&offload)),
+            ("waiting offload fallback", waiting),
+        ];
+        for (what, bad) in tampered {
+            let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+            let err = b.restore(&bad).expect_err(what);
+            assert!(err.0.contains("chiplet 4"), "{what}: {err}");
+            assert_eq!(b.cycle, 0, "{what}: a failed restore changed the engine");
+        }
+        // A request aimed at a chiplet that exists restores and runs.
+        let ok = CoreTask::NetRequest {
+            dst_chiplet: 3,
+            req_bits: 128,
+            reply_bits: 512,
+            server_cycles: 10,
+        };
+        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        b.restore(&queued(&ok)).expect("in-range request restores");
+        assert!(!b.run(10_000_000).truncated);
     }
 
     #[test]
