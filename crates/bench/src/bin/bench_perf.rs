@@ -4,9 +4,8 @@
 //! Every job runs directly (no sweep cache) on two paths:
 //!
 //! * **run** — [`run_benchmark`], whose engine jumps over idle cycles;
-//! * **step** — [`run_benchmark_checkpointed`] with a checkpoint interval
-//!   no run reaches, which calls `SystemSim::step` on every cycle and
-//!   never writes a file.
+//! * **step** — [`TopologySim::new`] followed by a plain
+//!   [`TopologySim::step`] loop, the per-cycle reference.
 //!
 //! It writes `BENCH_perf.json` (repo root, or `FLUMEN_BENCH_OUT`) with one
 //! row per [`SystemTopology`]:
@@ -32,9 +31,7 @@
 //! Full mode runs `paper_benchmarks()` for 2 rounds; `--quick` runs
 //! `small_benchmarks()` for 5 rounds (the CI configuration).
 
-use flumen::{
-    run_benchmark, run_benchmark_checkpointed, CheckpointPolicy, RuntimeConfig, SystemTopology,
-};
+use flumen::{run_benchmark, RuntimeConfig, SystemTopology, TopologySim};
 use flumen_bench::{quick_mode, Table};
 use flumen_trace::TraceHandle;
 use flumen_units::Cycles;
@@ -95,11 +92,6 @@ fn main() {
         (paper_benchmarks(), 2)
     };
     let cfg = RuntimeConfig::paper();
-    let step_policy = CheckpointPolicy {
-        dir: std::env::temp_dir().join(format!("flumen-bench-perf-{}", std::process::id())),
-        key: "bench_perf".into(),
-        every_cycles: u64::MAX,
-    };
 
     let mut rows: Vec<Row> = SystemTopology::all()
         .into_iter()
@@ -120,14 +112,12 @@ fn main() {
                 let run = run_benchmark(bench.as_ref(), row.topology, &cfg);
                 wall += ms_since(t0);
                 let t0 = Instant::now();
-                let stepped = run_benchmark_checkpointed(
-                    bench.as_ref(),
-                    row.topology,
-                    &cfg,
-                    &step_policy,
-                    TraceHandle::disabled(),
-                )
-                .expect("the step path never touches a checkpoint file");
+                let disabled = TraceHandle::disabled();
+                let mut sim = TopologySim::new(bench.as_ref(), row.topology, &cfg, disabled);
+                while !sim.finished() && sim.cycle() < cfg.max_cycles {
+                    sim.step();
+                }
+                let stepped = sim.run(cfg.max_cycles);
                 step += ms_since(t0);
                 row.cycles_match &= run.cycles == stepped.cycles;
                 cycles += run.cycles;

@@ -51,7 +51,7 @@ pub mod scheduler;
 pub use control_unit::{ControlUnitParams, MzimControlUnit};
 pub use runtime::{
     run_benchmark, run_benchmark_checkpointed, run_benchmark_traced, run_utilization_trace,
-    CheckpointPolicy, FullRunResult, RuntimeConfig, SystemTopology,
+    CheckpointPolicy, FullRunResult, RuntimeConfig, SystemTopology, TopologySim,
 };
 
 // The fabric API is the public face of the architecture; re-export it.

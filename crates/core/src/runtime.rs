@@ -3,12 +3,10 @@
 //! — the data behind paper Figs. 13/14/15.
 
 use crate::control_unit::{ControlUnitParams, MzimControlUnit};
-use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, Network, OpticalBus, RoutedNetwork};
+use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, OpticalBus, RoutedNetwork};
 use flumen_power::{system_energy, EnergyBreakdown, EnergyParams, NopKind};
-use flumen_sim::{Snapshot, Snapshotable};
-use flumen_system::{
-    ActivityCounts, CoreTask, ExternalServer, NullServer, RunResult, SystemConfig, SystemSim,
-};
+use flumen_sim::{run_until, Component, Cycles, Snapshot, Snapshotable};
+use flumen_system::{ActivityCounts, NullServer, RunResult, SystemConfig, SystemSim};
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use flumen_workloads::taskgen::{self, ExecMode, TaskGenConfig};
 use flumen_workloads::Benchmark;
@@ -185,108 +183,152 @@ pub fn run_benchmark_traced(
     cfg: &RuntimeConfig,
     tracer: TraceHandle,
 ) -> FullRunResult {
-    let r = run_topology(bench, topology, cfg, tracer, ToCompletion(cfg.max_cycles));
+    let r = TopologySim::new(bench, topology, cfg, tracer).run(cfg.max_cycles);
     finish_result(bench, topology, cfg, r)
 }
 
-/// How an entry point runs the system that [`run_topology`] built for
-/// it. A trait rather than a closure because the network and server types
-/// differ per topology.
-trait SimRunner {
-    type Out;
-    fn run<N, S>(self, sim: SystemSim<N, S>) -> Self::Out
-    where
-        N: Network + Snapshotable,
-        S: ExternalServer<N> + Snapshotable;
+/// A full-system simulator of any [`SystemTopology`]: one variant per
+/// concrete network and home-node server pairing.
+#[derive(Debug)]
+pub enum TopologySim {
+    /// Ring or mesh ([`SystemTopology::Ring`], [`SystemTopology::Mesh`]).
+    Routed(SystemSim<RoutedNetwork, NullServer>),
+    /// Optical bus ([`SystemTopology::OptBus`]).
+    Bus(SystemSim<OpticalBus, NullServer>),
+    /// Flumen fabric, communication only ([`SystemTopology::FlumenI`]).
+    Crossbar(SystemSim<MzimCrossbar, NullServer>),
+    /// Flumen fabric with the MZIM control unit as home-node server
+    /// ([`SystemTopology::FlumenA`]).
+    FlumenA(Box<SystemSim<MzimCrossbar, MzimControlUnit>>),
 }
 
-/// Generates `bench`'s task queues for `topology`, builds the topology's
-/// network and home-node server (the MZIM control unit on Flumen-A, a
-/// [`NullServer`] elsewhere) with `tracer` installed, and hands the system
-/// to `runner`.
-fn run_topology<R: SimRunner>(
-    bench: &dyn Benchmark,
-    topology: SystemTopology,
-    cfg: &RuntimeConfig,
-    tracer: TraceHandle,
-    runner: R,
-) -> R::Out {
-    let mode = match topology {
-        SystemTopology::FlumenA => ExecMode::Offload,
-        _ => ExecMode::Local,
+/// Evaluates `$body` with `$sim` bound to the variant's `SystemSim`.
+macro_rules! each_sim {
+    ($self:expr, $sim:ident => $body:expr) => {
+        match $self {
+            TopologySim::Routed($sim) => $body,
+            TopologySim::Bus($sim) => $body,
+            TopologySim::Crossbar($sim) => $body,
+            TopologySim::FlumenA($sim) => $body,
+        }
     };
-    let tasks = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
+}
 
-    let chiplets = cfg.system.chiplets;
-    let crossbar = || MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar");
-    match topology {
-        SystemTopology::Ring => {
-            let net = RoutedNetwork::new(
-                flumen_noc::RoutedTopology::Ring { nodes: chiplets },
-                flumen_noc::RoutedConfig::default(),
-            )
-            .expect("ring of ≥3 chiplets");
-            assemble(net, NullServer::default(), tasks, cfg, tracer, runner)
-        }
-        SystemTopology::Mesh => {
-            let (width, height) = mesh_dims(chiplets);
-            let net = RoutedNetwork::new(
-                flumen_noc::RoutedTopology::Mesh { width, height },
-                flumen_noc::RoutedConfig::default(),
-            )
-            .expect("mesh of ≥2×2 chiplets");
-            assemble(net, NullServer::default(), tasks, cfg, tracer, runner)
-        }
-        SystemTopology::OptBus => {
-            let net = OpticalBus::new(chiplets, flumen_noc::BusConfig::default()).expect("optbus");
-            assemble(net, NullServer::default(), tasks, cfg, tracer, runner)
-        }
-        SystemTopology::FlumenI => assemble(
-            crossbar(),
-            NullServer::default(),
-            tasks,
-            cfg,
-            tracer,
-            runner,
-        ),
-        SystemTopology::FlumenA => {
-            let mut server = MzimControlUnit::new(cfg.control.clone());
-            server.set_tracer(tracer.clone());
-            assemble(crossbar(), server, tasks, cfg, tracer, runner)
-        }
+impl TopologySim {
+    /// Generates `bench`'s task queues for `topology` (cores offload on
+    /// Flumen-A and compute locally elsewhere), builds the topology's
+    /// network and home-node server (the MZIM control unit on Flumen-A, a
+    /// [`NullServer`] elsewhere), installs `tracer` and sets the
+    /// utilization sampling window to `cfg.trace_interval`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cfg.system.chiplets` cannot form the topology's
+    /// network (a ring needs ≥ 3 chiplets, a mesh a `≥2 × ≥2`
+    /// factorization, the crossbar at most 64).
+    pub fn new(
+        bench: &dyn Benchmark,
+        topology: SystemTopology,
+        cfg: &RuntimeConfig,
+        tracer: TraceHandle,
+    ) -> Self {
+        let mode = match topology {
+            SystemTopology::FlumenA => ExecMode::Offload,
+            _ => ExecMode::Local,
+        };
+        let tasks = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
+        let chiplets = cfg.system.chiplets;
+        let (sys, null) = (cfg.system.clone(), NullServer::default);
+        let routed = |topo| {
+            RoutedNetwork::new(topo, flumen_noc::RoutedConfig::default()).expect("routed network")
+        };
+        let crossbar = || MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar");
+        let mut sim = match topology {
+            SystemTopology::Ring => {
+                let ring = routed(flumen_noc::RoutedTopology::Ring { nodes: chiplets });
+                TopologySim::Routed(SystemSim::new(sys, ring, null(), tasks))
+            }
+            SystemTopology::Mesh => {
+                let (width, height) = mesh_dims(chiplets);
+                let mesh = routed(flumen_noc::RoutedTopology::Mesh { width, height });
+                TopologySim::Routed(SystemSim::new(sys, mesh, null(), tasks))
+            }
+            SystemTopology::OptBus => {
+                let bus = OpticalBus::new(chiplets, flumen_noc::BusConfig::default());
+                TopologySim::Bus(SystemSim::new(sys, bus.expect("optbus"), null(), tasks))
+            }
+            SystemTopology::FlumenI => {
+                TopologySim::Crossbar(SystemSim::new(sys, crossbar(), null(), tasks))
+            }
+            SystemTopology::FlumenA => {
+                let mut server = MzimControlUnit::new(cfg.control.clone());
+                server.set_tracer(tracer.clone());
+                TopologySim::FlumenA(Box::new(SystemSim::new(sys, crossbar(), server, tasks)))
+            }
+        };
+        each_sim!(&mut sim, s => {
+            s.set_tracer(tracer);
+            s.set_trace_interval(cfg.trace_interval);
+        });
+        sim
+    }
+
+    /// Advances the whole system by one cycle ([`SystemSim::step`], the
+    /// per-cycle reference).
+    pub fn step(&mut self) {
+        each_sim!(self, s => s.step())
+    }
+
+    /// Whether every core has retired its queue and all traffic drained.
+    pub fn finished(&self) -> bool {
+        each_sim!(self, s => s.finished())
+    }
+
+    /// Current cycle.
+    pub fn cycle(&self) -> u64 {
+        each_sim!(self, s => s.cycle())
+    }
+
+    /// Runs on the idle-skipping loop until the system finishes or cycle
+    /// `stop` is reached, whichever comes first; the system can be
+    /// snapshotted there and run on.
+    pub fn run_to(&mut self, stop: u64) {
+        let start = Cycles::new(self.cycle());
+        run_until(self, start, Cycles::new(stop));
+    }
+
+    /// Runs until finished or `max_cycles` and returns the result
+    /// ([`SystemSim::run`]).
+    pub fn run(self, max_cycles: u64) -> RunResult {
+        each_sim!(self, s => s.run(max_cycles))
     }
 }
 
-fn assemble<N, S, R>(
-    net: N,
-    server: S,
-    tasks: Vec<Vec<CoreTask>>,
-    cfg: &RuntimeConfig,
-    tracer: TraceHandle,
-    runner: R,
-) -> R::Out
-where
-    N: Network + Snapshotable,
-    S: ExternalServer<N> + Snapshotable,
-    R: SimRunner,
-{
-    let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
-    sim.set_tracer(tracer);
-    sim.set_trace_interval(cfg.trace_interval);
-    runner.run(sim)
+impl Component for TopologySim {
+    fn step(&mut self, _now: Cycles) {
+        TopologySim::step(self);
+    }
+
+    fn done(&self, _now: Cycles) -> bool {
+        self.finished()
+    }
+
+    fn idle_until(&self, now: Cycles) -> Option<Cycles> {
+        each_sim!(self, s => s.idle_until(now))
+    }
+
+    fn advance_idle(&mut self, now: Cycles, to: Cycles) {
+        each_sim!(self, s => s.advance_idle(now, to))
+    }
 }
 
-/// Runs the system to completion or the cycle budget, skipping idle spans.
-struct ToCompletion(u64);
+impl Snapshotable for TopologySim {
+    fn snapshot(&self) -> flumen_sim::Json {
+        each_sim!(self, s => s.snapshot())
+    }
 
-impl SimRunner for ToCompletion {
-    type Out = RunResult;
-    fn run<N, S>(self, sim: SystemSim<N, S>) -> RunResult
-    where
-        N: Network + Snapshotable,
-        S: ExternalServer<N> + Snapshotable,
-    {
-        sim.run(self.0)
+    fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
+        each_sim!(self, s => s.restore(j))
     }
 }
 
@@ -343,16 +385,11 @@ pub fn run_utilization_trace(
     finish_result(bench, SystemTopology::FlumenI, cfg, r)
 }
 
-/// Where and how often a checkpointed run snapshots itself.
+/// Where and how often checkpointed runs snapshot themselves.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Directory the checkpoint files live in (created on demand).
     pub dir: PathBuf,
-    /// Configuration fingerprint stamped into every envelope — typically
-    /// the sweep job's content hash, which commits to the full runtime
-    /// configuration. A checkpoint written under a different key (or
-    /// snapshot version) never restores.
-    pub key: String,
     /// Snapshot interval in cycles (minimum 1).
     pub every_cycles: u64,
 }
@@ -361,83 +398,69 @@ pub struct CheckpointPolicy {
 /// `policy.every_cycles` cycles and resuming from the newest valid
 /// checkpoint if one exists. Completion deletes the job's checkpoints.
 ///
-/// Checkpoints are written atomically (temp file + rename), so a run
-/// killed at any point — including mid-write — resumes from the last
-/// complete snapshot and produces bit-identical results to an
-/// uninterrupted run.
+/// `key` names the job's checkpoints and is stamped into every envelope —
+/// typically the sweep job's content hash, which commits to the full
+/// runtime configuration. A checkpoint written under a different key (or
+/// snapshot version) never restores, and one whose state does not restore
+/// onto this configuration is ignored: the run starts cold.
+///
+/// The run skips idle spans between checkpoints and stops on each
+/// multiple of the interval, so snapshots land on the same cycles, with
+/// the same bytes, as a run stepped cycle by cycle. Checkpoints are
+/// written atomically (temp file + rename), so a run killed at any point —
+/// including mid-write — resumes from the last complete snapshot and
+/// produces bit-identical results to an uninterrupted run.
 pub fn run_benchmark_checkpointed(
     bench: &dyn Benchmark,
     topology: SystemTopology,
     cfg: &RuntimeConfig,
     policy: &CheckpointPolicy,
+    key: &str,
     tracer: TraceHandle,
 ) -> io::Result<FullRunResult> {
-    let runner = Checkpointed {
-        policy,
-        max_cycles: cfg.max_cycles,
-        tracer: tracer.clone(),
-    };
-    let r = run_topology(bench, topology, cfg, tracer, runner)?;
-    Ok(finish_result(bench, topology, cfg, r))
-}
-
-/// Steps the system cycle by cycle, resuming from and writing checkpoints
-/// under `policy`.
-struct Checkpointed<'a> {
-    policy: &'a CheckpointPolicy,
-    max_cycles: u64,
-    tracer: TraceHandle,
-}
-
-impl SimRunner for Checkpointed<'_> {
-    type Out = io::Result<RunResult>;
-    fn run<N, S>(self, mut sim: SystemSim<N, S>) -> io::Result<RunResult>
-    where
-        N: Network + Snapshotable,
-        S: ExternalServer<N> + Snapshotable,
-    {
-        let Checkpointed {
-            policy,
-            max_cycles,
-            tracer,
-        } = self;
-        if let Some(snap) = policy.load_latest() {
-            sim.restore(&snap.state)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))?;
+    let build = || TopologySim::new(bench, topology, cfg, tracer.clone());
+    let mut sim = build();
+    if let Some(snap) = policy.load_latest(key) {
+        if sim.restore(&snap.state).is_ok() {
             let now = sim.cycle();
             tracer.emit(|| TraceEvent::instant(TraceCategory::System, "resume", now, 0));
+        } else {
+            // A failed restore can leave caches or the network half
+            // restored, so the cold start needs a fresh system.
+            sim = build();
         }
-
-        // Step manually so the simulation can be snapshotted mid-flight;
-        // the final consuming `run` call finds the system already finished
-        // (or already out of budget) and only performs result
-        // finalization, so the outcome is identical to an uninterrupted
-        // `SystemSim::run`.
-        let every = policy.every_cycles.max(1);
-        while !sim.finished() && sim.cycle() < max_cycles {
-            sim.step();
-            let now = sim.cycle();
-            if now.is_multiple_of(every) && !sim.finished() && now < max_cycles {
-                policy.write(now, sim.snapshot())?;
-                tracer.emit(|| TraceEvent::instant(TraceCategory::System, "checkpoint", now, 0));
-            }
-        }
-        let result = sim.run(max_cycles);
-        policy.clear()?;
-        Ok(result)
     }
+
+    // Stop on every multiple of the interval to snapshot; the final
+    // `run` finds the system finished (or out of budget) and only
+    // finalizes the result, as an uninterrupted run would.
+    let (every, max_cycles) = (policy.every_cycles.max(1), cfg.max_cycles);
+    while !sim.finished() && sim.cycle() < max_cycles {
+        let stop = (sim.cycle() / every + 1)
+            .saturating_mul(every)
+            .min(max_cycles);
+        sim.run_to(stop);
+        let now = sim.cycle();
+        if now.is_multiple_of(every) && !sim.finished() && now < max_cycles {
+            policy.write(key, now, sim.snapshot())?;
+            tracer.emit(|| TraceEvent::instant(TraceCategory::System, "checkpoint", now, 0));
+        }
+    }
+    let r = sim.run(max_cycles);
+    policy.clear(key)?;
+    Ok(finish_result(bench, topology, cfg, r))
 }
 
 impl CheckpointPolicy {
     /// Checkpoint file name: fixed-width decimal cycle so lexicographic
     /// order is cycle order.
-    fn file(&self, cycle: u64) -> PathBuf {
-        self.dir.join(format!("{}.{cycle:020}.ckpt.json", self.key))
+    fn file(&self, key: &str, cycle: u64) -> PathBuf {
+        self.dir.join(format!("{key}.{cycle:020}.ckpt.json"))
     }
 
-    /// This job's checkpoint files, oldest first.
-    pub fn files(&self) -> Vec<PathBuf> {
-        let prefix = format!("{}.", self.key);
+    /// The checkpoint files of job `key`, oldest first.
+    pub fn files(&self, key: &str) -> Vec<PathBuf> {
+        let prefix = format!("{key}.");
         let mut found: Vec<PathBuf> = std::fs::read_dir(&self.dir)
             .into_iter()
             .flatten()
@@ -453,30 +476,30 @@ impl CheckpointPolicy {
         found
     }
 
-    /// The newest checkpoint whose envelope validates (version and key
-    /// match). Unreadable or foreign files are skipped, not fatal: a
+    /// Job `key`'s newest checkpoint whose envelope validates (version and
+    /// key match). Unreadable or foreign files are skipped, not fatal: a
     /// half-written or stale checkpoint simply falls back to the previous
     /// one (or a cold start).
-    pub fn load_latest(&self) -> Option<Snapshot> {
-        self.files().into_iter().rev().find_map(|path| {
+    pub fn load_latest(&self, key: &str) -> Option<Snapshot> {
+        self.files(key).into_iter().rev().find_map(|path| {
             let text = std::fs::read_to_string(&path).ok()?;
             let j = flumen_sim::Json::parse(&text).ok()?;
-            Snapshot::from_json(&j, &self.key).ok()
+            Snapshot::from_json(&j, key).ok()
         })
     }
 
-    /// Atomically writes component `state` captured at `cycle` as this
-    /// job's newest checkpoint, then prunes older ones.
-    pub fn write(&self, cycle: u64, state: flumen_sim::Json) -> io::Result<()> {
+    /// Atomically writes component `state` captured at `cycle` as job
+    /// `key`'s newest checkpoint, then prunes its older ones.
+    pub fn write(&self, key: &str, cycle: u64, state: flumen_sim::Json) -> io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
-        let snap = Snapshot::new(self.key.clone(), flumen_units::Cycles::new(cycle), state);
-        let path = self.file(cycle);
+        let snap = Snapshot::new(key.to_string(), flumen_units::Cycles::new(cycle), state);
+        let path = self.file(key, cycle);
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, snap.to_json().to_canonical())?;
         std::fs::rename(&tmp, &path)?;
         // Prune everything older: the file just renamed into place is
         // complete, so earlier checkpoints only waste space.
-        for old in self.files() {
+        for old in self.files(key) {
             if old != path {
                 let _ = std::fs::remove_file(old);
             }
@@ -484,9 +507,9 @@ impl CheckpointPolicy {
         Ok(())
     }
 
-    /// Removes every checkpoint of this job (called on completion).
-    pub fn clear(&self) -> io::Result<()> {
-        for path in self.files() {
+    /// Removes every checkpoint of job `key` (called on completion).
+    pub fn clear(&self, key: &str) -> io::Result<()> {
+        for path in self.files(key) {
             std::fs::remove_file(path)?;
         }
         Ok(())
@@ -553,24 +576,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let policy = CheckpointPolicy {
             dir: dir.clone(),
-            key: "job".into(),
             every_cycles: 1000,
         };
         let reference = run_benchmark(&bench, SystemTopology::FlumenA, &cfg);
 
-        // Interrupted run: drive the same simulation partway by hand and
-        // leave its checkpoint on disk, as if the process died right after
-        // writing it.
+        // Interrupted run: drive the same simulation partway and leave its
+        // checkpoint on disk, as if the process died right after writing it.
         {
-            let tasks = taskgen::generate(&bench, &cfg.system, ExecMode::Offload, &cfg.taskgen);
-            let net = MzimCrossbar::new(cfg.system.chiplets, CrossbarConfig::default()).unwrap();
-            let server = MzimControlUnit::new(cfg.control.clone());
-            let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
-            for _ in 0..reference.cycles / 2 {
-                sim.step();
-            }
+            let disabled = TraceHandle::disabled();
+            let mut sim = TopologySim::new(&bench, SystemTopology::FlumenA, &cfg, disabled);
+            sim.run_to(reference.cycles / 2);
             assert!(!sim.finished(), "checkpoint must land mid-run");
-            policy.write(sim.cycle(), sim.snapshot()).unwrap();
+            policy.write("job", sim.cycle(), sim.snapshot()).unwrap();
         }
 
         let resumed = run_benchmark_checkpointed(
@@ -578,6 +595,7 @@ mod tests {
             SystemTopology::FlumenA,
             &cfg,
             &policy,
+            "job",
             TraceHandle::disabled(),
         )
         .unwrap();
@@ -595,7 +613,33 @@ mod tests {
             reference.net_stats.latency_sum
         );
         // Completion removed the job's checkpoints.
-        assert!(policy.files().is_empty());
+        assert!(policy.files("job").is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_files_are_keyed_per_job() {
+        let dir = std::env::temp_dir().join(format!("flumen-ckpt-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = CheckpointPolicy {
+            dir: dir.clone(),
+            every_cycles: 5_000,
+        };
+        let state = |n: u64| flumen_sim::Json::obj([("n", flumen_sim::ToJson::to_json(&n))]);
+        policy.write("abc123", 5_000, state(1)).unwrap();
+        policy.write("other", 5_000, state(2)).unwrap();
+        policy.write("abc123", 10_000, state(3)).unwrap();
+        // One directory; each job sees only its own newest checkpoint.
+        let files = policy.files("abc123");
+        assert_eq!(files.len(), 1, "older checkpoint pruned");
+        assert!(files[0].starts_with(&dir));
+        let latest = policy.load_latest("abc123").unwrap();
+        assert_eq!(latest.cycle, Cycles::new(10_000));
+        assert_eq!(latest.state, state(3));
+        assert_eq!(policy.load_latest("other").unwrap().state, state(2));
+        policy.clear("abc123").unwrap();
+        assert!(policy.files("abc123").is_empty());
+        assert_eq!(policy.files("other").len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

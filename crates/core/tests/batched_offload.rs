@@ -3,11 +3,11 @@
 //! One offload request carrying `B` vectors must be *work-equivalent* to
 //! the sequence of `B` single-vector requests with the same matrix: the
 //! photonic MVM count, the modulated/converted sample counts, and the
-//! phase-write count (the program cache makes programming once-per-matrix
-//! in both shapes) all conserve exactly, packet traffic through the
-//! system network is untouched by the batching shape, and the only thing
-//! batching changes is *cycles* — the one-time mesh programming is paid
-//! once instead of `B` times. The energy half of the identity
+//! phase-write count (with the program cache on, programming is
+//! once-per-matrix in both shapes) all conserve exactly, packet traffic
+//! through the system network is untouched by the batching shape, and the
+//! only thing batching changes is *cycles* — the one-time mesh programming
+//! is paid once instead of `B` times. The energy half of the identity
 //! (`batched_total == 1×programming + B×propagation`, bit-exact) is
 //! pinned in `flumen-power` and checked here for every shape exercised.
 
@@ -22,12 +22,28 @@ fn net16() -> MzimCrossbar {
     MzimCrossbar::new(16, CrossbarConfig::default()).unwrap()
 }
 
+/// The paper's control unit with a one-entry program cache: the paper's
+/// own parameters disable the cache, and with it every phase write.
+fn cached_params() -> ControlUnitParams {
+    ControlUnitParams {
+        program_cache_entries: 1,
+        ..ControlUnitParams::paper()
+    }
+}
+
 /// Drives a fresh control unit over `reqs` (tag, payload) requests until
 /// quiescent; returns the drained activity counts, total service cycles,
 /// and every trace event the unit emitted.
 fn run_requests(reqs: &[[u64; 5]]) -> (ActivityCounts, u64, Vec<TraceEvent>) {
+    run_requests_with(ControlUnitParams::paper(), reqs)
+}
+
+fn run_requests_with(
+    params: ControlUnitParams,
+    reqs: &[[u64; 5]],
+) -> (ActivityCounts, u64, Vec<TraceEvent>) {
     let rec = RecordingTracer::new();
-    let mut cu = MzimControlUnit::new(ControlUnitParams::paper());
+    let mut cu = MzimControlUnit::new(params);
     cu.set_tracer(rec.handle());
     let mut net = net16();
     for (i, payload) in reqs.iter().enumerate() {
@@ -76,7 +92,14 @@ proptest! {
         prop_assert_eq!(batched.0.mzim_output_samples, single.0.mzim_output_samples);
         // Programming conservation: the program cache collapses the B
         // single requests onto one phase write, matching the batch.
-        prop_assert_eq!(batched.0.mzim_programmed_mzis, single.0.mzim_programmed_mzis);
+        let batch_req = [1, batch, n, batch * n * n, key];
+        let batched_writes = run_requests_with(cached_params(), &[batch_req]);
+        let single_writes = run_requests_with(cached_params(), &singles);
+        prop_assert!(batched_writes.0.mzim_programmed_mzis > 0);
+        prop_assert_eq!(
+            batched_writes.0.mzim_programmed_mzis,
+            single_writes.0.mzim_programmed_mzis
+        );
         // Amortization: the batched request completes strictly sooner.
         prop_assert!(
             batched.1 < single.1,
@@ -120,7 +143,7 @@ proptest! {
 /// number of offload-path packets (zero extra NoP traffic).
 #[test]
 fn engine_offload_path_conserves_counts() {
-    let run = |payloads: Vec<[u64; 5]>| {
+    let run_with = |params: ControlUnitParams, payloads: Vec<[u64; 5]>| {
         let mut tasks: Vec<Vec<CoreTask>> = vec![Vec::new(); SystemConfig::paper().cores];
         for p in payloads {
             tasks[1].push(CoreTask::External {
@@ -131,11 +154,12 @@ fn engine_offload_path_conserves_counts() {
         let sim = SystemSim::new(
             SystemConfig::paper(),
             net16(),
-            MzimControlUnit::new(ControlUnitParams::paper()),
+            MzimControlUnit::new(params),
             tasks,
         );
         sim.run(10_000_000)
     };
+    let run = |payloads| run_with(ControlUnitParams::paper(), payloads);
     let n = 8u64;
     let b = 24u64;
     let batched = run(vec![[1, b, n, b * n * n, 42]]);
@@ -151,9 +175,16 @@ fn engine_offload_path_conserves_counts() {
         batched.counts.mzim_output_samples,
         single.counts.mzim_output_samples
     );
+    // Phase writes conserve through the program cache.
+    let batched_writes = run_with(cached_params(), vec![[1, b, n, b * n * n, 42]]);
+    let single_writes = run_with(
+        cached_params(),
+        (0..b).map(|_| [1, 1, n, n * n, 42]).collect(),
+    );
+    assert!(batched_writes.counts.mzim_programmed_mzis > 0);
     assert_eq!(
-        batched.counts.mzim_programmed_mzis,
-        single.counts.mzim_programmed_mzis
+        batched_writes.counts.mzim_programmed_mzis,
+        single_writes.counts.mzim_programmed_mzis
     );
     assert_eq!(batched.counts.nop_packets, single.counts.nop_packets);
     assert_eq!(batched.counts.offload_requests, 1);

@@ -3,25 +3,28 @@
 //! `step()` loop, which steps every cycle. On every topology of the
 //! reduced Figs. 14/15 grid, with utilization sampling on, the whole
 //! `RunResult` must match bit for bit: for runs to completion, and for a
-//! cycle cap that lands inside an idle span.
+//! cycle cap that lands inside an idle span. A run stopped on checkpoint
+//! boundaries with `run_to` must also snapshot the same bytes there as
+//! the stepping loop.
 
-use flumen::{MzimControlUnit, RuntimeConfig, SystemTopology};
-use flumen_noc::{
-    BusConfig, CrossbarConfig, MzimCrossbar, NetStats, Network, OpticalBus, RoutedConfig,
-    RoutedNetwork, RoutedTopology,
-};
-use flumen_sim::{Component, Cycles};
-use flumen_system::{CoreTask, ExternalServer, NullServer, RunResult, SystemSim};
-use flumen_workloads::taskgen::{self, ExecMode};
+use flumen::{RuntimeConfig, SystemTopology, TopologySim};
+use flumen_noc::NetStats;
+use flumen_sim::{Component, Cycles, Snapshotable};
+use flumen_system::RunResult;
+use flumen_trace::TraceHandle;
 use flumen_workloads::{small_benchmarks, Benchmark};
 
 /// A sample window shorter than many idle spans, so a jump that skipped
 /// a sample would show in the utilization trace.
 const TRACE_INTERVAL: u64 = 97;
 
+/// Checkpoint intervals: one on the sample window, one longer than most
+/// idle spans.
+const CHECKPOINT_INTERVALS: [u64; 2] = [97, 1000];
+
 /// The per-cycle reference: step until finished or capped, then let `run`
 /// finalize (it finds the system finished or out of budget at once).
-fn stepped<N: Network, S: ExternalServer<N>>(mut sim: SystemSim<N, S>, max: u64) -> RunResult {
+fn stepped(mut sim: TopologySim, max: u64) -> RunResult {
     while !sim.finished() && sim.cycle() < max {
         sim.step();
     }
@@ -30,7 +33,7 @@ fn stepped<N: Network, S: ExternalServer<N>>(mut sim: SystemSim<N, S>, max: u64)
 
 /// Steps a run to completion and returns the idle spans `(start, end)`
 /// the engine reports on the way.
-fn idle_spans<N: Network, S: ExternalServer<N>>(mut sim: SystemSim<N, S>) -> Vec<(u64, u64)> {
+fn idle_spans(mut sim: TopologySim) -> Vec<(u64, u64)> {
     let mut spans = Vec::new();
     while !sim.finished() {
         let now = sim.cycle();
@@ -42,6 +45,26 @@ fn idle_spans<N: Network, S: ExternalServer<N>>(mut sim: SystemSim<N, S>) -> Vec
         sim.step();
     }
     spans
+}
+
+/// The canonical snapshot at every multiple of `every` before the run
+/// finishes, reached with `run_to` (`skip`) or by stepping every cycle.
+fn boundary_snapshots(mut sim: TopologySim, every: u64, skip: bool) -> Vec<(u64, String)> {
+    let mut snaps = Vec::new();
+    while !sim.finished() {
+        let stop = (sim.cycle() / every + 1) * every;
+        if skip {
+            sim.run_to(stop);
+        } else {
+            while !sim.finished() && sim.cycle() < stop {
+                sim.step();
+            }
+        }
+        if sim.cycle() == stop && !sim.finished() {
+            snaps.push((stop, sim.snapshot().to_canonical()));
+        }
+    }
+    snaps
 }
 
 fn assert_same(what: &str, got: &RunResult, want: &RunResult) {
@@ -80,18 +103,27 @@ fn assert_same(what: &str, got: &RunResult, want: &RunResult) {
     );
 }
 
-/// Compares skipping with stepping on one grid point: to completion, and
-/// (when `cap_inside_span`) truncated in the middle of a long idle span.
-fn check<N: Network, S: ExternalServer<N>>(
-    what: &str,
-    mk: &dyn Fn() -> SystemSim<N, S>,
-    budget: u64,
-    cap_inside_span: bool,
-) {
+/// Compares skipping with stepping on one grid point: to completion, at
+/// every checkpoint boundary, and (when `cap_inside_span`) truncated in
+/// the middle of a long idle span.
+fn check(what: &str, mk: &dyn Fn() -> TopologySim, budget: u64, cap_inside_span: bool) {
     let want = stepped(mk(), budget);
     assert!(!want.truncated, "{what}: reduced grid must fit the budget");
     assert_same(what, &mk().run(budget), &want);
     assert!(!want.utilization_trace.is_empty(), "{what}: sampling is on");
+
+    for every in CHECKPOINT_INTERVALS {
+        // The run finishes on cycle `want.cycles`, so every multiple of
+        // `every` below it is a boundary.
+        let boundaries = ((want.cycles - 1) / every) as usize;
+        let stepped = boundary_snapshots(mk(), every, false);
+        let skipped = boundary_snapshots(mk(), every, true);
+        assert_eq!(stepped.len(), boundaries, "{what}: stepped every {every}");
+        assert_eq!(skipped.len(), boundaries, "{what}: skipped every {every}");
+        for ((cycle, got), (_, snap)) in skipped.iter().zip(&stepped) {
+            assert!(got == snap, "{what}: snapshot at cycle {cycle} differs");
+        }
+    }
 
     if cap_inside_span {
         let spans = idle_spans(mk());
@@ -107,93 +139,15 @@ fn check<N: Network, S: ExternalServer<N>>(
     }
 }
 
-fn mesh_dims(n: usize) -> (usize, usize) {
-    let mut w = (n as f64).sqrt() as usize;
-    while w >= 2 {
-        if n.is_multiple_of(w) && n / w >= 2 {
-            return (w, n / w);
-        }
-        w -= 1;
-    }
-    panic!("{n} chiplets cannot form a mesh");
-}
-
-fn build<N: Network, S: ExternalServer<N>>(
-    cfg: &RuntimeConfig,
-    tasks: &[Vec<CoreTask>],
-    net: N,
-    server: S,
-) -> SystemSim<N, S> {
-    let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks.to_vec());
-    sim.set_trace_interval(TRACE_INTERVAL);
-    sim
-}
-
 fn check_point(topology: SystemTopology, bench: &dyn Benchmark, cap_inside_span: bool) {
     let cfg = RuntimeConfig {
         max_cycles: 10_000_000,
+        trace_interval: TRACE_INTERVAL,
         ..RuntimeConfig::paper()
     };
     let what = format!("{} on {topology:?}", bench.name());
-    let chiplets = cfg.system.chiplets;
-    let mode = match topology {
-        SystemTopology::FlumenA => ExecMode::Offload,
-        _ => ExecMode::Local,
-    };
-    let tasks: Vec<Vec<CoreTask>> = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
-    let budget = cfg.max_cycles;
-    let crossbar = || MzimCrossbar::new(chiplets, CrossbarConfig::default()).unwrap();
-    match topology {
-        SystemTopology::Ring => {
-            let ring = || {
-                let topo = RoutedTopology::Ring { nodes: chiplets };
-                RoutedNetwork::new(topo, RoutedConfig::default()).unwrap()
-            };
-            check(
-                &what,
-                &|| build(&cfg, &tasks, ring(), NullServer::default()),
-                budget,
-                cap_inside_span,
-            );
-        }
-        SystemTopology::Mesh => {
-            let (width, height) = mesh_dims(chiplets);
-            let mesh = || {
-                let topo = RoutedTopology::Mesh { width, height };
-                RoutedNetwork::new(topo, RoutedConfig::default()).unwrap()
-            };
-            check(
-                &what,
-                &|| build(&cfg, &tasks, mesh(), NullServer::default()),
-                budget,
-                cap_inside_span,
-            );
-        }
-        SystemTopology::OptBus => check(
-            &what,
-            &|| {
-                let bus = OpticalBus::new(chiplets, BusConfig::default()).unwrap();
-                build(&cfg, &tasks, bus, NullServer::default())
-            },
-            budget,
-            cap_inside_span,
-        ),
-        SystemTopology::FlumenI => check(
-            &what,
-            &|| build(&cfg, &tasks, crossbar(), NullServer::default()),
-            budget,
-            cap_inside_span,
-        ),
-        SystemTopology::FlumenA => check(
-            &what,
-            &|| {
-                let cu = MzimControlUnit::new(cfg.control.clone());
-                build(&cfg, &tasks, crossbar(), cu)
-            },
-            budget,
-            cap_inside_span,
-        ),
-    }
+    let mk = || TopologySim::new(bench, topology, &cfg, TraceHandle::disabled());
+    check(&what, &mk, cfg.max_cycles, cap_inside_span);
 }
 
 macro_rules! topology_test {

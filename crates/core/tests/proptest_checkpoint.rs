@@ -4,14 +4,10 @@
 //! uninterrupted one, on every topology of the reduced Figs. 14/15 grid
 //! and at random checkpoint positions.
 
-use flumen::{MzimControlUnit, RuntimeConfig, SystemTopology};
-use flumen_noc::{
-    BusConfig, CrossbarConfig, MzimCrossbar, Network, OpticalBus, RoutedConfig, RoutedNetwork,
-    RoutedTopology,
-};
+use flumen::{RuntimeConfig, SystemTopology, TopologySim};
 use flumen_sim::Snapshotable;
-use flumen_system::{CoreTask, ExternalServer, NullServer, RunResult, SystemSim};
-use flumen_workloads::taskgen::{self, ExecMode};
+use flumen_system::RunResult;
+use flumen_trace::TraceHandle;
 use flumen_workloads::{Benchmark, ImageBlur, Rotation3d};
 use proptest::prelude::*;
 
@@ -24,15 +20,11 @@ fn reduced_cfg() -> RuntimeConfig {
 
 /// Runs the simulation three ways: uninterrupted, and snapshot-at-`frac`%
 /// resumed into a fresh instance; asserts the results are bit-identical.
-fn split_matches<N, S>(
-    mk: &dyn Fn() -> SystemSim<N, S>,
+fn split_matches(
+    mk: &dyn Fn() -> TopologySim,
     budget: u64,
     frac: u64,
-) -> Result<(), TestCaseError>
-where
-    N: Network + Snapshotable,
-    S: ExternalServer<N> + Snapshotable,
-{
+) -> Result<(), TestCaseError> {
     let reference: RunResult = mk().run(budget);
     prop_assert!(!reference.truncated, "reduced grid must fit the budget");
 
@@ -74,106 +66,14 @@ where
     Ok(())
 }
 
-fn mesh_dims(n: usize) -> (usize, usize) {
-    let mut w = (n as f64).sqrt() as usize;
-    while w >= 2 {
-        if n.is_multiple_of(w) && n / w >= 2 {
-            return (w, n / w);
-        }
-        w -= 1;
-    }
-    panic!("{n} chiplets cannot form a mesh");
-}
-
 fn check_split(
     topology: SystemTopology,
     bench: &dyn Benchmark,
     frac: u64,
 ) -> Result<(), TestCaseError> {
     let cfg = reduced_cfg();
-    let chiplets = cfg.system.chiplets;
-    let mode = match topology {
-        SystemTopology::FlumenA => ExecMode::Offload,
-        _ => ExecMode::Local,
-    };
-    let tasks: Vec<Vec<CoreTask>> = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
-    let budget = cfg.max_cycles;
-    match topology {
-        SystemTopology::Ring => split_matches(
-            &|| {
-                SystemSim::new(
-                    cfg.system.clone(),
-                    RoutedNetwork::new(
-                        RoutedTopology::Ring { nodes: chiplets },
-                        RoutedConfig::default(),
-                    )
-                    .unwrap(),
-                    NullServer::default(),
-                    tasks.clone(),
-                )
-            },
-            budget,
-            frac,
-        ),
-        SystemTopology::Mesh => {
-            let (w, h) = mesh_dims(chiplets);
-            split_matches(
-                &|| {
-                    SystemSim::new(
-                        cfg.system.clone(),
-                        RoutedNetwork::new(
-                            RoutedTopology::Mesh {
-                                width: w,
-                                height: h,
-                            },
-                            RoutedConfig::default(),
-                        )
-                        .unwrap(),
-                        NullServer::default(),
-                        tasks.clone(),
-                    )
-                },
-                budget,
-                frac,
-            )
-        }
-        SystemTopology::OptBus => split_matches(
-            &|| {
-                SystemSim::new(
-                    cfg.system.clone(),
-                    OpticalBus::new(chiplets, BusConfig::default()).unwrap(),
-                    NullServer::default(),
-                    tasks.clone(),
-                )
-            },
-            budget,
-            frac,
-        ),
-        SystemTopology::FlumenI => split_matches(
-            &|| {
-                SystemSim::new(
-                    cfg.system.clone(),
-                    MzimCrossbar::new(chiplets, CrossbarConfig::default()).unwrap(),
-                    NullServer::default(),
-                    tasks.clone(),
-                )
-            },
-            budget,
-            frac,
-        ),
-        SystemTopology::FlumenA => split_matches(
-            &|| {
-                SystemSim::new(
-                    cfg.system.clone(),
-                    MzimCrossbar::new(chiplets, CrossbarConfig::default()).unwrap(),
-                    MzimControlUnit::new(cfg.control.clone()),
-                    tasks.clone(),
-                )
-            },
-            budget,
-            frac,
-        ),
-    }
+    let mk = || TopologySim::new(bench, topology, &cfg, TraceHandle::disabled());
+    split_matches(&mk, cfg.max_cycles, frac)
 }
 
 proptest! {

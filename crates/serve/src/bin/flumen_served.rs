@@ -14,14 +14,17 @@
 //! ```
 //!
 //! `--rate` is mean requests per megacycle (aggregate across clients);
-//! `--timeout 0` disables in-queue deadlines.
+//! `--timeout 0` disables in-queue deadlines. `--checkpoint DIR` makes
+//! full-system payloads snapshot every 1,000 cycles under `DIR`, keyed
+//! by payload content hash, so a killed run resumes them on the next
+//! invocation with the same report.
 
+use flumen::CheckpointPolicy;
 use flumen_serve::{
     run_scenario, AdmissionConfig, ArrivalProcess, ClassPolicy, JobMix, ScenarioSpec, ServeConfig,
     ShedPolicy,
 };
 use flumen_sim::{Cycles, ToJson};
-use flumen_sweep::CheckpointStore;
 use flumen_trace::TraceHandle;
 use std::process::ExitCode;
 
@@ -191,16 +194,16 @@ fn main() -> ExitCode {
         workers: flags.workers,
         exec_threads: flags.threads,
     };
-    let store = flags
-        .checkpoint
-        .as_ref()
-        .map(|dir| CheckpointStore::new(dir.into(), 1_000));
+    let checkpoint = flags.checkpoint.as_ref().map(|dir| CheckpointPolicy {
+        dir: dir.into(),
+        every_cycles: 1_000,
+    });
 
     println!(
         "flumen_served: {} · rate {}/Mcycle · horizon {} cycles · {} clients · seed {:#x}",
         flags.scenario, flags.rate, flags.horizon, flags.clients, flags.seed
     );
-    let report = match run_scenario(&spec, &cfg, store.as_ref(), &TraceHandle::disabled()) {
+    let report = match run_scenario(&spec, &cfg, checkpoint.as_ref(), &TraceHandle::disabled()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");

@@ -9,13 +9,14 @@
 //! serial-vs-parallel determinism tests pin down.
 //!
 //! Jobs run as checkpointable `flumen-sim` work items: with a
-//! [`CheckpointStore`] attached, a full-system payload periodically
+//! [`CheckpointPolicy`] attached, a full-system payload periodically
 //! snapshots under its content hash and a restarted worker resumes it
 //! bit-identically (see `tests/resume.rs`).
 
+use flumen::CheckpointPolicy;
 use flumen_sim::{Cycles, ToJson};
 use flumen_sweep::hash::sha256_hex;
-use flumen_sweep::{CheckpointStore, JobResult, JobSpec};
+use flumen_sweep::{JobResult, JobSpec};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -108,8 +109,8 @@ pub(crate) fn distinct_payloads<'a>(
 /// hashed once) and drained from a shared queue by `threads` scoped
 /// workers (the same hand-rolled pool shape as `flumen_sweep::run_plan`
 /// — no async runtime exists in this tree).
-/// With `store` set, full-system jobs checkpoint under their content
-/// hash and resume from the newest valid snapshot.
+/// With `checkpoint` set, full-system jobs checkpoint under their
+/// content hash and resume from the newest snapshot that restores.
 ///
 /// # Panics
 ///
@@ -119,7 +120,7 @@ pub(crate) fn distinct_payloads<'a>(
 pub fn execute_payloads(
     specs: &[JobSpec],
     threads: usize,
-    store: Option<&CheckpointStore>,
+    checkpoint: Option<&CheckpointPolicy>,
 ) -> PayloadTable {
     // Dedup in first-seen order so the work list is deterministic.
     let (distinct, _) = distinct_payloads(specs);
@@ -141,7 +142,7 @@ pub fn execute_payloads(
                     i
                 };
                 let (hash, spec) = &distinct[i];
-                let result = spec.execute_with(store);
+                let result = spec.execute_with(checkpoint);
                 let payload = Payload {
                     result_hash: sha256_hex(result.to_json().to_canonical().as_bytes()),
                     service: service_of(spec, &result),

@@ -17,8 +17,9 @@
 //! * **Serving** ([`server`], [`exec`]): a deterministic event-driven
 //!   queueing simulation in sim time, fed by a content-addressed table
 //!   of payload results executed in parallel on wall-clock threads.
-//!   Payloads are checkpointable `flumen-sim` work items, so a killed
-//!   worker resumes a partially-executed request bit-identically.
+//!   Payloads are checkpointable `flumen-sim` work items: run under a
+//!   `flumen::CheckpointPolicy`, a killed worker resumes a
+//!   partially-executed request bit-identically.
 //!
 //! Two binaries drive it: `flumen_served` (run one scenario, print the
 //! SLO summary) and `bench_serve` (sweep offered load per scenario

@@ -14,9 +14,9 @@ use crate::exec::{distinct_payloads, execute_payloads, Payload, PayloadTable};
 use crate::request::{Outcome, Request, RequestClass, RequestRecord};
 use crate::scenario::ScenarioSpec;
 use crate::ServeConfig;
+use flumen::CheckpointPolicy;
 use flumen_sim::{Cycles, EventQueue, Json, ToJson};
 use flumen_sweep::hash::sha256_hex;
-use flumen_sweep::CheckpointStore;
 use flumen_trace::{EventKind, Histogram, TraceCategory, TraceEvent, TraceHandle};
 
 /// What the engine schedules on the sim event queue.
@@ -124,17 +124,17 @@ impl ToJson for ServeReport {
 }
 
 /// Runs a scenario end to end: generates the request trace, executes the
-/// distinct payloads (in parallel, checkpointing through `store` when
+/// distinct payloads (in parallel, checkpointing under `checkpoint` when
 /// given), then drives the queueing simulation.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     cfg: &ServeConfig,
-    store: Option<&CheckpointStore>,
+    checkpoint: Option<&CheckpointPolicy>,
     trace: &TraceHandle,
 ) -> Result<ServeReport, ServeError> {
     let requests = spec.generate();
     let jobs: Vec<_> = requests.iter().map(|r| r.job.clone()).collect();
-    let table = execute_payloads(&jobs, cfg.exec_threads, store);
+    let table = execute_payloads(&jobs, cfg.exec_threads, checkpoint);
     serve_requests(spec, &requests, cfg, &table, trace)
 }
 

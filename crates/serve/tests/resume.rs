@@ -3,22 +3,19 @@
 //!
 //! Serving executes payloads as checkpointable `flumen-sim` work items.
 //! The kill is fabricated the way `flumen-sweep`'s resume test does it:
-//! the same full-system simulation is driven partway by hand and its
+//! the same full-system simulation is driven partway and its
 //! snapshot written under the payload's content hash — exactly what a
 //! worker process leaves on disk when it dies after a periodic
-//! checkpoint. A serve run pointed at that store must resume the
+//! checkpoint. A serve run pointed at that directory must resume the
 //! payload, finish it, and record the *same* per-request result hash as
 //! an uninterrupted run.
 
-use flumen::{MzimControlUnit, RuntimeConfig, SystemTopology};
-use flumen_noc::{CrossbarConfig, MzimCrossbar};
+use flumen::{CheckpointPolicy, RuntimeConfig, SystemTopology, TopologySim};
 use flumen_serve::exec::execute_payloads;
 use flumen_serve::{run_scenario, ArrivalProcess, JobMix, ScenarioSpec, ServeConfig};
 use flumen_sim::{Cycles, Snapshotable};
-use flumen_sweep::{BenchKind, BenchSize, BenchSpec, CheckpointStore, JobSpec};
-use flumen_system::SystemSim;
+use flumen_sweep::{BenchKind, BenchSize, BenchSpec, JobSpec};
 use flumen_trace::TraceHandle;
-use flumen_workloads::taskgen::{self, ExecMode};
 use flumen_workloads::Rotation3d;
 use std::path::PathBuf;
 
@@ -57,7 +54,7 @@ fn killed_worker_resumes_request_to_the_same_hash() {
     };
     let trace = TraceHandle::disabled();
 
-    // Uninterrupted reference run (no checkpoint store).
+    // Uninterrupted reference run (no checkpointing).
     let reference = run_scenario(&spec, &serve_cfg, None, &trace).expect("reference serve");
     let ref_hash = reference.result_hash();
     let ref_cycles = execute_payloads(std::slice::from_ref(&payload), 1, None)
@@ -69,25 +66,23 @@ fn killed_worker_resumes_request_to_the_same_hash() {
     // Fabricate the kill: drive the identical payload simulation halfway
     // and leave its snapshot under the payload's content hash.
     let ckpt_dir = tmp_dir("store");
-    let store = CheckpointStore::new(ckpt_dir.clone(), 1_000);
+    let policy = CheckpointPolicy {
+        dir: ckpt_dir.clone(),
+        every_cycles: 1_000,
+    };
+    let key = payload.content_hash();
     {
         let bench = Rotation3d::small();
-        let tasks = taskgen::generate(&bench, &cfg.system, ExecMode::Offload, &cfg.taskgen);
-        let net = MzimCrossbar::new(cfg.system.chiplets, CrossbarConfig::default()).unwrap();
-        let server = MzimControlUnit::new(cfg.control.clone());
-        let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
-        for _ in 0..ref_cycles / 2 {
-            sim.step();
-        }
+        let mut sim = TopologySim::new(&bench, SystemTopology::FlumenA, &cfg, trace.clone());
+        sim.run_to(ref_cycles / 2);
         assert!(!sim.finished(), "checkpoint must land mid-run");
-        let policy = store.policy_for(&payload.content_hash());
-        policy.write(sim.cycle(), sim.snapshot()).unwrap();
-        assert_eq!(policy.files().len(), 1);
+        policy.write(&key, sim.cycle(), sim.snapshot()).unwrap();
+        assert_eq!(policy.files(&key).len(), 1);
     }
 
     // Serve again, resuming the payload from the checkpoint: identical
     // per-request result hashes, hence an identical report hash.
-    let resumed = run_scenario(&spec, &serve_cfg, Some(&store), &trace).expect("resumed serve");
+    let resumed = run_scenario(&spec, &serve_cfg, Some(&policy), &trace).expect("resumed serve");
     assert_eq!(resumed.result_hash(), ref_hash);
     assert!(
         resumed.counters.admitted > 0,
@@ -98,6 +93,6 @@ fn killed_worker_resumes_request_to_the_same_hash() {
     }
 
     // Completion cleared the payload's checkpoints.
-    assert!(store.policy_for(&payload.content_hash()).files().is_empty());
+    assert!(policy.files(&key).is_empty());
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 }

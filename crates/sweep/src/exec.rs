@@ -11,8 +11,8 @@
 //! out to every position that requested them.
 
 use crate::cache::ResultCache;
-use crate::checkpoint::CheckpointStore;
 use crate::job::{JobResult, JobSpec};
+use flumen::CheckpointPolicy;
 use flumen_trace::{EventKind, TraceCategory, TraceEvent};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -71,15 +71,20 @@ pub struct SweepOptions {
     /// Per-job progress lines on stderr.
     pub verbose: bool,
     /// Periodic simulator checkpointing for full-system jobs (`None` =
-    /// off). Interrupted jobs resume bit-identically on the next run.
-    pub checkpoint: Option<CheckpointStore>,
+    /// off). Each job keys its checkpoints by its content hash — the
+    /// identity the result cache uses — so an interrupted job resumes
+    /// bit-identically on the next run of the same spec and a changed
+    /// spec never picks up a stale checkpoint.
+    pub checkpoint: Option<CheckpointPolicy>,
 }
 
 impl SweepOptions {
     /// Environment-driven defaults: `FLUMEN_SWEEP_THREADS` (default: all
     /// available cores), `FLUMEN_SWEEP_FORCE=1` to bypass the cache,
-    /// `FLUMEN_SWEEP_CHECKPOINT=<cycles>` to checkpoint long jobs, and
-    /// the cache under [`ResultCache::default_dir`].
+    /// `FLUMEN_SWEEP_CHECKPOINT=<cycles>` to checkpoint long jobs every
+    /// that many cycles under `$FLUMEN_DATA_DIR/checkpoints` (unset, zero
+    /// or unparsable leaves checkpointing off), and the cache under
+    /// [`ResultCache::default_dir`].
     pub fn from_env() -> Self {
         let threads = std::env::var("FLUMEN_SWEEP_THREADS")
             .ok()
@@ -93,12 +98,20 @@ impl SweepOptions {
         let force = std::env::var("FLUMEN_SWEEP_FORCE")
             .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
             .unwrap_or(false);
+        let checkpoint = std::env::var("FLUMEN_SWEEP_CHECKPOINT")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .filter(|&n| n > 0)
+            .map(|every_cycles| CheckpointPolicy {
+                dir: default_checkpoint_dir(),
+                every_cycles,
+            });
         SweepOptions {
             threads,
             force,
             cache_dir: ResultCache::default_dir(),
             verbose: false,
-            checkpoint: CheckpointStore::from_env(),
+            checkpoint,
         }
     }
 
@@ -112,6 +125,14 @@ impl SweepOptions {
             checkpoint: None,
         }
     }
+}
+
+/// The checkpoint directory of [`SweepOptions::from_env`]:
+/// `$FLUMEN_DATA_DIR/checkpoints`, falling back to
+/// `EXPERIMENTS-data/checkpoints`. Completed jobs delete their files.
+fn default_checkpoint_dir() -> PathBuf {
+    let data = std::env::var("FLUMEN_DATA_DIR").unwrap_or_else(|_| "EXPERIMENTS-data".into());
+    PathBuf::from(data).join("checkpoints")
 }
 
 impl Default for SweepOptions {
@@ -343,5 +364,15 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
         records,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         trace_events,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_checkpoint_dir_is_under_data_root() {
+        assert!(default_checkpoint_dir().ends_with("checkpoints"));
     }
 }

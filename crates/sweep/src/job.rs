@@ -8,11 +8,11 @@
 //! execution deterministic: each job is self-contained, carries its own
 //! seed, and shares no mutable state with its siblings.
 
-use crate::checkpoint::CheckpointStore;
 use crate::hash::sha256_hex;
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use flumen::{
-    run_benchmark, run_benchmark_checkpointed, FullRunResult, RuntimeConfig, SystemTopology,
+    run_benchmark, run_benchmark_checkpointed, CheckpointPolicy, FullRunResult, RuntimeConfig,
+    SystemTopology,
 };
 use flumen_noc::harness::{measure_point, LatencyPoint, RunConfig};
 use flumen_noc::traffic::TrafficPattern;
@@ -361,15 +361,15 @@ impl JobSpec {
     }
 
     /// Like [`execute`](Self::execute), but full-system runs checkpoint
-    /// through `store` (keyed by this spec's content hash) and resume
-    /// from the newest valid checkpoint when one exists. Resumption is
+    /// under `policy`, keyed by this spec's content hash, and resume from
+    /// the newest checkpoint that restores when one exists. Resumption is
     /// bit-identical, so the result is cacheable under the same address
     /// whether or not the run was interrupted.
     ///
     /// # Panics
     ///
-    /// Panics if checkpoint files cannot be read or written.
-    pub fn execute_with(&self, store: Option<&CheckpointStore>) -> JobResult {
+    /// Panics if checkpoint files cannot be written or removed.
+    pub fn execute_with(&self, policy: Option<&CheckpointPolicy>) -> JobResult {
         match self {
             JobSpec::FullRun {
                 bench,
@@ -377,18 +377,16 @@ impl JobSpec {
                 cfg,
             } => {
                 let workload = bench.instantiate();
-                let r = match store {
-                    Some(store) => {
-                        let policy = store.policy_for(&self.content_hash());
-                        run_benchmark_checkpointed(
-                            workload.as_ref(),
-                            *topology,
-                            cfg,
-                            &policy,
-                            flumen_trace::TraceHandle::disabled(),
-                        )
-                        .expect("checkpoint I/O")
-                    }
+                let r = match policy {
+                    Some(policy) => run_benchmark_checkpointed(
+                        workload.as_ref(),
+                        *topology,
+                        cfg,
+                        policy,
+                        &self.content_hash(),
+                        flumen_trace::TraceHandle::disabled(),
+                    )
+                    .expect("checkpoint I/O"),
                     None => run_benchmark(workload.as_ref(), *topology, cfg),
                 };
                 JobResult::FullRun(r)

@@ -21,13 +21,13 @@
 //!
 //! Environment knobs: `FLUMEN_SWEEP_THREADS` (worker count),
 //! `FLUMEN_SWEEP_FORCE=1` (bypass cache), `FLUMEN_SWEEP_CHECKPOINT`
-//! (checkpoint interval in cycles for long full-system jobs),
-//! `FLUMEN_DATA_DIR` (data and cache root).
+//! (checkpoint interval in cycles for long full-system jobs, which then
+//! resume from their newest snapshot after a kill), `FLUMEN_DATA_DIR`
+//! (data, cache and checkpoint root).
 
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod checkpoint;
 pub mod configs;
 pub mod exec;
 pub mod hash;
@@ -40,7 +40,6 @@ pub mod sink;
 pub use flumen_sim::json;
 
 pub use cache::{CacheEntry, ResultCache};
-pub use checkpoint::CheckpointStore;
 pub use exec::{run_plan, JobRecord, SweepOptions, SweepPlan, SweepReport};
 pub use job::{
     BenchKind, BenchSize, BenchSpec, JobResult, JobSpec, NetSpec, NocStatsPoint, CODE_VERSION,

@@ -2,22 +2,21 @@
 //! the *same content-addressed result* as an uninterrupted run.
 //!
 //! The interruption is fabricated the way a real one looks on disk: the
-//! same simulation is driven partway by hand and its snapshot written
-//! under the job's content hash, as if the worker process died right
-//! after a periodic checkpoint. The re-run must pick that checkpoint up,
-//! finish the remaining cycles, produce bit-identical output (verified
-//! through the canonical result JSON), and clean its checkpoints up.
+//! same simulation is driven partway and its snapshot written under the
+//! job's content hash, as if the worker process died right after a
+//! periodic checkpoint. The re-run must pick that checkpoint up, finish
+//! the remaining cycles, produce bit-identical output (verified through
+//! the canonical result JSON), and clean its checkpoints up. A checkpoint
+//! that parses but does not restore is ignored: the job starts cold and
+//! still produces the uninterrupted result.
 
-use flumen::{MzimControlUnit, RuntimeConfig, SystemTopology};
-use flumen_noc::{CrossbarConfig, MzimCrossbar};
-use flumen_sim::Snapshotable;
+use flumen::{CheckpointPolicy, RuntimeConfig, SystemTopology, TopologySim};
+use flumen_sim::{Json, Snapshotable};
 use flumen_sweep::hash::sha256_hex;
 use flumen_sweep::{
-    run_plan, BenchKind, BenchSize, BenchSpec, CheckpointStore, JobSpec, SweepOptions, SweepPlan,
-    ToJson,
+    run_plan, BenchKind, BenchSize, BenchSpec, JobSpec, SweepOptions, SweepPlan, ToJson,
 };
-use flumen_system::SystemSim;
-use flumen_workloads::taskgen::{self, ExecMode};
+use flumen_trace::TraceHandle;
 use flumen_workloads::Rotation3d;
 use std::path::PathBuf;
 
@@ -27,22 +26,42 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn killed_job_resumes_to_the_same_result_hash() {
-    let cfg = RuntimeConfig {
+fn reduced_cfg() -> RuntimeConfig {
+    RuntimeConfig {
         max_cycles: 10_000_000,
         ..RuntimeConfig::paper()
-    };
+    }
+}
+
+/// The one-job plan every test runs: Rotation3d on Flumen-A.
+fn flumen_a_plan() -> (JobSpec, SweepPlan) {
     let spec = JobSpec::FullRun {
         bench: BenchSpec {
             kind: BenchKind::Rotation3d,
             size: BenchSize::Small,
         },
         topology: SystemTopology::FlumenA,
-        cfg: cfg.clone(),
+        cfg: reduced_cfg(),
     };
     let mut plan = SweepPlan::new();
     plan.push(spec.clone());
+    (spec, plan)
+}
+
+/// The job's simulation driven to `cycle` and snapshotted there.
+fn mid_run_snapshot(cycle: u64) -> (u64, Json) {
+    let bench = Rotation3d::small();
+    let cfg = reduced_cfg();
+    let disabled = TraceHandle::disabled();
+    let mut sim = TopologySim::new(&bench, SystemTopology::FlumenA, &cfg, disabled);
+    sim.run_to(cycle);
+    assert!(!sim.finished(), "checkpoint must land mid-run");
+    (sim.cycle(), sim.snapshot())
+}
+
+#[test]
+fn killed_job_resumes_to_the_same_result_hash() {
+    let (spec, plan) = flumen_a_plan();
 
     // Uninterrupted reference run.
     let cache_a = tmp_dir("cache-a");
@@ -53,21 +72,14 @@ fn killed_job_resumes_to_the_same_result_hash() {
     // Fabricate the kill: drive the identical simulation halfway and
     // leave its checkpoint on disk under the job's content hash.
     let ckpt_dir = tmp_dir("ckpts");
-    let store = CheckpointStore::new(ckpt_dir.clone(), 1_000);
-    {
-        let bench = Rotation3d::small();
-        let tasks = taskgen::generate(&bench, &cfg.system, ExecMode::Offload, &cfg.taskgen);
-        let net = MzimCrossbar::new(cfg.system.chiplets, CrossbarConfig::default()).unwrap();
-        let server = MzimControlUnit::new(cfg.control.clone());
-        let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
-        for _ in 0..ref_cycles / 2 {
-            sim.step();
-        }
-        assert!(!sim.finished(), "checkpoint must land mid-run");
-        let policy = store.policy_for(&spec.content_hash());
-        policy.write(sim.cycle(), sim.snapshot()).unwrap();
-        assert_eq!(policy.files().len(), 1);
-    }
+    let policy = CheckpointPolicy {
+        dir: ckpt_dir.clone(),
+        every_cycles: 1_000,
+    };
+    let key = spec.content_hash();
+    let (cycle, state) = mid_run_snapshot(ref_cycles / 2);
+    policy.write(&key, cycle, state).unwrap();
+    assert_eq!(policy.files(&key).len(), 1);
 
     // Re-run with checkpointing on and a fresh cache, so the job really
     // executes and must resume rather than start cold or hit the cache.
@@ -75,7 +87,7 @@ fn killed_job_resumes_to_the_same_result_hash() {
     let resumed = run_plan(
         &plan,
         &SweepOptions {
-            checkpoint: Some(store.clone()),
+            checkpoint: Some(policy.clone()),
             ..SweepOptions::serial_in(cache_b.clone())
         },
     );
@@ -92,9 +104,64 @@ fn killed_job_resumes_to_the_same_result_hash() {
     assert!(!resumed.results[0].full_run().truncated);
 
     // Completion cleared the job's checkpoints.
-    assert!(store.policy_for(&spec.content_hash()).files().is_empty());
+    assert!(policy.files(&key).is_empty());
 
     for d in [cache_a, cache_b, ckpt_dir] {
         let _ = std::fs::remove_dir_all(&d);
     }
+}
+
+#[test]
+fn unrestorable_checkpoint_starts_cold() {
+    let (spec, plan) = flumen_a_plan();
+    let cache_ref = tmp_dir("cold-cache-ref");
+    let reference = run_plan(&plan, &SweepOptions::serial_in(cache_ref.clone()));
+    let ref_json = reference.results[0].to_json().to_canonical();
+    let ref_cycles = reference.results[0].full_run().cycles;
+
+    // A real mid-run snapshot whose network fails to restore after the
+    // engine's caches already have.
+    let (cycle, state) = mid_run_snapshot(ref_cycles / 2);
+    let Json::Obj(mut fields) = state else {
+        panic!("a system snapshot is an object");
+    };
+    fields.insert("net".into(), Json::obj([]));
+    let cases = [
+        ("empty state", 1_000, Json::obj([])),
+        ("empty net", cycle, Json::Obj(fields)),
+    ];
+
+    let key = spec.content_hash();
+    for (i, (what, cycle, state)) in cases.into_iter().enumerate() {
+        let ckpt_dir = tmp_dir(&format!("cold-ckpts-{i}"));
+        let policy = CheckpointPolicy {
+            dir: ckpt_dir.clone(),
+            every_cycles: 1_000,
+        };
+        policy.write(&key, cycle, state).unwrap();
+        assert!(
+            policy.load_latest(&key).is_some(),
+            "{what}: envelope parses"
+        );
+
+        let cache = tmp_dir(&format!("cold-cache-{i}"));
+        let cold = run_plan(
+            &plan,
+            &SweepOptions {
+                checkpoint: Some(policy.clone()),
+                ..SweepOptions::serial_in(cache.clone())
+            },
+        );
+        assert_eq!(cold.executed(), 1, "{what}");
+        assert_eq!(
+            cold.results[0].to_json().to_canonical(),
+            ref_json,
+            "{what}: cold start matches the uninterrupted run"
+        );
+        assert!(policy.files(&key).is_empty(), "{what}: checkpoint left");
+        for d in [cache, ckpt_dir] {
+            let _ = std::fs::remove_dir_all(&d);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&cache_ref);
 }

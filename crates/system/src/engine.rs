@@ -198,8 +198,9 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     ///
     /// # Panics
     ///
-    /// Panics if `tasks.len() != cfg.cores` or the network endpoint count
-    /// differs from `cfg.chiplets`.
+    /// Panics if `tasks.len() != cfg.cores`, the network endpoint count
+    /// differs from `cfg.chiplets`, or a task (or an offload's fallback)
+    /// sends to a chiplet `≥ cfg.chiplets`.
     pub fn new(cfg: SystemConfig, net: N, server: S, tasks: Vec<Vec<CoreTask>>) -> Self {
         assert_eq!(tasks.len(), cfg.cores, "one task queue per core");
         assert_eq!(
@@ -207,6 +208,19 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             cfg.chiplets,
             "network endpoints must equal chiplets"
         );
+        // Issuing such a task would index past the network's per-node
+        // queues; restore rejects the same state.
+        let mut named = Vec::new();
+        for task in tasks.iter().flatten() {
+            named.clear();
+            push_task_chiplets(task, &mut named);
+            if let Some(chiplet) = named.iter().find(|&&c| c >= cfg.chiplets) {
+                panic!(
+                    "a task names chiplet {chiplet}, system has {}",
+                    cfg.chiplets
+                );
+            }
+        }
         let cores = tasks
             .into_iter()
             .map(|q| CoreState {
@@ -1014,6 +1028,22 @@ mod tests {
 
     fn empty_tasks(n: usize) -> Vec<Vec<CoreTask>> {
         (0..n).map(|_| Vec::new()).collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "a task names chiplet 4, system has 4")]
+    fn new_rejects_tasks_naming_missing_chiplets() {
+        let mut tasks = empty_tasks(4);
+        tasks[2].push(CoreTask::External {
+            payload: [0; 5],
+            fallback: vec![CoreTask::NetRequest {
+                dst_chiplet: 4,
+                req_bits: 64,
+                reply_bits: 512,
+                server_cycles: 10,
+            }],
+        });
+        SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks);
     }
 
     #[test]
