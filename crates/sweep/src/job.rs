@@ -53,9 +53,8 @@ pub enum BenchSize {
 
 /// A benchmark choice that can be serialized and instantiated on demand.
 ///
-/// Workload structs hold their input tensors, so the spec stores only the
-/// (kind, size) pair and materializes the data inside whichever worker
-/// thread runs the job.
+/// The spec stores only the (kind, size) pair; whichever worker thread
+/// runs the job builds the benchmark's shapes from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchSpec {
     /// Kernel.
@@ -90,7 +89,7 @@ impl BenchSpec {
         }
     }
 
-    /// Builds the workload (generates its synthetic inputs).
+    /// Builds the workload's job shapes (no operand data).
     pub fn instantiate(&self) -> Box<dyn Benchmark> {
         match (self.kind, self.size) {
             (BenchKind::ImageBlur, BenchSize::Paper) => Box::new(ImageBlur::paper()),

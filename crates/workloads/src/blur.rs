@@ -7,7 +7,7 @@
 //! matrix and H·W patch vectors.
 
 use crate::data::Image;
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{Benchmark, MvmJob, Operands};
 use flumen_linalg::RMat;
 
 /// The 3×3 Gaussian blur kernel, normalized.
@@ -26,9 +26,10 @@ pub const GAUSSIAN_3X3: [f64; 9] = [
 /// The Image Blur benchmark.
 #[derive(Debug)]
 pub struct ImageBlur {
-    image: Image,
+    h: usize,
+    w: usize,
+    seed: u64,
     jobs: Vec<MvmJob>,
-    golden: Vec<f64>, // H×W×C blurred output
 }
 
 impl ImageBlur {
@@ -44,54 +45,34 @@ impl ImageBlur {
 
     /// Builds the benchmark for an `h×w` RGB image.
     pub fn with_size(h: usize, w: usize, seed: u64) -> Self {
-        let image = Image::synthetic(h, w, 3, seed);
-        let kernel = RMat::from_rows(1, 9, GAUSSIAN_3X3.to_vec()).expect("9 weights");
-
-        let mut golden = vec![0.0; h * w * 3];
-        let mut jobs = Vec::with_capacity(3);
-        for c in 0..3 {
-            let mut vectors = Vec::with_capacity(h * w);
-            for y in 0..h {
-                for x in 0..w {
-                    // Raveled 3×3 receptive field, zero padded.
-                    let mut patch = Vec::with_capacity(9);
-                    let mut acc = 0.0;
-                    for ky in -1isize..=1 {
-                        for kx in -1isize..=1 {
-                            let v = image.get_padded(y as isize + ky, x as isize + kx, c);
-                            patch.push(v);
-                            acc += v * GAUSSIAN_3X3[((ky + 1) * 3 + (kx + 1)) as usize];
-                        }
-                    }
-                    golden[c * h * w + y * w + x] = acc;
-                    vectors.push(patch);
-                }
-            }
-            jobs.push(MvmJob {
+        let jobs = (0..3)
+            .map(|c| MvmJob {
                 id: c,
                 wave: 0,
-                matrix: kernel.clone(),
-                vectors,
+                rows: 1,
+                cols: 9,
+                vector_count: h * w,
+                orthogonal: false,
                 weight_base: 0x1000_0000,
                 input_base: 0x2000_0000 + (c * h * w * 16) as u64,
                 output_base: 0x3000_0000 + (c * h * w * 4) as u64,
-            });
-        }
-        ImageBlur {
-            image,
-            jobs,
-            golden,
-        }
+            })
+            .collect();
+        ImageBlur { h, w, seed, jobs }
     }
 
-    /// The input image.
-    pub fn image(&self) -> &Image {
-        &self.image
+    /// The input image, generated from the seed.
+    pub fn image(&self) -> Image {
+        Image::synthetic(self.h, self.w, 3, self.seed)
     }
 
     /// The golden blurred output (channel-major).
-    pub fn golden_output(&self) -> &[f64] {
-        &self.golden
+    pub fn golden_output(&self) -> Vec<f64> {
+        self.operands()
+            .iter()
+            .flat_map(Operands::golden)
+            .map(|out| out[0])
+            .collect()
     }
 }
 
@@ -104,22 +85,50 @@ impl Benchmark for ImageBlur {
         &self.jobs
     }
 
+    fn operands(&self) -> Vec<Operands> {
+        let (h, w) = (self.h, self.w);
+        let image = self.image();
+        let kernel = RMat::from_rows(1, 9, GAUSSIAN_3X3.to_vec()).expect("9 weights");
+        (0..3)
+            .map(|c| {
+                let mut vectors = Vec::with_capacity(h * w);
+                for y in 0..h {
+                    for x in 0..w {
+                        // Raveled 3×3 receptive field, zero padded.
+                        let mut patch = Vec::with_capacity(9);
+                        for ky in -1isize..=1 {
+                            for kx in -1isize..=1 {
+                                patch.push(image.get_padded(y as isize + ky, x as isize + kx, c));
+                            }
+                        }
+                        vectors.push(patch);
+                    }
+                }
+                Operands {
+                    matrix: kernel.clone(),
+                    vectors,
+                }
+            })
+            .collect()
+    }
+
     fn epilogue_ops(&self) -> u64 {
         // Clamp + store per output pixel.
-        self.golden.len() as u64
+        (self.h * self.w * 3) as u64
     }
 
     fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {
         if results.len() != self.jobs.len() {
             return false;
         }
-        let hw = self.image.height * self.image.width;
+        let golden = self.golden_output();
+        let hw = self.h * self.w;
         for (c, res) in results.iter().enumerate() {
             if res.len() != hw {
                 return false;
             }
             for (i, out) in res.iter().enumerate() {
-                if out.len() != 1 || (out[0] - self.golden[c * hw + i]).abs() > tol {
+                if out.len() != 1 || (out[0] - golden[c * hw + i]).abs() > tol {
                     return false;
                 }
             }
@@ -142,14 +151,14 @@ mod tests {
     #[test]
     fn jobs_reproduce_golden() {
         let b = ImageBlur::small();
-        let results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         assert!(b.verify(&results, 1e-12));
     }
 
     #[test]
     fn verify_rejects_corruption() {
         let b = ImageBlur::small();
-        let mut results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let mut results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         results[0][0][0] += 0.5;
         assert!(!b.verify(&results, 1e-6));
     }

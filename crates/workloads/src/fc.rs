@@ -3,7 +3,7 @@
 //! activation vector plus bias, ≈4.1 M MACs.
 
 use crate::data::{quantize_u8, synthetic_weights};
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{vectors_match, Benchmark, MvmJob, Operands};
 use flumen_linalg::RMat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,9 +11,8 @@ use rand::{Rng, SeedableRng};
 /// The VGG16 FC-1000 benchmark.
 #[derive(Debug)]
 pub struct Vgg16Fc {
+    seed: u64,
     job: [MvmJob; 1],
-    bias: Vec<f64>,
-    golden: Vec<f64>,
 }
 
 impl Vgg16Fc {
@@ -43,9 +42,31 @@ impl Vgg16Fc {
     /// Panics if `batch == 0`.
     pub fn with_batch(out_dim: usize, in_dim: usize, batch: usize, seed: u64) -> Self {
         assert!(batch > 0, "batch must be positive");
-        let weights = synthetic_weights(out_dim * in_dim, 0.25, seed);
+        let job = MvmJob {
+            id: 0,
+            wave: 0,
+            rows: out_dim,
+            cols: in_dim,
+            vector_count: batch,
+            orthogonal: false,
+            weight_base: 0x1000_0000,
+            input_base: 0x2000_0000,
+            output_base: 0x3000_0000,
+        };
+        Vgg16Fc { seed, job: [job] }
+    }
+
+    /// The layer's operands and bias, generated from the seed.
+    fn generate(&self) -> (Operands, Vec<f64>) {
+        let MvmJob {
+            rows: out_dim,
+            cols: in_dim,
+            vector_count: batch,
+            ..
+        } = self.job[0];
+        let weights = synthetic_weights(out_dim * in_dim, 0.25, self.seed);
         let matrix = RMat::from_rows(out_dim, in_dim, weights).expect("sized");
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xBEEF);
         let vectors: Vec<Vec<f64>> = (0..batch)
             .map(|_| {
                 (0..in_dim)
@@ -54,39 +75,27 @@ impl Vgg16Fc {
             })
             .collect();
         let bias: Vec<f64> = (0..out_dim).map(|_| rng.gen_range(-0.1..0.1)).collect();
-        // Golden output for the first batch element (bias included); the
-        // verifier checks every element against the job's exact products.
-        let golden: Vec<f64> = matrix
-            .mul_vec(&vectors[0])
-            .into_iter()
-            .zip(bias.iter())
-            .map(|(v, b)| v + b)
-            .collect();
-        let job = MvmJob {
-            id: 0,
-            wave: 0,
-            matrix,
-            vectors,
-            weight_base: 0x1000_0000,
-            input_base: 0x2000_0000,
-            output_base: 0x3000_0000,
-        };
-        Vgg16Fc {
-            job: [job],
-            bias,
-            golden,
-        }
+        (Operands { matrix, vectors }, bias)
     }
 
     /// The layer's golden output for the first batch element (with bias).
-    pub fn golden_output(&self) -> &[f64] {
-        &self.golden
+    pub fn golden_output(&self) -> Vec<f64> {
+        let (ops, bias) = self.generate();
+        with_bias(&ops.matrix.mul_vec(&ops.vectors[0]), &bias)
     }
 
     /// Batch size.
     pub fn batch(&self) -> usize {
-        self.job[0].vectors.len()
+        self.job[0].vector_count
     }
+}
+
+fn with_bias(products: &[f64], bias: &[f64]) -> Vec<f64> {
+    products
+        .iter()
+        .zip(bias.iter())
+        .map(|(v, b)| v + b)
+        .collect()
 }
 
 impl Benchmark for Vgg16Fc {
@@ -98,30 +107,29 @@ impl Benchmark for Vgg16Fc {
         &self.job
     }
 
+    fn operands(&self) -> Vec<Operands> {
+        vec![self.generate().0]
+    }
+
     fn epilogue_ops(&self) -> u64 {
         // Bias add per output.
-        self.bias.len() as u64
+        self.job[0].rows as u64
     }
 
     fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {
-        if results.len() != 1 || results[0].len() != self.job[0].vectors.len() {
+        // Every batch element checks against the exact products; the first
+        // also checks through the bias against the app's golden output.
+        let (ops, bias) = self.generate();
+        let exact = ops.golden();
+        if results.len() != 1 || !vectors_match(&exact, &results[0], tol) {
             return false;
         }
-        // First batch element checks through the bias against the app's
-        // golden output; remaining elements against the exact products.
-        let first = &results[0][0];
-        let first_ok = first.len() == self.golden.len()
-            && first
-                .iter()
-                .zip(self.bias.iter())
-                .zip(self.golden.iter())
-                .all(|((v, b), g)| (v + b - g).abs() <= tol);
-        let exact = self.job[0].golden();
-        first_ok
-            && results[0]
-                .iter()
-                .zip(exact.iter())
-                .all(|(r, g)| r.iter().zip(g.iter()).all(|(a, b)| (a - b).abs() <= tol))
+        let golden = with_bias(&exact[0], &bias);
+        results[0][0]
+            .iter()
+            .zip(bias.iter())
+            .zip(golden.iter())
+            .all(|((v, b), g)| (v + b - g).abs() <= tol)
     }
 }
 
@@ -139,15 +147,25 @@ mod tests {
     #[test]
     fn jobs_reproduce_golden() {
         let b = Vgg16Fc::small();
-        let results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         assert!(b.verify(&results, 1e-12));
     }
 
     #[test]
     fn verify_rejects_corruption() {
         let b = Vgg16Fc::small();
-        let mut results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let mut results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         results[0][0][3] += 0.1;
+        assert!(!b.verify(&results, 1e-9));
+    }
+
+    #[test]
+    fn verify_rejects_short_batch_elements() {
+        let b = Vgg16Fc::with_batch(10, 32, 3, 0xF0C);
+        let mut results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
+        assert!(b.verify(&results, 1e-12));
+        results[0][1].truncate(3);
+        results[0][2].clear();
         assert!(!b.verify(&results, 1e-9));
     }
 
@@ -156,7 +174,7 @@ mod tests {
         // The paper identifies VGG FC as the lowest-speedup benchmark:
         // a large kernel with a single input vector (no operand reuse).
         let b = Vgg16Fc::small();
-        assert_eq!(b.jobs()[0].vectors.len(), 1);
+        assert_eq!(b.jobs()[0].vector_count, 1);
     }
 
     #[test]

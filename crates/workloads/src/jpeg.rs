@@ -8,7 +8,7 @@
 //! the second pass depends on the first, giving a two-wave job graph.
 
 use crate::data::Image;
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{Benchmark, MvmJob, Operands};
 use flumen_linalg::RMat;
 
 /// Builds the orthonormal 8×8 DCT-II matrix.
@@ -27,10 +27,10 @@ pub fn dct8_matrix() -> RMat {
 /// The JPEG compression benchmark (luma-plane DCT stage).
 #[derive(Debug)]
 pub struct Jpeg {
-    blocks: usize,
+    h: usize,
+    w: usize,
+    seed: u64,
     jobs: Vec<MvmJob>,
-    /// Golden DCT coefficients per block (row-major 8×8 each).
-    golden: Vec<Vec<f64>>,
 }
 
 impl Jpeg {
@@ -54,70 +54,56 @@ impl Jpeg {
             h.is_multiple_of(8) && w.is_multiple_of(8),
             "JPEG needs 8-aligned dimensions"
         );
-        let image = Image::synthetic(h, w, 1, seed);
-        let d = dct8_matrix();
-        let blocks_y = h / 8;
-        let blocks_x = w / 8;
-        let blocks = blocks_y * blocks_x;
-
-        // Wave 0: Y = D·B — inputs are the 8 columns of each block.
-        let mut wave0_vectors = Vec::with_capacity(blocks * 8);
-        // Store per-block column-major Y to derive wave-1 inputs.
-        let mut golden = Vec::with_capacity(blocks);
-        let mut wave1_vectors = Vec::with_capacity(blocks * 8);
-        for by in 0..blocks_y {
-            for bx in 0..blocks_x {
-                let block = RMat::from_fn(8, 8, |r, c| {
-                    image.get(by * 8 + r, bx * 8 + c, 0) - 0.5 // level shift
-                });
-                let y = d.matmul(&block);
-                let c_coeff = y.matmul(&d.transpose());
-                golden.push(c_coeff.as_slice().to_vec());
-                for col in 0..8 {
-                    wave0_vectors.push(block.col(col));
-                }
-                // Wave 1 computes Cᵀ = D·Yᵀ: inputs are the rows of Y.
-                for row in 0..8 {
-                    wave1_vectors.push(y.row(row).to_vec());
-                }
-            }
-        }
-
+        let blocks = (h / 8) * (w / 8);
+        // Wave 0: Y = D·B, inputs the 8 columns of each block. Wave 1:
+        // Cᵀ = D·Yᵀ, inputs the 8 rows of each block's Y.
+        let dct_pass = |id: usize, input_base: u64, output_base: u64| MvmJob {
+            id,
+            wave: id,
+            rows: 8,
+            cols: 8,
+            vector_count: blocks * 8,
+            orthogonal: true,
+            weight_base: 0x1000_0000,
+            input_base,
+            output_base,
+        };
         let jobs = vec![
-            MvmJob {
-                id: 0,
-                wave: 0,
-                matrix: d.clone(),
-                vectors: wave0_vectors,
-                weight_base: 0x1000_0000,
-                input_base: 0x2000_0000,
-                output_base: 0x3000_0000,
-            },
-            MvmJob {
-                id: 1,
-                wave: 1,
-                matrix: d,
-                vectors: wave1_vectors,
-                weight_base: 0x1000_0000,
-                input_base: 0x3000_0000, // consumes wave-0 outputs
-                output_base: 0x4000_0000,
-            },
+            dct_pass(0, 0x2000_0000, 0x3000_0000),
+            // Consumes wave-0 outputs.
+            dct_pass(1, 0x3000_0000, 0x4000_0000),
         ];
-        Jpeg {
-            blocks,
-            jobs,
-            golden,
-        }
+        Jpeg { h, w, seed, jobs }
     }
 
     /// Number of 8×8 blocks (paper: 1536).
     pub fn block_count(&self) -> usize {
-        self.blocks
+        (self.h / 8) * (self.w / 8)
+    }
+
+    /// The level-shifted 8×8 pixel blocks of the synthetic image, in
+    /// raster order.
+    fn pixel_blocks(&self) -> Vec<RMat> {
+        let image = Image::synthetic(self.h, self.w, 1, self.seed);
+        let mut blocks = Vec::with_capacity(self.block_count());
+        for by in 0..self.h / 8 {
+            for bx in 0..self.w / 8 {
+                blocks.push(RMat::from_fn(8, 8, |r, c| {
+                    image.get(by * 8 + r, bx * 8 + c, 0) - 0.5 // level shift
+                }));
+            }
+        }
+        blocks
     }
 
     /// Golden DCT coefficients, one row-major 8×8 matrix per block.
-    pub fn golden_coefficients(&self) -> &[Vec<f64>] {
-        &self.golden
+    pub fn golden_coefficients(&self) -> Vec<Vec<f64>> {
+        let d = dct8_matrix();
+        let dt = d.transpose();
+        self.pixel_blocks()
+            .iter()
+            .map(|block| d.matmul(block).matmul(&dt).as_slice().to_vec())
+            .collect()
     }
 }
 
@@ -130,9 +116,35 @@ impl Benchmark for Jpeg {
         &self.jobs
     }
 
+    fn operands(&self) -> Vec<Operands> {
+        let d = dct8_matrix();
+        let blocks = self.pixel_blocks();
+        let mut wave0_vectors = Vec::with_capacity(blocks.len() * 8);
+        let mut wave1_vectors = Vec::with_capacity(blocks.len() * 8);
+        for block in &blocks {
+            let y = d.matmul(block);
+            for col in 0..8 {
+                wave0_vectors.push(block.col(col));
+            }
+            for row in 0..8 {
+                wave1_vectors.push(y.row(row).to_vec());
+            }
+        }
+        vec![
+            Operands {
+                matrix: d.clone(),
+                vectors: wave0_vectors,
+            },
+            Operands {
+                matrix: d,
+                vectors: wave1_vectors,
+            },
+        ]
+    }
+
     fn epilogue_ops(&self) -> u64 {
         // Quantization (divide+round), zigzag and RLE per coefficient.
-        (self.blocks * 64 * 5) as u64
+        (self.block_count() * 64 * 5) as u64
     }
 
     fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {
@@ -141,10 +153,10 @@ impl Benchmark for Jpeg {
         }
         // Wave 1 outputs are the columns of Cᵀ, i.e. the rows of C.
         let w1 = &results[1];
-        if w1.len() != self.blocks * 8 {
+        if w1.len() != self.block_count() * 8 || w1.iter().any(|out| out.len() != 8) {
             return false;
         }
-        for (b, gold) in self.golden.iter().enumerate() {
+        for (b, gold) in self.golden_coefficients().iter().enumerate() {
             for row in 0..8 {
                 let out = &w1[b * 8 + row];
                 for col in 0..8 {
@@ -180,15 +192,23 @@ mod tests {
     #[test]
     fn jobs_reproduce_golden() {
         let j = Jpeg::small();
-        let results: Vec<_> = j.jobs().iter().map(MvmJob::golden).collect();
+        let results: Vec<_> = j.operands().iter().map(Operands::golden).collect();
         assert!(j.verify(&results, 1e-9));
     }
 
     #[test]
     fn verify_rejects_corruption() {
         let j = Jpeg::small();
-        let mut results: Vec<_> = j.jobs().iter().map(MvmJob::golden).collect();
+        let mut results: Vec<_> = j.operands().iter().map(Operands::golden).collect();
         results[1][3][2] += 1.0;
+        assert!(!j.verify(&results, 1e-6));
+    }
+
+    #[test]
+    fn verify_rejects_short_wave1_output() {
+        let j = Jpeg::small();
+        let mut results: Vec<_> = j.operands().iter().map(Operands::golden).collect();
+        results[1][0].truncate(5);
         assert!(!j.verify(&results, 1e-6));
     }
 

@@ -3,11 +3,19 @@
 //! The five benchmark applications of the Flumen evaluation (paper §4.2),
 //! each with
 //!
-//! * a **golden** scalar implementation (exact math on synthetic data),
 //! * a decomposition into offloadable [`MvmJob`]s (matrix × vectors, the
-//!   paper's §3.3 computation mapping), and
+//!   paper's §3.3 computation mapping), held as shapes: dimensions, vector
+//!   counts and addresses,
 //! * task-graph generation ([`taskgen`]) for the system simulator, in
-//!   local (cores-only) and offload (MZIM) flavours.
+//!   local (cores-only) and offload (MZIM) flavours, which reads only
+//!   those shapes, and
+//! * seeded synthetic [`Operands`] plus a **golden** scalar implementation
+//!   (exact math on them), generated only when a check asks through
+//!   [`Benchmark::operands`] or [`Benchmark::verify`].
+//!
+//! Constructing a benchmark draws no random numbers and allocates nothing
+//! in proportion to its tensors, so a full-system run pays only for the
+//! shapes it simulates.
 //!
 //! | Benchmark | Shape | ≈MACs |
 //! |---|---|---|
@@ -36,7 +44,7 @@ pub use blur::{ImageBlur, GAUSSIAN_3X3};
 pub use conv::ResnetConv3;
 pub use data::{quantize_i8, quantize_u8, synthetic_weights, Image};
 pub use fc::Vgg16Fc;
-pub use jobs::{results_match_golden, Benchmark, MvmJob};
+pub use jobs::{results_match_golden, Benchmark, MvmJob, Operands};
 pub use jpeg::{dct8_matrix, Jpeg};
 pub use rotation::Rotation3d;
 
@@ -69,7 +77,7 @@ mod tests {
     #[test]
     fn all_benchmarks_reproduce_their_golden() {
         for b in small_benchmarks() {
-            let results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+            let results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
             assert!(b.verify(&results, 1e-9), "{} failed", b.name());
         }
     }

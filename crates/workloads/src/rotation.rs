@@ -5,7 +5,7 @@
 //! partial-sum accumulation at the cores (paper §5.4.1 credits this for
 //! the benchmark's best-in-class energy reduction).
 
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{results_match_golden, Benchmark, MvmJob, Operands};
 use flumen_linalg::RMat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,8 +13,8 @@ use rand::{Rng, SeedableRng};
 /// The 3D rotation benchmark.
 #[derive(Debug)]
 pub struct Rotation3d {
+    seed: u64,
     job: [MvmJob; 1],
-    golden: Vec<Vec<f64>>,
 }
 
 impl Rotation3d {
@@ -30,46 +30,23 @@ impl Rotation3d {
 
     /// Builds the benchmark with a seeded wireframe and transform.
     pub fn with_vertices(count: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Rotation about an arbitrary axis plus a small translation.
-        let (ax, ay, az) = random_unit_axis(&mut rng);
-        let angle: f64 = rng.gen_range(0.1..1.5);
-        let (s, c) = angle.sin_cos();
-        let t = 1.0 - c;
-        #[rustfmt::skip]
-        let m = RMat::from_rows(4, 4, vec![
-            t*ax*ax + c,      t*ax*ay - s*az, t*ax*az + s*ay, rng.gen_range(-0.5..0.5),
-            t*ax*ay + s*az,   t*ay*ay + c,    t*ay*az - s*ax, rng.gen_range(-0.5..0.5),
-            t*ax*az - s*ay,   t*ay*az + s*ax, t*az*az + c,    rng.gen_range(-0.5..0.5),
-            0.0,              0.0,            0.0,            1.0,
-        ]).expect("16 entries");
-
-        let vectors: Vec<Vec<f64>> = (0..count)
-            .map(|_| {
-                vec![
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    1.0,
-                ]
-            })
-            .collect();
-        let golden: Vec<Vec<f64>> = vectors.iter().map(|v| m.mul_vec(v)).collect();
         let job = MvmJob {
             id: 0,
             wave: 0,
-            matrix: m,
-            vectors,
+            rows: 4,
+            cols: 4,
+            vector_count: count,
+            orthogonal: false,
             weight_base: 0x1000_0000,
             input_base: 0x2000_0000,
             output_base: 0x3000_0000,
         };
-        Rotation3d { job: [job], golden }
+        Rotation3d { seed, job: [job] }
     }
 
     /// Transformed vertices.
-    pub fn golden_vertices(&self) -> &[Vec<f64>] {
-        &self.golden
+    pub fn golden_vertices(&self) -> Vec<Vec<f64>> {
+        self.operands()[0].golden()
     }
 }
 
@@ -96,12 +73,36 @@ impl Benchmark for Rotation3d {
         &self.job
     }
 
-    fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {
-        results.len() == 1
-            && results[0].len() == self.golden.len()
-            && results[0].iter().zip(self.golden.iter()).all(|(r, g)| {
-                r.len() == g.len() && r.iter().zip(g.iter()).all(|(a, b)| (a - b).abs() <= tol)
+    fn operands(&self) -> Vec<Operands> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        // Rotation about an arbitrary axis plus a small translation.
+        let (ax, ay, az) = random_unit_axis(&mut rng);
+        let angle: f64 = rng.gen_range(0.1..1.5);
+        let (s, c) = angle.sin_cos();
+        let t = 1.0 - c;
+        #[rustfmt::skip]
+        let matrix = RMat::from_rows(4, 4, vec![
+            t*ax*ax + c,      t*ax*ay - s*az, t*ax*az + s*ay, rng.gen_range(-0.5..0.5),
+            t*ax*ay + s*az,   t*ay*ay + c,    t*ay*az - s*ax, rng.gen_range(-0.5..0.5),
+            t*ax*az - s*ay,   t*ay*az + s*ax, t*az*az + c,    rng.gen_range(-0.5..0.5),
+            0.0,              0.0,            0.0,            1.0,
+        ]).expect("16 entries");
+
+        let vectors: Vec<Vec<f64>> = (0..self.job[0].vector_count)
+            .map(|_| {
+                vec![
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    1.0,
+                ]
             })
+            .collect();
+        vec![Operands { matrix, vectors }]
+    }
+
+    fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {
+        results_match_golden(&self.operands(), results, tol)
     }
 }
 
@@ -118,7 +119,7 @@ mod tests {
     #[test]
     fn rotation_preserves_rigid_distance() {
         let b = Rotation3d::paper();
-        let (v, g) = (&b.job[0].vectors, &b.golden);
+        let (v, g) = (&b.operands()[0].vectors, &b.golden_vertices());
         // Distances between transformed vertex pairs match the originals
         // (rotation + translation is an isometry).
         let d = |a: &[f64], b: &[f64]| -> f64 {
@@ -134,7 +135,7 @@ mod tests {
     #[test]
     fn jobs_reproduce_golden() {
         let b = Rotation3d::small();
-        let results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         assert!(b.verify(&results, 1e-12));
     }
 
@@ -150,7 +151,7 @@ mod tests {
     #[test]
     fn verify_rejects_corruption() {
         let b = Rotation3d::small();
-        let mut results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let mut results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         results[0][0][1] += 0.01;
         assert!(!b.verify(&results, 1e-9));
     }

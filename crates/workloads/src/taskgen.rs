@@ -169,9 +169,7 @@ fn lines(base: u64, off: u64, len: u64) -> Vec<u64> {
 
 /// A local work unit: a strip of matrix rows times a chunk of vectors.
 fn split_local_units(job: &MvmJob, cfg: &TaskGenConfig) -> Vec<CoreTask> {
-    let rows = job.matrix.rows();
-    let cols = job.matrix.cols();
-    let nvec = job.vectors.len();
+    let (rows, cols, nvec) = (job.rows, job.cols, job.vector_count);
 
     // Choose the split so a unit is ≈ unit_macs, but never so coarse that
     // a small job fails to spread across the machine.
@@ -217,21 +215,15 @@ fn split_local_units(job: &MvmJob, cfg: &TaskGenConfig) -> Vec<CoreTask> {
 /// Decides the partition width for a job: unitary-fitting matrices (e.g.
 /// the 8×8 DCT) use the full fabric, everything else SVD partitions.
 pub fn partition_width(job: &MvmJob, cfg: &TaskGenConfig) -> usize {
-    let m = &job.matrix;
-    if m.rows() == m.cols()
-        && m.rows() <= cfg.unitary_partition
-        && m.rows() > cfg.svd_partition
-        && is_orthogonal(m)
+    if job.orthogonal
+        && job.rows == job.cols
+        && job.rows <= cfg.unitary_partition
+        && job.rows > cfg.svd_partition
     {
         cfg.unitary_partition
     } else {
         cfg.svd_partition
     }
-}
-
-fn is_orthogonal(m: &flumen_linalg::RMat) -> bool {
-    let mtm = m.transpose().matmul(m);
-    mtm.approx_eq(&flumen_linalg::RMat::identity(m.rows()), 1e-9)
 }
 
 /// The three phases of one offload chunk.
@@ -257,9 +249,7 @@ struct OffloadPhases {
 /// fallback), accumulates partials, writes outputs.
 fn split_offload_chunks(job: &MvmJob, cfg: &TaskGenConfig) -> Vec<OffloadChunk> {
     let n = partition_width(job, cfg);
-    let rows = job.matrix.rows();
-    let cols = job.matrix.cols();
-    let nvec = job.vectors.len();
+    let (rows, cols, nvec) = (job.rows, job.cols, job.vector_count);
     let (br, bc) = job.block_grid(n);
 
     // Row strips sized so configs per request stay under the cap.

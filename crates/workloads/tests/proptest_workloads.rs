@@ -2,7 +2,7 @@
 
 use flumen_system::{CoreTask, SystemConfig};
 use flumen_workloads::taskgen::{generate, ExecMode, TaskGenConfig};
-use flumen_workloads::{Benchmark, ImageBlur, MvmJob, ResnetConv3, Rotation3d, Vgg16Fc};
+use flumen_workloads::{Benchmark, ImageBlur, MvmJob, Operands, ResnetConv3, Rotation3d, Vgg16Fc};
 use proptest::prelude::*;
 
 fn stream_ops(tasks: &[Vec<CoreTask>]) -> u64 {
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn blur_jobs_always_verify(h in 4usize..24, w in 4usize..24, seed in any::<u32>()) {
         let b = ImageBlur::with_size(h, w, seed as u64);
-        let results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         prop_assert!(b.verify(&results, 1e-9));
         prop_assert_eq!(b.total_macs(), (h * w * 3 * 9) as u64);
     }
@@ -43,7 +43,7 @@ proptest! {
     #[test]
     fn fc_jobs_always_verify(o in 2usize..24, i in 2usize..48, batch in 1usize..5, seed in any::<u32>()) {
         let b = Vgg16Fc::with_batch(o, i, batch, seed as u64);
-        let results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         prop_assert!(b.verify(&results, 1e-9));
         prop_assert_eq!(b.batch(), batch);
         prop_assert_eq!(b.total_macs(), (o * i * batch) as u64);
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn conv_jobs_always_verify(h in 4usize..12, groups in 1usize..6, seed in any::<u32>()) {
         let b = ResnetConv3::with_size(h, h, groups, seed as u64);
-        let results: Vec<_> = b.jobs().iter().map(MvmJob::golden).collect();
+        let results: Vec<_> = b.operands().iter().map(Operands::golden).collect();
         prop_assert!(b.verify(&results, 1e-9));
         prop_assert_eq!(b.jobs().len(), groups);
     }
@@ -114,8 +114,10 @@ proptest! {
         let job = MvmJob {
             id: 0,
             wave: 0,
-            matrix: flumen_linalg::RMat::zeros(rows, cols),
-            vectors: vec![vec![0.0; cols]; 3],
+            rows,
+            cols,
+            vector_count: 3,
+            orthogonal: false,
             weight_base: 0,
             input_base: 0,
             output_base: 0,

@@ -13,12 +13,13 @@ fn main() {
     // A reduced FC layer for the block-lowering walk-through.
     let layer = Vgg16Fc::with_size(24, 64, 0xF0C);
     let job = &layer.jobs()[0];
+    let weights = &layer.operands()[0].matrix;
     let (block_rows, block_cols) = job.block_grid(4);
     println!(
         "FC layer {}×{}: ‖W‖₂ = {:.3}, blocked into {block_rows}×{block_cols} grid of 4×4 sub-MZIMs",
-        job.matrix.rows(),
-        job.matrix.cols(),
-        spectral_norm(&job.matrix).expect("svd converges"),
+        job.rows,
+        job.cols,
+        spectral_norm(weights).expect("svd converges"),
     );
     println!(
         "  {} block MVMs per input vector ({} in all), {} partial-sum adds on the cores",

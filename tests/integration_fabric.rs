@@ -15,18 +15,18 @@ fn fabric_routes_and_computes_simultaneously_with_benchmark_weights() {
     // Use the actual 3D-rotation matrix as the compute payload while the
     // other half routes a permutation.
     let rot = Rotation3d::small();
-    let job = &rot.jobs()[0];
+    let ops = &rot.operands()[0];
     let mut fabric = FlumenFabric::new(8).unwrap();
     fabric
         .set_partitions(&[
             (4, PartitionConfig::Comm),
-            (4, PartitionConfig::Compute(&job.matrix)),
+            (4, PartitionConfig::Compute(&ops.matrix)),
         ])
         .unwrap();
     fabric.route_permutation_in(0, &[3, 0, 1, 2]).unwrap();
 
     // Every vertex transforms correctly through the bottom partition.
-    for (v, gold) in job.vectors.iter().zip(rot.golden_vertices()).take(8) {
+    for (v, gold) in ops.vectors.iter().zip(rot.golden_vertices()).take(8) {
         let y = fabric.compute_in(1, v).unwrap();
         for (a, b) in y.iter().zip(gold.iter()) {
             assert!((a - b).abs() < 1e-8);
