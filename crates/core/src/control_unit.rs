@@ -836,7 +836,7 @@ mod tests {
                 match quiet {
                     Some(t) if jump && t > now && net.pending() == 0 => {
                         cu.advance_quiet(t - now);
-                        net.advance_idle(t - now);
+                        net.advance_quiet(t - now);
                         jumps += 1;
                     }
                     _ => {

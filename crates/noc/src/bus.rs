@@ -214,9 +214,30 @@ impl Network for OpticalBus {
         self.src_queues.iter().map(|q| q.len()).sum::<usize>() + self.in_flight.len()
     }
 
-    fn advance_idle(&mut self, cycles: u64) {
-        debug_assert_eq!(self.pending(), 0, "advance_idle on a busy network");
-        // A drained step grants nothing, and scanning the token does not
+    /// Quiet until the earliest arrival. With a packet queued it is also
+    /// bounded by the earliest bus to free, and not quiet at all while a
+    /// bus is free.
+    fn quiet_until(&self) -> Option<u64> {
+        let now = self.cycle;
+        let mut until = self.in_flight.next_due().unwrap_or(u64::MAX);
+        if self.src_queues.iter().any(|q| !q.is_empty()) {
+            let free_at = self
+                .bus_busy_until
+                .iter()
+                .copied()
+                .min()
+                .unwrap_or(u64::MAX);
+            until = until.min(free_at);
+        }
+        (until > now).then_some(until)
+    }
+
+    fn advance_quiet(&mut self, cycles: u64) {
+        debug_assert!(
+            self.quiet_until().is_some_and(|t| t - self.cycle >= cycles),
+            "advance_quiet past the network's quiet span"
+        );
+        // A quiet step grants nothing, and scanning the token does not
         // move it: only the clock turns.
         self.cycle += cycles;
         self.stats.cycles += cycles;

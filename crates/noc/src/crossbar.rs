@@ -362,9 +362,21 @@ impl Network for MzimCrossbar {
         self.queued_unicast + self.queued_mcast + self.in_flight.len()
     }
 
-    fn advance_idle(&mut self, cycles: u64) {
-        debug_assert_eq!(self.pending(), 0, "advance_idle on a busy network");
-        // A drained step starts and delivers nothing; the arbiter still
+    /// Quiet while nothing is queued, until the earliest arrival.
+    fn quiet_until(&self) -> Option<u64> {
+        if self.queued_unicast + self.queued_mcast > 0 {
+            return None;
+        }
+        let until = self.in_flight.next_due().unwrap_or(u64::MAX);
+        (until > self.cycle).then_some(until)
+    }
+
+    fn advance_quiet(&mut self, cycles: u64) {
+        debug_assert!(
+            self.quiet_until().is_some_and(|t| t - self.cycle >= cycles),
+            "advance_quiet past the network's quiet span"
+        );
+        // A quiet step starts and delivers nothing; the arbiter still
         // turns its priority diagonal once per cycle.
         self.arb.advance(cycles);
         self.cycle += cycles;

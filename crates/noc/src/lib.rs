@@ -80,15 +80,23 @@ pub trait Network {
     fn stats_mut(&mut self) -> &mut NetStats;
     /// Packets somewhere in the network (source queues + in flight).
     fn pending(&self) -> usize;
-    /// Advances `cycles` cycles of a drained network (`pending() == 0`),
-    /// leaving it exactly as that many [`Network::step`] calls would. The
-    /// default makes those calls; a network whose empty step only turns
-    /// counters overrides it with the closed form.
-    fn advance_idle(&mut self, cycles: u64) {
-        debug_assert_eq!(self.pending(), 0, "advance_idle on a busy network");
+    /// The cycle `t > cycle()` up to which every [`Network::step`] from
+    /// now on, with no [`Network::inject`] between, would deliver nothing
+    /// and change only what [`Network::advance_quiet`] reproduces;
+    /// `u64::MAX` when that holds until the next injection. `None` means
+    /// "step this cycle". The default is quiet only when drained.
+    fn quiet_until(&self) -> Option<u64> {
+        (self.pending() == 0).then_some(u64::MAX)
+    }
+    /// Advances `cycles` cycles inside a span reported by
+    /// [`Network::quiet_until`], leaving the network exactly as that many
+    /// [`Network::step`] calls would. The default makes those calls; a
+    /// network whose quiet step only turns counters overrides it with the
+    /// closed form.
+    fn advance_quiet(&mut self, cycles: u64) {
         for _ in 0..cycles {
             let delivered = self.step();
-            debug_assert!(delivered.is_empty(), "a drained network delivered");
+            debug_assert!(delivered.is_empty(), "a quiet network delivered");
         }
     }
 }

@@ -80,7 +80,9 @@ struct Router {
 ///
 /// Built from the shared `Fifo`/`RrToken`/`FlightBuffer` primitives with
 /// the exact cycle behavior and checkpoint bytes of the original
-/// hand-wired version.
+/// hand-wired version. A step visits only the routers that hold flits and
+/// the sources with packets queued, found from two `u64` masks, so at
+/// most 64 routers are supported.
 #[derive(Debug)]
 pub struct RoutedNetwork {
     topo: RoutedTopology,
@@ -93,10 +95,24 @@ pub struct RoutedNetwork {
     cycle: u64,
     stats: NetStats,
     tracer: TraceHandle,
+    /// Bit `r` is set iff router `r` holds a flit in some input queue.
+    /// Derived state, recomputed on restore, like the two fields below.
+    occupied: u64,
+    /// Bit `n` is set iff `src_queues[n]` is non-empty.
+    sourcing: u64,
+    /// Packets injected and not yet delivered, so [`Network::pending`] is
+    /// O(1).
+    live: usize,
+    /// `routes[at * nodes + dst]`: the out port toward `dst` from `at`;
+    /// the local port (the last) when `at == dst`.
+    routes: Vec<u8>,
+    /// `links[at * ports + p]`: `(next_router, in_port_at_next)` over out
+    /// port `p`; `None` for the local port and past a mesh edge.
+    links: Vec<Option<(usize, usize)>>,
 }
 
-/// Out-port indices: neighbors first, local ejection last.
-const EJECT: usize = usize::MAX;
+/// The most routers a network supports: the occupancy masks are `u64`s.
+const MAX_ROUTERS: usize = 64;
 
 impl RoutedNetwork {
     /// Builds a routed network.
@@ -119,6 +135,11 @@ impl RoutedNetwork {
             _ => {}
         }
         let n = topo.nodes();
+        if n > MAX_ROUTERS {
+            return Err(NocError::InvalidTopology {
+                reason: format!("routed network needs ≤ {MAX_ROUTERS} routers, got {n}"),
+            });
+        }
         let ports = Self::neighbor_ports(&topo);
         let routers = (0..n)
             .map(|_| Router {
@@ -127,6 +148,8 @@ impl RoutedNetwork {
                 rr: RrToken::new(),
             })
             .collect();
+        let routes = route_table(&topo);
+        let links = link_table(&topo);
         Ok(RoutedNetwork {
             topo,
             cfg,
@@ -136,6 +159,11 @@ impl RoutedNetwork {
             cycle: 0,
             stats: NetStats::new(n * (ports + 1)),
             tracer: TraceHandle::disabled(),
+            occupied: 0,
+            sourcing: 0,
+            live: 0,
+            routes,
+            links,
         })
     }
 
@@ -170,111 +198,60 @@ impl RoutedNetwork {
         }
     }
 
-    /// Output port toward `dst` from `at` (EJECT when `at == dst`).
-    fn route(&self, at: usize, dst: usize) -> usize {
-        if at == dst {
-            return EJECT;
-        }
-        match self.topo {
-            RoutedTopology::Ring { nodes } => {
-                let fwd = (dst + nodes - at) % nodes;
-                if fwd <= nodes / 2 {
-                    0 // clockwise
-                } else {
-                    1 // counter-clockwise
-                }
-            }
-            RoutedTopology::Mesh { width, .. } => {
-                let (ax, ay) = (at % width, at / width);
-                let (dx, dy) = (dst % width, dst / width);
-                if ax < dx {
-                    0 // east
-                } else if ax > dx {
-                    1 // west
-                } else if ay < dy {
-                    3 // south
-                } else {
-                    2 // north
-                }
-            }
-        }
+    /// Ports per router: the neighbor ports, then the local port.
+    fn ports(&self) -> usize {
+        Self::neighbor_ports(&self.topo) + 1
     }
 
-    /// `(next_router, in_port_at_next)` over out port `p` from router `at`.
-    fn link_endpoint(&self, at: usize, p: usize) -> (usize, usize) {
-        match self.topo {
-            RoutedTopology::Ring { nodes } => match p {
-                0 => ((at + 1) % nodes, 1),         // CW arrives on the CCW-side port
-                1 => ((at + nodes - 1) % nodes, 0), // CCW arrives on the CW-side port
-                // flumen-check: allow(no-panic-hot-path) — p < neighbor_ports() == 2 by caller
-                _ => unreachable!("ring has 2 neighbor ports"),
-            },
-            RoutedTopology::Mesh { width, .. } => match p {
-                0 => (at + 1, 1),     // east, arrives on west port
-                1 => (at - 1, 0),     // west
-                2 => (at - width, 3), // north, arrives on south port
-                3 => (at + width, 2), // south
-                // flumen-check: allow(no-panic-hot-path) — p < neighbor_ports() == 4 by caller
-                _ => unreachable!("mesh has 4 neighbor ports"),
-            },
-        }
-    }
-
-    fn link_id(&self, router: usize, port: usize) -> usize {
-        let ports = Self::neighbor_ports(&self.topo) + 1;
-        router * ports + port.min(ports - 1)
-    }
-
-    fn queue_len(&self, router: usize, port: usize) -> usize {
-        self.routers[router].inputs[port].len()
-    }
-
-    /// Advances router `r`, moving at most one packet per input port.
+    /// Advances router `r`, moving at most one packet per input port. The
+    /// caller turns every router's token once the cycle's routers have
+    /// stepped.
     fn step_router(&mut self, r: usize) {
+        let n = self.routers.len();
         let nports = self.routers[r].inputs.len();
         let local_port = nports - 1;
         let now = self.cycle;
-        let start = self.routers[r].rr.pos();
-        for k in 0..nports {
-            let in_port = (start + k) % nports;
-            let Some(head) = self.routers[r].inputs[in_port].front() else {
+        let mut in_port = self.routers[r].rr.pos() % nports;
+        for _ in 0..nports {
+            let port = in_port;
+            in_port = if in_port == local_port {
+                0
+            } else {
+                in_port + 1
+            };
+            let router = &self.routers[r];
+            let Some(head) = router.inputs[port].front() else {
                 continue;
             };
-            if head.ready_at > now {
+            let out = usize::from(self.routes[r * n + head.pkt.dst]);
+            if head.ready_at > now || router.out_busy_until[out] > now {
                 continue;
             }
-            let dst = head.pkt.dst;
-            let out = self.route(r, dst);
-            if out == EJECT {
+            if out == local_port {
                 // One ejection per cycle through the local out port.
-                let eject_port = local_port;
-                if self.routers[r].out_busy_until[eject_port] > now {
-                    continue;
-                }
-                let Some(tp) = self.routers[r].inputs[in_port].pop_front() else {
+                let Some(tp) = self.routers[r].inputs[port].pop_front() else {
                     continue;
                 };
-                self.routers[r].out_busy_until[eject_port] = now + 1;
+                self.routers[r].out_busy_until[out] = now + 1;
                 self.in_flight.push(now + 1, (r, usize::MAX, tp));
                 continue;
             }
-            if self.routers[r].out_busy_until[out] > now {
+            let Some((next, next_in)) = self.links[r * nports + out] else {
                 continue;
-            }
-            let (next, next_in) = self.link_endpoint(r, out);
+            };
             // Backpressure: bubble flow control needs one spare slot for
             // through-traffic and two for injections (prevents ring
             // deadlock; harmless on the mesh).
-            let spare_needed = if in_port == local_port { 2 } else { 1 };
-            if self.queue_len(next, next_in) + spare_needed > self.cfg.input_queue_pkts {
+            let spare_needed = if port == local_port { 2 } else { 1 };
+            if self.routers[next].inputs[next_in].len() + spare_needed > self.cfg.input_queue_pkts {
                 continue;
             }
-            let Some(mut tp) = self.routers[r].inputs[in_port].pop_front() else {
+            let Some(mut tp) = self.routers[r].inputs[port].pop_front() else {
                 continue;
             };
             let ser = tp.pkt.ser_cycles(self.cfg.link_bits_per_cycle);
             self.routers[r].out_busy_until[out] = now + ser;
-            let lid = self.link_id(r, out);
+            let lid = r * nports + out;
             self.stats.link_busy[lid] += ser;
             self.stats.bit_hops += tp.pkt.bits as u64;
             #[cfg(feature = "deep-trace")]
@@ -294,8 +271,119 @@ impl RoutedNetwork {
             self.in_flight
                 .push(now + ser + self.cfg.link_latency, (next, next_in, tp));
         }
-        self.routers[r].rr.rotate(nports);
+        if self.routers[r].inputs.iter().all(Fifo::is_empty) {
+            self.occupied &= !(1 << r);
+        }
     }
+
+    /// Recomputes the derived masks and live count from the queues.
+    fn recount(&mut self) {
+        self.occupied = mask(
+            self.routers
+                .iter()
+                .map(|r| r.inputs.iter().any(|q| !q.is_empty())),
+        );
+        self.sourcing = mask(self.src_queues.iter().map(|q| !q.is_empty()));
+        self.live = self.src_queues.iter().map(Fifo::len).sum::<usize>()
+            + self.in_flight.len()
+            + self
+                .routers
+                .iter()
+                .flat_map(|r| &r.inputs)
+                .map(Fifo::len)
+                .sum::<usize>();
+    }
+}
+
+/// Bit `i` set iff the `i`-th flag is.
+fn mask(flags: impl Iterator<Item = bool>) -> u64 {
+    flags.enumerate().fold(0, |m, (i, f)| m | u64::from(f) << i)
+}
+
+/// `table[at * nodes + dst]`: the out port toward `dst` from `at`, the
+/// local port when `at == dst`. Plain loops with a compare per entry, not
+/// a `%` or `/`, keep building a network about as cheap as before the
+/// table.
+fn route_table(topo: &RoutedTopology) -> Vec<u8> {
+    let n = topo.nodes();
+    let mut table = vec![RoutedNetwork::neighbor_ports(topo) as u8; n * n];
+    match *topo {
+        RoutedTopology::Ring { nodes } => {
+            for at in 0..nodes {
+                let row = &mut table[at * nodes..][..nodes];
+                // Clockwise up to half-way round, counter-clockwise beyond.
+                for fwd in 1..nodes {
+                    let dst = if at + fwd < nodes {
+                        at + fwd
+                    } else {
+                        at + fwd - nodes
+                    };
+                    row[dst] = if fwd <= nodes / 2 { 0 } else { 1 };
+                }
+            }
+        }
+        RoutedTopology::Mesh { width, height } => {
+            // XY order: east or west until the column matches, then north
+            // or south.
+            for ay in 0..height {
+                for ax in 0..width {
+                    let at = ay * width + ax;
+                    let row = &mut table[at * n..][..n];
+                    for dy in 0..height {
+                        for dx in 0..width {
+                            let dst = dy * width + dx;
+                            if dst == at {
+                                continue; // the local port, filled in above
+                            }
+                            row[dst] = if ax < dx {
+                                0 // east
+                            } else if ax > dx {
+                                1 // west
+                            } else if ay < dy {
+                                3 // south
+                            } else {
+                                2 // north
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+    table
+}
+
+/// `table[at * ports + p]`: `(next_router, in_port_at_next)` over out
+/// port `p` from router `at`; `None` for the local port and past a mesh
+/// edge.
+fn link_table(topo: &RoutedTopology) -> Vec<Option<(usize, usize)>> {
+    let ports = RoutedNetwork::neighbor_ports(topo) + 1;
+    let mut table = Vec::with_capacity(topo.nodes() * ports);
+    match *topo {
+        RoutedTopology::Ring { nodes } => {
+            for at in 0..nodes {
+                let cw = if at + 1 == nodes { 0 } else { at + 1 };
+                let ccw = if at == 0 { nodes - 1 } else { at - 1 };
+                // CW arrives on the CCW-side port and vice versa.
+                table.extend([Some((cw, 1)), Some((ccw, 0)), None]);
+            }
+        }
+        RoutedTopology::Mesh { width, height } => {
+            for y in 0..height {
+                for x in 0..width {
+                    let at = y * width + x;
+                    table.extend([
+                        (x + 1 < width).then_some((at + 1, 1)), // east, arrives on west port
+                        (x > 0).then(|| (at - 1, 0)),           // west
+                        (y > 0).then(|| (at - width, 3)),       // north, arrives on south port
+                        (y + 1 < height).then_some((at + width, 2)), // south
+                        None,
+                    ]);
+                }
+            }
+        }
+    }
+    table
 }
 
 impl Network for RoutedNetwork {
@@ -331,22 +419,41 @@ impl Network for RoutedNetwork {
             .with_arg("ndest", 1.0)
             .with_arg("bits", pkt.bits as f64)
         });
+        self.sourcing |= 1 << pkt.src;
+        self.live += 1;
         self.src_queues[pkt.src].push_back(pkt);
     }
 
     fn step(&mut self) -> Vec<Delivery> {
         let now = self.cycle;
+        let local = self.ports() - 1;
         // Move source-queue heads into the local input port.
-        for node in 0..self.num_nodes() {
-            let local = self.routers[node].inputs.len() - 1;
+        let mut sources = self.sourcing;
+        while sources != 0 {
+            let node = sources.trailing_zeros() as usize;
+            sources &= sources - 1;
             if self.routers[node].inputs[local].len() < self.cfg.input_queue_pkts {
                 if let Some(pkt) = self.src_queues[node].pop_front() {
                     self.routers[node].inputs[local].push_back(Flit { pkt, ready_at: now });
+                    self.occupied |= 1 << node;
+                }
+                if self.src_queues[node].is_empty() {
+                    self.sourcing &= !(1 << node);
                 }
             }
         }
-        for r in 0..self.routers.len() {
+        // Routers step in index order (an earlier router's dequeue frees
+        // buffer space a later one's backpressure check sees); an empty
+        // router would only have turned its token.
+        let mut busy = self.occupied;
+        while busy != 0 {
+            let r = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
             self.step_router(r);
+        }
+        let nports = local + 1;
+        for r in &mut self.routers {
+            r.rr.rotate(nports);
         }
         // Deliver / hand over arrivals that are due.
         let mut deliveries = Vec::new();
@@ -355,10 +462,13 @@ impl Network for RoutedNetwork {
             routers,
             stats,
             tracer,
+            occupied,
+            live,
             ..
         } = self;
         in_flight.drain_due(now, |(node, in_port, tp)| {
             if in_port == usize::MAX {
+                *live -= 1;
                 let lat = now.saturating_sub(tp.pkt.created_at);
                 stats.record_latency(lat);
                 tracer.emit(|| {
@@ -378,6 +488,7 @@ impl Network for RoutedNetwork {
                 });
             } else {
                 routers[node].inputs[in_port].push_back(tp);
+                *occupied |= 1 << node;
             }
         });
         self.cycle += 1;
@@ -398,20 +509,65 @@ impl Network for RoutedNetwork {
     }
 
     fn pending(&self) -> usize {
-        self.src_queues.iter().map(|q| q.len()).sum::<usize>()
-            + self.in_flight.len()
-            + self
-                .routers
-                .iter()
-                .map(|r| r.inputs.iter().map(|q| q.len()).sum::<usize>())
-                .sum::<usize>()
+        self.live
     }
 
-    fn advance_idle(&mut self, cycles: u64) {
-        debug_assert_eq!(self.pending(), 0, "advance_idle on a busy network");
-        // A drained step moves no flit; each router only rotates its token.
+    /// Quiet until the earliest in-flight arrival and the earliest cycle a
+    /// queued head stops waiting on its own `ready_at` or its out port.
+    /// Not quiet when a source head can enter its local port or a head
+    /// can move now. A ready head held only by bubble backpressure adds
+    /// no bound: its downstream queue frees only when that queue's head
+    /// moves, an event bounded in its own right.
+    fn quiet_until(&self) -> Option<u64> {
+        let now = self.cycle;
+        let n = self.routers.len();
+        let nports = self.ports();
+        let local = nports - 1;
+        let cap = self.cfg.input_queue_pkts;
+        let mut sources = self.sourcing;
+        while sources != 0 {
+            let node = sources.trailing_zeros() as usize;
+            sources &= sources - 1;
+            if self.routers[node].inputs[local].len() < cap {
+                return None;
+            }
+        }
+        let mut until = self.in_flight.next_due().unwrap_or(u64::MAX);
+        let mut held = self.occupied;
+        while held != 0 {
+            let r = held.trailing_zeros() as usize;
+            held &= held - 1;
+            let router = &self.routers[r];
+            for (port, q) in router.inputs.iter().enumerate() {
+                let Some(head) = q.front() else {
+                    continue;
+                };
+                let out = usize::from(self.routes[r * n + head.pkt.dst]);
+                let free_at = head.ready_at.max(router.out_busy_until[out]);
+                if free_at > now {
+                    until = until.min(free_at);
+                    continue;
+                }
+                let blocked = self.links[r * nports + out].is_some_and(|(next, next_in)| {
+                    let spare = if port == local { 2 } else { 1 };
+                    self.routers[next].inputs[next_in].len() + spare > cap
+                });
+                if !blocked {
+                    return None;
+                }
+            }
+        }
+        (until > now).then_some(until)
+    }
+
+    fn advance_quiet(&mut self, cycles: u64) {
+        debug_assert!(
+            self.quiet_until().is_some_and(|t| t - self.cycle >= cycles),
+            "advance_quiet past the network's quiet span"
+        );
+        // A quiet step moves no flit; each router only turns its token.
+        let nports = self.ports();
         for r in &mut self.routers {
-            let nports = r.inputs.len();
             r.rr.advance(cycles, nports);
         }
         self.cycle += cycles;
@@ -511,6 +667,7 @@ impl flumen_sim::Snapshotable for RoutedNetwork {
         self.routers = routers;
         self.src_queues = src_queues;
         self.stats = stats;
+        self.recount();
         Ok(())
     }
 }
@@ -647,6 +804,111 @@ mod tests {
             RoutedConfig::default()
         )
         .is_err());
+    }
+
+    /// The occupancy masks and the live count, recounted from the queues.
+    fn recounted(net: &RoutedNetwork) -> (u64, u64, usize) {
+        let mut occupied = 0;
+        let mut sourcing = 0;
+        let mut live = net.in_flight.len();
+        for (i, (r, q)) in net.routers.iter().zip(&net.src_queues).enumerate() {
+            let held: usize = r.inputs.iter().map(Fifo::len).sum();
+            if held > 0 {
+                occupied |= 1 << i;
+            }
+            if !q.is_empty() {
+                sourcing |= 1 << i;
+            }
+            live += held + q.len();
+        }
+        (occupied, sourcing, live)
+    }
+
+    #[test]
+    fn masks_and_live_count_track_queues_through_restore() {
+        use flumen_sim::Snapshotable;
+        use rand::{Rng, SeedableRng};
+        let shapes = [
+            RoutedTopology::Ring { nodes: 16 },
+            RoutedTopology::Ring { nodes: 5 },
+            RoutedTopology::Mesh {
+                width: 4,
+                height: 4,
+            },
+        ];
+        for topo in shapes {
+            let n = topo.nodes();
+            for seed in 0..6 {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut net = RoutedNetwork::new(topo, RoutedConfig::default()).unwrap();
+                let mut spare = RoutedNetwork::new(topo, RoutedConfig::default()).unwrap();
+                for id in 0..800u64 {
+                    match rng.gen_range(0..10) {
+                        0..=3 => {
+                            let src = rng.gen_range(0..n);
+                            let dst = (src + rng.gen_range(1..n)) % n;
+                            net.inject(Packet::new(id, src, dst, 512, net.cycle()));
+                        }
+                        4 => {
+                            let src = rng.gen_range(0..n);
+                            let dests = [(src + 1) % n, (src + 2) % n];
+                            net.inject(Packet::multicast(id, src, &dests, 512, net.cycle()));
+                        }
+                        5 => {
+                            spare.restore(&net.snapshot()).unwrap();
+                            std::mem::swap(&mut net, &mut spare);
+                        }
+                        _ => {
+                            net.step();
+                        }
+                    }
+                    assert_eq!(
+                        (net.occupied, net.sourcing, net.live),
+                        recounted(&net),
+                        "{topo:?} seed {seed} id {id}"
+                    );
+                    assert_eq!(net.pending(), net.live);
+                }
+            }
+        }
+    }
+
+    /// Two long packets from one source: the first serializes over out
+    /// port 0 until cycle 7 and arrives at cycle 8; the second, ready
+    /// since cycle 1, waits for the port. The quiet span ends when the
+    /// port frees: not at once, and not at the arrival.
+    #[test]
+    fn quiet_span_ends_when_a_busy_out_port_frees() {
+        let mut net = RoutedNetwork::ring_16();
+        net.inject(Packet::new(1, 0, 1, 2048, 0));
+        net.inject(Packet::new(2, 0, 1, 2048, 0));
+        net.step();
+        assert_eq!(net.quiet_until(), None, "the second packet can enter");
+        net.step();
+        assert_eq!(net.cycle(), 2);
+        assert_eq!(net.quiet_until(), Some(7));
+        net.advance_quiet(5);
+        assert_eq!(
+            net.quiet_until(),
+            None,
+            "the port is free: the second packet moves"
+        );
+    }
+
+    #[test]
+    fn router_count_is_bounded_by_the_masks() {
+        let cfg = RoutedConfig::default;
+        assert!(RoutedNetwork::new(RoutedTopology::Ring { nodes: 64 }, cfg()).is_ok());
+        assert!(RoutedNetwork::new(RoutedTopology::Ring { nodes: 65 }, cfg()).is_err());
+        let mesh = |width, height| RoutedTopology::Mesh { width, height };
+        assert!(RoutedNetwork::new(mesh(8, 8), cfg()).is_ok());
+        assert!(RoutedNetwork::new(mesh(13, 5), cfg()).is_err());
+        // The 64th router is reachable: its bit is the mask's top bit.
+        let mut ring = RoutedNetwork::new(RoutedTopology::Ring { nodes: 64 }, cfg()).unwrap();
+        ring.inject(Packet::new(1, 63, 62, 512, 0));
+        let got = drain(&mut ring, 100);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].packet.dst, 62);
     }
 
     #[test]

@@ -1,8 +1,16 @@
-//! Property: on a drained network, `advance_idle(k)` is exactly `k` calls
-//! to `step()`. Each case drives a network through random traffic until it
-//! drains at a random cycle, then crosses `k` idle cycles both ways: the
-//! canonical snapshot bytes and the statistics must match, and one packet
-//! injected afterwards must arrive on the same cycle with the same latency.
+//! Property: inside a span reported by `quiet_until`, `advance_quiet(k)`
+//! is exactly `k` calls to `step()`.
+//!
+//! * Drained networks: each case drives a network through random traffic
+//!   until it drains at a random cycle, then crosses `k` idle cycles both
+//!   ways: the canonical snapshot bytes and the statistics must match, and
+//!   one packet injected afterwards must arrive on the same cycle with the
+//!   same latency.
+//! * Mid-traffic: two copies take the same random injections; one jumps
+//!   every quiet span it meets (to its end or to a random cycle inside
+//!   it), the other steps. Each stepped cycle of a span must deliver
+//!   nothing, the snapshots and statistics must match after every jump,
+//!   and every later delivery must match.
 
 use flumen_noc::fabric::torus_4x4;
 use flumen_noc::{
@@ -43,7 +51,7 @@ fn drain_at_random_cycle<N: Network>(net: &mut N, nodes: &[usize], seed: u64, li
 }
 
 /// Builds the same drained network twice, crosses `k` idle cycles on one
-/// with `advance_idle` and on the other with `step`, and compares.
+/// with `advance_quiet` and on the other with `step`, and compares.
 fn check<N: Network + Snapshotable>(
     mk: impl Fn() -> N,
     nodes: &[usize],
@@ -56,7 +64,12 @@ fn check<N: Network + Snapshotable>(
     drain_at_random_cycle(&mut jumped, nodes, seed, linger);
     drain_at_random_cycle(&mut stepped, nodes, seed, linger);
 
-    jumped.advance_idle(k);
+    prop_assert_eq!(
+        jumped.quiet_until(),
+        Some(u64::MAX),
+        "a drained network is quiet"
+    );
+    jumped.advance_quiet(k);
     for _ in 0..k {
         prop_assert!(stepped.step().is_empty(), "a drained network delivered");
     }
@@ -86,6 +99,156 @@ fn all(n: usize) -> Vec<usize> {
     (0..n).collect()
 }
 
+/// Feeds the same random injections to a network that jumps quiet spans
+/// and to one that steps every cycle, until both drain. Returns how many
+/// mid-traffic spans were jumped.
+fn jump_quiet_spans<N: Network + Snapshotable>(
+    mk: impl Fn() -> N,
+    nodes: &[usize],
+    seed: u64,
+    rate: f64,
+) -> Result<u64, TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // `(cycle, id, src, dst, bits)`, by cycle.
+    let mut injections = Vec::new();
+    let mut cycle = 0u64;
+    for id in 0..rng.gen_range(1..60u64) {
+        cycle += rng.gen_range(0..(8.0 / rate) as u64);
+        let src = nodes[rng.gen_range(0..nodes.len())];
+        let dst = nodes[rng.gen_range(0..nodes.len())];
+        let bits = [64, 512, 2048][rng.gen_range(0..3)];
+        if src != dst {
+            injections.push((cycle, id, src, dst, bits));
+        }
+    }
+    let mut jumped = mk();
+    let mut stepped = mk();
+    let mut next = 0;
+    let mut jumps = 0;
+    for _ in 0..200_000 {
+        let now = jumped.cycle();
+        prop_assert_eq!(now, stepped.cycle());
+        while next < injections.len() && injections[next].0 == now {
+            let (at, id, src, dst, bits) = injections[next];
+            for net in [&mut jumped, &mut stepped] {
+                net.inject(Packet::new(id, src, dst, bits, at));
+            }
+            next += 1;
+        }
+        if next == injections.len() && jumped.pending() == 0 {
+            prop_assert_eq!(stepped.pending(), 0);
+            break;
+        }
+        let quiet = jumped.quiet_until();
+        prop_assert_eq!(quiet, stepped.quiet_until());
+        let next_inject = injections.get(next).map_or(u64::MAX, |i| i.0);
+        match quiet {
+            Some(t) if jumped.pending() > 0 => {
+                prop_assert!(t > now, "quiet span {t} ends before cycle {now}");
+                let span = t.min(next_inject).min(now + 5_000) - now;
+                let k = if rng.gen_bool(0.5) {
+                    span
+                } else {
+                    rng.gen_range(1..=span)
+                };
+                jumped.advance_quiet(k);
+                for _ in 0..k {
+                    prop_assert!(stepped.step().is_empty(), "a quiet step delivered");
+                }
+                prop_assert_eq!(
+                    jumped.snapshot().to_canonical(),
+                    stepped.snapshot().to_canonical()
+                );
+                prop_assert_eq!(
+                    jumped.stats().to_json().to_canonical(),
+                    stepped.stats().to_json().to_canonical()
+                );
+                jumps += 1;
+            }
+            _ => {
+                let (a, b) = (jumped.step(), stepped.step());
+                prop_assert_eq!(a, b);
+            }
+        }
+    }
+    prop_assert_eq!(jumped.pending(), 0, "network failed to drain");
+    prop_assert_eq!(
+        jumped.snapshot().to_canonical(),
+        stepped.snapshot().to_canonical()
+    );
+    Ok(jumps)
+}
+
+fn ring5() -> RoutedNetwork {
+    RoutedNetwork::new(RoutedTopology::Ring { nodes: 5 }, RoutedConfig::default()).unwrap()
+}
+
+fn bus16() -> OpticalBus {
+    OpticalBus::new(16, BusConfig::default()).unwrap()
+}
+
+/// A crossbar with the wires of `reserved_mask` reserved, and its free
+/// endpoints.
+fn reserved_crossbar(reserved_mask: u16) -> (impl Fn() -> MzimCrossbar, Vec<usize>) {
+    let reserved: Vec<usize> = (0..16).filter(|w| reserved_mask & (1 << w) != 0).collect();
+    let free = (0..16).filter(|w| !reserved.contains(w)).collect();
+    let mk = move || {
+        let mut net = MzimCrossbar::new(16, CrossbarConfig::default()).unwrap();
+        net.reserve_wires(&reserved).unwrap();
+        net
+    };
+    (mk, free)
+}
+
+/// A ring holding one packet between hops is quiet until its arrival,
+/// and jumping there keeps the delivery cycle.
+#[test]
+fn ring_with_a_packet_between_hops_is_quiet() {
+    let mut jumped = RoutedNetwork::ring_16();
+    let mut stepped = RoutedNetwork::ring_16();
+    for net in [&mut jumped, &mut stepped] {
+        net.inject(Packet::new(1, 0, 4, 512, 0));
+        assert!(net.step().is_empty());
+    }
+    assert_eq!(jumped.pending(), 1);
+    let t = jumped.quiet_until().expect("a packet on the wire is quiet");
+    assert!(
+        t > jumped.cycle() && t < u64::MAX,
+        "span ends at the arrival, got {t}"
+    );
+    jumped.advance_quiet(t - jumped.cycle());
+    let got: Vec<_> = [&mut jumped, &mut stepped]
+        .into_iter()
+        .map(|net| (0..200).find_map(|_| net.step().pop()).map(|d| d.at))
+        .collect();
+    assert!(got[0].is_some());
+    assert_eq!(got[0], got[1]);
+}
+
+/// Every mid-traffic run meets quiet spans, so the properties below are
+/// not vacuous on any network.
+#[test]
+fn mid_traffic_runs_jump_quiet_spans() {
+    let (crossbar, free) = reserved_crossbar(0b1111);
+    let jumps = [
+        ("ring5", jump_quiet_spans(ring5, &all(5), 7, 0.05)),
+        (
+            "ring",
+            jump_quiet_spans(RoutedNetwork::ring_16, &all(16), 7, 0.05),
+        ),
+        (
+            "mesh",
+            jump_quiet_spans(RoutedNetwork::mesh_4x4, &all(16), 7, 0.05),
+        ),
+        ("optbus", jump_quiet_spans(bus16, &all(16), 7, 0.05)),
+        ("crossbar", jump_quiet_spans(crossbar, &free, 7, 0.05)),
+    ];
+    for (name, got) in jumps {
+        let got = got.unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert!(got >= 5, "{name}: only {got} quiet spans jumped");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -101,16 +264,12 @@ proptest! {
 
     #[test]
     fn odd_ring_advance_idle_equals_steps(seed in any::<u64>(), k in 0u64..200) {
-        let ring5 = || {
-            RoutedNetwork::new(RoutedTopology::Ring { nodes: 5 }, RoutedConfig::default()).unwrap()
-        };
         check(ring5, &all(5), seed, 1, k)?;
     }
 
     #[test]
     fn optbus_advance_idle_equals_steps(seed in any::<u64>(), linger in 0u64..8, k in 0u64..2000) {
-        let bus = || OpticalBus::new(16, BusConfig::default()).unwrap();
-        check(bus, &all(16), seed, linger, k)?;
+        check(bus16, &all(16), seed, linger, k)?;
     }
 
     /// Reserved wires carry no traffic, so the packets and the probe run
@@ -122,15 +281,40 @@ proptest! {
         k in 0u64..2000,
         reserved_mask in any::<u16>(),
     ) {
-        let reserved: Vec<usize> = (0..16).filter(|w| reserved_mask & (1 << w) != 0).collect();
-        let free: Vec<usize> = (0..16).filter(|w| !reserved.contains(w)).collect();
+        let (crossbar, free) = reserved_crossbar(reserved_mask);
         prop_assume!(free.len() >= 2);
-        let crossbar = || {
-            let mut net = MzimCrossbar::new(16, CrossbarConfig::default()).unwrap();
-            net.reserve_wires(&reserved).unwrap();
-            net
-        };
         check(crossbar, &free, seed, linger, k)?;
+    }
+
+    #[test]
+    fn odd_ring_quiet_spans_mid_traffic(seed in any::<u64>(), rate in 0.01f64..0.5) {
+        jump_quiet_spans(ring5, &all(5), seed, rate)?;
+    }
+
+    #[test]
+    fn ring_quiet_spans_mid_traffic(seed in any::<u64>(), rate in 0.01f64..0.5) {
+        jump_quiet_spans(RoutedNetwork::ring_16, &all(16), seed, rate)?;
+    }
+
+    #[test]
+    fn mesh_quiet_spans_mid_traffic(seed in any::<u64>(), rate in 0.01f64..0.5) {
+        jump_quiet_spans(RoutedNetwork::mesh_4x4, &all(16), seed, rate)?;
+    }
+
+    #[test]
+    fn optbus_quiet_spans_mid_traffic(seed in any::<u64>(), rate in 0.01f64..0.5) {
+        jump_quiet_spans(bus16, &all(16), seed, rate)?;
+    }
+
+    #[test]
+    fn crossbar_with_reserved_wires_quiet_spans_mid_traffic(
+        seed in any::<u64>(),
+        rate in 0.01f64..0.5,
+        reserved_mask in any::<u16>(),
+    ) {
+        let (crossbar, free) = reserved_crossbar(reserved_mask);
+        prop_assume!(free.len() >= 2);
+        jump_quiet_spans(crossbar, &free, seed, rate)?;
     }
 
     #[test]

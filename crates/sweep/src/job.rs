@@ -202,8 +202,9 @@ impl NetSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec describes an invalid topology (e.g. 1 node, or
-    /// a flumen crossbar above 64 nodes).
+    /// Panics if the spec describes an invalid topology (e.g. 1 node, a
+    /// ring or mesh above 64 routers, or a flumen crossbar above 64
+    /// nodes).
     pub fn build(&self) -> Box<dyn Network> {
         match *self {
             NetSpec::Ring { nodes } => Box::new(

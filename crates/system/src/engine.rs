@@ -133,6 +133,20 @@ impl CoreState {
             && self.waiting == 0
             && self.barrier.is_none()
     }
+
+    /// The first cycle after `now` at which a step of this core can do
+    /// anything, absent a reply, an offload outcome or a barrier release.
+    fn wake(&self, now: u64) -> u64 {
+        if self.waiting > 0 || self.barrier.is_some() {
+            u64::MAX
+        } else if self.busy_until > now {
+            self.busy_until
+        } else if self.stream.is_some() || !self.queue.is_empty() {
+            now + 1
+        } else {
+            u64::MAX
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -176,6 +190,11 @@ pub struct SystemSim<N: Network, S: ExternalServer<N>> {
     l1d: Vec<Cache>,
     l2: Vec<Cache>,
     l3: Vec<Cache>,
+    /// Per core, the first cycle at which stepping it can do anything
+    /// (`CoreState::wake`, set after each step of the core). A reply, an
+    /// offload outcome or a barrier release resets it to 0. Derived state,
+    /// not serialized; restore resets it to 0.
+    wake: Vec<u64>,
     net: N,
     server: S,
     counts: ActivityCounts,
@@ -237,6 +256,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             .map(|_| Cache::new(&cfg.l3_slice))
             .collect();
         SystemSim {
+            wake: vec![0; cfg.cores],
             cfg,
             cores,
             l1d,
@@ -328,9 +348,14 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     pub fn step(&mut self) {
         let now = self.cycle;
 
-        // 1. Cores.
+        // 1. Cores. A core stepped before its wake cycle would do
+        // nothing. A barrier release resets later cores' wake cycles
+        // within this loop, so they step this cycle, as before.
         for c in 0..self.cores.len() {
-            self.step_core(c, now);
+            if self.wake[c] <= now {
+                self.step_core(c, now);
+                self.wake[c] = self.cores[c].wake(now);
+            }
         }
 
         // 2. External server (MZIM control unit).
@@ -343,6 +368,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
                         .with_arg("accepted", if o.accepted { 1.0 } else { 0.0 })
                 });
                 self.cores[core].waiting = self.cores[core].waiting.saturating_sub(1);
+                self.wake[core] = 0;
                 if !o.accepted {
                     for t in fallback.into_iter().rev() {
                         self.cores[core].queue.push_front(t);
@@ -458,9 +484,10 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
                 let count = self.barrier_counts.entry(id).or_insert(0);
                 *count += 1;
                 if *count == self.cfg.cores {
-                    for core in &mut self.cores {
+                    for (core, wake) in self.cores.iter_mut().zip(&mut self.wake) {
                         if core.barrier == Some(id) {
                             core.barrier = None;
+                            *wake = 0;
                         }
                     }
                     self.tracer.emit(|| {
@@ -653,6 +680,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             }
         } else if let Some(core) = self.pending_replies.remove(&pkt.tag) {
             self.cores[core].waiting = self.cores[core].waiting.saturating_sub(1);
+            self.wake[core] = 0;
         }
         // Fire-and-forget sends (NetSend) fall through: nothing to do.
     }
@@ -673,8 +701,8 @@ enum AccessOutcome {
 // The engine as a kernel component: its `cycle` field is the one cycle
 // counter (every internal path reads it), and the kernel's `now` always
 // equals it. `SystemSim::step` stays the per-cycle reference; idle spans
-// are crossed by advancing only the network and the cycle, which is all an
-// idle step changes.
+// are crossed by advancing only the network, the server and the cycle,
+// which is all an idle step changes.
 impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
     fn step(&mut self, _now: Cycles) {
         self.step();
@@ -684,28 +712,24 @@ impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
         self.finished()
     }
 
-    /// A cycle is idle when the network is drained, the server is quiet,
-    /// and every core is busy, waiting, at a barrier, or out of work. Such
-    /// a cycle changes nothing but the cycle, the network's counters and
-    /// what [`ExternalServer::advance_quiet`] applies, until the earliest
-    /// of: the end of the server's quiet span, a core's `busy_until` (even
-    /// with an empty queue, since [`SystemSim::finished`] flips then), the
-    /// head of `server_jobs`, and the next utilization sample.
+    /// A cycle is idle when the network and the server are quiet and no
+    /// core is due to wake. Such a cycle changes nothing but the cycle and
+    /// what [`Network::advance_quiet`] and [`ExternalServer::advance_quiet`]
+    /// apply, until the earliest of: the end of the network's and the
+    /// server's quiet spans, a core's wake cycle (a `busy_until` counts
+    /// even with an empty queue, since [`SystemSim::finished`] flips then),
+    /// the head of `server_jobs`, and the next utilization sample. The
+    /// network is asked first: it is the cheapest test that fails on a
+    /// busy cycle.
     fn idle_until(&self, _now: Cycles) -> Option<Cycles> {
         let now = self.cycle;
-        if self.net.pending() != 0 {
-            return None;
-        }
-        let mut next = self.server.quiet_until(now)?;
-        for core in &self.cores {
-            if core.busy_until > now {
-                next = next.min(core.busy_until);
-            } else if core.waiting == 0
-                && core.barrier.is_none()
-                && (core.stream.is_some() || !core.queue.is_empty())
-            {
+        let mut next = self.net.quiet_until()?;
+        next = next.min(self.server.quiet_until(now)?);
+        for &wake in &self.wake {
+            if wake <= now {
                 return None;
             }
+            next = next.min(wake);
         }
         if let Some(t) = self.server_jobs.peek_deadline() {
             next = next.min(t.value());
@@ -721,7 +745,7 @@ impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
     fn advance_idle(&mut self, _now: Cycles, to: Cycles) {
         let cycles = to.value() - self.cycle;
         self.server.advance_quiet(cycles);
-        self.net.advance_idle(cycles);
+        self.net.advance_quiet(cycles);
         self.cycle = to.value();
     }
 }
@@ -996,6 +1020,7 @@ where
         self.server.restore(j.get("server")?)?;
         self.barrier_counts = barrier_counts;
         self.cores = cores;
+        self.wake.fill(0);
         self.counts = counts;
         self.cycle = cycle;
         self.external_waiting = external_waiting;

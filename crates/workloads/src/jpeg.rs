@@ -8,7 +8,7 @@
 //! the second pass depends on the first, giving a two-wave job graph.
 
 use crate::data::Image;
-use crate::jobs::{Benchmark, MvmJob, Operands};
+use crate::jobs::{vectors_match, Benchmark, MvmJob, Operands};
 use flumen_linalg::RMat;
 
 /// Builds the orthonormal 8×8 DCT-II matrix.
@@ -151,6 +151,10 @@ impl Benchmark for Jpeg {
         if results.len() != 2 {
             return false;
         }
+        // Wave 0 outputs are the columns of Y = D·B.
+        if !vectors_match(&self.operands()[0].golden(), &results[0], tol) {
+            return false;
+        }
         // Wave 1 outputs are the columns of Cᵀ, i.e. the rows of C.
         let w1 = &results[1];
         if w1.len() != self.block_count() * 8 || w1.iter().any(|out| out.len() != 8) {
@@ -210,6 +214,21 @@ mod tests {
         let mut results: Vec<_> = j.operands().iter().map(Operands::golden).collect();
         results[1][0].truncate(5);
         assert!(!j.verify(&results, 1e-6));
+    }
+
+    #[test]
+    fn verify_rejects_wrong_wave0_output() {
+        let j = Jpeg::small();
+        let golden: Vec<_> = j.operands().iter().map(Operands::golden).collect();
+        let mut off = golden.clone();
+        off[0][5][1] += 1.0;
+        assert!(!j.verify(&off, 1e-6), "wrong wave-0 value");
+        let mut short = golden.clone();
+        short[0][2].truncate(7);
+        assert!(!j.verify(&short, 1e-6), "short wave-0 output");
+        let mut missing = golden;
+        missing[0].pop();
+        assert!(!j.verify(&missing, 1e-6), "missing wave-0 output");
     }
 
     #[test]
