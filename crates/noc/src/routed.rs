@@ -532,7 +532,7 @@ impl Network for RoutedNetwork {
                 return None;
             }
         }
-        let mut until = self.in_flight.next_due().unwrap_or(u64::MAX);
+        let mut until = u64::MAX;
         let mut held = self.occupied;
         while held != 0 {
             let r = held.trailing_zeros() as usize;
@@ -557,6 +557,7 @@ impl Network for RoutedNetwork {
                 }
             }
         }
+        let until = until.min(self.in_flight.next_due().unwrap_or(u64::MAX));
         (until > now).then_some(until)
     }
 
@@ -591,7 +592,6 @@ impl flumen_sim::Snapshotable for RoutedNetwork {
         let in_flight = flumen_sim::Json::Arr(
             self.in_flight
                 .entries()
-                .iter()
                 .map(|(at, (node, port, tp))| {
                     flumen_sim::Json::Arr(vec![
                         at.to_json(),

@@ -17,6 +17,7 @@
 use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::counts::ActivityCounts;
+use crate::tag_table::TagTable;
 use crate::tasks::CoreTask;
 use flumen_noc::{NetStats, Network, Packet};
 use flumen_sim::{run_until, Component, Cycles, EventQueue, Snapshotable};
@@ -149,19 +150,34 @@ impl CoreState {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum ReqKind {
     RemoteLine { addr: u64, write: bool },
     Custom { server_cycles: u64, reply_bits: u32 },
     Writeback { addr: u64 },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ReqInfo {
     kind: ReqKind,
     requester_core: usize,
     src_chiplet: usize,
 }
+
+/// What a live packet tag is waiting for: its request's delivery, or the
+/// delivery of the reply that reuses the request's tag (to `usize`, the
+/// requesting core).
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    Request(ReqInfo),
+    Reply(usize),
+}
+
+/// The widest span of pending tags a restored snapshot may hold. The
+/// tag window is dense over that span, so this bounds what a hostile
+/// snapshot can make restore allocate; on the paper grid the span stays
+/// near 650 tags.
+const MAX_TAG_SPAN: u64 = 1 << 20;
 
 /// Result of a full-system run.
 #[derive(Debug, Clone)]
@@ -200,8 +216,10 @@ pub struct SystemSim<N: Network, S: ExternalServer<N>> {
     counts: ActivityCounts,
     cycle: u64,
     next_tag: u64,
-    pending_requests: BTreeMap<u64, ReqInfo>,
-    pending_replies: BTreeMap<u64, usize>,
+    /// Requests and replies in the network or in home-node service, by
+    /// tag. Serialized as the two maps `pending_requests` and
+    /// `pending_replies`.
+    pending: TagTable<Pending>,
     external_waiting: BTreeMap<u64, (usize, Vec<CoreTask>)>,
     /// Replies awaiting home-node service completion, ordered by deadline.
     server_jobs: EventQueue<Packet>,
@@ -267,8 +285,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             counts: ActivityCounts::default(),
             cycle: 0,
             next_tag: 1,
-            pending_requests: BTreeMap::new(),
-            pending_replies: BTreeMap::new(),
+            pending: TagTable::new(),
             external_waiting: BTreeMap::new(),
             server_jobs: EventQueue::new(),
             barrier_counts: BTreeMap::new(),
@@ -316,8 +333,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             .all(|c| c.idle_done() && c.busy_until <= self.cycle)
             && self.net.pending() == 0
             && self.server_jobs.is_empty()
-            && self.pending_requests.is_empty()
-            && self.pending_replies.is_empty()
+            && self.pending.is_empty()
             && self.server.outstanding() == 0
     }
 
@@ -453,16 +469,16 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
                 let chiplet = self.cfg.chiplet_of(c);
                 let mut pkt = Packet::new(tag, chiplet, dst_chiplet, req_bits, now);
                 pkt.tag = tag;
-                self.pending_requests.insert(
+                self.pending.insert(
                     tag,
-                    ReqInfo {
+                    Pending::Request(ReqInfo {
                         kind: ReqKind::Custom {
                             server_cycles,
                             reply_bits,
                         },
                         requester_core: c,
                         src_chiplet: chiplet,
-                    },
+                    }),
                 );
                 self.cores[c].waiting = 1;
                 self.counts.nop_packets += 1;
@@ -600,13 +616,13 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             let tag = self.fresh_tag();
             let mut pkt = Packet::new(tag, chiplet, home, self.cfg.req_bits, now);
             pkt.tag = tag;
-            self.pending_requests.insert(
+            self.pending.insert(
                 tag,
-                ReqInfo {
+                Pending::Request(ReqInfo {
                     kind: ReqKind::RemoteLine { addr, write },
                     requester_core: c,
                     src_chiplet: chiplet,
-                },
+                }),
             );
             self.counts.nop_packets += 1;
             self.net.inject(pkt);
@@ -639,13 +655,13 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             let tag = self.fresh_tag();
             let mut pkt = Packet::new(tag, chiplet, home, self.cfg.reply_bits, now);
             pkt.tag = tag;
-            self.pending_requests.insert(
+            self.pending.insert(
                 tag,
-                ReqInfo {
+                Pending::Request(ReqInfo {
                     kind: ReqKind::Writeback { addr: victim_addr },
                     requester_core: usize::MAX,
                     src_chiplet: chiplet,
-                },
+                }),
             );
             self.counts.nop_packets += 1;
             self.net.inject(pkt);
@@ -653,14 +669,20 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     }
 
     fn handle_delivery(&mut self, pkt: Packet, now: u64) {
-        if let Some(info) = self.pending_requests.remove(&pkt.tag) {
-            match info.kind {
+        // Fire-and-forget sends (NetSend) hold no tag: nothing to do.
+        let Some(&pending) = self.pending.get(pkt.tag) else {
+            return;
+        };
+        match pending {
+            // The reply takes over its request's tag, in place.
+            Pending::Request(info) => match info.kind {
                 ReqKind::RemoteLine { addr, write } => {
                     let service = self.l3_access(pkt.dst, addr, write);
                     let mut reply =
                         Packet::new(pkt.tag, pkt.dst, info.src_chiplet, self.cfg.reply_bits, now);
                     reply.tag = pkt.tag;
-                    self.pending_replies.insert(pkt.tag, info.requester_core);
+                    self.pending
+                        .insert(pkt.tag, Pending::Reply(info.requester_core));
                     self.server_jobs.schedule(Cycles::new(now + service), reply);
                 }
                 ReqKind::Custom {
@@ -670,19 +692,22 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
                     let mut reply =
                         Packet::new(pkt.tag, pkt.dst, info.src_chiplet, reply_bits, now);
                     reply.tag = pkt.tag;
-                    self.pending_replies.insert(pkt.tag, info.requester_core);
+                    self.pending
+                        .insert(pkt.tag, Pending::Reply(info.requester_core));
                     self.server_jobs
                         .schedule(Cycles::new(now + server_cycles), reply);
                 }
                 ReqKind::Writeback { addr } => {
+                    self.pending.remove(pkt.tag);
                     self.l3_access(pkt.dst, addr, true);
                 }
+            },
+            Pending::Reply(core) => {
+                self.pending.remove(pkt.tag);
+                self.cores[core].waiting = self.cores[core].waiting.saturating_sub(1);
+                self.wake[core] = 0;
             }
-        } else if let Some(core) = self.pending_replies.remove(&pkt.tag) {
-            self.cores[core].waiting = self.cores[core].waiting.saturating_sub(1);
-            self.wake[core] = 0;
         }
-        // Fire-and-forget sends (NetSend) fall through: nothing to do.
     }
 
     fn fresh_tag(&mut self) -> u64 {
@@ -885,6 +910,59 @@ fn push_task_chiplets(task: &CoreTask, out: &mut Vec<usize>) {
     }
 }
 
+/// The `[tag, value]` pairs, in tag order, of the pending entries that
+/// `value` maps: the encoding of a `BTreeMap<u64, _>`.
+fn pending_json(
+    pending: &TagTable<Pending>,
+    value: impl Fn(&Pending) -> Option<flumen_sim::Json>,
+) -> flumen_sim::Json {
+    use flumen_sim::{Json, ToJson};
+    Json::Arr(
+        pending
+            .iter()
+            .filter_map(|(tag, p)| Some(Json::Arr(vec![tag.to_json(), value(p)?])))
+            .collect(),
+    )
+}
+
+/// Builds the tag window from a snapshot's request and reply maps. A tag
+/// may name a request or a reply but not both, and the tags may span at
+/// most [`MAX_TAG_SPAN`].
+fn pending_restore(
+    requests: BTreeMap<u64, ReqInfo>,
+    replies: BTreeMap<u64, usize>,
+) -> Result<TagTable<Pending>, flumen_sim::JsonError> {
+    use flumen_sim::JsonError;
+    if let Some(&tag) = requests.keys().find(|t| replies.contains_key(t)) {
+        return Err(JsonError(format!(
+            "SystemSim: tag {tag} is pending as both a request and a reply"
+        )));
+    }
+    let merged: BTreeMap<u64, Pending> = requests
+        .into_iter()
+        .map(|(tag, info)| (tag, Pending::Request(info)))
+        .chain(
+            replies
+                .into_iter()
+                .map(|(tag, core)| (tag, Pending::Reply(core))),
+        )
+        .collect();
+    if let (Some((&first, _)), Some((&last, _))) =
+        (merged.first_key_value(), merged.last_key_value())
+    {
+        if last - first > MAX_TAG_SPAN {
+            return Err(JsonError(format!(
+                "SystemSim: pending tags {first}..={last} span more than {MAX_TAG_SPAN}"
+            )));
+        }
+    }
+    let mut pending = TagTable::new();
+    for (tag, p) in merged {
+        pending.insert(tag, p);
+    }
+    Ok(pending)
+}
+
 fn caches_snapshot(caches: &[Cache]) -> flumen_sim::Json {
     flumen_sim::Json::Arr(caches.iter().map(Snapshotable::snapshot).collect())
 }
@@ -932,8 +1010,20 @@ where
             ("last_trace_busy", self.last_trace_busy.to_json()),
             ("net", self.net.snapshot()),
             ("next_tag", self.next_tag.to_json()),
-            ("pending_replies", self.pending_replies.to_json()),
-            ("pending_requests", self.pending_requests.to_json()),
+            (
+                "pending_replies",
+                pending_json(&self.pending, |p| match p {
+                    Pending::Reply(core) => Some(core.to_json()),
+                    Pending::Request(_) => None,
+                }),
+            ),
+            (
+                "pending_requests",
+                pending_json(&self.pending, |p| match p {
+                    Pending::Request(info) => Some(info.to_json()),
+                    Pending::Reply(_) => None,
+                }),
+            ),
             ("server", self.server.snapshot()),
             ("server_jobs", self.server_jobs.to_json()),
             ("trace", self.trace.to_json()),
@@ -1003,11 +1093,27 @@ where
                 "SystemSim: snapshot names chiplet {chiplet}, instance has {chiplets}"
             )));
         }
+        let next_tag = u64::from_json(j.get("next_tag")?)?;
+        // `fresh_tag` would hand out such a tag again while it is live, and
+        // the new entry would overwrite the live one.
+        let reply_tags = server_jobs.iter_sorted().map(|(_, p)| p.tag);
+        if let Some(tag) = pending_requests
+            .keys()
+            .chain(pending_replies.keys())
+            .chain(external_waiting.keys())
+            .copied()
+            .chain(reply_tags)
+            .find(|&t| t >= next_tag)
+        {
+            return Err(JsonError(format!(
+                "SystemSim: pending tag {tag} is not below next_tag {next_tag}"
+            )));
+        }
+        let pending = pending_restore(pending_requests, pending_replies)?;
         let barrier_counts = BTreeMap::from_json(j.get("barrier_counts")?)?;
         let counts = ActivityCounts::from_json(j.get("counts")?)?;
         let cycle = u64::from_json(j.get("cycle")?)?;
         let last_trace_busy = u64::from_json(j.get("last_trace_busy")?)?;
-        let next_tag = u64::from_json(j.get("next_tag")?)?;
         let trace = Vec::from_json(j.get("trace")?)?;
         // Sub-components restore in place, and only once every engine
         // field has parsed and passed its checks. Each checks its own
@@ -1026,8 +1132,7 @@ where
         self.external_waiting = external_waiting;
         self.last_trace_busy = last_trace_busy;
         self.next_tag = next_tag;
-        self.pending_replies = pending_replies;
-        self.pending_requests = pending_requests;
+        self.pending = pending;
         self.server_jobs = server_jobs;
         self.trace = trace;
         Ok(())
@@ -1412,7 +1517,7 @@ mod tests {
             ),
             (
                 "requester core",
-                with_entry(&["pending_requests"], request(line.clone(), 4, 0)),
+                with_entry(&["pending_requests"], request(line, 4, 0)),
             ),
             (
                 "requester chiplet",
@@ -1433,11 +1538,149 @@ mod tests {
             assert!(err.0.contains("names"), "{what}: {err}");
             assert_eq!(b.cycle, 0, "{what}: a failed restore changed the engine");
         }
-        let writeback = request(ReqKind::Writeback { addr: 64 }, usize::MAX, 0);
+        // The sentinel sits at a tag below `next_tag` that nothing holds.
+        let free = (0..a.next_tag)
+            .find(|&t| a.pending.get(t).is_none() && !a.external_waiting.contains_key(&t))
+            .expect("a free tag below next_tag");
+        let info = ReqInfo {
+            kind: ReqKind::Writeback { addr: 64 },
+            requester_core: usize::MAX,
+            src_chiplet: 0,
+        };
+        let writeback = Json::Arr(vec![free.to_json(), info.to_json()]);
         let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
         b.restore(&with_entry(&["pending_requests"], writeback))
             .expect("writeback sentinel restores");
         assert_eq!(b.cycle, a.cycle);
+    }
+
+    /// A snapshot whose pending tags `fresh_tag` would hand out again, that
+    /// holds one tag as both a request and a reply, or whose pending tags
+    /// span more than [`MAX_TAG_SPAN`], restores as an `Err`. Restored,
+    /// the first would overwrite a live entry with a reused tag and
+    /// leave a core waiting forever.
+    #[test]
+    fn restore_rejects_tags_at_or_past_next_tag() {
+        use flumen_sim::{FromJson, Json, ToJson};
+        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        for _ in 0..150 {
+            a.step();
+        }
+        assert!(!a.finished(), "checkpoint must land mid-run");
+        let snap = a.snapshot();
+        let (oldest, _) = a.pending.iter().next().expect("a pending tag");
+        let edited = |edit: &dyn Fn(&mut BTreeMap<String, Json>)| {
+            let mut j = snap.clone();
+            let Json::Obj(m) = &mut j else {
+                panic!("snapshot is an object")
+            };
+            edit(m);
+            j
+        };
+        let push = |m: &mut BTreeMap<String, Json>, path: &[&str], entry: Json| {
+            let mut node = m.get_mut(path[0]).expect("field in snapshot");
+            for key in &path[1..] {
+                let Json::Obj(o) = node else {
+                    panic!("{key}: not an object")
+                };
+                node = o.get_mut(*key).expect("field in snapshot");
+            }
+            let Json::Arr(entries) = node else {
+                panic!("{path:?}: not an array")
+            };
+            entries.push(entry);
+        };
+        let next = a.next_tag;
+        let request = |tag: u64| {
+            let info = ReqInfo {
+                kind: ReqKind::RemoteLine {
+                    addr: 64,
+                    write: false,
+                },
+                requester_core: 0,
+                src_chiplet: 0,
+            };
+            Json::Arr(vec![tag.to_json(), info.to_json()])
+        };
+        let far = MAX_TAG_SPAN + oldest + 1;
+        let tampered = [
+            (
+                "next_tag rewound to the oldest pending tag",
+                "next_tag",
+                edited(&|m| {
+                    m.insert("next_tag".into(), oldest.to_json());
+                }),
+            ),
+            (
+                "request at next_tag",
+                "next_tag",
+                edited(&|m| push(m, &["pending_requests"], request(next))),
+            ),
+            (
+                "reply at next_tag",
+                "next_tag",
+                edited(&|m| {
+                    push(
+                        m,
+                        &["pending_replies"],
+                        Json::Arr(vec![next.to_json(), 0usize.to_json()]),
+                    )
+                }),
+            ),
+            (
+                "offload at next_tag",
+                "next_tag",
+                edited(&|m| {
+                    let waiting = Json::Arr(vec![0usize.to_json(), Json::Arr(vec![])]);
+                    push(
+                        m,
+                        &["external_waiting"],
+                        Json::Arr(vec![next.to_json(), waiting]),
+                    );
+                }),
+            ),
+            (
+                "server reply at next_tag",
+                "next_tag",
+                edited(&|m| {
+                    let mut pkt = Packet::new(next, 1, 0, 512, 0);
+                    pkt.tag = next;
+                    let entry = Json::Arr(vec![Json::Num(1e6), Json::Num(1e6), pkt.to_json()]);
+                    push(m, &["server_jobs", "entries"], entry);
+                }),
+            ),
+            (
+                "one tag as request and reply",
+                "both",
+                edited(&|m| {
+                    let replies = BTreeMap::<u64, usize>::from_json(&m["pending_replies"]).unwrap();
+                    let (&tag, _) = replies.iter().next().expect("a pending reply");
+                    push(m, &["pending_requests"], request(tag));
+                }),
+            ),
+            (
+                "tags spanning past the bound",
+                "span",
+                edited(&|m| {
+                    m.insert("next_tag".into(), (far + 1).to_json());
+                    push(m, &["pending_requests"], request(far));
+                }),
+            ),
+        ];
+        for (what, want, bad) in tampered {
+            let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+            let err = b.restore(&bad).expect_err(what);
+            assert!(err.0.contains(want), "{what}: {err}");
+            assert_eq!(b.cycle, 0, "{what}: a failed restore changed the engine");
+        }
+        // At the bound itself the window restores.
+        let at_bound = edited(&|m| {
+            m.insert("next_tag".into(), far.to_json());
+            push(m, &["pending_requests"], request(far - 1));
+        });
+        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        b.restore(&at_bound)
+            .expect("a span of exactly MAX_TAG_SPAN restores");
     }
 
     /// A queued `NetRequest` or `NetSend`, at the top level or inside an

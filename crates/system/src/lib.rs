@@ -32,6 +32,7 @@ mod cache;
 mod config;
 mod counts;
 pub mod engine;
+mod tag_table;
 mod tasks;
 
 pub use cache::{AccessResult, Cache};
