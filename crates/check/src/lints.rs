@@ -383,7 +383,7 @@ pub(crate) fn parse_allows(comments: &[LineComment]) -> (Vec<(u32, Lint)>, Vec<D
 
 /// Marks every token that belongs to a `#[cfg(test)]` or `#[test]` item
 /// (the attribute itself, any stacked attributes, and the item body).
-pub(crate) fn test_mask(toks: &[Tok]) -> Vec<bool> {
+pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0;
     while i < toks.len() {

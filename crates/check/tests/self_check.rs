@@ -34,6 +34,35 @@ fn trace_registry_is_parsed_from_source() {
     assert!(names.len() >= 10, "suspiciously small: {names:?}");
 }
 
+/// The registry's other direction: every registered name appears as a
+/// string literal in production code outside the registry itself, so a
+/// name cannot outlive its last emitter. Names returned as strings, such
+/// as `AdmissionOutcome::event_name`'s, count as uses.
+#[test]
+fn every_registered_event_name_is_used() {
+    use flumen_check::lexer::{lex, TokKind};
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let names = flumen_check::trace_registry(&root).expect("registry parses");
+    let mut literals = std::collections::BTreeSet::new();
+    for s in flumen_check::collect_workspace_sources(&root).expect("workspace walk succeeds") {
+        if s.file.ends_with("trace/src/event.rs") {
+            continue;
+        }
+        let (toks, _) = lex(&s.src);
+        let test = flumen_check::lints::test_mask(&toks);
+        for (tok, is_test) in toks.into_iter().zip(test) {
+            if let (TokKind::Str(lit), false) = (tok.kind, is_test) {
+                literals.insert(lit);
+            }
+        }
+    }
+    let unused: Vec<&String> = names.iter().filter(|n| !literals.contains(*n)).collect();
+    assert!(
+        unused.is_empty(),
+        "registered but never named in production code: {unused:?}"
+    );
+}
+
 #[test]
 fn a_planted_violation_would_be_caught() {
     // Sanity-check that the clean result above is meaningful: the same

@@ -53,12 +53,6 @@ pub struct ControlUnitParams {
     pub arbitration_cycles: u64,
     /// Maximum concurrently active compute partitions.
     pub max_partitions: usize,
-    /// Matrix-memory slots of the control unit's program cache (0 disables
-    /// caching — the paper's baseline). When enabled, a request whose
-    /// `matrix_key` matches a resident program skips the full partition
-    /// programming time, and only cache misses charge per-MZI phase
-    /// writes (incremental reprogramming).
-    pub program_cache_entries: usize,
 }
 
 impl ControlUnitParams {
@@ -74,12 +68,11 @@ impl ControlUnitParams {
             compute_lambdas: 8,
             arbitration_cycles: 4,
             max_partitions: 2,
-            program_cache_entries: 0,
         }
     }
 
     /// Total fabric service cost of a request, in cycles.
-    pub fn service_cost(&self, configs: u64, vectors: u64, _n: u64) -> f64 {
+    pub fn service_cost(&self, configs: u64, vectors: u64) -> f64 {
         let batches = vectors.div_ceil(self.compute_lambdas as u64).max(1) as f64;
         let per_config_switch = self.switch_cycles * (1.0 - self.config_pipeline);
         // Full-duplex streaming: while batch k's inputs modulate, batch
@@ -87,14 +80,6 @@ impl ControlUnitParams {
         // the forward pass sets the rate.
         let per_config_stream = batches * self.stream_cycles_per_batch;
         self.switch_cycles + configs as f64 * (per_config_switch + per_config_stream)
-    }
-
-    /// Fabric service cost when the request's phases are already resident
-    /// in the program cache: the initial full-mesh programming
-    /// (`switch_cycles`) is skipped, leaving only the pipelined per-config
-    /// switches and streaming.
-    pub fn service_cost_cached(&self, configs: u64, vectors: u64, n: u64) -> f64 {
-        self.service_cost(configs, vectors, n) - self.switch_cycles
     }
 }
 
@@ -111,8 +96,6 @@ struct CompRequest {
     configs: u64,
     vectors: u64,
     n: u64,
-    /// Content address of the weight strip (0 = uncacheable).
-    matrix_key: u64,
     arrived: u64,
 }
 
@@ -143,11 +126,6 @@ pub struct MzimControlUnit {
     /// Statistics: requests admitted / rejected.
     admitted: u64,
     rejected: u64,
-    /// FIFO of matrix keys resident in the program cache (matrix-memory
-    /// model; bounded by `params.program_cache_entries`).
-    cache_keys: VecDeque<u64>,
-    program_cache_hits: u64,
-    program_cache_misses: u64,
     tracer: TraceHandle,
 }
 
@@ -164,9 +142,6 @@ impl MzimControlUnit {
             finished: Vec::new(),
             admitted: 0,
             rejected: 0,
-            cache_keys: VecDeque::new(),
-            program_cache_hits: 0,
-            program_cache_misses: 0,
             tracer: TraceHandle::disabled(),
         }
     }
@@ -194,17 +169,6 @@ impl MzimControlUnit {
     /// Requests rejected so far (computed locally instead).
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    /// Admitted requests whose program was already resident in the cache.
-    pub fn program_cache_hits(&self) -> u64 {
-        self.program_cache_hits
-    }
-
-    /// Admitted requests that paid the full programming cost (and, cache
-    /// enabled, were inserted).
-    pub fn program_cache_misses(&self) -> u64 {
-        self.program_cache_misses
     }
 
     /// Currently queued compute requests.
@@ -290,65 +254,7 @@ impl MzimControlUnit {
                     .with_id(head.tag)
                 });
             }
-            let mut cost = params.service_cost(head.configs, head.vectors, head.n);
-            if params.program_cache_entries > 0 && head.matrix_key != 0 {
-                if self.cache_keys.contains(&head.matrix_key) {
-                    // Program-cache hit: the phases are already in matrix
-                    // memory, so the full-mesh programming is skipped and
-                    // zero MZI writes are charged (incremental reprogram
-                    // of an identical program is a no-op).
-                    self.program_cache_hits += 1;
-                    cost = params.service_cost_cached(head.configs, head.vectors, head.n);
-                    self.tracer.emit(|| {
-                        TraceEvent::instant(
-                            TraceCategory::Scheduler,
-                            "compute.program_cache_hit",
-                            now,
-                            0,
-                        )
-                        .with_id(head.tag)
-                    });
-                    self.tracer.emit(|| {
-                        TraceEvent::counter(
-                            TraceCategory::Scheduler,
-                            "incremental_reprogram_mzis",
-                            now,
-                            0,
-                            0.0,
-                        )
-                        .with_id(head.tag)
-                    });
-                } else {
-                    self.program_cache_misses += 1;
-                    while self.cache_keys.len() >= params.program_cache_entries {
-                        self.cache_keys.pop_front();
-                    }
-                    self.cache_keys.push_back(head.matrix_key);
-                    // Full SVD-circuit program: w(w−1)/2 mesh MZIs plus
-                    // the w attenuator MZIs of the Σ column.
-                    let programmed = (width * (width.saturating_sub(1)) / 2 + width) as u64;
-                    self.counts.mzim_programmed_mzis += programmed;
-                    self.tracer.emit(|| {
-                        TraceEvent::instant(
-                            TraceCategory::Scheduler,
-                            "compute.program_cache_miss",
-                            now,
-                            0,
-                        )
-                        .with_id(head.tag)
-                    });
-                    self.tracer.emit(|| {
-                        TraceEvent::counter(
-                            TraceCategory::Scheduler,
-                            "incremental_reprogram_mzis",
-                            now,
-                            0,
-                            programmed as f64,
-                        )
-                        .with_id(head.tag)
-                    });
-                }
-            }
+            let cost = params.service_cost(head.configs, head.vectors);
             self.emit_outcome(AdmissionOutcome::Admitted, now, head.tag, beta);
             self.admitted += 1;
             self.counts.mzim_reconfigs += head.configs;
@@ -377,7 +283,7 @@ impl ExternalServer<MzimCrossbar> for MzimControlUnit {
         tag: u64,
         payload: ExternalPayload,
     ) {
-        let [configs, vectors, n, _macs, matrix_key] = payload;
+        let [configs, vectors, n, _macs] = payload;
         self.tracer.emit(|| {
             TraceEvent::instant(TraceCategory::Scheduler, "request", now, 0)
                 .with_id(tag)
@@ -390,7 +296,6 @@ impl ExternalServer<MzimCrossbar> for MzimControlUnit {
             configs,
             vectors,
             n,
-            matrix_key,
             arrived: now,
         });
     }
@@ -508,7 +413,7 @@ mod tests {
     fn idle_network_admits_quickly() {
         let mut cu = unit();
         let mut net = net16();
-        cu.on_request(0, 0, 2, 77, [4, 16, 4, 0, 0]);
+        cu.on_request(0, 0, 2, 77, [4, 16, 4, 0]);
         let outcomes = drive(&mut cu, &mut net, 300);
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].accepted);
@@ -524,7 +429,7 @@ mod tests {
         let mut net = net16();
         // Requester on chiplet 13 → fabric wire 6 → bottom half (wires 4..8
         // → ports 8..16).
-        cu.on_request(0, 52, 13, 1, [1, 1_000_000, 4, 0, 0]);
+        cu.on_request(0, 52, 13, 1, [1, 1_000_000, 4, 0]);
         let _ = cu.step(0, &mut net);
         let reserved = net.reserved_wires();
         assert_eq!(reserved, vec![8, 9, 10, 11, 12, 13, 14, 15]);
@@ -533,9 +438,9 @@ mod tests {
     #[test]
     fn service_cost_scales_with_configs_and_vectors() {
         let p = ControlUnitParams::paper();
-        let small = p.service_cost(1, 8, 4);
-        let more_cfg = p.service_cost(100, 8, 4);
-        let more_vec = p.service_cost(1, 8000, 4);
+        let small = p.service_cost(1, 8);
+        let more_cfg = p.service_cost(100, 8);
+        let more_vec = p.service_cost(1, 8000);
         assert!(more_cfg > small);
         assert!(more_vec > small);
         // One config, one batch: partition setup dominates.
@@ -558,7 +463,7 @@ mod tests {
                 ));
             }
         }
-        cu.on_request(0, 0, 2, 5, [4, 16, 4, 0, 0]);
+        cu.on_request(0, 0, 2, 5, [4, 16, 4, 0]);
         let _ = cu.step(0, &mut net);
         assert_eq!(cu.admitted(), 0, "β above η must defer");
         assert_eq!(cu.queued(), 1);
@@ -589,7 +494,7 @@ mod tests {
                 ));
             }
         }
-        cu.on_request(0, 0, 2, 9, [4, 16, 4, 0, 0]);
+        cu.on_request(0, 0, 2, 9, [4, 16, 4, 0]);
         let outcomes = cu.step(1, &mut net);
         assert!(outcomes.iter().any(|o| !o.accepted && o.tag == 9));
         assert_eq!(cu.rejected(), 1);
@@ -603,8 +508,8 @@ mod tests {
         };
         let mut cu = MzimControlUnit::new(params);
         let mut net = net16();
-        cu.on_request(0, 0, 1, 1, [100, 64, 4, 0, 0]);
-        cu.on_request(0, 4, 9, 2, [100, 64, 4, 0, 0]);
+        cu.on_request(0, 0, 1, 1, [100, 64, 4, 0]);
+        cu.on_request(0, 4, 9, 2, [100, 64, 4, 0]);
         let _ = cu.step(0, &mut net);
         assert_eq!(cu.admitted(), 1);
         assert_eq!(cu.queued(), 1);
@@ -617,7 +522,7 @@ mod tests {
     fn counts_accumulate_offload_activity() {
         let mut cu = unit();
         let mut net = net16();
-        cu.on_request(0, 0, 2, 1, [10, 32, 4, 0, 0]);
+        cu.on_request(0, 0, 2, 1, [10, 32, 4, 0]);
         drive(&mut cu, &mut net, 1000);
         let mut counts = ActivityCounts::default();
         cu.drain_counts(&mut counts);
@@ -625,6 +530,7 @@ mod tests {
         assert_eq!(counts.mzim_mvms, 320);
         assert_eq!(counts.mzim_input_samples, 320 * 4);
         assert!(counts.mzim_active_cycles > 0);
+        assert_eq!(counts.mzim_programmed_mzis, 0);
     }
 
     #[test]
@@ -634,8 +540,8 @@ mod tests {
         let mut cu = unit();
         cu.set_tracer(rec.handle());
         let mut net = net16();
-        cu.on_request(0, 0, 1, 1, [20, 64, 4, 0, 0]);
-        cu.on_request(0, 4, 9, 2, [20, 64, 4, 0, 0]);
+        cu.on_request(0, 0, 1, 1, [20, 64, 4, 0]);
+        cu.on_request(0, 4, 9, 2, [20, 64, 4, 0]);
         drive(&mut cu, &mut net, 5_000);
         let evs = rec.events();
         assert!(evs.iter().any(|e| e.name == "request"));
@@ -655,115 +561,23 @@ mod tests {
         assert_eq!(begins, ends);
     }
 
-    fn cached_unit(entries: usize) -> MzimControlUnit {
-        MzimControlUnit::new(ControlUnitParams {
-            program_cache_entries: entries,
-            ..ControlUnitParams::paper()
-        })
-    }
-
-    #[test]
-    fn paper_params_disable_program_cache() {
-        let mut cu = unit();
-        let mut net = net16();
-        cu.on_request(0, 0, 2, 1, [4, 16, 4, 0, 42]);
-        cu.on_request(0, 0, 2, 2, [4, 16, 4, 0, 42]);
-        drive(&mut cu, &mut net, 1000);
-        assert_eq!(cu.program_cache_hits(), 0);
-        assert_eq!(cu.program_cache_misses(), 0);
-        let mut counts = ActivityCounts::default();
-        cu.drain_counts(&mut counts);
-        assert_eq!(counts.mzim_programmed_mzis, 0);
-    }
-
-    #[test]
-    fn repeated_key_hits_program_cache() {
-        let mut cu = cached_unit(4);
-        let mut net = net16();
-        cu.on_request(0, 0, 2, 1, [4, 16, 4, 0, 42]);
-        cu.on_request(0, 0, 2, 2, [4, 16, 4, 0, 42]);
-        cu.on_request(0, 0, 2, 3, [4, 16, 4, 0, 42]);
-        let outcomes = drive(&mut cu, &mut net, 2000);
-        assert_eq!(outcomes.iter().filter(|o| o.accepted).count(), 3);
-        assert_eq!(cu.program_cache_misses(), 1);
-        assert_eq!(cu.program_cache_hits(), 2);
-        // Only the miss charged phase writes: 4·3/2 + 4 = 10 MZIs, once.
-        let mut counts = ActivityCounts::default();
-        cu.drain_counts(&mut counts);
-        assert_eq!(counts.mzim_programmed_mzis, 10);
-    }
-
-    #[test]
-    fn zero_key_bypasses_program_cache() {
-        let mut cu = cached_unit(4);
-        let mut net = net16();
-        cu.on_request(0, 0, 2, 1, [4, 16, 4, 0, 0]);
-        cu.on_request(0, 0, 2, 2, [4, 16, 4, 0, 0]);
-        drive(&mut cu, &mut net, 1000);
-        assert_eq!(cu.program_cache_hits(), 0);
-        assert_eq!(cu.program_cache_misses(), 0);
-    }
-
-    #[test]
-    fn program_cache_evicts_fifo() {
-        let mut cu = cached_unit(1);
-        let mut net = net16();
-        // Key 7, then key 8 (evicts 7), then key 7 again → miss.
-        cu.on_request(0, 0, 2, 1, [1, 8, 4, 0, 7]);
-        cu.on_request(0, 0, 2, 2, [1, 8, 4, 0, 8]);
-        cu.on_request(0, 0, 2, 3, [1, 8, 4, 0, 7]);
-        drive(&mut cu, &mut net, 2000);
-        assert_eq!(cu.program_cache_misses(), 3);
-        assert_eq!(cu.program_cache_hits(), 0);
-    }
-
-    #[test]
-    fn cache_hit_shortens_service_and_emits_events() {
-        use flumen_trace::RecordingTracer;
-        let p = ControlUnitParams::paper();
-        assert!(
-            p.service_cost_cached(4, 16, 4) < p.service_cost(4, 16, 4),
-            "cached cost must drop the initial programming"
-        );
-        let rec = RecordingTracer::new();
-        let mut cu = cached_unit(4);
-        cu.set_tracer(rec.handle());
-        let mut net = net16();
-        cu.on_request(0, 0, 2, 1, [4, 16, 4, 0, 42]);
-        cu.on_request(0, 0, 2, 2, [4, 16, 4, 0, 42]);
-        drive(&mut cu, &mut net, 2000);
-        let evs = rec.events();
-        assert!(evs.iter().any(|e| e.name == "compute.program_cache_miss"));
-        assert!(evs.iter().any(|e| e.name == "compute.program_cache_hit"));
-        let reprogram: Vec<f64> = evs
-            .iter()
-            .filter(|e| e.name == "incremental_reprogram_mzis")
-            .filter_map(|e| match e.kind {
-                EventKind::Counter(v) => Some(v),
-                _ => None,
-            })
-            .collect();
-        // Miss programs 10 MZIs, hit reprograms none.
-        assert_eq!(reprogram, vec![10.0, 0.0]);
-    }
-
     #[test]
     fn snapshot_mid_service_resumes_bit_identically() {
         use flumen_sim::Snapshotable;
-        let mut cu = cached_unit(2);
+        let mut cu = unit();
         let mut net = net16();
         // Background traffic keeps β (and therefore Algorithm 1's
         // decisions) nontrivial across the checkpoint.
         for src in 0..16 {
             net.inject(Packet::new(src as u64, src, (src + 5) % 16, 2048, 0));
         }
-        cu.on_request(0, 0, 2, 1, [20, 64, 4, 0, 42]);
-        cu.on_request(0, 4, 9, 2, [20, 64, 4, 0, 42]);
-        cu.on_request(0, 8, 5, 3, [4, 16, 4, 0, 7]);
+        cu.on_request(0, 0, 2, 1, [20, 64, 4, 0]);
+        cu.on_request(0, 4, 9, 2, [20, 64, 4, 0]);
+        cu.on_request(0, 8, 5, 3, [4, 16, 4, 0]);
         let _ = drive(&mut cu, &mut net, 40);
         let (cu_snap, net_snap) = (cu.snapshot(), net.snapshot());
 
-        let mut cu_b = cached_unit(2);
+        let mut cu_b = unit();
         let mut net_b = net16();
         cu_b.restore(&cu_snap).unwrap();
         net_b.restore(&net_snap).unwrap();
@@ -773,8 +587,6 @@ mod tests {
         assert_eq!(out_a, out_b);
         assert_eq!(cu.admitted(), cu_b.admitted());
         assert_eq!(cu.rejected(), cu_b.rejected());
-        assert_eq!(cu.program_cache_hits(), cu_b.program_cache_hits());
-        assert_eq!(cu.program_cache_misses(), cu_b.program_cache_misses());
         assert_eq!(cu.snapshot().to_canonical(), cu_b.snapshot().to_canonical());
         let mut ca = ActivityCounts::default();
         let mut cb = ActivityCounts::default();
@@ -788,10 +600,10 @@ mod tests {
         let mut cu = unit();
         let mut net = net16();
         assert_eq!(cu.quiet_until(0), Some(u64::MAX), "empty unit");
-        cu.on_request(0, 0, 2, 1, [40, 64, 4, 0, 0]);
+        cu.on_request(0, 0, 2, 1, [40, 64, 4, 0]);
         assert_eq!(cu.quiet_until(0), None, "queued request");
         let _ = drive(&mut cu, &mut net, 1);
-        cu.on_request(1, 8, 13, 2, [4, 16, 4, 0, 0]);
+        cu.on_request(1, 8, 13, 2, [4, 16, 4, 0]);
         let _ = drive(&mut cu, &mut net, 1);
         assert_eq!(cu.active.len(), 2);
         let first = cu.active.peek_deadline().unwrap().value();
@@ -808,17 +620,17 @@ mod tests {
     #[test]
     fn quiet_span_jumps_match_stepping_every_cycle() {
         use flumen_sim::Snapshotable;
-        // Overlapping partitions, a cached repeat and a late arrival, so
-        // spans end at deadlines and at requests alike.
+        // Overlapping partitions and a late arrival, so spans end at
+        // deadlines and at requests alike.
         let requests: [(u64, usize, u64, ExternalPayload); 4] = [
-            (0, 2, 1, [20, 64, 4, 0, 42]),
-            (3, 13, 2, [4, 16, 4, 0, 7]),
-            (250, 5, 3, [20, 64, 4, 0, 42]),
-            (900, 9, 4, [2, 8, 8, 0, 0]),
+            (0, 2, 1, [20, 64, 4, 0]),
+            (3, 13, 2, [4, 16, 4, 0]),
+            (250, 5, 3, [20, 64, 4, 0]),
+            (900, 9, 4, [2, 8, 8, 0]),
         ];
         let end = 3000;
         let run = |jump: bool| {
-            let mut cu = cached_unit(2);
+            let mut cu = unit();
             let mut net = net16();
             let mut out = Vec::new();
             let mut jumps = 0;
@@ -876,7 +688,7 @@ mod tests {
         use flumen_sim::{Json, Snapshotable};
         let mut cu = unit();
         let mut net = net16();
-        cu.on_request(0, 0, 2, 1, [20, 64, 4, 0, 0]);
+        cu.on_request(0, 0, 2, 1, [20, 64, 4, 0]);
         let _ = drive(&mut cu, &mut net, 1);
         assert_eq!(cu.active.len(), 1);
         let text = cu.snapshot().to_canonical();
@@ -904,7 +716,7 @@ mod tests {
         // η = -1 means nothing is ever admitted; requests must time out.
         let mut cu = MzimControlUnit::new(params);
         let mut net = net16();
-        cu.on_request(0, 0, 2, 3, [4, 16, 4, 0, 0]);
+        cu.on_request(0, 0, 2, 3, [4, 16, 4, 0]);
         let outcomes = drive(&mut cu, &mut net, 200);
         assert!(outcomes.iter().any(|o| !o.accepted && o.tag == 3));
     }
@@ -922,59 +734,31 @@ flumen_sim::json_struct!(ControlUnitParams {
     compute_lambdas,
     arbitration_cycles,
     max_partitions,
-    program_cache_entries,
 });
 
-// Checkpoint bridges. `matrix_key` is a full-range content hash, so it
-// rides as hex; everything else fits f64's exact integers.
-impl flumen_sim::ToJson for CompRequest {
-    fn to_json(&self) -> flumen_sim::Json {
-        flumen_sim::Json::obj([
-            ("arrived", self.arrived.to_json()),
-            ("chiplet", self.chiplet.to_json()),
-            ("configs", self.configs.to_json()),
-            ("matrix_key", flumen_sim::json::u64_hex(self.matrix_key)),
-            ("n", self.n.to_json()),
-            ("tag", self.tag.to_json()),
-            ("vectors", self.vectors.to_json()),
-        ])
-    }
-}
-
-impl flumen_sim::FromJson for CompRequest {
-    fn from_json(j: &flumen_sim::Json) -> std::result::Result<Self, flumen_sim::JsonError> {
-        Ok(CompRequest {
-            tag: u64::from_json(j.get("tag")?)?,
-            chiplet: usize::from_json(j.get("chiplet")?)?,
-            configs: u64::from_json(j.get("configs")?)?,
-            vectors: u64::from_json(j.get("vectors")?)?,
-            n: u64::from_json(j.get("n")?)?,
-            matrix_key: flumen_sim::json::u64_from_hex(j.get("matrix_key")?)?,
-            arrived: u64::from_json(j.get("arrived")?)?,
-        })
-    }
-}
-
+// Checkpoint bridges.
+flumen_sim::json_struct!(CompRequest {
+    arrived,
+    chiplet,
+    configs,
+    n,
+    tag,
+    vectors,
+});
 flumen_sim::json_struct!(ActivePartition { ports, tag, wires });
 
 // Checkpoint support. Parameters and the tracer are reconstruction-time
 // state and not serialized. Restore parses every field first, checks the
 // wire count and every active partition's wires against the
-// already-configured instance, and changes nothing on `Err`. The program
-// cache rides as hex (content hashes use the full 64-bit range) in FIFO
-// order.
+// already-configured instance, and changes nothing on `Err`.
 impl flumen_sim::Snapshotable for MzimControlUnit {
     fn snapshot(&self) -> flumen_sim::Json {
         use flumen_sim::{Json, ToJson};
-        let keys: Vec<u64> = self.cache_keys.iter().copied().collect();
         Json::obj([
             ("active", self.active.to_json()),
             ("admitted", self.admitted.to_json()),
-            ("cache_keys", flumen_sim::json::u64s_hex(&keys)),
             ("counts", self.counts.to_json()),
             ("finished", self.finished.to_json()),
-            ("program_cache_hits", self.program_cache_hits.to_json()),
-            ("program_cache_misses", self.program_cache_misses.to_json()),
             ("queue", self.queue.to_json()),
             ("rejected", self.rejected.to_json()),
             ("wire_busy", self.wire_busy.to_json()),
@@ -1003,9 +787,6 @@ impl flumen_sim::Snapshotable for MzimControlUnit {
         let finished = Vec::from_json(j.get("finished")?)?;
         let admitted = j.get("admitted")?.as_u64()?;
         let rejected = j.get("rejected")?.as_u64()?;
-        let cache_keys = flumen_sim::json::u64s_from_hex(j.get("cache_keys")?)?.into();
-        let program_cache_hits = j.get("program_cache_hits")?.as_u64()?;
-        let program_cache_misses = j.get("program_cache_misses")?.as_u64()?;
         self.queue = queue;
         self.active = active;
         self.wire_busy = wire_busy;
@@ -1013,9 +794,6 @@ impl flumen_sim::Snapshotable for MzimControlUnit {
         self.finished = finished;
         self.admitted = admitted;
         self.rejected = rejected;
-        self.cache_keys = cache_keys;
-        self.program_cache_hits = program_cache_hits;
-        self.program_cache_misses = program_cache_misses;
         Ok(())
     }
 }

@@ -2,19 +2,20 @@
 //!
 //! One offload request carrying `B` vectors must be *work-equivalent* to
 //! the sequence of `B` single-vector requests with the same matrix: the
-//! photonic MVM count, the modulated/converted sample counts, and the
-//! phase-write count (with the program cache on, programming is
-//! once-per-matrix in both shapes) all conserve exactly, packet traffic
-//! through the system network is untouched by the batching shape, and the
-//! only thing batching changes is *cycles* — the one-time mesh programming
-//! is paid once instead of `B` times. The energy half of the identity
-//! (`batched_total == 1×programming + B×propagation`, bit-exact) is
-//! pinned in `flumen-power` and checked here for every shape exercised.
+//! photonic MVM count and the modulated/converted sample counts conserve
+//! exactly, packet traffic through the system network is untouched by the
+//! batching shape, and the only thing batching changes is *cycles* — the
+//! one-time mesh programming is paid once instead of `B` times. The
+//! energy half of the identity (`batched_total == 1×programming +
+//! B×propagation`, bit-exact) is pinned in `flumen-power` and checked here
+//! for every shape exercised.
 
 use flumen::{ControlUnitParams, MzimControlUnit};
 use flumen_noc::{CrossbarConfig, MzimCrossbar, Network};
 use flumen_power::compute::{flumen_matmul_pj, flumen_programming_pj, flumen_propagation_pj};
-use flumen_system::{ActivityCounts, CoreTask, ExternalServer, SystemConfig, SystemSim};
+use flumen_system::{
+    ActivityCounts, CoreTask, ExternalPayload, ExternalServer, SystemConfig, SystemSim,
+};
 use flumen_trace::{RecordingTracer, TraceEvent};
 use proptest::prelude::*;
 
@@ -22,28 +23,12 @@ fn net16() -> MzimCrossbar {
     MzimCrossbar::new(16, CrossbarConfig::default()).unwrap()
 }
 
-/// The paper's control unit with a one-entry program cache: the paper's
-/// own parameters disable the cache, and with it every phase write.
-fn cached_params() -> ControlUnitParams {
-    ControlUnitParams {
-        program_cache_entries: 1,
-        ..ControlUnitParams::paper()
-    }
-}
-
-/// Drives a fresh control unit over `reqs` (tag, payload) requests until
-/// quiescent; returns the drained activity counts, total service cycles,
-/// and every trace event the unit emitted.
-fn run_requests(reqs: &[[u64; 5]]) -> (ActivityCounts, u64, Vec<TraceEvent>) {
-    run_requests_with(ControlUnitParams::paper(), reqs)
-}
-
-fn run_requests_with(
-    params: ControlUnitParams,
-    reqs: &[[u64; 5]],
-) -> (ActivityCounts, u64, Vec<TraceEvent>) {
+/// Drives a fresh paper-parameter control unit over `reqs` (tag, payload)
+/// requests until quiescent; returns the drained activity counts, total
+/// service cycles, and every trace event the unit emitted.
+fn run_requests(reqs: &[ExternalPayload]) -> (ActivityCounts, u64, Vec<TraceEvent>) {
     let rec = RecordingTracer::new();
-    let mut cu = MzimControlUnit::new(params);
+    let mut cu = MzimControlUnit::new(ControlUnitParams::paper());
     cu.set_tracer(rec.handle());
     let mut net = net16();
     for (i, payload) in reqs.iter().enumerate() {
@@ -72,16 +57,16 @@ fn run_requests_with(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// One `B`-vector request vs `B` single-vector requests, same matrix
-    /// key: photonic work and phase writes conserve exactly; the batched
-    /// shape finishes strictly sooner.
+    /// One `B`-vector request vs `B` single-vector requests, same matrix:
+    /// photonic work conserves exactly; the batched shape finishes
+    /// strictly sooner.
     #[test]
     fn batched_request_conserves_work_and_amortizes_programming(
-        batch in 2u64..65, n in 2u64..9, key in 1u64..u64::MAX
+        batch in 2u64..65, n in 2u64..9
     ) {
-        let batched = run_requests(&[[1, batch, n, batch * n * n, key]]);
-        let singles: Vec<[u64; 5]> =
-            (0..batch).map(|_| [1, 1, n, n * n, key]).collect();
+        let batched = run_requests(&[[1, batch, n, batch * n * n]]);
+        let singles: Vec<ExternalPayload> =
+            (0..batch).map(|_| [1, 1, n, n * n]).collect();
         let single = run_requests(&singles);
 
         // Work conservation: the same B MVMs over the same n-wide matrix.
@@ -90,16 +75,6 @@ proptest! {
         prop_assert_eq!(batched.0.mzim_input_samples, batch * n);
         prop_assert_eq!(single.0.mzim_input_samples, batch * n);
         prop_assert_eq!(batched.0.mzim_output_samples, single.0.mzim_output_samples);
-        // Programming conservation: the program cache collapses the B
-        // single requests onto one phase write, matching the batch.
-        let batch_req = [1, batch, n, batch * n * n, key];
-        let batched_writes = run_requests_with(cached_params(), &[batch_req]);
-        let single_writes = run_requests_with(cached_params(), &singles);
-        prop_assert!(batched_writes.0.mzim_programmed_mzis > 0);
-        prop_assert_eq!(
-            batched_writes.0.mzim_programmed_mzis,
-            single_writes.0.mzim_programmed_mzis
-        );
         // Amortization: the batched request completes strictly sooner.
         prop_assert!(
             batched.1 < single.1,
@@ -114,12 +89,9 @@ proptest! {
     /// path, not the packet NoP), so packet-class trace events are
     /// identical — zero — in both.
     #[test]
-    fn batching_leaves_packet_traffic_untouched(
-        batch in 2u64..17, n in 2u64..9, key in 1u64..u64::MAX
-    ) {
-        let batched = run_requests(&[[1, batch, n, batch * n * n, key]]);
-        let singles: Vec<[u64; 5]> =
-            (0..batch).map(|_| [1, 1, n, n * n, key]).collect();
+    fn batching_leaves_packet_traffic_untouched(batch in 2u64..17, n in 2u64..9) {
+        let batched = run_requests(&[[1, batch, n, batch * n * n]]);
+        let singles: Vec<ExternalPayload> = (0..batch).map(|_| [1, 1, n, n * n]).collect();
         let single = run_requests(&singles);
         let pkts = |evs: &[TraceEvent]| evs.iter().filter(|e| e.name == "pkt").count();
         prop_assert_eq!(pkts(&batched.2), pkts(&single.2));
@@ -143,7 +115,7 @@ proptest! {
 /// number of offload-path packets (zero extra NoP traffic).
 #[test]
 fn engine_offload_path_conserves_counts() {
-    let run_with = |params: ControlUnitParams, payloads: Vec<[u64; 5]>| {
+    let run = |payloads: Vec<ExternalPayload>| {
         let mut tasks: Vec<Vec<CoreTask>> = vec![Vec::new(); SystemConfig::paper().cores];
         for p in payloads {
             tasks[1].push(CoreTask::External {
@@ -154,16 +126,15 @@ fn engine_offload_path_conserves_counts() {
         let sim = SystemSim::new(
             SystemConfig::paper(),
             net16(),
-            MzimControlUnit::new(params),
+            MzimControlUnit::new(ControlUnitParams::paper()),
             tasks,
         );
         sim.run(10_000_000)
     };
-    let run = |payloads| run_with(ControlUnitParams::paper(), payloads);
     let n = 8u64;
     let b = 24u64;
-    let batched = run(vec![[1, b, n, b * n * n, 42]]);
-    let single = run((0..b).map(|_| [1, 1, n, n * n, 42]).collect());
+    let batched = run(vec![[1, b, n, b * n * n]]);
+    let single = run((0..b).map(|_| [1, 1, n, n * n]).collect());
     assert!(!batched.truncated && !single.truncated);
     assert_eq!(batched.counts.mzim_mvms, b);
     assert_eq!(single.counts.mzim_mvms, b);
@@ -174,17 +145,6 @@ fn engine_offload_path_conserves_counts() {
     assert_eq!(
         batched.counts.mzim_output_samples,
         single.counts.mzim_output_samples
-    );
-    // Phase writes conserve through the program cache.
-    let batched_writes = run_with(cached_params(), vec![[1, b, n, b * n * n, 42]]);
-    let single_writes = run_with(
-        cached_params(),
-        (0..b).map(|_| [1, 1, n, n * n, 42]).collect(),
-    );
-    assert!(batched_writes.counts.mzim_programmed_mzis > 0);
-    assert_eq!(
-        batched_writes.counts.mzim_programmed_mzis,
-        single_writes.counts.mzim_programmed_mzis
     );
     assert_eq!(batched.counts.nop_packets, single.counts.nop_packets);
     assert_eq!(batched.counts.offload_requests, 1);

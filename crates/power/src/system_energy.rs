@@ -223,13 +223,7 @@ pub fn mzim_compute_energy_j(counts: &ActivityCounts) -> f64 {
     let static_mw = n * n * compute::P_PHASE_DAC_MW
         + compute::COMPUTE_LAMBDAS as f64 * compute::flumen_laser_mw(n as usize);
     let static_j = (active_ns * static_mw).to_joules();
-    // Incremental reprogramming: per-MZI phase writes counted by the
-    // control unit's program cache (zero when the cache is disabled, so
-    // the baseline energy is bit-identical).
-    let phase_write_j = compute::E_PHASE_WRITE_PJ
-        .for_each(counts.mzim_programmed_mzis)
-        .to_joules();
-    sample_j + static_j + phase_write_j
+    sample_j + static_j
 }
 
 #[cfg(test)]

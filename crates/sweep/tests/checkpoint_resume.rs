@@ -7,11 +7,12 @@
 //! periodic checkpoint. The re-run must pick that checkpoint up, finish
 //! the remaining cycles, produce bit-identical output (verified through
 //! the canonical result JSON), and clean its checkpoints up. A checkpoint
-//! that parses but does not restore is ignored: the job starts cold and
-//! still produces the uninterrupted result.
+//! that parses but does not restore, or whose envelope names another
+//! snapshot version, is ignored: the job starts cold and still produces
+//! the uninterrupted result.
 
 use flumen::{CheckpointPolicy, RuntimeConfig, SystemTopology, TopologySim};
-use flumen_sim::{Json, Snapshotable};
+use flumen_sim::{Json, Snapshotable, SNAPSHOT_VERSION};
 use flumen_sweep::hash::sha256_hex;
 use flumen_sweep::{
     run_plan, BenchKind, BenchSize, BenchSpec, JobSpec, SweepOptions, SweepPlan, ToJson,
@@ -120,28 +121,42 @@ fn unrestorable_checkpoint_starts_cold() {
     let ref_cycles = reference.results[0].full_run().cycles;
 
     // A real mid-run snapshot whose network fails to restore after the
-    // engine's caches already have.
+    // engine's caches already have, and the same snapshot intact but in
+    // an envelope of the previous layout's version.
     let (cycle, state) = mid_run_snapshot(ref_cycles / 2);
-    let Json::Obj(mut fields) = state else {
+    let Json::Obj(mut fields) = state.clone() else {
         panic!("a system snapshot is an object");
     };
     fields.insert("net".into(), Json::obj([]));
     let cases = [
-        ("empty state", 1_000, Json::obj([])),
-        ("empty net", cycle, Json::Obj(fields)),
+        ("empty state", 1_000, Json::obj([]), SNAPSHOT_VERSION),
+        ("empty net", cycle, Json::Obj(fields), SNAPSHOT_VERSION),
+        ("version 1 envelope", cycle, state, 1),
     ];
 
     let key = spec.content_hash();
-    for (i, (what, cycle, state)) in cases.into_iter().enumerate() {
+    for (i, (what, cycle, state, version)) in cases.into_iter().enumerate() {
         let ckpt_dir = tmp_dir(&format!("cold-ckpts-{i}"));
         let policy = CheckpointPolicy {
             dir: ckpt_dir.clone(),
             every_cycles: 1_000,
         };
         policy.write(&key, cycle, state).unwrap();
-        assert!(
+        if version != SNAPSHOT_VERSION {
+            let [file] = &policy.files(&key)[..] else {
+                panic!("{what}: one checkpoint written");
+            };
+            let text = std::fs::read_to_string(file).unwrap();
+            let Json::Obj(mut envelope) = Json::parse(&text).unwrap() else {
+                panic!("{what}: an envelope is an object");
+            };
+            envelope.insert("version".into(), version.to_json());
+            std::fs::write(file, Json::Obj(envelope).to_canonical()).unwrap();
+        }
+        assert_eq!(
             policy.load_latest(&key).is_some(),
-            "{what}: envelope parses"
+            version == SNAPSHOT_VERSION,
+            "{what}: only a current-version envelope validates"
         );
 
         let cache = tmp_dir(&format!("cold-cache-{i}"));

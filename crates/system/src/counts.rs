@@ -39,10 +39,10 @@ pub struct ActivityCounts {
     pub mzim_active_cycles: u64,
     /// MZIM partition (re)configurations for compute.
     pub mzim_reconfigs: u64,
-    /// Individual MZI phase writes during compute programming (Flumen-A
-    /// only). Zero unless the control unit's program cache is enabled —
-    /// with incremental reprogramming, only phases that actually change are
-    /// driven and charged.
+    /// Always zero: no component writes it. It stays because every
+    /// serialized result carries the key, and the recorded result digests
+    /// pin those bytes; partition programming is charged through
+    /// `mzim_active_cycles` (phase-DAC occupancy) instead.
     pub mzim_programmed_mzis: u64,
 }
 

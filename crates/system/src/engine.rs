@@ -25,9 +25,10 @@ use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Opaque request payload passed from a core to the external server. For
-/// MZIM offloads the five words are `[configs, vectors, n, macs,
-/// matrix_key]` — see `flumen_workloads::offload_payload`.
-pub type ExternalPayload = [u64; 5];
+/// MZIM offloads the four words are `[configs, vectors, n, macs]`: the
+/// partition's block count, vector count and width, and the strip's MAC
+/// count — see `flumen_workloads::offload_payload`.
+pub type ExternalPayload = [u64; 4];
 
 /// Completion record returned by [`ExternalServer::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1165,7 +1166,7 @@ mod tests {
     fn new_rejects_tasks_naming_missing_chiplets() {
         let mut tasks = empty_tasks(4);
         tasks[2].push(CoreTask::External {
-            payload: [0; 5],
+            payload: [0; 4],
             fallback: vec![CoreTask::NetRequest {
                 dst_chiplet: 4,
                 req_bits: 64,
@@ -1273,7 +1274,7 @@ mod tests {
     fn external_rejection_runs_fallback() {
         let mut tasks = empty_tasks(4);
         tasks[1].push(CoreTask::External {
-            payload: [0; 5],
+            payload: [0; 4],
             fallback: vec![CoreTask::Compute { ops: 500 }],
         });
         let sim = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks);
@@ -1328,7 +1329,7 @@ mod tests {
             writes: vec![],
         });
         tasks[1].push(CoreTask::External {
-            payload: [0; 5],
+            payload: [0; 4],
             fallback: vec![],
         });
         for t in tasks.iter_mut() {
@@ -1707,7 +1708,7 @@ mod tests {
             bits: 128,
         };
         let offload = CoreTask::External {
-            payload: [0; 5],
+            payload: [0; 4],
             fallback: vec![CoreTask::Compute { ops: 8 }, send.clone()],
         };
         // Edits one snapshot field through its typed form.

@@ -123,6 +123,7 @@ impl flumen_sim::ToJson for CoreTask {
 
 impl flumen_sim::FromJson for CoreTask {
     fn from_json(j: &flumen_sim::Json) -> std::result::Result<Self, flumen_sim::JsonError> {
+        use crate::engine::ExternalPayload;
         use flumen_sim::json::u64s_from_hex;
         use flumen_sim::JsonError;
         let kind = j.get("kind")?.as_str()?;
@@ -150,13 +151,13 @@ impl flumen_sim::FromJson for CoreTask {
             },
             "external" => {
                 let words = u64s_from_hex(j.get("payload")?)?;
-                let payload: crate::engine::ExternalPayload =
-                    words.try_into().map_err(|v: Vec<u64>| {
-                        JsonError(format!(
-                            "CoreTask.payload: expected 5 words, got {}",
-                            v.len()
-                        ))
-                    })?;
+                let payload: ExternalPayload = words.try_into().map_err(|v: Vec<u64>| {
+                    JsonError(format!(
+                        "CoreTask.payload: expected {} words, got {}",
+                        ExternalPayload::default().len(),
+                        v.len()
+                    ))
+                })?;
                 CoreTask::External {
                     payload,
                     fallback: Vec::from_json(j.get("fallback")?)?,
@@ -210,12 +211,26 @@ mod tests {
             },
             CoreTask::Barrier { id: 9 },
             CoreTask::External {
-                payload: [1, 2, 3, 4, 0xDEAD_BEEF_DEAD_BEEF],
+                payload: [1, 2, 3, 0xDEAD_BEEF_DEAD_BEEF],
                 fallback: vec![CoreTask::Compute { ops: 500 }],
             },
         ];
         let back = Vec::<CoreTask>::from_json(&tasks.to_json()).unwrap();
         assert_eq!(back, tasks);
+    }
+
+    /// A payload of the wrong length (here the five-word layout of
+    /// snapshot version 1) parses as an `Err`, not a truncated request.
+    #[test]
+    fn wrong_payload_length_is_rejected() {
+        use flumen_sim::{json::u64s_hex, FromJson, Json};
+        let five = Json::obj([
+            ("kind", Json::Str("external".into())),
+            ("payload", u64s_hex(&[1, 2, 3, 4, 42])),
+            ("fallback", Json::Arr(Vec::new())),
+        ]);
+        let err = CoreTask::from_json(&five).unwrap_err();
+        assert!(err.0.contains("expected 4 words, got 5"), "{}", err.0);
     }
 
     #[test]

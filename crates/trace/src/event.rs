@@ -62,10 +62,7 @@ pub const REGISTERED_EVENT_NAMES: &[&str] = &[
     "barrier_release",
     "cache_hit",
     "checkpoint",
-    "compute.program_cache_hit",
-    "compute.program_cache_miss",
     "defer",
-    "incremental_reprogram_mzis",
     "l2_miss",
     "l3_miss",
     "link_busy",

@@ -16,16 +16,16 @@ use flumen_workloads::{paper_benchmarks, small_benchmarks, Benchmark};
 /// digest)`.
 #[rustfmt::skip]
 const PINNED: [(&str, &str, u64, u64, u64); 10] = [
-    ("small", "image_blur",     0x0d8dcb95c499c54f, 0x8f1c94db35d7ebd1, 0x1745019175fc354e),
-    ("small", "vgg16_fc",       0x8e16434a07a09453, 0x7e65a266b1ac6948, 0xdd6f12eb8abc9935),
-    ("small", "resnet50_conv3", 0xa3dc67138df74f70, 0x25a4a022f9c6b455, 0xba2097b9d4d1f168),
-    ("small", "jpeg",           0xdbc6508931173561, 0x17dcca6b97493e9d, 0xe68bf87bda5293c5),
-    ("small", "rotation_3d",    0x92789699bbececbe, 0x2ca97fa99563c8cd, 0x507535e32c7f49f8),
-    ("paper", "image_blur",     0xafcb3d918968c91d, 0x7cad56325b0b8e81, 0x33c49676b57a6905),
-    ("paper", "vgg16_fc",       0x56a9c693a83142a0, 0x565cf05a58db7be1, 0x2ca06af60be2885a),
-    ("paper", "resnet50_conv3", 0xa45b86637eb484b7, 0xc92ae745516bf49b, 0xe840580031eec405),
-    ("paper", "jpeg",           0xfc713e1bb6af8de4, 0x94ca660347625d05, 0xd23c20baddc7d325),
-    ("paper", "rotation_3d",    0x1016949fe350db28, 0x5d6a3d23c728c5bb, 0x7332a3c9422399f2),
+    ("small", "image_blur",     0x0d8dcb95c499c54f, 0x8f1c94db35d7ebd1, 0x60e97200293ba3d7),
+    ("small", "vgg16_fc",       0x8e16434a07a09453, 0x7e65a266b1ac6948, 0x34113c7234b5c97c),
+    ("small", "resnet50_conv3", 0xa3dc67138df74f70, 0x25a4a022f9c6b455, 0xdf4d1b71678718c5),
+    ("small", "jpeg",           0xdbc6508931173561, 0x17dcca6b97493e9d, 0x41ae5bfd7bf0bcd5),
+    ("small", "rotation_3d",    0x92789699bbececbe, 0x2ca97fa99563c8cd, 0x94bc6aa67b236b95),
+    ("paper", "image_blur",     0xafcb3d918968c91d, 0x7cad56325b0b8e81, 0x299a9fbbd0232905),
+    ("paper", "vgg16_fc",       0x56a9c693a83142a0, 0x565cf05a58db7be1, 0x9f0d31e713d8972a),
+    ("paper", "resnet50_conv3", 0xa45b86637eb484b7, 0xc92ae745516bf49b, 0x2d55482d6bed875d),
+    ("paper", "jpeg",           0xfc713e1bb6af8de4, 0x94ca660347625d05, 0x5b19165f9d3a0d35),
+    ("paper", "rotation_3d",    0x1016949fe350db28, 0x5d6a3d23c728c5bb, 0xf98ed0d9ef6d0aa7),
 ];
 
 /// Every benchmark at both sizes, in `PINNED` order.

@@ -1,8 +1,11 @@
 //! Property-based tests for benchmark construction and task generation.
 
 use flumen_system::{CoreTask, SystemConfig};
-use flumen_workloads::taskgen::{generate, ExecMode, TaskGenConfig};
-use flumen_workloads::{Benchmark, ImageBlur, MvmJob, Operands, ResnetConv3, Rotation3d, Vgg16Fc};
+use flumen_workloads::taskgen::{generate, partition_width, ExecMode, TaskGenConfig};
+use flumen_workloads::{
+    paper_benchmarks, small_benchmarks, Benchmark, ImageBlur, MvmJob, Operands, ResnetConv3,
+    Rotation3d, Vgg16Fc,
+};
 use proptest::prelude::*;
 
 fn stream_ops(tasks: &[Vec<CoreTask>]) -> u64 {
@@ -131,5 +134,44 @@ proptest! {
         } else {
             prop_assert_eq!(job.partial_sum_adds(n), (br * n * (bc - 1) * 3) as u64);
         }
+    }
+}
+
+/// The offload descriptors of every small and paper-size benchmark charge
+/// the block decomposition the jobs really have: Σ `configs × vectors`
+/// over the `External` tasks (the MVMs `mzim_mvms` counts) equals Σ over
+/// jobs of `block_mvms` at the job's partition width, and every request's
+/// width `n` is the partition width of one of the benchmark's jobs.
+#[test]
+fn offload_descriptors_match_block_decomposition() {
+    let sys = SystemConfig::paper();
+    let cfg = TaskGenConfig::default();
+    for b in small_benchmarks().into_iter().chain(paper_benchmarks()) {
+        let widths: Vec<u64> = b
+            .jobs()
+            .iter()
+            .map(|j| partition_width(j, &cfg) as u64)
+            .collect();
+        let want: u64 = b
+            .jobs()
+            .iter()
+            .map(|j| j.block_mvms(partition_width(j, &cfg)))
+            .sum();
+        let mut got = 0u64;
+        for t in generate(b.as_ref(), &sys, ExecMode::Offload, &cfg)
+            .iter()
+            .flatten()
+        {
+            if let CoreTask::External { payload, .. } = t {
+                let [configs, vectors, n, _macs] = *payload;
+                got += configs * vectors;
+                assert!(
+                    widths.contains(&n),
+                    "{}: request width {n} is no job's partition width {widths:?}",
+                    b.name()
+                );
+            }
+        }
+        assert_eq!(got, want, "{}: offloaded block MVMs", b.name());
     }
 }

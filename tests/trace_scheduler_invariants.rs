@@ -28,14 +28,14 @@ fn run_random_requests(seed: u64, nreq: usize, params: ControlUnitParams) -> Arc
     cu.set_tracer(rec.handle());
     let mut net = MzimCrossbar::new(16, CrossbarConfig::default()).unwrap();
 
-    let mut pending: Vec<(u64, usize, u64, [u64; 5])> = (0..nreq)
+    let mut pending: Vec<(u64, usize, u64, [u64; 4])> = (0..nreq)
         .map(|i| {
             let arrival = rng.gen_range(0..400u64);
             let chiplet = rng.gen_range(0..16usize);
             let configs = rng.gen_range(1..12u64);
             let vectors = rng.gen_range(1..64u64);
             let n = [2u64, 4, 8][rng.gen_range(0..3usize)];
-            (arrival, chiplet, i as u64 + 1, [configs, vectors, n, 0, 0])
+            (arrival, chiplet, i as u64 + 1, [configs, vectors, n, 0])
         })
         .collect();
     pending.sort_by_key(|r| r.0);
