@@ -5,25 +5,15 @@
 //! restores operand reuse, amortizing block configuration over the batch —
 //! this study quantifies how quickly Flumen-A's advantage recovers.
 
-use flumen::{run_benchmark, RuntimeConfig, SystemTopology};
-use flumen_bench::{quick_mode, speedup, write_csv, Table};
-use flumen_workloads::Vgg16Fc;
+use flumen_bench::{batch_plan, run_sweep, speedup, write_csv, Table, BATCHES};
 
 fn main() {
-    let (out_dim, in_dim) = if quick_mode() {
-        (64, 256)
-    } else {
-        (1000, 4096)
-    };
-    println!("batched VGG16-FC ({out_dim}×{in_dim}): Flumen-A speedup vs mesh");
+    println!("batched VGG16-FC: Flumen-A speedup vs mesh");
+    let report = run_sweep("abl_batch_reuse", &batch_plan());
     let mut table = Table::new(&["batch", "mesh_cycles", "fa_cycles", "speedup", "energyX"]);
     let mut rows = Vec::new();
-    for batch in [1usize, 2, 4, 8] {
-        let bench = Vgg16Fc::with_batch(out_dim, in_dim, batch, 0xF0C);
-        let mut cfg = RuntimeConfig::paper();
-        cfg.max_cycles = 400_000_000;
-        let mesh = run_benchmark(&bench, SystemTopology::Mesh, &cfg);
-        let fa = run_benchmark(&bench, SystemTopology::FlumenA, &cfg);
+    for (batch, pair) in BATCHES.into_iter().zip(report.results.chunks(2)) {
+        let (mesh, fa) = (pair[0].full_run(), pair[1].full_run());
         let s = speedup(mesh.cycles, fa.cycles);
         let e = mesh.total_energy_j() / fa.total_energy_j();
         table.row(vec![

@@ -8,34 +8,22 @@
 //! 2. The communication impact of compute partitions: average packet
 //!    latency on Flumen-A vs Flumen-I (paper: ~9 % increase).
 
-use flumen::{run_benchmark, ControlUnitParams, RuntimeConfig, SystemTopology};
-use flumen_bench::{quick_mode, speedup, write_csv, Table};
-use flumen_workloads::{Benchmark, ImageBlur, Vgg16Fc};
+use flumen_bench::{
+    reconfig_benches, reconfig_plan, run_sweep, speedup, write_csv, Table, RECONFIG_PIPELINES,
+};
+use flumen_sweep::JobResult;
 
 fn main() {
-    let benches: Vec<Box<dyn Benchmark>> = if quick_mode() {
-        vec![Box::new(Vgg16Fc::small())]
-    } else {
-        vec![Box::new(Vgg16Fc::paper()), Box::new(ImageBlur::paper())]
-    };
+    let report = run_sweep("abl_reconfig_overhead", &reconfig_plan());
+    let mut runs = report.results.iter().map(JobResult::full_run);
 
     println!("E14a: sensitivity to phase-DAC pipelining (per-block switch hiding)");
     let mut table = Table::new(&["bench", "pipeline", "fa_cycles", "vs_mesh"]);
     let mut rows = Vec::new();
-    for bench in &benches {
-        let mesh = run_benchmark(
-            bench.as_ref(),
-            SystemTopology::Mesh,
-            &RuntimeConfig::paper(),
-        );
-        for pipeline in [0.0f64, 0.5, 0.9, 0.95, 0.995] {
-            let mut cfg = RuntimeConfig::paper();
-            cfg.control = ControlUnitParams {
-                config_pipeline: pipeline,
-                ..ControlUnitParams::paper()
-            };
-            cfg.max_cycles = 400_000_000;
-            let fa = run_benchmark(bench.as_ref(), SystemTopology::FlumenA, &cfg);
+    for bench in reconfig_benches() {
+        let mesh = runs.next().expect("plan has the mesh baseline");
+        for pipeline in RECONFIG_PIPELINES {
+            let fa = runs.next().expect("plan has every pipelining point");
             let s = speedup(mesh.cycles, fa.cycles);
             table.row(vec![
                 bench.name().into(),
@@ -61,10 +49,9 @@ fn main() {
     println!("\nE14b: packet-latency impact of compute partitions (paper: ~9% increase)");
     let mut table2 = Table::new(&["bench", "flumen_i_lat", "flumen_a_lat", "increase"]);
     let mut rows2 = Vec::new();
-    for bench in &benches {
-        let cfg = RuntimeConfig::paper();
-        let fi = run_benchmark(bench.as_ref(), SystemTopology::FlumenI, &cfg);
-        let fa = run_benchmark(bench.as_ref(), SystemTopology::FlumenA, &cfg);
+    for bench in reconfig_benches() {
+        let fi = runs.next().expect("plan has the Flumen-I run");
+        let fa = runs.next().expect("plan has the Flumen-A run");
         let (li, la) = (
             fi.avg_packet_latency().unwrap_or(0.0),
             fa.avg_packet_latency().unwrap_or(0.0),

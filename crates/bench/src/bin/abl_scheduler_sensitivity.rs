@@ -7,87 +7,27 @@
 //! Each (parameter, value) point is one sweep job, so the whole study
 //! runs in parallel and re-runs are cache hits.
 
-use flumen::scheduler::SchedulerParams;
-use flumen::{ControlUnitParams, RuntimeConfig, SystemTopology};
-use flumen_bench::{bench_specs, run_sweep, write_csv, Table};
-use flumen_sweep::{BenchKind, JobSpec, SweepPlan};
-
-fn job_for(sched: SchedulerParams) -> JobSpec {
-    let bench = bench_specs()
-        .into_iter()
-        .find(|b| b.kind == BenchKind::ImageBlur)
-        .expect("image_blur is in the set");
-    let mut cfg = RuntimeConfig::paper();
-    cfg.control = ControlUnitParams {
-        scheduler: sched,
-        ..ControlUnitParams::paper()
-    };
-    JobSpec::FullRun {
-        bench,
-        topology: SystemTopology::FlumenA,
-        cfg,
-    }
-}
+use flumen_bench::{run_sweep, scheduler_plan, scheduler_points, write_csv, Table};
 
 fn main() {
-    // (axis label, value label, scheduler) for every point, in table order.
-    let mut sweep: Vec<(&str, String, SchedulerParams)> = Vec::new();
-    for tau in [25u64, 50, 100, 170, 250] {
-        sweep.push((
-            "tau",
-            tau.to_string(),
-            SchedulerParams {
-                tau,
-                ..SchedulerParams::paper()
-            },
-        ));
-    }
-    for eta in [0.1f64, 0.3, 0.4, 0.55, 0.7] {
-        sweep.push((
-            "eta",
-            format!("{eta:.2}"),
-            SchedulerParams {
-                eta,
-                ..SchedulerParams::paper()
-            },
-        ));
-    }
-    for zeta in [0.125f64, 0.25, 0.5, 1.0] {
-        sweep.push((
-            "zeta",
-            format!("{zeta:.3}"),
-            SchedulerParams {
-                zeta,
-                ..SchedulerParams::paper()
-            },
-        ));
-    }
-
-    let mut plan = SweepPlan::new();
-    for (_, _, sched) in &sweep {
-        plan.push(job_for(sched.clone()));
-    }
     println!("§3.4 scheduler sensitivity on image_blur");
-    let report = run_sweep("abl_scheduler_sensitivity", &plan);
+    let report = run_sweep("abl_scheduler_sensitivity", &scheduler_plan());
 
     let mut table = Table::new(&["param", "value", "cycles", "mzim_mvms"]);
-    let mut rows = Vec::new();
-    for ((param, value, _), result) in sweep.iter().zip(&report.results) {
+    for ((param, value, _), result) in scheduler_points().into_iter().zip(&report.results) {
         let r = result.full_run();
-        let row = vec![
+        table.row(vec![
             param.to_string(),
-            value.clone(),
+            value,
             r.cycles.to_string(),
             r.counts.mzim_mvms.to_string(),
-        ];
-        table.row(row.clone());
-        rows.push(row);
+        ]);
     }
     table.print();
     write_csv(
         "abl_scheduler_sensitivity.csv",
-        &["param", "value", "cycles", "mzim_mvms"],
-        &rows,
+        &table.csv_headers(),
+        &table.csv_rows(),
     );
     println!("\n  paper operating point: tau=100, eta=0.40, zeta=0.50");
 }

@@ -7,55 +7,14 @@
 //! the six (heavy) runs execute in parallel and repeat runs hit the
 //! cache.
 
-use flumen::scheduler::SchedulerParams;
-use flumen::{ControlUnitParams, RuntimeConfig, SystemTopology};
-use flumen_bench::{bench_specs, run_sweep, speedup, write_csv, Table};
+use flumen_bench::{
+    run_sweep, speedup, system_scale_plan, write_csv, Table, SYSTEM_SCALE_CHIPLETS,
+};
 use flumen_power::area;
-use flumen_sweep::{BenchKind, JobSpec, SweepPlan};
-use flumen_system::SystemConfig;
-
-const CHIPLET_COUNTS: [usize; 3] = [8, 16, 32];
-
-fn scaled_cfg(chiplets: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        system: SystemConfig {
-            cores: chiplets * 4,
-            chiplets,
-            ..SystemConfig::paper()
-        },
-        control: ControlUnitParams {
-            fabric_n: chiplets / 2,
-            chiplets_per_wire: 2,
-            scheduler: SchedulerParams::paper(),
-            ..ControlUnitParams::paper()
-        },
-        max_cycles: 400_000_000,
-        ..RuntimeConfig::paper()
-    }
-}
 
 fn main() {
-    let bench = bench_specs()
-        .into_iter()
-        .find(|b| b.kind == BenchKind::ResnetConv3)
-        .expect("resnet50_conv3 is in the set");
-
-    // Chiplet count outer, topology (Mesh, Flumen-A) inner.
-    let mut plan = SweepPlan::new();
-    for chiplets in CHIPLET_COUNTS {
-        for topology in [SystemTopology::Mesh, SystemTopology::FlumenA] {
-            plan.push(JobSpec::FullRun {
-                bench,
-                topology,
-                cfg: scaled_cfg(chiplets),
-            });
-        }
-    }
-    println!(
-        "system scaling on {} (fabric = chiplets/2 inputs)",
-        bench.name()
-    );
-    let report = run_sweep("abl_system_scale", &plan);
+    println!("system scaling on resnet50_conv3 (fabric = chiplets/2 inputs)");
+    let report = run_sweep("abl_system_scale", &system_scale_plan());
 
     let mut table = Table::new(&[
         "chiplets",
@@ -66,7 +25,7 @@ fn main() {
         "fabric_mm2",
     ]);
     let mut rows = Vec::new();
-    for (i, chiplets) in CHIPLET_COUNTS.into_iter().enumerate() {
+    for (i, chiplets) in SYSTEM_SCALE_CHIPLETS.into_iter().enumerate() {
         let mesh = report.results[2 * i].full_run();
         let fa = report.results[2 * i + 1].full_run();
         let s = speedup(mesh.cycles, fa.cycles);

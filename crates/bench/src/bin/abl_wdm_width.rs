@@ -2,38 +2,22 @@
 //! path uses (Table 1 fixes 8; this sweeps 1…8 and reports Flumen-A
 //! runtime, photonic energy and speedup on ResNet50 Conv3).
 
-use flumen::{run_benchmark, ControlUnitParams, RuntimeConfig, SystemTopology};
-use flumen_bench::{quick_mode, speedup, write_csv, Table};
+use flumen_bench::{run_sweep, speedup, wdm_plan, write_csv, Table, WDM_LAMBDAS};
 use flumen_power::compute;
-use flumen_workloads::{Benchmark, ResnetConv3};
+use flumen_sweep::JobResult;
 
 fn main() {
-    let bench: Box<dyn Benchmark> = if quick_mode() {
-        Box::new(ResnetConv3::small())
-    } else {
-        Box::new(ResnetConv3::paper())
-    };
-    let mesh = run_benchmark(
-        bench.as_ref(),
-        SystemTopology::Mesh,
-        &RuntimeConfig::paper(),
-    );
+    let report = run_sweep("abl_wdm_width", &wdm_plan());
+    let mut runs = report.results.iter().map(JobResult::full_run);
+    let mesh = runs.next().expect("plan has the mesh baseline");
 
     println!(
         "WDM compute width on {} (mesh baseline: {} cycles)",
-        bench.name(),
-        mesh.cycles
+        mesh.benchmark, mesh.cycles
     );
     let mut table = Table::new(&["lambdas", "fa_cycles", "speedup", "pj_per_mac_model"]);
     let mut rows = Vec::new();
-    for lambdas in [1usize, 2, 4, 8] {
-        let mut cfg = RuntimeConfig::paper();
-        cfg.control = ControlUnitParams {
-            compute_lambdas: lambdas,
-            ..ControlUnitParams::paper()
-        };
-        cfg.max_cycles = 400_000_000;
-        let fa = run_benchmark(bench.as_ref(), SystemTopology::FlumenA, &cfg);
+    for (lambdas, fa) in WDM_LAMBDAS.into_iter().zip(runs) {
         let s = speedup(mesh.cycles, fa.cycles);
         let pj = compute::flumen_mac_pj(4, lambdas);
         table.row(vec![

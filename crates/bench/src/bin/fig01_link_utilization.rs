@@ -10,9 +10,10 @@
 //! core offloads on separate tracks.
 
 use flumen::{run_benchmark_traced, run_utilization_trace, RuntimeConfig, SystemTopology};
-use flumen_bench::{out_dir, quick_mode, write_csv, Table};
+use flumen_bench::{bench_spec, out_dir, write_csv, Table};
+use flumen_sweep::BenchKind;
 use flumen_trace::RecordingTracer;
-use flumen_workloads::{Benchmark, ImageBlur, Vgg16Fc};
+use flumen_workloads::{Benchmark, ImageBlur};
 
 /// Runs a small traced Flumen-A benchmark and writes both trace formats.
 fn dump_trace(cfg: &RuntimeConfig) {
@@ -43,11 +44,7 @@ fn main() {
     if std::env::args().any(|a| a == "--trace") {
         dump_trace(&cfg);
     }
-    let benches: Vec<Box<dyn Benchmark>> = if quick_mode() {
-        vec![Box::new(ImageBlur::small()), Box::new(Vgg16Fc::small())]
-    } else {
-        vec![Box::new(ImageBlur::paper()), Box::new(Vgg16Fc::paper())]
-    };
+    let benches = [BenchKind::ImageBlur, BenchKind::Vgg16Fc].map(|k| bench_spec(k).instantiate());
 
     println!("Fig. 1: photonic link utilization during execution (16-node network)");
     let mut summary = Table::new(&["bench", "lambdas", "avg_util", "peak_util", "cycles"]);

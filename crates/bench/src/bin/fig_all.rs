@@ -1,23 +1,20 @@
-//! Runs every figure/table experiment (E1–E14) in sequence and leaves the
+//! Runs every figure/table experiment (E1–E21) in sequence and leaves the
 //! CSVs in `EXPERIMENTS-data/`. Pass `--quick` for a reduced smoke run.
 //!
-//! The heavy shared grids (benchmark × topology behind Figs. 13–15, and
-//! the Fig. 11 latency points) are executed up front through the
-//! `flumen-sweep` engine on all available worker threads; the figure
-//! binaries then resolve their jobs from the content-addressed cache, so
-//! no simulation runs twice and a repeat invocation is almost entirely
-//! cache hits.
+//! First it runs the union of every simulated figure's sweep plan, each
+//! distinct job once, on all worker threads; the figure binaries then
+//! resolve their plans from the cache and only format. The one simulation
+//! outside any plan is fig01's 16/32/64 λ link-utilization traces: a
+//! runtime configuration has no link-wavelength field, so they rerun.
 
-use flumen_bench::{fig11_plan, grid_plan, run_sweep};
+use flumen_bench::{run_sweep, union_plan};
 use std::process::Command;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
 
-    println!("================ sweep: shared grids ================");
-    let mut plan = grid_plan();
-    plan.extend(fig11_plan().jobs().iter().cloned());
-    run_sweep("fig_all_warmup", &plan);
+    println!("================ sweep: every figure's plan ================");
+    run_sweep("fig_all", &union_plan());
 
     let bins = [
         "fig01_link_utilization",

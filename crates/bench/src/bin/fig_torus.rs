@@ -13,63 +13,20 @@
 //! cache — and the binary prints a digest of every result for two-run
 //! determinism comparison in CI.
 
-use flumen_bench::{quick_mode, run_sweep, write_csv, Table};
-use flumen_noc::harness::RunConfig;
-use flumen_noc::traffic::TrafficPattern;
+use flumen_bench::{
+    fig11_run_config, run_sweep, torus_loads, torus_plan, write_csv, Table, TORUS_NETS,
+};
 use flumen_power::{network_energy_j, EnergyParams, NopKind};
 use flumen_sweep::hash::sha256_hex;
-use flumen_sweep::{JobSpec, NetSpec, SweepPlan, ToJson};
-
-/// The offered-load axis (reduced under `--quick`).
-fn loads() -> Vec<f64> {
-    if quick_mode() {
-        vec![0.05, 0.20, 0.35]
-    } else {
-        (1..=8).map(|k| 0.05 * k as f64).collect()
-    }
-}
-
-/// The two topologies under comparison, table column order.
-fn nets() -> [NetSpec; 2] {
-    [
-        NetSpec::Mesh {
-            width: 4,
-            height: 4,
-        },
-        NetSpec::Torus {
-            width: 4,
-            height: 4,
-        },
-    ]
-}
+use flumen_sweep::{NocStatsPoint, ToJson};
 
 fn main() {
-    let cfg = if quick_mode() {
-        RunConfig {
-            warmup: 300,
-            measure: 2_000,
-            ..RunConfig::default()
-        }
-    } else {
-        RunConfig::default()
-    };
-    let mut plan = SweepPlan::new();
-    for &load in &loads() {
-        for net in nets() {
-            plan.push(JobSpec::NocStats {
-                net,
-                pattern: TrafficPattern::UniformRandom,
-                load,
-                cfg: cfg.clone(),
-            });
-        }
-    }
-    let report = run_sweep("fig_torus", &plan);
+    let report = run_sweep("fig_torus", &torus_plan());
 
     // Both fabrics are electrical input-queued routers, so the mesh
     // energy model applies to each; only the measured bit-hops differ.
     let params = EnergyParams::paper_7nm();
-    let seconds = cfg.measure as f64 / 2.5e9;
+    let seconds = fig11_run_config().measure as f64 / 2.5e9;
 
     println!("Baseline 4x4 mesh vs combinator-built 4x4 torus (uniform random)");
     let mut table = Table::new(&[
@@ -82,19 +39,17 @@ fn main() {
     ]);
     let mut rows = Vec::new();
     let mut digest = String::new();
-    let mut points = report.results.iter();
-    for &load in &loads() {
-        let mut lat = [0.0f64; 2];
-        let mut energy = [0.0f64; 2];
-        let mut hops = [0u64; 2];
-        let mut saturated = [false; 2];
-        for (i, net) in nets().into_iter().enumerate() {
-            let result = points.next().expect("plan covers the grid");
+    let energy = |p: &NocStatsPoint| network_energy_j(&p.stats, seconds, NopKind::Mesh, &params);
+    let latency = |p: &NocStatsPoint| {
+        if p.latency.saturated {
+            "sat".to_string()
+        } else {
+            format!("{:.1}", p.latency.avg_latency)
+        }
+    };
+    for (load, pair) in torus_loads().into_iter().zip(report.results.chunks(2)) {
+        for (net, result) in TORUS_NETS.iter().zip(pair) {
             let p = result.noc_stats();
-            lat[i] = p.latency.avg_latency;
-            saturated[i] = p.latency.saturated;
-            hops[i] = p.stats.bit_hops;
-            energy[i] = network_energy_j(&p.stats, seconds, NopKind::Mesh, &params);
             digest.push_str(&result.to_json().to_canonical());
             digest.push('\n');
             rows.push(vec![
@@ -103,23 +58,20 @@ fn main() {
                 format!("{:.2}", p.latency.avg_latency),
                 p.latency.saturated.to_string(),
                 format!("{}", p.stats.bit_hops),
-                format!("{:.6e}", energy[i]),
+                format!("{:.6e}", energy(p)),
             ]);
         }
-        let fmt_lat = |l: f64, sat: bool| {
-            if sat {
-                "sat".to_string()
-            } else {
-                format!("{l:.1}")
-            }
-        };
+        let (mesh, torus) = (pair[0].noc_stats(), pair[1].noc_stats());
         table.row(vec![
             format!("{load:.2}"),
-            fmt_lat(lat[0], saturated[0]),
-            fmt_lat(lat[1], saturated[1]),
-            format!("{:.3}", energy[0] * 1e6),
-            format!("{:.3}", energy[1] * 1e6),
-            format!("{:.2}", hops[1] as f64 / hops[0].max(1) as f64),
+            latency(mesh),
+            latency(torus),
+            format!("{:.3}", energy(mesh) * 1e6),
+            format!("{:.3}", energy(torus) * 1e6),
+            format!(
+                "{:.2}",
+                torus.stats.bit_hops as f64 / mesh.stats.bit_hops.max(1) as f64
+            ),
         ]);
     }
     table.print();

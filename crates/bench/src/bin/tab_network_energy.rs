@@ -3,22 +3,10 @@
 //! (OptBus) and 39 % (Flumen), improving to 72 % for an MZIM used purely
 //! for communication (no compute DAC/ADC overhead).
 
-use flumen_bench::{quick_mode, write_csv, Table};
-use flumen_noc::harness::{measure_point, RunConfig};
-use flumen_noc::traffic::TrafficPattern;
-use flumen_noc::{MzimCrossbar, NetStats, Network, OpticalBus, RoutedNetwork};
+use flumen_bench::{fig11_run_config, network_energy_plan, run_sweep, write_csv, Table};
 use flumen_power::{network_energy_j, EnergyParams, NopKind};
 
 fn main() {
-    let cfg = if quick_mode() {
-        RunConfig {
-            warmup: 300,
-            measure: 2_000,
-            ..RunConfig::default()
-        }
-    } else {
-        RunConfig::default()
-    };
     // §5.2 accounts the *full network power envelope*: the loss-dominated
     // OptBus laser (Fig. 12a at the evaluation's 0.1 dB MRR loss), MRR
     // thermal tuning across all wavelengths, and Flumen's always-on
@@ -33,33 +21,22 @@ fn main() {
         flumen_dacadc_static_w: 7.4, // 16 endpoints × high-speed DAC/ADC banks
         ..EnergyParams::paper_7nm()
     };
-    let patterns = [
-        TrafficPattern::UniformRandom,
-        TrafficPattern::BitReversal,
-        TrafficPattern::Shuffle,
-    ];
-    let loads = [0.05, 0.1, 0.2, 0.3];
+    let report = run_sweep("tab_network_energy", &network_energy_plan());
+    let seconds = fig11_run_config().measure as f64 / 2.5e9;
 
-    // Accumulate energy per topology over the pattern × load matrix.
+    // Accumulate energy per topology over the pattern × load matrix. Each
+    // point is the four Fig. 11 networks in order; the crossbar's counters
+    // feed both Flumen accountings.
     let mut totals = [0.0f64; 5]; // ring, mesh, optbus, flumen, mzim-pure
-    for pattern in patterns {
-        for &load in &loads {
-            let seconds = (cfg.measure as f64) / 2.5e9;
-            let run = |net: &mut dyn Network| -> NetStats {
-                let _ = measure_point(net, pattern, load, &cfg);
-                net.stats().clone()
-            };
-            let mut ring = RoutedNetwork::ring_16();
-            totals[0] += network_energy_j(&run(&mut ring), seconds, NopKind::Ring, &params);
-            let mut mesh = RoutedNetwork::mesh_4x4();
-            totals[1] += network_energy_j(&run(&mut mesh), seconds, NopKind::Mesh, &params);
-            let mut bus = OpticalBus::optbus_16();
-            totals[2] += network_energy_j(&run(&mut bus), seconds, NopKind::OptBus, &params);
-            let mut xbar = MzimCrossbar::flumen_16();
-            let stats = run(&mut xbar);
-            totals[3] += network_energy_j(&stats, seconds, NopKind::FlumenComm, &params);
-            totals[4] += network_energy_j(&stats, seconds, NopKind::MzimCommOnly, &params);
-        }
+    for point in report.results.chunks(4) {
+        let energy = |net: usize, kind| {
+            network_energy_j(&point[net].noc_stats().stats, seconds, kind, &params)
+        };
+        totals[0] += energy(0, NopKind::Ring);
+        totals[1] += energy(1, NopKind::Mesh);
+        totals[2] += energy(2, NopKind::OptBus);
+        totals[3] += energy(3, NopKind::FlumenComm);
+        totals[4] += energy(3, NopKind::MzimCommOnly);
     }
 
     println!("§5.2 network energy vs Ring (synthetic benchmark average)");

@@ -4,13 +4,15 @@
 //! stdout and writes a CSV under `EXPERIMENTS-data/` so the results can be
 //! plotted or diffed. `fig_all` runs the whole battery.
 
-use flumen::{FullRunResult, RuntimeConfig, SystemTopology};
+use flumen::scheduler::SchedulerParams;
+use flumen::{ControlUnitParams, FullRunResult, RuntimeConfig, SystemTopology};
 use flumen_noc::harness::RunConfig;
 use flumen_noc::traffic::TrafficPattern;
 use flumen_sweep::{
-    run_plan, sink, BenchSize, BenchSpec, JobSpec, NetSpec, SweepOptions, SweepPlan, SweepReport,
+    run_plan, sink, BenchKind, BenchSize, BenchSpec, JobResult, JobSpec, NetSpec, SweepOptions,
+    SweepPlan, SweepReport,
 };
-use flumen_workloads::{paper_benchmarks, small_benchmarks, Benchmark};
+use flumen_system::SystemConfig;
 use std::fs;
 use std::path::PathBuf;
 
@@ -47,54 +49,79 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// The benchmark set honouring `--quick`.
-pub fn benchmarks() -> Vec<Box<dyn Benchmark>> {
+/// The benchmark input size honouring `--quick`.
+fn bench_size() -> BenchSize {
     if quick_mode() {
-        small_benchmarks()
-    } else {
-        paper_benchmarks()
-    }
-}
-
-/// The benchmark *specs* honouring `--quick` (for sweep plans).
-pub fn bench_specs() -> Vec<BenchSpec> {
-    BenchSpec::all(if quick_mode() {
         BenchSize::Small
     } else {
         BenchSize::Paper
-    })
+    }
 }
 
-/// Executor options for figure binaries: environment-driven threads and
-/// cache location, progress lines on.
-pub fn sweep_options() -> SweepOptions {
-    SweepOptions {
-        verbose: true,
-        ..SweepOptions::from_env()
+/// One benchmark's spec honouring `--quick`.
+pub fn bench_spec(kind: BenchKind) -> BenchSpec {
+    BenchSpec {
+        kind,
+        size: bench_size(),
+    }
+}
+
+/// A full-system run at `RuntimeConfig::paper()`, control unit edited by `tweak`.
+fn paper_run(
+    bench: BenchSpec,
+    topology: SystemTopology,
+    tweak: impl FnOnce(&mut ControlUnitParams),
+) -> JobSpec {
+    let mut cfg = RuntimeConfig::paper();
+    tweak(&mut cfg.control);
+    JobSpec::FullRun {
+        bench,
+        topology,
+        cfg,
     }
 }
 
 /// The benchmark × topology plan behind Figs. 13–15 (benchmark outer,
 /// topology inner — the row order every figure binary expects).
 pub fn grid_plan() -> SweepPlan {
-    let cfg = RuntimeConfig::paper();
     let mut plan = SweepPlan::new();
-    for bench in bench_specs() {
+    for bench in BenchSpec::all(bench_size()) {
         for topology in SystemTopology::all() {
-            plan.push(JobSpec::FullRun {
-                bench,
-                topology,
-                cfg: cfg.clone(),
-            });
+            plan.push(paper_run(bench, topology, |_| {}));
         }
     }
     plan
 }
 
-/// Runs `plan` through the sweep engine, records it in the manifest and
-/// prints the cache/wall summary.
+/// Every simulated figure's plan, each distinct job once.
+pub fn union_plan() -> SweepPlan {
+    let plans = [
+        grid_plan(),
+        fig11_plan(),
+        network_energy_plan(),
+        torus_plan(),
+        scheduler_plan(),
+        reconfig_plan(),
+        wdm_plan(),
+        batch_plan(),
+        system_scale_plan(),
+    ];
+    let mut union = SweepPlan::new();
+    for job in plans.iter().flat_map(SweepPlan::jobs) {
+        if !union.jobs().contains(job) {
+            union.push(job.clone());
+        }
+    }
+    union
+}
+
+/// Runs `plan` (environment-driven threads and cache), records it in the
+/// manifest and prints its summary and a warning per truncated run.
 pub fn run_sweep(name: &str, plan: &SweepPlan) -> SweepReport {
-    let opts = sweep_options();
+    let opts = SweepOptions {
+        verbose: true,
+        ..SweepOptions::from_env()
+    };
     let report = run_plan(plan, &opts);
     sink::append_manifest(&out_dir(), name, &report);
     eprintln!(
@@ -105,6 +132,9 @@ pub fn run_sweep(name: &str, plan: &SweepPlan) -> SweepReport {
         report.wall_ms,
         opts.threads,
     );
+    for warning in truncation_warnings(&report.results) {
+        eprintln!("  [warn] {warning}");
+    }
     report
 }
 
@@ -112,27 +142,28 @@ pub fn run_sweep(name: &str, plan: &SweepPlan) -> SweepReport {
 /// through the parallel, cache-backed sweep engine.
 pub fn run_grid() -> Vec<FullRunResult> {
     let report = run_sweep("grid", &grid_plan());
-    let grid: Vec<FullRunResult> = report
+    report
         .results
         .iter()
         .map(|r| r.full_run().clone())
-        .collect();
-    warn_truncated(&grid);
-    grid
+        .collect()
 }
 
-/// Warns on stderr about any run that hit its cycle budget: a truncated
-/// run's counters describe an incomplete execution, so its rows in the
-/// printed tables must not be read as finished-benchmark numbers.
-pub fn warn_truncated(grid: &[FullRunResult]) {
-    for r in grid.iter().filter(|r| r.truncated) {
-        eprintln!(
-            "  [warn] {} on {} truncated at {} cycles — figures using this row are partial",
-            r.benchmark,
-            r.topology.name(),
-            r.cycles,
-        );
-    }
+/// One line per full-system run that hit its cycle budget: its counters
+/// describe an incomplete execution, so rows built from it are partial.
+fn truncation_warnings(results: &[JobResult]) -> Vec<String> {
+    results
+        .iter()
+        .filter_map(|r| match r {
+            JobResult::FullRun(r) if r.truncated => Some(format!(
+                "{} on {} truncated at {} cycles — figures using this row are partial",
+                r.benchmark,
+                r.topology.name(),
+                r.cycles,
+            )),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The distinct benchmark names of a grid, in first-appearance order
@@ -143,8 +174,7 @@ pub fn bench_names(grid: &[FullRunResult]) -> Vec<String> {
     names
 }
 
-/// Harness parameters for the Fig. 11 synthetic-traffic sweep, honouring
-/// `--quick`.
+/// Harness parameters of every synthetic-traffic plan, honouring `--quick`.
 pub fn fig11_run_config() -> RunConfig {
     if quick_mode() {
         RunConfig {
@@ -171,21 +201,210 @@ pub fn fig11_patterns() -> [TrafficPattern; 3] {
     ]
 }
 
-/// The Fig. 11 plan: pattern × load × network latency points (pattern
-/// outer, load middle, network inner — the binary's table order).
-pub fn fig11_plan() -> SweepPlan {
-    let cfg = fig11_run_config();
+/// Synthetic-traffic jobs under [`fig11_run_config`], pattern outer, load
+/// middle, network inner; `stats` jobs also keep the network counters.
+fn noc_plan(
+    patterns: &[TrafficPattern],
+    loads: &[f64],
+    nets: &[NetSpec],
+    stats: bool,
+) -> SweepPlan {
     let mut plan = SweepPlan::new();
-    for pattern in fig11_patterns() {
-        for load in fig11_loads() {
-            for net in NetSpec::fig11() {
-                plan.push(JobSpec::NocPoint {
-                    net,
-                    pattern,
-                    load,
-                    cfg: cfg.clone(),
+    for &pattern in patterns {
+        for &load in loads {
+            for &net in nets {
+                let cfg = fig11_run_config();
+                plan.push(if stats {
+                    JobSpec::NocStats {
+                        net,
+                        pattern,
+                        load,
+                        cfg,
+                    }
+                } else {
+                    JobSpec::NocPoint {
+                        net,
+                        pattern,
+                        load,
+                        cfg,
+                    }
                 });
             }
+        }
+    }
+    plan
+}
+
+/// The Fig. 11 latency points, in the binary's table order.
+pub fn fig11_plan() -> SweepPlan {
+    noc_plan(&fig11_patterns(), &fig11_loads(), &NetSpec::fig11(), false)
+}
+
+/// The §5.2 network-energy points: Fig. 11's networks at four loads.
+pub fn network_energy_plan() -> SweepPlan {
+    let loads = [0.05, 0.1, 0.2, 0.3];
+    noc_plan(&fig11_patterns(), &loads, &NetSpec::fig11(), true)
+}
+
+/// The torus comparison's offered-load axis (reduced under `--quick`).
+pub fn torus_loads() -> Vec<f64> {
+    if quick_mode() {
+        vec![0.05, 0.20, 0.35]
+    } else {
+        (1..=8).map(|k| 0.05 * k as f64).collect()
+    }
+}
+
+/// The two topologies of the torus comparison, table column order.
+pub const TORUS_NETS: [NetSpec; 2] = [
+    NetSpec::Mesh {
+        width: 4,
+        height: 4,
+    },
+    NetSpec::Torus {
+        width: 4,
+        height: 4,
+    },
+];
+
+/// The mesh-vs-torus points under uniform random traffic.
+pub fn torus_plan() -> SweepPlan {
+    let uniform = [TrafficPattern::UniformRandom];
+    noc_plan(&uniform, &torus_loads(), &TORUS_NETS, true)
+}
+
+/// The §3.4 points as (axis, value label, scheduler): τ, then η, then ζ.
+pub fn scheduler_points() -> Vec<(&'static str, String, SchedulerParams)> {
+    let paper = SchedulerParams::paper;
+    let mut points = Vec::new();
+    for tau in [25u64, 50, 100, 170, 250] {
+        points.push(("tau", tau.to_string(), SchedulerParams { tau, ..paper() }));
+    }
+    for eta in [0.1f64, 0.3, 0.4, 0.55, 0.7] {
+        points.push((
+            "eta",
+            format!("{eta:.2}"),
+            SchedulerParams { eta, ..paper() },
+        ));
+    }
+    for zeta in [0.125f64, 0.25, 0.5, 1.0] {
+        points.push((
+            "zeta",
+            format!("{zeta:.3}"),
+            SchedulerParams { zeta, ..paper() },
+        ));
+    }
+    points
+}
+
+/// Flumen-A on `image_blur` at each of the [`scheduler_points`].
+pub fn scheduler_plan() -> SweepPlan {
+    let mut plan = SweepPlan::new();
+    let bench = bench_spec(BenchKind::ImageBlur);
+    for (_, _, scheduler) in scheduler_points() {
+        plan.push(paper_run(bench, SystemTopology::FlumenA, |c| {
+            c.scheduler = scheduler
+        }));
+    }
+    plan
+}
+
+/// E14a's axis: the share of the per-block phase switch pipelining hides.
+pub const RECONFIG_PIPELINES: [f64; 5] = [0.0, 0.5, 0.9, 0.95, 0.995];
+
+/// The E14 studies' benchmarks; `--quick` keeps VGG16-FC only.
+pub fn reconfig_benches() -> Vec<BenchSpec> {
+    let count = if quick_mode() { 1 } else { 2 };
+    let kinds = [BenchKind::Vgg16Fc, BenchKind::ImageBlur];
+    kinds[..count]
+        .iter()
+        .map(|&kind| bench_spec(kind))
+        .collect()
+}
+
+/// E14a per benchmark: mesh, then Flumen-A per [`RECONFIG_PIPELINES`]
+/// value; then E14b per benchmark: Flumen-I, then Flumen-A.
+pub fn reconfig_plan() -> SweepPlan {
+    let mut plan = SweepPlan::new();
+    for bench in reconfig_benches() {
+        plan.push(paper_run(bench, SystemTopology::Mesh, |_| {}));
+        for pipeline in RECONFIG_PIPELINES {
+            plan.push(paper_run(bench, SystemTopology::FlumenA, |c| {
+                c.config_pipeline = pipeline
+            }));
+        }
+    }
+    for bench in reconfig_benches() {
+        for topology in [SystemTopology::FlumenI, SystemTopology::FlumenA] {
+            plan.push(paper_run(bench, topology, |_| {}));
+        }
+    }
+    plan
+}
+
+/// The WDM-width study's axis: wavelengths on the compute path.
+pub const WDM_LAMBDAS: [usize; 4] = [1, 2, 4, 8];
+
+/// `resnet50_conv3` on mesh, then on Flumen-A per [`WDM_LAMBDAS`] width.
+pub fn wdm_plan() -> SweepPlan {
+    let bench = bench_spec(BenchKind::ResnetConv3);
+    let mut plan = SweepPlan::new();
+    plan.push(paper_run(bench, SystemTopology::Mesh, |_| {}));
+    for lambdas in WDM_LAMBDAS {
+        plan.push(paper_run(bench, SystemTopology::FlumenA, |c| {
+            c.compute_lambdas = lambdas
+        }));
+    }
+    plan
+}
+
+/// The batched-inference study's axis.
+pub const BATCHES: [usize; 4] = [1, 2, 4, 8];
+
+/// Batched VGG16-FC on mesh, then on Flumen-A, per [`BATCHES`] entry.
+pub fn batch_plan() -> SweepPlan {
+    let mut plan = SweepPlan::new();
+    for batch in BATCHES {
+        let bench = bench_spec(BenchKind::Vgg16FcBatched { batch });
+        for topology in [SystemTopology::Mesh, SystemTopology::FlumenA] {
+            plan.push(paper_run(bench, topology, |_| {}));
+        }
+    }
+    plan
+}
+
+/// The system sizes of the scaling study, in chiplets.
+pub const SYSTEM_SCALE_CHIPLETS: [usize; 3] = [8, 16, 32];
+
+/// `chiplets` four-core chiplets, the fabric scaled to `chiplets/2` inputs.
+fn scaled_cfg(chiplets: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        system: SystemConfig {
+            cores: chiplets * 4,
+            chiplets,
+            ..SystemConfig::paper()
+        },
+        control: ControlUnitParams {
+            fabric_n: chiplets / 2,
+            chiplets_per_wire: 2,
+            ..ControlUnitParams::paper()
+        },
+        max_cycles: 400_000_000,
+        ..RuntimeConfig::paper()
+    }
+}
+
+/// `resnet50_conv3` per chiplet count, on mesh then on Flumen-A.
+pub fn system_scale_plan() -> SweepPlan {
+    let bench = bench_spec(BenchKind::ResnetConv3);
+    let mut plan = SweepPlan::new();
+    for chiplets in SYSTEM_SCALE_CHIPLETS {
+        for topology in [SystemTopology::Mesh, SystemTopology::FlumenA] {
+            plan.push(JobSpec::FullRun {
+                bench,
+                topology,
+                cfg: scaled_cfg(chiplets),
+            });
         }
     }
     plan
@@ -274,6 +493,28 @@ mod tests {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
+    }
+
+    #[test]
+    fn truncated_runs_are_flagged() {
+        let run = |max_cycles| {
+            JobSpec::FullRun {
+                bench: BenchSpec {
+                    kind: BenchKind::Rotation3d,
+                    size: BenchSize::Small,
+                },
+                topology: SystemTopology::Mesh,
+                cfg: RuntimeConfig {
+                    max_cycles,
+                    ..RuntimeConfig::paper()
+                },
+            }
+            .execute()
+        };
+        let results = [run(1_000), run(RuntimeConfig::paper().max_cycles)];
+        let warnings = truncation_warnings(&results);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].starts_with("rotation_3d on mesh truncated at 1000 cycles"));
     }
 
     #[test]

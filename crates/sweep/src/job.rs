@@ -34,6 +34,12 @@ pub enum BenchKind {
     ImageBlur,
     /// VGG-16 fully-connected layer (`vgg16_fc`).
     Vgg16Fc,
+    /// The same layer applied to `batch` input vectors per weight block
+    /// (`vgg16_fc`, the batched-reuse study).
+    Vgg16FcBatched {
+        /// Input vectors per weight block (positive).
+        batch: usize,
+    },
     /// ResNet-50 conv3 block (`resnet50_conv3`).
     ResnetConv3,
     /// JPEG forward DCT (`jpeg`).
@@ -82,7 +88,7 @@ impl BenchSpec {
     pub fn name(&self) -> &'static str {
         match self.kind {
             BenchKind::ImageBlur => "image_blur",
-            BenchKind::Vgg16Fc => "vgg16_fc",
+            BenchKind::Vgg16Fc | BenchKind::Vgg16FcBatched { .. } => "vgg16_fc",
             BenchKind::ResnetConv3 => "resnet50_conv3",
             BenchKind::Jpeg => "jpeg",
             BenchKind::Rotation3d => "rotation_3d",
@@ -96,6 +102,12 @@ impl BenchSpec {
             (BenchKind::ImageBlur, BenchSize::Small) => Box::new(ImageBlur::small()),
             (BenchKind::Vgg16Fc, BenchSize::Paper) => Box::new(Vgg16Fc::paper()),
             (BenchKind::Vgg16Fc, BenchSize::Small) => Box::new(Vgg16Fc::small()),
+            (BenchKind::Vgg16FcBatched { batch }, BenchSize::Paper) => {
+                Box::new(Vgg16Fc::with_batch(1000, 4096, batch, 0xF0C))
+            }
+            (BenchKind::Vgg16FcBatched { batch }, BenchSize::Small) => {
+                Box::new(Vgg16Fc::with_batch(64, 256, batch, 0xF0C))
+            }
             (BenchKind::ResnetConv3, BenchSize::Paper) => Box::new(ResnetConv3::paper()),
             (BenchKind::ResnetConv3, BenchSize::Small) => Box::new(ResnetConv3::small()),
             (BenchKind::Jpeg, BenchSize::Paper) => Box::new(Jpeg::paper()),
@@ -112,10 +124,15 @@ impl ToJson for BenchSpec {
             BenchSize::Paper => "paper",
             BenchSize::Small => "small",
         };
-        Json::obj([
-            ("kind", Json::Str(self.name().to_string())),
-            ("size", Json::Str(size.to_string())),
-        ])
+        let mut fields = vec![("size", Json::Str(size.to_string()))];
+        match self.kind {
+            BenchKind::Vgg16FcBatched { batch } => {
+                fields.push(("kind", Json::Str("vgg16_fc_batched".into())));
+                fields.push(("batch", batch.to_json()));
+            }
+            _ => fields.push(("kind", Json::Str(self.name().to_string()))),
+        }
+        Json::obj(fields)
     }
 }
 
@@ -124,6 +141,10 @@ impl FromJson for BenchSpec {
         let kind = match j.get("kind")?.as_str()? {
             "image_blur" => BenchKind::ImageBlur,
             "vgg16_fc" => BenchKind::Vgg16Fc,
+            "vgg16_fc_batched" => match j.get("batch")?.as_usize()? {
+                0 => return Err(JsonError("batch must be positive".into())),
+                batch => BenchKind::Vgg16FcBatched { batch },
+            },
             "resnet50_conv3" => BenchKind::ResnetConv3,
             "jpeg" => BenchKind::Jpeg,
             "rotation_3d" => BenchKind::Rotation3d,
