@@ -19,7 +19,7 @@ fn main() {
     let mut rows = Vec::new();
     for (lambdas, fa) in WDM_LAMBDAS.into_iter().zip(runs) {
         let s = speedup(mesh.cycles, fa.cycles);
-        let pj = compute::flumen_mac_pj(4, lambdas);
+        let pj = compute::flumen_mac_pj(4, lambdas).value();
         table.row(vec![
             lambdas.to_string(),
             fa.cycles.to_string(),

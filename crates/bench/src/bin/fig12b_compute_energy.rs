@@ -18,8 +18,8 @@ fn main() {
         (64, 4),
         (64, 8),
     ] {
-        let e = compute::electrical_matmul_pj(n, p);
-        let f = compute::flumen_matmul_pj(n, p);
+        let e = compute::electrical_matmul_pj(n, p).value();
+        let f = compute::flumen_matmul_pj(n, p).value();
         table.row(vec![
             n.to_string(),
             p.to_string(),

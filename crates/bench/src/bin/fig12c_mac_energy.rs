@@ -12,7 +12,7 @@ fn main() {
     for &n in &dims {
         let mut row = vec![n.to_string()];
         for &p in &lambdas {
-            row.push(format!("{:.4}", compute::flumen_mac_pj(n, p)));
+            row.push(format!("{:.4}", compute::flumen_mac_pj(n, p).value()));
         }
         table.row(row);
     }
@@ -24,7 +24,7 @@ fn main() {
     );
     println!(
         "\n  electrical reference: {:.4} pJ/MAC",
-        compute::ELEC_MAC_PJ
+        compute::ELEC_MAC_PJ.value()
     );
     println!("  shape check: energy/MAC falls with both dimension and λ count");
 }

@@ -28,22 +28,22 @@ fn main() {
             table.row(vec![
                 name.into(),
                 lambdas.to_string(),
-                format!("{:.2}", b.laser_mw),
-                format!("{:.1}", b.tuning_mw),
-                format!("{:.1}", b.modulation_mw),
-                format!("{:.2}", b.tia_mw),
-                format!("{:.1}", b.serdes_mw),
-                format!("{:.1}", b.total_mw()),
+                format!("{:.2}", b.laser_mw.value()),
+                format!("{:.1}", b.tuning_mw.value()),
+                format!("{:.1}", b.modulation_mw.value()),
+                format!("{:.2}", b.tia_mw.value()),
+                format!("{:.1}", b.serdes_mw.value()),
+                format!("{:.1}", b.total_mw().value()),
             ]);
             rows.push(vec![
                 name.to_string(),
                 lambdas.to_string(),
-                format!("{:.4}", b.laser_mw),
-                format!("{:.4}", b.tuning_mw),
-                format!("{:.4}", b.modulation_mw),
-                format!("{:.4}", b.tia_mw),
-                format!("{:.4}", b.serdes_mw),
-                format!("{:.4}", b.total_mw()),
+                format!("{:.4}", b.laser_mw.value()),
+                format!("{:.4}", b.tuning_mw.value()),
+                format!("{:.4}", b.modulation_mw.value()),
+                format!("{:.4}", b.tia_mw.value()),
+                format!("{:.4}", b.serdes_mw.value()),
+                format!("{:.4}", b.total_mw().value()),
             ]);
         }
     }

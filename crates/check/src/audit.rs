@@ -16,17 +16,13 @@
 //! * **det-ambient-id** — `thread::current()` or a pointer address
 //!   laundered into an integer (`.as_ptr() as usize`).
 //!
-//! Suppression reuses the `// flumen-check: allow(<lint>)` machinery;
-//! findings can also be parked in a committed baseline file
-//! (see [`load_baseline`] / [`partition_baseline`]).
+//! Suppression reuses the `// flumen-check: allow(<lint>)` machinery.
 
 use crate::index::{CallSite, FileIndex, FnDef, WorkspaceIndex};
 use crate::lexer::TokKind;
 use crate::lints::{self, Diagnostic, Lint};
 use crate::taint::{self, TaintConfig, TaintSet};
 use crate::FileDiagnostic;
-use std::collections::BTreeSet;
-use std::path::Path;
 
 /// Hash-container methods that expose iteration order. Keyed access
 /// (`get`, `insert`, `remove`, `entry`, `contains_key`, `len`) is fine.
@@ -366,57 +362,8 @@ fn det_lints(
 }
 
 // ---------------------------------------------------------------------
-// Baseline + JSON rendering
+// JSON rendering
 // ---------------------------------------------------------------------
-
-/// The stable identity of a finding for baseline matching: line numbers
-/// churn, so the key is `file|lint|message`.
-pub fn baseline_key(fd: &FileDiagnostic) -> String {
-    format!(
-        "{}|{}|{}",
-        fd.file.display(),
-        fd.diag.lint.name(),
-        fd.diag.message
-    )
-}
-
-/// Loads a baseline file: one key per line, `#` comments and blank
-/// lines ignored. A missing file is an empty baseline.
-pub fn load_baseline(path: &Path) -> Result<BTreeSet<String>, String> {
-    if !path.exists() {
-        return Ok(BTreeSet::new());
-    }
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-    Ok(text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect())
-}
-
-/// Splits findings into `(new, baselined)` against a baseline set, and
-/// returns the stale baseline entries that no longer match anything.
-pub fn partition_baseline(
-    findings: Vec<FileDiagnostic>,
-    baseline: &BTreeSet<String>,
-) -> (Vec<FileDiagnostic>, Vec<FileDiagnostic>, Vec<String>) {
-    let mut fresh = Vec::new();
-    let mut parked = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    for fd in findings {
-        let key = baseline_key(&fd);
-        if baseline.contains(&key) {
-            seen.insert(key);
-            parked.push(fd);
-        } else {
-            fresh.push(fd);
-        }
-    }
-    let stale = baseline.difference(&seen).cloned().collect();
-    (fresh, parked, stale)
-}
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -436,24 +383,19 @@ fn json_escape(s: &str) -> String {
 
 /// Renders findings as a JSON array for the CI artifact — stable field
 /// order, one object per finding.
-pub fn render_json(findings: &[FileDiagnostic], baselined: &[FileDiagnostic]) -> String {
+pub fn render_json(findings: &[FileDiagnostic]) -> String {
     let mut out = String::from("[\n");
-    let mut first = true;
-    for (set, status) in [(findings, "new"), (baselined, "baselined")] {
-        for fd in set {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "  {{\"file\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"status\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&fd.file.display().to_string()),
-                fd.diag.line,
-                fd.diag.lint.name(),
-                status,
-                json_escape(&fd.diag.message)
-            ));
+    for (i, fd) in findings.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
         }
+        out.push_str(&format!(
+            "  {{\"file\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"message\": \"{}\"}}",
+            json_escape(&fd.file.display().to_string()),
+            fd.diag.line,
+            fd.diag.lint.name(),
+            json_escape(&fd.diag.message)
+        ));
     }
     out.push_str("\n]\n");
     out

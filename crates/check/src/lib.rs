@@ -132,8 +132,7 @@ pub fn collect_workspace_sources(root: &Path) -> Result<Vec<index::SourceFile>, 
 
 /// Runs the cross-crate `flumen-audit` pass over the workspace: builds
 /// the item/call-graph index, propagates determinism taint, and applies
-/// the audit lints. Allow directives are already applied; baseline
-/// filtering is the caller's business (see [`audit::load_baseline`]).
+/// the audit lints. Allow directives are already applied.
 pub fn audit_workspace(root: &Path) -> Result<Vec<FileDiagnostic>, String> {
     let sources = collect_workspace_sources(root)?;
     let ix = index::WorkspaceIndex::build(&sources);

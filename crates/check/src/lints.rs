@@ -123,7 +123,7 @@ impl CheckConfig {
                 "photonics::fabric".into(),
                 "photonics::mesh".into(),
                 "sim::event".into(),
-                "sim::kernel".into(),
+                "system::engine".into(),
                 "serve::queue".into(),
                 "serve::admission".into(),
             ],

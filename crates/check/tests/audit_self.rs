@@ -1,5 +1,5 @@
 //! Self-application: `flumen-audit` over the real workspace must report
-//! zero non-baselined findings — the same gate the CI job enforces.
+//! zero findings — the same gate the CI job enforces.
 
 use flumen_check::audit;
 use std::path::Path;
@@ -10,39 +10,16 @@ fn root() -> std::path::PathBuf {
 
 #[test]
 fn workspace_is_clean_under_deny() {
-    let root = root();
-    let findings = flumen_check::audit_workspace(&root).expect("workspace walk succeeds");
-    let baseline =
-        audit::load_baseline(&root.join("flumen-audit.baseline.txt")).expect("baseline loads");
-    let (fresh, _parked, stale) = audit::partition_baseline(findings, &baseline);
+    let findings = flumen_check::audit_workspace(&root()).expect("workspace walk succeeds");
     assert!(
-        fresh.is_empty(),
-        "flumen-audit found {} non-baselined finding(s):\n{}",
-        fresh.len(),
-        fresh
+        findings.is_empty(),
+        "flumen-audit found {} finding(s):\n{}",
+        findings.len(),
+        findings
             .iter()
             .map(|d| format!("  {d}"))
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        stale.is_empty(),
-        "stale baseline entries (remove them): {stale:?}"
-    );
-}
-
-#[test]
-fn baseline_is_committed_and_empty() {
-    // The pass landed at `--deny` with every finding fixed or justified
-    // in-line; the baseline exists (CI loads it) but parks nothing.
-    let baseline =
-        audit::load_baseline(&root().join("flumen-audit.baseline.txt")).expect("baseline loads");
-    assert!(
-        baseline.is_empty(),
-        "expected an empty baseline, found {} parked entr{}: {:?}",
-        baseline.len(),
-        if baseline.len() == 1 { "y" } else { "ies" },
-        baseline
     );
 }
 
@@ -105,11 +82,7 @@ fn json_artifact_renders_findings() {
         "pub fn run_plan() { let _t = std::time::Instant::now(); }\n",
     )]);
     assert_eq!(diags.len(), 1);
-    let json = audit::render_json(&diags, &[]);
+    let json = audit::render_json(&diags);
     assert!(json.contains("\"lint\": \"det-wall-clock\""));
-    assert!(json.contains("\"status\": \"new\""));
     assert!(json.contains("\"file\": \"sweep/exec.rs\""));
-    // Keys are line-free so the baseline survives unrelated edits.
-    let key = audit::baseline_key(&diags[0]);
-    assert!(key.starts_with("sweep/exec.rs|det-wall-clock|"));
 }

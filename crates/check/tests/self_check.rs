@@ -114,7 +114,7 @@ fn policy_module_paths_name_real_modules() {
         }
     }
     assert!(
-        check.hot_paths.iter().any(|p| p == "sim::kernel"),
-        "the kernel's cycle loop must stay a hot path"
+        check.hot_paths.iter().any(|p| p == "system::engine"),
+        "the engine's cycle loop must stay a hot path"
     );
 }

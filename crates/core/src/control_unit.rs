@@ -363,7 +363,7 @@ impl ExternalServer<MzimCrossbar> for MzimControlUnit {
     // partition's deadline only adds one to `mzim_active_cycles`: no
     // request can time out, be rejected or be admitted, and no wire is
     // released.
-    fn quiet_until(&self, _now: u64) -> Option<u64> {
+    fn quiet_until(&self) -> Option<u64> {
         if !self.queue.is_empty() || !self.finished.is_empty() {
             return None;
         }
@@ -599,20 +599,20 @@ mod tests {
     fn quiet_span_ends_at_the_earliest_partition_deadline() {
         let mut cu = unit();
         let mut net = net16();
-        assert_eq!(cu.quiet_until(0), Some(u64::MAX), "empty unit");
+        assert_eq!(cu.quiet_until(), Some(u64::MAX), "empty unit");
         cu.on_request(0, 0, 2, 1, [40, 64, 4, 0]);
-        assert_eq!(cu.quiet_until(0), None, "queued request");
+        assert_eq!(cu.quiet_until(), None, "queued request");
         let _ = drive(&mut cu, &mut net, 1);
         cu.on_request(1, 8, 13, 2, [4, 16, 4, 0]);
         let _ = drive(&mut cu, &mut net, 1);
         assert_eq!(cu.active.len(), 2);
         let first = cu.active.peek_deadline().unwrap().value();
-        assert_eq!(cu.quiet_until(net.cycle()), Some(first));
+        assert_eq!(cu.quiet_until(), Some(first));
         cu.finished.push(ExternalOutcome {
             tag: 9,
             accepted: true,
         });
-        assert_eq!(cu.quiet_until(net.cycle()), None, "unreported completion");
+        assert_eq!(cu.quiet_until(), None, "unreported completion");
     }
 
     /// A unit that jumps each quiet span with `advance_quiet`, as the
@@ -643,7 +643,7 @@ mod tests {
                 }
                 let next_request = requests.iter().map(|r| r.0).filter(|&at| at > now).min();
                 let quiet = cu
-                    .quiet_until(now)
+                    .quiet_until()
                     .map(|t| t.min(next_request.unwrap_or(u64::MAX)).min(end));
                 match quiet {
                     Some(t) if jump && t > now && net.pending() == 0 => {

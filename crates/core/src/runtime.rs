@@ -5,7 +5,7 @@
 use crate::control_unit::{ControlUnitParams, MzimControlUnit};
 use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, OpticalBus, RoutedNetwork};
 use flumen_power::{system_energy, EnergyBreakdown, EnergyParams, NopKind};
-use flumen_sim::{run_until, Component, Cycles, Snapshot, Snapshotable};
+use flumen_sim::{Snapshot, Snapshotable};
 use flumen_system::{ActivityCounts, NullServer, RunResult, SystemConfig, SystemSim};
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use flumen_workloads::taskgen::{self, ExecMode, TaskGenConfig};
@@ -290,35 +290,28 @@ impl TopologySim {
     }
 
     /// Runs on the idle-skipping loop until the system finishes or cycle
-    /// `stop` is reached, whichever comes first; the system can be
-    /// snapshotted there and run on.
+    /// `stop` is reached, whichever comes first ([`SystemSim::run_to`]);
+    /// the system can be snapshotted there and run on.
     pub fn run_to(&mut self, stop: u64) {
-        let start = Cycles::new(self.cycle());
-        run_until(self, start, Cycles::new(stop));
+        each_sim!(self, s => s.run_to(stop))
+    }
+
+    /// The end of the quiet span starting at the current cycle, if any
+    /// ([`SystemSim::quiet_until`]).
+    pub fn quiet_until(&self) -> Option<u64> {
+        each_sim!(self, s => s.quiet_until())
+    }
+
+    /// Crosses `cycles` cycles of a quiet span in one jump
+    /// ([`SystemSim::advance_quiet`]).
+    pub fn advance_quiet(&mut self, cycles: u64) {
+        each_sim!(self, s => s.advance_quiet(cycles))
     }
 
     /// Runs until finished or `max_cycles` and returns the result
     /// ([`SystemSim::run`]).
     pub fn run(self, max_cycles: u64) -> RunResult {
         each_sim!(self, s => s.run(max_cycles))
-    }
-}
-
-impl Component for TopologySim {
-    fn step(&mut self, _now: Cycles) {
-        TopologySim::step(self);
-    }
-
-    fn done(&self, _now: Cycles) -> bool {
-        self.finished()
-    }
-
-    fn idle_until(&self, now: Cycles) -> Option<Cycles> {
-        each_sim!(self, s => s.idle_until(now))
-    }
-
-    fn advance_idle(&mut self, now: Cycles, to: Cycles) {
-        each_sim!(self, s => s.advance_idle(now, to))
     }
 }
 
@@ -519,6 +512,7 @@ impl CheckpointPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flumen_sim::Cycles;
     use flumen_workloads::Rotation3d;
 
     #[test]

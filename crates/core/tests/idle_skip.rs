@@ -9,7 +9,7 @@
 
 use flumen::{RuntimeConfig, SystemTopology, TopologySim};
 use flumen_noc::NetStats;
-use flumen_sim::{Component, Cycles, Snapshotable};
+use flumen_sim::Snapshotable;
 use flumen_system::RunResult;
 use flumen_trace::TraceHandle;
 use flumen_workloads::{small_benchmarks, Benchmark};
@@ -37,9 +37,9 @@ fn idle_spans(mut sim: TopologySim) -> Vec<(u64, u64)> {
     let mut spans = Vec::new();
     while !sim.finished() {
         let now = sim.cycle();
-        if let Some(end) = sim.idle_until(Cycles::new(now)) {
+        if let Some(end) = sim.quiet_until() {
             if spans.last().is_none_or(|&(_, e)| e <= now) {
-                spans.push((now, end.value()));
+                spans.push((now, end));
             }
         }
         sim.step();

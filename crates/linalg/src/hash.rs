@@ -1,11 +1,11 @@
 //! A compact SHA-256 for content-addressing.
 //!
-//! FIPS 180-4, no external dependencies. Used by `flumen-sweep` to hash
-//! canonical-JSON job specs and by taskgen to key offloaded weight
-//! strips. Collision resistance and stability across runs/platforms are
-//! what the cache keys need. Speed matters too: hashing a spec costs microseconds, so a
-//! caller that hashes per request rather than per distinct spec pays for
-//! it (the serve engine hashes each distinct payload once per call).
+//! FIPS 180-4, no external dependencies. Used through `flumen-sweep` to
+//! hash canonical-JSON job specs, cached results and serve payloads.
+//! Collision resistance and stability across runs/platforms are what the
+//! cache keys need. Speed matters too: hashing a spec costs microseconds,
+//! so a caller that hashes per request rather than per distinct spec pays
+//! for it (the serve engine hashes each distinct payload once per call).
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,

@@ -1,7 +1,7 @@
 //! A small self-contained JSON value type with canonical serialization.
 //!
 //! crates.io (and therefore serde) is unreachable in the build
-//! environment, so the simulation kernel carries its own serialization
+//! environment, so the simulator carries its own serialization
 //! substrate. It serves two distinct consumers — `flumen-sweep` hashes
 //! canonical job specs with it, and [`crate::snapshot`] serializes live
 //! simulation state with it — so two properties matter more here than

@@ -1,16 +1,12 @@
-//! # flumen-sim — the discrete-event simulation kernel
+//! # flumen-sim — shared simulation primitives
 //!
-//! The full-system engine's cycle loop runs on this crate; the MZIM
-//! control unit's partition timing uses its event queue, and the NoC
-//! harness its random stream:
+//! The pieces the simulated subsystems share. The cycle loop itself
+//! belongs to the full-system engine (`flumen_system::SystemSim::run_to`),
+//! which jumps the quiet spans its network and server report:
 //!
-//! * [`Component`] + [`run_until`] — the typed step interface and the one
-//!   loop that drives it to quiescence or a cycle cap, jumping over the
-//!   idle spans a component reports. Time is unit-checked
-//!   [`flumen_units::Cycles`].
 //! * [`EventQueue`] — deterministic `(deadline, FIFO)` scheduled wakeups
 //!   for DRAM returns, phase-programming completions, and reconfiguration
-//!   guard times.
+//!   guard times. Time is unit-checked [`flumen_units::Cycles`].
 //! * [`SimRng`] — the seeded, snapshotable random stream.
 //! * [`Snapshotable`] + [`Snapshot`] — versioned canonical-JSON
 //!   checkpoints that resume bit-identically mid-run, extending the
@@ -22,19 +18,15 @@
 
 #![warn(missing_docs)]
 
-pub mod component;
 pub mod event;
 pub mod json;
-pub mod kernel;
 pub mod rng;
 pub mod snapshot;
 
-pub use component::Component;
 pub use event::EventQueue;
-/// Re-exported so kernel consumers can name simulation time without a
+/// Re-exported so consumers can name simulation time without a
 /// separate `flumen-units` dependency.
 pub use flumen_units::Cycles;
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use kernel::{run_until, RunOutcome};
 pub use rng::SimRng;
 pub use snapshot::{Snapshot, Snapshotable, SNAPSHOT_VERSION};

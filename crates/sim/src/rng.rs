@@ -1,4 +1,4 @@
-//! The kernel's deterministic random stream.
+//! The simulator's deterministic random stream.
 
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use rand::rngs::StdRng;

@@ -1,9 +1,8 @@
 //! Canonical SHA-256 for content-addressing job specs.
 //!
-//! The FIPS 180-4 implementation lives in [`flumen_linalg::sha256_hex`]
-//! so lower layers (taskgen, which keys offloaded weight strips) can
-//! content-address data without depending on the sweep crate; this module
-//! keeps the sweep-facing path stable.
+//! The FIPS 180-4 implementation lives in [`flumen_linalg::sha256_hex`];
+//! this module is the path the sweep, the serve layer and the figure
+//! binaries hash through.
 
 pub use flumen_linalg::sha256_hex;
 

@@ -20,7 +20,7 @@ use crate::counts::ActivityCounts;
 use crate::tag_table::TagTable;
 use crate::tasks::CoreTask;
 use flumen_noc::{NetStats, Network, Packet};
-use flumen_sim::{run_until, Component, Cycles, EventQueue, Snapshotable};
+use flumen_sim::{Cycles, EventQueue, Snapshotable};
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -59,14 +59,14 @@ pub trait ExternalServer<N: Network> {
     fn outstanding(&self) -> usize;
     /// Folds the server's activity (MZIM energy events) into the run counts.
     fn drain_counts(&mut self, counts: &mut ActivityCounts);
-    /// The cycle `t > now` up to which every [`ExternalServer::step`]
-    /// from `now` on, with no [`ExternalServer::on_request`] between,
-    /// would touch no wire, complete nothing and change no state that
-    /// [`ExternalServer::advance_quiet`] cannot reproduce; `u64::MAX`
+    /// The cycle, after the current one, up to which every
+    /// [`ExternalServer::step`] with no [`ExternalServer::on_request`]
+    /// between would touch no wire, complete nothing and change no state
+    /// that [`ExternalServer::advance_quiet`] cannot reproduce; `u64::MAX`
     /// when that holds until the next request. The engine skips idle
     /// cycles only inside such a span; the default, `None`, keeps every
     /// cycle stepped.
-    fn quiet_until(&self, _now: u64) -> Option<u64> {
+    fn quiet_until(&self) -> Option<u64> {
         None
     }
     /// Applies what `cycles` steps inside a span reported by
@@ -105,7 +105,7 @@ impl<N: Network> ExternalServer<N> for NullServer {
         self.queue.len()
     }
     fn drain_counts(&mut self, _counts: &mut ActivityCounts) {}
-    fn quiet_until(&self, _now: u64) -> Option<u64> {
+    fn quiet_until(&self) -> Option<u64> {
         self.queue.is_empty().then_some(u64::MAX)
     }
 }
@@ -253,6 +253,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             named.clear();
             push_task_chiplets(task, &mut named);
             if let Some(chiplet) = named.iter().find(|&&c| c >= cfg.chiplets) {
+                // flumen-check: allow(no-panic-hot-path) — constructor input validation, documented under `# Panics`
                 panic!(
                     "a task names chiplet {chiplet}, system has {}",
                     cfg.chiplets
@@ -343,9 +344,10 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     /// checkpoint [`Snapshotable::restore`], in which case the run resumes
     /// from the restored cycle).
     pub fn run(mut self, max_cycles: u64) -> RunResult {
-        let start = Cycles::new(self.cycle);
-        let out = run_until(&mut self, start, Cycles::new(max_cycles));
-        if out.truncated {
+        self.run_to(max_cycles);
+        // `run_to` leaves a system unfinished only at the cap.
+        let truncated = !self.finished();
+        if truncated {
             let now = self.cycle;
             self.tracer
                 .emit(|| TraceEvent::instant(TraceCategory::System, "truncated", now, 0));
@@ -354,11 +356,61 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
         self.server.drain_counts(&mut self.counts);
         RunResult {
             cycles,
-            truncated: out.truncated,
+            truncated,
             counts: self.counts,
             net_stats: self.net.stats().clone(),
             utilization_trace: self.trace,
         }
+    }
+
+    /// Runs until [`SystemSim::finished`] or cycle `stop`, whichever comes
+    /// first, jumping each quiet span in one [`SystemSim::advance_quiet`]
+    /// capped at `stop`; the system can be snapshotted there and run on.
+    pub fn run_to(&mut self, stop: u64) {
+        while !self.finished() && self.cycle < stop {
+            match self.quiet_until() {
+                Some(until) => self.advance_quiet(until.min(stop) - self.cycle),
+                None => self.step(),
+            }
+        }
+    }
+
+    /// The end of the quiet span from the current cycle, or `None` when
+    /// this cycle must be stepped. Stepping each cycle of the span would
+    /// change only what [`SystemSim::advance_quiet`] changes and would not
+    /// flip [`SystemSim::finished`]. It ends at the earliest of: the
+    /// network's and the server's quiet spans, a core's wake cycle (a
+    /// `busy_until` counts even with an empty queue, since `finished`
+    /// flips then), the head of `server_jobs`, and the next utilization
+    /// sample. The network is asked first: it is the cheapest test that
+    /// fails on a busy cycle.
+    pub fn quiet_until(&self) -> Option<u64> {
+        let now = self.cycle;
+        let mut next = self.net.quiet_until()?;
+        next = next.min(self.server.quiet_until()?);
+        for &wake in &self.wake {
+            if wake <= now {
+                return None;
+            }
+            next = next.min(wake);
+        }
+        if let Some(t) = self.server_jobs.peek_deadline() {
+            next = next.min(t.value());
+        }
+        if self.trace_interval > 0 {
+            // Samples fall on the positive multiples of the interval.
+            let iv = self.trace_interval;
+            next = next.min(now.div_ceil(iv).max(1).saturating_mul(iv));
+        }
+        (next > now).then_some(next)
+    }
+
+    /// Crosses `cycles` cycles of a [`SystemSim::quiet_until`] span: a
+    /// quiet step changes only the server, the network and the cycle.
+    pub fn advance_quiet(&mut self, cycles: u64) {
+        self.server.advance_quiet(cycles);
+        self.net.advance_quiet(cycles);
+        self.cycle += cycles;
     }
 
     /// Advances the whole system by one cycle.
@@ -435,8 +487,8 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
         {
             return;
         }
-        if self.cores[c].stream.is_some() {
-            self.continue_stream(c, now);
+        if let Some(stream) = self.cores[c].stream.take() {
+            self.continue_stream(c, now, stream);
             return;
         }
         let Some(task) = self.cores[c].queue.pop_front() else {
@@ -451,14 +503,14 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
                 self.counts.core_busy_cycles += dur;
             }
             CoreTask::Stream { ops, reads, writes } => {
-                self.cores[c].stream = Some(StreamState {
+                let stream = StreamState {
                     ops,
                     reads,
                     writes,
                     ri: 0,
                     wi: 0,
-                });
-                self.continue_stream(c, now);
+                };
+                self.continue_stream(c, now, stream);
             }
             CoreTask::NetRequest {
                 dst_chiplet,
@@ -530,9 +582,8 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     }
 
     /// Processes stream accesses until the core blocks on remote misses or
-    /// the stream ends.
-    fn continue_stream(&mut self, c: usize, now: u64) {
-        let mut stream = self.cores[c].stream.take().expect("stream in progress");
+    /// the stream ends; an unfinished stream goes back to the core.
+    fn continue_stream(&mut self, c: usize, now: u64, mut stream: StreamState) {
         let mut local_cycles: u64 = 0;
         let mut issued = 0usize;
 
@@ -722,58 +773,6 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
 enum AccessOutcome {
     Local(u64),
     Remote,
-}
-
-// The engine as a kernel component: its `cycle` field is the one cycle
-// counter (every internal path reads it), and the kernel's `now` always
-// equals it. `SystemSim::step` stays the per-cycle reference; idle spans
-// are crossed by advancing only the network, the server and the cycle,
-// which is all an idle step changes.
-impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
-    fn step(&mut self, _now: Cycles) {
-        self.step();
-    }
-
-    fn done(&self, _now: Cycles) -> bool {
-        self.finished()
-    }
-
-    /// A cycle is idle when the network and the server are quiet and no
-    /// core is due to wake. Such a cycle changes nothing but the cycle and
-    /// what [`Network::advance_quiet`] and [`ExternalServer::advance_quiet`]
-    /// apply, until the earliest of: the end of the network's and the
-    /// server's quiet spans, a core's wake cycle (a `busy_until` counts
-    /// even with an empty queue, since [`SystemSim::finished`] flips then),
-    /// the head of `server_jobs`, and the next utilization sample. The
-    /// network is asked first: it is the cheapest test that fails on a
-    /// busy cycle.
-    fn idle_until(&self, _now: Cycles) -> Option<Cycles> {
-        let now = self.cycle;
-        let mut next = self.net.quiet_until()?;
-        next = next.min(self.server.quiet_until(now)?);
-        for &wake in &self.wake {
-            if wake <= now {
-                return None;
-            }
-            next = next.min(wake);
-        }
-        if let Some(t) = self.server_jobs.peek_deadline() {
-            next = next.min(t.value());
-        }
-        if self.trace_interval > 0 {
-            // Samples fall on the positive multiples of the interval.
-            let iv = self.trace_interval;
-            next = next.min(now.div_ceil(iv).max(1).saturating_mul(iv));
-        }
-        (next > now).then_some(Cycles::new(next))
-    }
-
-    fn advance_idle(&mut self, _now: Cycles, to: Cycles) {
-        let cycles = to.value() - self.cycle;
-        self.server.advance_quiet(cycles);
-        self.net.advance_quiet(cycles);
-        self.cycle = to.value();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1367,6 +1366,67 @@ mod tests {
         let sim2 = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks);
         let r2 = sim2.run(10_000_000);
         assert!(!r2.truncated);
+    }
+
+    /// A [`NullServer`] that logs the cycles it is stepped through and
+    /// the cycles it is advanced over.
+    #[derive(Debug, Default)]
+    struct StepLog {
+        inner: NullServer,
+        stepped: Vec<u64>,
+        jumped: u64,
+    }
+
+    impl<N: Network> ExternalServer<N> for StepLog {
+        fn on_request(
+            &mut self,
+            now: u64,
+            core: usize,
+            chiplet: usize,
+            tag: u64,
+            p: ExternalPayload,
+        ) {
+            ExternalServer::<N>::on_request(&mut self.inner, now, core, chiplet, tag, p);
+        }
+        fn step(&mut self, now: u64, net: &mut N) -> Vec<ExternalOutcome> {
+            self.stepped.push(now);
+            self.inner.step(now, net)
+        }
+        fn outstanding(&self) -> usize {
+            ExternalServer::<N>::outstanding(&self.inner)
+        }
+        fn drain_counts(&mut self, _counts: &mut ActivityCounts) {}
+        fn quiet_until(&self) -> Option<u64> {
+            ExternalServer::<N>::quiet_until(&self.inner)
+        }
+        fn advance_quiet(&mut self, cycles: u64) {
+            self.jumped += cycles;
+        }
+    }
+
+    /// `run_to` steps only the cycles on which a core wakes, jumps the
+    /// quiet spans between them without passing its cap, resumes from
+    /// the cycle it stopped on, and stops once the system finishes.
+    #[test]
+    fn run_to_steps_busy_cycles_and_jumps_quiet_ones() {
+        let mut tasks = empty_tasks(4);
+        // 1000 ops at IPC 2 busy core 0 over cycles 0..500, then 200 ops
+        // over 500..600.
+        tasks[0].push(CoreTask::Compute { ops: 1000 });
+        tasks[0].push(CoreTask::Compute { ops: 200 });
+        let mut sim = SystemSim::new(tiny_cfg(), net4(), StepLog::default(), tasks);
+
+        sim.run_to(550);
+        assert_eq!(sim.cycle(), 550, "the jump from 501 stops at the cap");
+        assert!(!sim.finished());
+        assert_eq!(sim.server.stepped, [0, 500]);
+        assert_eq!(sim.server.jumped, 499 + 49);
+
+        sim.run_to(10_000);
+        assert_eq!(sim.cycle(), 600, "stops on finishing, not at the cap");
+        assert!(sim.finished());
+        assert_eq!(sim.server.stepped, [0, 500], "no quiet cycle stepped");
+        assert_eq!(sim.server.jumped, 499 + 99);
     }
 
     /// Remote-homed traffic that keeps the network, caches, pending maps

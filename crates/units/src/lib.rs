@@ -157,7 +157,8 @@ linear_unit_ops!(Decibels);
 
 impl fmt::Display for Decibels {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} dB", self.0)
+        fmt::Display::fmt(&self.0, f)?;
+        f.write_str(" dB")
     }
 }
 
@@ -220,7 +221,8 @@ linear_unit_ops!(Milliwatts);
 
 impl fmt::Display for Milliwatts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} mW", self.0)
+        fmt::Display::fmt(&self.0, f)?;
+        f.write_str(" mW")
     }
 }
 
@@ -275,7 +277,8 @@ linear_unit_ops!(Picojoules);
 
 impl fmt::Display for Picojoules {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} pJ", self.0)
+        fmt::Display::fmt(&self.0, f)?;
+        f.write_str(" pJ")
     }
 }
 
@@ -325,7 +328,8 @@ impl Mul<Nanoseconds> for Milliwatts {
 
 impl fmt::Display for Nanoseconds {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ns", self.0)
+        fmt::Display::fmt(&self.0, f)?;
+        f.write_str(" ns")
     }
 }
 
@@ -359,7 +363,8 @@ impl GigaHertz {
 
 impl fmt::Display for GigaHertz {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} GHz", self.0)
+        fmt::Display::fmt(&self.0, f)?;
+        f.write_str(" GHz")
     }
 }
 
@@ -444,7 +449,8 @@ impl Mul<u64> for Cycles {
 
 impl fmt::Display for Cycles {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} cycles", self.0)
+        fmt::Display::fmt(&self.0, f)?;
+        f.write_str(" cycles")
     }
 }
 
@@ -472,13 +478,20 @@ linear_unit_ops!(Radians);
 
 impl fmt::Display for Radians {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} rad", self.0)
+        fmt::Display::fmt(&self.0, f)?;
+        f.write_str(" rad")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn display_forwards_precision_to_the_value() {
+        assert_eq!(format!("{:.2}", Picojoules::new(1.23456)), "1.23 pJ");
+        assert_eq!(format!("{}", Cycles::new(7)), "7 cycles");
+    }
 
     #[test]
     fn db_round_trips() {
