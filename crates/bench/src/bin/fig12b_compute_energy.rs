@@ -23,9 +23,9 @@ fn main() {
         table.row(vec![
             n.to_string(),
             p.to_string(),
-            format!("{e:.1}"),
-            format!("{f:.1}"),
-            format!("{:.2}x", e / f),
+            format!("{e:.4}"),
+            format!("{f:.4}"),
+            format!("{:.2}", e / f),
         ]);
     }
     table.print();

@@ -145,19 +145,6 @@ impl Network for OpticalBus {
                     self.bus_busy_until[b] = busy;
                     self.stats.link_busy[b] += ser + self.cfg.arbitration_delay;
                     self.stats.bit_hops += pkt.bits as u64;
-                    #[cfg(feature = "deep-trace")]
-                    {
-                        let occ = self.stats.link_busy[b];
-                        self.tracer.emit(|| {
-                            TraceEvent::new(
-                                TraceCategory::Noc,
-                                "link_busy",
-                                EventKind::Counter(occ as f64),
-                                now,
-                                b as u32,
-                            )
-                        });
-                    }
                     self.in_flight.push(busy + self.cfg.port_latency, pkt);
                     self.rr.grant(node, self.nodes);
                     break;

@@ -204,19 +204,6 @@ impl MzimCrossbar {
         }
         self.stats.link_busy[input] += reconf + ser;
         self.stats.bit_hops += pkt.bits as u64;
-        #[cfg(feature = "deep-trace")]
-        {
-            let occ = self.stats.link_busy[input];
-            self.tracer.emit(|| {
-                TraceEvent::new(
-                    TraceCategory::Noc,
-                    "link_busy",
-                    EventKind::Counter(occ as f64),
-                    now,
-                    input as u32,
-                )
-            });
-        }
         self.in_flight.push(busy + self.cfg.port_latency, pkt);
     }
 

@@ -129,10 +129,10 @@ impl<P> Channels<P> {
 
     /// Phase 3: every channel whose head is due hands it to the consumer
     /// if a credit is available; otherwise the stall counter advances.
-    /// Returns the ids that stalled this cycle (for backpressure traces).
-    pub(crate) fn deliver_due(&mut self, now: u64) -> Vec<ChannelId> {
-        let mut stalled = Vec::new();
-        for (i, ch) in self.chans.iter_mut().enumerate() {
+    /// Returns whether any channel stalled this cycle.
+    pub(crate) fn deliver_due(&mut self, now: u64) -> bool {
+        let mut stalled = false;
+        for ch in &mut self.chans {
             let head_due = ch.queue.front().is_some_and(|(at, _)| *at <= now);
             if !head_due {
                 continue;
@@ -143,7 +143,7 @@ impl<P> Channels<P> {
                 ch.transfers += 1;
             } else {
                 ch.stalls += 1;
-                stalled.push(ChannelId(i));
+                stalled = true;
             }
         }
         stalled
@@ -178,12 +178,6 @@ impl<P> Channels<P> {
     /// Total handshake stalls across all channels.
     pub(crate) fn stalls_total(&self) -> u64 {
         self.chans.iter().map(|ch| ch.stalls).sum()
-    }
-
-    /// Handshake stalls accumulated on one channel.
-    #[cfg(any(test, feature = "deep-trace"))]
-    pub(crate) fn stalls(&self, id: ChannelId) -> u64 {
-        self.chans.get(id.0).map_or(0, |ch| ch.stalls)
     }
 }
 
@@ -239,12 +233,12 @@ mod tests {
         let c = chans.add(1, 4);
         chans.send(c, 7, 0);
         // No credit published: the due head stalls.
-        assert!(chans.deliver_due(1).contains(&c));
+        assert!(chans.deliver_due(1));
         assert_eq!(chans.take(c), None);
-        assert_eq!(chans.stalls(c), 1);
+        assert_eq!(chans.chans[0].stalls, 1);
         // With a credit it transfers.
         chans.publish_credits(c, 1);
-        assert!(chans.deliver_due(1).is_empty());
+        assert!(!chans.deliver_due(1));
         assert_eq!(chans.take(c), Some(7));
         assert_eq!(chans.chans[0].transfers, 1);
     }

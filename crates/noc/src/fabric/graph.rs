@@ -182,8 +182,7 @@ impl Network for ComposedFabric {
             }
         }
         // Phase 3: valid — due heads move to consumers with credits.
-        let stalled = self.chans.deliver_due(now);
-        if !stalled.is_empty() {
+        if self.chans.deliver_due(now) {
             let total = self.chans.stalls_total();
             self.tracer.emit(|| {
                 TraceEvent::counter(
@@ -194,24 +193,10 @@ impl Network for ComposedFabric {
                     total as f64,
                 )
             });
-            #[cfg(feature = "deep-trace")]
-            for id in &stalled {
-                let per_port = self.chans.stalls(*id);
-                let track = id.index() as u32;
-                self.tracer.emit(|| {
-                    TraceEvent::counter(
-                        TraceCategory::Noc,
-                        "noc::backpressure",
-                        now,
-                        track,
-                        per_port as f64,
-                    )
-                });
-            }
         }
         // Phase 4: step every router.
         for r in &mut self.routers {
-            r.step(now, &mut self.chans, &mut self.stats, &self.tracer);
+            r.step(now, &mut self.chans, &mut self.stats);
         }
         // Phase 5: egress.
         let mut egressed = Vec::new();

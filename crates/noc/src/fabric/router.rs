@@ -6,7 +6,6 @@ use super::fifo::Fifo;
 use crate::packet::Packet;
 use crate::stats::NetStats;
 use flumen_sim::{FromJson, Json, JsonError, ToJson};
-use flumen_trace::TraceHandle;
 use std::fmt;
 
 /// Dimension class of a local (injection/ejection) port: never equal to a
@@ -121,13 +120,7 @@ impl RouterNode {
 
     /// Phase 4: absorbs delivered flits, switches at most one flit per
     /// input port, and accounts link occupancy into `stats`.
-    pub(super) fn step(
-        &mut self,
-        now: u64,
-        chans: &mut Channels<Flit>,
-        stats: &mut NetStats,
-        #[cfg_attr(not(feature = "deep-trace"), allow(unused_variables))] tracer: &TraceHandle,
-    ) {
+    pub(super) fn step(&mut self, now: u64, chans: &mut Channels<Flit>, stats: &mut NetStats) {
         // Absorb arrivals: space is guaranteed by the credits published
         // last phase-1; the router pipeline delay starts on arrival.
         for (buf, &c) in self.inputs.iter_mut().zip(&self.in_ports) {
@@ -189,20 +182,6 @@ impl RouterNode {
             chans.send_after(out_ch, flit, now, ser);
         }
         self.rr.rotate(nports);
-        #[cfg(feature = "deep-trace")]
-        for (buf, &c) in self.inputs.iter().zip(&self.in_ports) {
-            let occ = buf.len();
-            let track = c.index() as u32;
-            tracer.emit(|| {
-                flumen_trace::TraceEvent::counter(
-                    flumen_trace::TraceCategory::Noc,
-                    "noc::fifo_occupancy",
-                    now,
-                    track,
-                    occ as f64,
-                )
-            });
-        }
     }
 
     /// Flits buffered in the input queues.

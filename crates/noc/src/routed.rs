@@ -254,19 +254,6 @@ impl RoutedNetwork {
             let lid = r * nports + out;
             self.stats.link_busy[lid] += ser;
             self.stats.bit_hops += tp.pkt.bits as u64;
-            #[cfg(feature = "deep-trace")]
-            {
-                let busy = self.stats.link_busy[lid];
-                self.tracer.emit(|| {
-                    TraceEvent::new(
-                        TraceCategory::Noc,
-                        "link_busy",
-                        EventKind::Counter(busy as f64),
-                        now,
-                        lid as u32,
-                    )
-                });
-            }
             tp.ready_at = now + ser + self.cfg.link_latency + self.cfg.router_delay;
             self.in_flight
                 .push(now + ser + self.cfg.link_latency, (next, next_in, tp));

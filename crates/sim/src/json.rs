@@ -671,21 +671,6 @@ pub fn u64_from_hex(j: &Json) -> Result<u64, JsonError> {
     u64::from_str_radix(j.as_str()?, 16).map_err(|e| JsonError(format!("bad hex u64: {e}")))
 }
 
-/// Serializes a slice of full-range `u64` values (addresses, hashes) as an
-/// array of fixed-width hex strings.
-pub fn u64s_hex(xs: &[u64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| u64_hex(x)).collect())
-}
-
-/// Parses an array written by [`u64s_hex`].
-///
-/// # Errors
-///
-/// Fails when the value is not an array of hex strings.
-pub fn u64s_from_hex(j: &Json) -> Result<Vec<u64>, JsonError> {
-    j.as_arr()?.iter().map(u64_from_hex).collect()
-}
-
 // Unit newtypes serialize as their raw numeric value: the canonical JSON
 // text (and therefore every content-addressed job hash) is identical to the
 // pre-`flumen-units` encoding. The unit lives in the *key* name (`_pj`

@@ -13,7 +13,7 @@ use flumen_units::Cycles;
 /// Bump whenever any [`Snapshotable`] impl changes its serialized layout.
 /// Stale checkpoints are discarded (the run restarts from cycle zero),
 /// never misinterpreted.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// State that can round-trip through canonical JSON bit-identically.
 ///

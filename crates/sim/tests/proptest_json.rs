@@ -42,7 +42,11 @@ fn snapshot_doc() -> String {
         ),
         (
             "words",
-            flumen_sim::json::u64s_hex(&[0, u64::MAX, 0xdead_beef]),
+            Json::Arr(
+                [0, u64::MAX, 0xdead_beef]
+                    .map(flumen_sim::json::u64_hex)
+                    .to_vec(),
+            ),
         ),
         ("label", Json::Str("tab\tquote\"\u{1}".into())),
         ("idle", Json::Null),

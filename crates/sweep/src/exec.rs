@@ -13,7 +13,6 @@
 use crate::cache::ResultCache;
 use crate::job::{JobResult, JobSpec};
 use flumen::CheckpointPolicy;
-use flumen_trace::{EventKind, TraceCategory, TraceEvent};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -164,12 +163,6 @@ pub struct SweepReport {
     pub records: Vec<JobRecord>,
     /// Total sweep wall time, ms.
     pub wall_ms: f64,
-    /// Wall-clock executor timeline: one [`TraceCategory::Sweep`]
-    /// span per executed job (track = worker index, ts = µs since the
-    /// sweep started) and one `cache_hit` instant per cache-served job.
-    /// Feed to [`crate::sink::write_trace_files`] or the
-    /// `flumen_trace` exporters directly.
-    pub trace_events: Vec<TraceEvent>,
 }
 
 impl SweepReport {
@@ -205,15 +198,13 @@ impl SweepReport {
 /// Panics if any job panics (after all other jobs finish), or on cache
 /// I/O failure.
 pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
-    // Wall-clock feeds only the `wall_ms` / trace-timestamp metadata;
-    // result bytes come from the seeded JobResult JSON alone.
+    // Wall-clock feeds only the `wall_ms` metadata; result bytes come
+    // from the seeded JobResult JSON alone.
     let t0 = Instant::now(); // flumen-check: allow(det-wall-clock)
     let cache = ResultCache::open(&opts.cache_dir);
 
     let hashes: Vec<String> = plan.jobs().iter().map(JobSpec::content_hash).collect();
     let mut slots: Vec<Option<(JobResult, bool, f64)>> = vec![None; plan.len()];
-
-    let mut trace_events: Vec<TraceEvent> = Vec::new();
 
     // Resolve cache hits first (serial: this is pure file I/O). An entry
     // counts only if it was stored for this very spec; anything else is a
@@ -224,16 +215,6 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
                 if opts.verbose {
                     eprintln!("  [sweep] cached  {}", spec.label());
                 }
-                trace_events.push(
-                    TraceEvent::instant(
-                        TraceCategory::Sweep,
-                        "cache_hit",
-                        t0.elapsed().as_micros() as u64,
-                        0,
-                    )
-                    .with_id(i as u64)
-                    .with_arg("orig_wall_ms", entry.wall_ms),
-                );
                 slots[i] = Some((entry.result, true, entry.wall_ms));
             }
         }
@@ -260,12 +241,11 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
     type WorkerOutcome = Option<Result<(JobResult, f64), String>>;
     let queue: Mutex<VecDeque<usize>> = Mutex::new((0..unique.len()).collect());
     let done: Mutex<Vec<WorkerOutcome>> = Mutex::new(vec![None; unique.len()]);
-    let spans: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
     let workers = opts.threads.clamp(1, unique.len().max(1));
 
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (spans, queue, done, unique, cache) = (&spans, &queue, &done, &unique, &cache);
+        for _ in 0..workers {
+            let (queue, done, unique, cache) = (&queue, &done, &unique, &cache);
             scope.spawn(move || loop {
                 let Some(u) = queue.lock().unwrap().pop_front() else {
                     break;
@@ -274,7 +254,6 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
                 if opts.verbose {
                     eprintln!("  [sweep] running {}", spec.label());
                 }
-                let begin_us = t0.elapsed().as_micros() as u64;
                 // Per-job timing is reporting metadata, never result bytes.
                 let tj = Instant::now(); // flumen-check: allow(det-wall-clock)
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -295,39 +274,12 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
                         Err(msg)
                     }
                 };
-                let end_us = t0.elapsed().as_micros() as u64;
-                let label = spec.label();
-                let mut sp = spans.lock().unwrap();
-                sp.push(
-                    TraceEvent::new(
-                        TraceCategory::Sweep,
-                        label.clone(),
-                        EventKind::SpanBegin,
-                        begin_us,
-                        w as u32,
-                    )
-                    .with_id(u as u64),
-                );
-                sp.push(
-                    TraceEvent::new(
-                        TraceCategory::Sweep,
-                        label,
-                        EventKind::SpanEnd,
-                        end_us.max(begin_us + 1),
-                        w as u32,
-                    )
-                    .with_id(u as u64)
-                    .with_arg("wall_ms", wall),
-                );
                 done.lock().unwrap()[u] = Some(entry);
             });
         }
     });
 
     // Fan executed results out to their plan positions.
-    let mut spans = spans.into_inner().unwrap();
-    spans.sort_by_key(|e| e.ts);
-    trace_events.extend(spans);
     let done = done.into_inner().unwrap();
     let mut failures: Vec<String> = Vec::new();
     for ((spec, positions), outcome) in unique.into_iter().zip(done) {
@@ -363,7 +315,6 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
         results,
         records,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        trace_events,
     }
 }
 

@@ -122,7 +122,7 @@ fn unrestorable_checkpoint_starts_cold() {
 
     // A real mid-run snapshot whose network fails to restore after the
     // engine's caches already have, and the same snapshot intact but in
-    // an envelope of the previous layout's version.
+    // envelopes of the two earlier layouts' versions.
     let (cycle, state) = mid_run_snapshot(ref_cycles / 2);
     let Json::Obj(mut fields) = state.clone() else {
         panic!("a system snapshot is an object");
@@ -131,7 +131,8 @@ fn unrestorable_checkpoint_starts_cold() {
     let cases = [
         ("empty state", 1_000, Json::obj([]), SNAPSHOT_VERSION),
         ("empty net", cycle, Json::Obj(fields), SNAPSHOT_VERSION),
-        ("version 1 envelope", cycle, state, 1),
+        ("version 1 envelope", cycle, state.clone(), 1),
+        ("version 2 envelope", cycle, state, 2),
     ];
 
     let key = spec.content_hash();

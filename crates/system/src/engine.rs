@@ -119,9 +119,25 @@ struct StreamState {
     wi: usize,
 }
 
+/// Where a core stands in the fallback that a rejected offload pushed to
+/// the front of its queue.
+#[derive(Debug, Clone, Copy)]
+struct FallbackCursor {
+    /// Fallback tasks popped so far.
+    popped: usize,
+    /// The fallback's length.
+    len: usize,
+}
+
 #[derive(Debug)]
 struct CoreState {
     queue: VecDeque<CoreTask>,
+    /// Tasks popped from the core's constructed list. With `fallback`,
+    /// this cursor is what a snapshot holds in place of the queue.
+    taken: usize,
+    /// Set while the core works through the fallback of task `taken - 1`,
+    /// a rejected offload.
+    fallback: Option<FallbackCursor>,
     busy_until: u64,
     waiting: usize,
     stream: Option<StreamState>,
@@ -129,6 +145,19 @@ struct CoreState {
 }
 
 impl CoreState {
+    /// Pops the next task and moves the cursor past it.
+    fn pop_task(&mut self) -> Option<CoreTask> {
+        let task = self.queue.pop_front()?;
+        match &mut self.fallback {
+            Some(f) if f.popped < f.len => f.popped += 1,
+            _ => {
+                self.fallback = None;
+                self.taken += 1;
+            }
+        }
+        Some(task)
+    }
+
     fn idle_done(&self) -> bool {
         self.queue.is_empty()
             && self.stream.is_none()
@@ -237,8 +266,9 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     /// # Panics
     ///
     /// Panics if `tasks.len() != cfg.cores`, the network endpoint count
-    /// differs from `cfg.chiplets`, or a task (or an offload's fallback)
-    /// sends to a chiplet `≥ cfg.chiplets`.
+    /// differs from `cfg.chiplets`, a task (or an offload's fallback)
+    /// sends to a chiplet `≥ cfg.chiplets`, or an offload's fallback holds
+    /// another offload.
     pub fn new(cfg: SystemConfig, net: N, server: S, tasks: Vec<Vec<CoreTask>>) -> Self {
         assert_eq!(tasks.len(), cfg.cores, "one task queue per core");
         assert_eq!(
@@ -246,13 +276,26 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             cfg.chiplets,
             "network endpoints must equal chiplets"
         );
-        // Issuing such a task would index past the network's per-node
-        // queues; restore rejects the same state.
-        let mut named = Vec::new();
         for task in tasks.iter().flatten() {
-            named.clear();
-            push_task_chiplets(task, &mut named);
-            if let Some(chiplet) = named.iter().find(|&&c| c >= cfg.chiplets) {
+            let fallback: &[CoreTask] = match task {
+                CoreTask::External { fallback, .. } => fallback,
+                _ => &[],
+            };
+            // A reject inside a fallback would need a second fallback
+            // cursor; no workload nests offloads.
+            if fallback
+                .iter()
+                .any(|t| matches!(t, CoreTask::External { .. }))
+            {
+                // flumen-check: allow(no-panic-hot-path) — constructor input validation, documented under `# Panics`
+                panic!("an offload's fallback holds another offload");
+            }
+            // Issuing such a task would index past the network's per-node
+            // queues.
+            let mut named = std::iter::once(task)
+                .chain(fallback)
+                .flat_map(named_chiplets);
+            if let Some(chiplet) = named.find(|&&c| c >= cfg.chiplets) {
                 // flumen-check: allow(no-panic-hot-path) — constructor input validation, documented under `# Panics`
                 panic!(
                     "a task names chiplet {chiplet}, system has {}",
@@ -264,6 +307,8 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             .into_iter()
             .map(|q| CoreState {
                 queue: q.into(),
+                taken: 0,
+                fallback: None,
                 busy_until: 0,
                 waiting: 0,
                 stream: None,
@@ -436,11 +481,16 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
                         .with_id(o.tag)
                         .with_arg("accepted", if o.accepted { 1.0 } else { 0.0 })
                 });
-                self.cores[core].waiting = self.cores[core].waiting.saturating_sub(1);
                 self.wake[core] = 0;
+                let core = &mut self.cores[core];
+                core.waiting = core.waiting.saturating_sub(1);
                 if !o.accepted {
+                    core.fallback = Some(FallbackCursor {
+                        popped: 0,
+                        len: fallback.len(),
+                    });
                     for t in fallback.into_iter().rev() {
-                        self.cores[core].queue.push_front(t);
+                        core.queue.push_front(t);
                     }
                 }
             }
@@ -491,7 +541,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             self.continue_stream(c, now, stream);
             return;
         }
-        let Some(task) = self.cores[c].queue.pop_front() else {
+        let Some(task) = self.cores[c].pop_task() else {
             return;
         };
         match task {
@@ -776,42 +826,123 @@ enum AccessOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint bridges for the engine's internal state. Byte addresses and
-// offload payload words use the full u64 range, so they ride as hex.
+// Checkpoint bridges for the engine's internal state. Byte addresses use
+// the full u64 range, so they ride as hex.
 
-impl flumen_sim::ToJson for StreamState {
-    fn to_json(&self) -> flumen_sim::Json {
-        use flumen_sim::{json::u64s_hex, Json};
-        Json::obj([
-            ("ops", self.ops.to_json()),
-            ("reads", u64s_hex(&self.reads)),
-            ("ri", self.ri.to_json()),
-            ("wi", self.wi.to_json()),
-            ("writes", u64s_hex(&self.writes)),
-        ])
-    }
+/// A core as a snapshot holds it. Restore targets a freshly built
+/// instance, whose queues are the constructed task lists, so a cursor into
+/// that list stands for the queue and a position stands for a stream.
+struct CoreSnapshot {
+    barrier: Option<u32>,
+    busy_until: u64,
+    waiting: usize,
+    /// [`CoreState::taken`].
+    taken: usize,
+    /// The fallback tasks popped, while inside the fallback of task
+    /// `taken - 1`.
+    fallback: Option<usize>,
+    /// The read and write positions of the stream in progress: the last
+    /// popped task.
+    stream: Option<(usize, usize)>,
 }
 
-impl flumen_sim::FromJson for StreamState {
-    fn from_json(j: &flumen_sim::Json) -> Result<Self, flumen_sim::JsonError> {
-        use flumen_sim::json::u64s_from_hex;
-        Ok(StreamState {
-            ops: u64::from_json(j.get("ops")?)?,
-            reads: u64s_from_hex(j.get("reads")?)?,
-            writes: u64s_from_hex(j.get("writes")?)?,
-            ri: usize::from_json(j.get("ri")?)?,
-            wi: usize::from_json(j.get("wi")?)?,
-        })
-    }
-}
-
-flumen_sim::json_struct!(CoreState {
+flumen_sim::json_struct!(CoreSnapshot {
     barrier,
     busy_until,
-    queue,
+    fallback,
     stream,
+    taken,
     waiting
 });
+
+impl CoreSnapshot {
+    /// The core this snapshot describes, rebuilt from `tasks`, its
+    /// constructed list, or why the cursor does not fit that list. With
+    /// `offload` the core waits on an offload, which must be task
+    /// `taken - 1`; that task's fallback comes back with the core.
+    fn resume(
+        &self,
+        tasks: &VecDeque<CoreTask>,
+        offload: bool,
+    ) -> Result<(CoreState, Vec<CoreTask>), String> {
+        if self.taken > tasks.len() {
+            return Err(format!(
+                "taken {} is past its {} tasks",
+                self.taken,
+                tasks.len()
+            ));
+        }
+        let last = self.taken.checked_sub(1).and_then(|i| tasks.get(i));
+        let fallback = match last {
+            Some(CoreTask::External { fallback, .. }) => Some(fallback.as_slice()),
+            _ => None,
+        };
+        // The fallback tasks still queued, and the task popped last.
+        let (rest, current) = match (self.fallback, fallback) {
+            (None, _) => (&[][..], last),
+            (Some(p), Some(f)) if p <= f.len() => {
+                (&f[p..], p.checked_sub(1).and_then(|i| f.get(i)))
+            }
+            (Some(p), _) => {
+                return Err(format!("fallback position {p} does not fit its last task"))
+            }
+        };
+        let stream = match (self.stream, current) {
+            (None, _) => None,
+            (Some((ri, wi)), Some(CoreTask::Stream { ops, reads, writes }))
+                if ri <= reads.len() && wi <= writes.len() =>
+            {
+                Some(StreamState {
+                    ops: *ops,
+                    reads: reads.clone(),
+                    writes: writes.clone(),
+                    ri,
+                    wi,
+                })
+            }
+            (Some((ri, wi)), _) => {
+                return Err(format!(
+                    "stream position [{ri}, {wi}] does not fit its last task"
+                ))
+            }
+        };
+        let waited = match (offload, self.fallback, fallback) {
+            (false, ..) => Vec::new(),
+            (true, None, Some(f)) => f.to_vec(),
+            (true, ..) => return Err("waits on an offload that is not its last task".into()),
+        };
+        let core = CoreState {
+            queue: rest
+                .iter()
+                .chain(tasks.range(self.taken..))
+                .cloned()
+                .collect(),
+            taken: self.taken,
+            fallback: (self.fallback.zip(fallback)).map(|(popped, f)| FallbackCursor {
+                popped,
+                len: f.len(),
+            }),
+            busy_until: self.busy_until,
+            waiting: self.waiting,
+            stream,
+            barrier: self.barrier,
+        };
+        Ok((core, waited))
+    }
+}
+
+impl CoreState {
+    fn to_snapshot(&self) -> CoreSnapshot {
+        CoreSnapshot {
+            barrier: self.barrier,
+            busy_until: self.busy_until,
+            waiting: self.waiting,
+            taken: self.taken,
+            fallback: self.fallback.map(|f| f.popped),
+            stream: self.stream.as_ref().map(|s| (s.ri, s.wi)),
+        }
+    }
+}
 
 flumen_sim::json_struct!(ExternalOutcome { accepted, tag });
 
@@ -896,17 +1027,16 @@ impl Snapshotable for NullServer {
     }
 }
 
-/// Appends every chiplet `task` sends to, its fallback tasks included.
-fn push_task_chiplets(task: &CoreTask, out: &mut Vec<usize>) {
+/// The chiplets `task` itself sends to; an offload's fallback tasks name
+/// their own.
+fn named_chiplets(task: &CoreTask) -> &[usize] {
     match task {
-        CoreTask::NetRequest { dst_chiplet, .. } => out.push(*dst_chiplet),
-        CoreTask::NetSend { dst_chiplets, .. } => out.extend(dst_chiplets),
-        CoreTask::External { fallback, .. } => {
-            for t in fallback {
-                push_task_chiplets(t, out);
-            }
-        }
-        CoreTask::Compute { .. } | CoreTask::Stream { .. } | CoreTask::Barrier { .. } => {}
+        CoreTask::NetRequest { dst_chiplet, .. } => std::slice::from_ref(dst_chiplet),
+        CoreTask::NetSend { dst_chiplets, .. } => dst_chiplets,
+        CoreTask::Compute { .. }
+        | CoreTask::Stream { .. }
+        | CoreTask::Barrier { .. }
+        | CoreTask::External { .. } => &[],
     }
 }
 
@@ -987,10 +1117,10 @@ fn caches_restore(
 }
 
 // Full-system checkpoints capture every field that evolves during
-// [`SystemSim::step`]. Configuration (`cfg`, `trace_interval`) and the
-// tracer are not serialized: restore happens onto a freshly constructed,
-// identically-configured instance whose remaining task queues are part of
-// the captured core state.
+// [`SystemSim::step`], except what a rebuild reproduces: configuration
+// (`cfg`, `trace_interval`), the tracer and the task lists. Restore needs
+// an identically configured instance that has not stepped, and moves its
+// cores to the snapshot's cursors into their constructed lists.
 impl<N, S> Snapshotable for SystemSim<N, S>
 where
     N: Network + Snapshotable,
@@ -998,12 +1128,17 @@ where
 {
     fn snapshot(&self) -> flumen_sim::Json {
         use flumen_sim::{Json, ToJson};
+        let cores: Vec<CoreSnapshot> = self.cores.iter().map(CoreState::to_snapshot).collect();
+        let waiting = self
+            .external_waiting
+            .iter()
+            .map(|(&tag, &(core, _))| (tag, core).to_json());
         Json::obj([
             ("barrier_counts", self.barrier_counts.to_json()),
-            ("cores", self.cores.to_json()),
+            ("cores", cores.to_json()),
             ("counts", self.counts.to_json()),
             ("cycle", self.cycle.to_json()),
-            ("external_waiting", self.external_waiting.to_json()),
+            ("external_waiting", Json::Arr(waiting.collect())),
             ("l1d", caches_snapshot(&self.l1d)),
             ("l2", caches_snapshot(&self.l2)),
             ("l3", caches_snapshot(&self.l3)),
@@ -1032,8 +1167,16 @@ where
 
     fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
         use flumen_sim::{FromJson, JsonError};
+        // The cursors index the constructed task lists, which only the
+        // queues of an instance that has not stepped still hold whole.
+        if self.cycle != 0 || self.cores.iter().any(|c| c.taken != 0) {
+            return Err(JsonError(format!(
+                "SystemSim: restore needs a freshly built instance, this one is at cycle {}",
+                self.cycle
+            )));
+        }
         let (num_cores, chiplets) = (self.cfg.cores, self.cfg.chiplets);
-        let cores: Vec<CoreState> = Vec::from_json(j.get("cores")?)?;
+        let cores: Vec<CoreSnapshot> = Vec::from_json(j.get("cores")?)?;
         // A core count other than the configured one would index past the
         // per-core caches (more cores) or never release a barrier (fewer).
         if cores.len() != num_cores {
@@ -1042,7 +1185,7 @@ where
                 cores.len(),
             )));
         }
-        let external_waiting: BTreeMap<u64, (usize, Vec<CoreTask>)> =
+        let external_waiting: BTreeMap<u64, usize> =
             BTreeMap::from_json(j.get("external_waiting")?)?;
         let pending_replies: BTreeMap<u64, usize> = BTreeMap::from_json(j.get("pending_replies")?)?;
         let pending_requests: BTreeMap<u64, ReqInfo> =
@@ -1051,15 +1194,16 @@ where
         // Every core and chiplet the in-flight state names must exist: a
         // later step indexes `cores[core]` and the network's per-node
         // queues with them. A writeback's `requester_core` is the
-        // `usize::MAX` sentinel and is never indexed.
+        // `usize::MAX` sentinel and is never indexed. The tasks' own
+        // chiplets were checked when the instance was built.
         let requesters = pending_requests
             .values()
             .filter(|r| !matches!(r.kind, ReqKind::Writeback { .. }))
             .map(|r| r.requester_core);
         let bad_core = external_waiting
             .values()
-            .map(|(core, _)| *core)
-            .chain(pending_replies.values().copied())
+            .chain(pending_replies.values())
+            .copied()
             .chain(requesters)
             .find(|&c| c >= num_cores);
         if let Some(core) = bad_core {
@@ -1072,21 +1216,10 @@ where
                 .into_iter()
                 .chain(p.extra_dests.iter().copied())
         });
-        // Queued tasks, and the fallbacks of pending offloads, name the
-        // chiplets their requests and sends will target.
-        let mut task_chiplets = Vec::new();
-        for task in cores
-            .iter()
-            .flat_map(|c| &c.queue)
-            .chain(external_waiting.values().flat_map(|(_, fallback)| fallback))
-        {
-            push_task_chiplets(task, &mut task_chiplets);
-        }
         let bad_chiplet = pending_requests
             .values()
             .map(|r| r.src_chiplet)
             .chain(reply_nodes)
-            .chain(task_chiplets)
             .find(|&c| c >= chiplets);
         if let Some(chiplet) = bad_chiplet {
             return Err(JsonError(format!(
@@ -1109,6 +1242,24 @@ where
                 "SystemSim: pending tag {tag} is not below next_tag {next_tag}"
             )));
         }
+        // A core waits on at most one offload, and each cursor must fit
+        // the core's constructed list.
+        let mut offload = vec![false; num_cores];
+        for &core in external_waiting.values() {
+            if std::mem::replace(&mut offload[core], true) {
+                return Err(JsonError(format!(
+                    "SystemSim: core {core} waits on two offloads"
+                )));
+            }
+        }
+        let resumed: Vec<(CoreState, Vec<CoreTask>)> = (cores.iter().zip(&self.cores))
+            .zip(offload)
+            .enumerate()
+            .map(|(i, ((saved, core), offload))| {
+                (saved.resume(&core.queue, offload))
+                    .map_err(|e| JsonError(format!("SystemSim.cores[{i}]: {e}")))
+            })
+            .collect::<Result<_, _>>()?;
         let pending = pending_restore(pending_requests, pending_replies)?;
         let barrier_counts = BTreeMap::from_json(j.get("barrier_counts")?)?;
         let counts = ActivityCounts::from_json(j.get("counts")?)?;
@@ -1124,12 +1275,16 @@ where
         caches_restore(&mut self.l3, j.get("l3")?, "SystemSim.l3")?;
         self.net.restore(j.get("net")?)?;
         self.server.restore(j.get("server")?)?;
-        self.barrier_counts = barrier_counts;
+        let (cores, mut waited): (Vec<_>, Vec<_>) = resumed.into_iter().unzip();
         self.cores = cores;
+        self.external_waiting = external_waiting
+            .into_iter()
+            .map(|(tag, core)| (tag, (core, std::mem::take(&mut waited[core]))))
+            .collect();
+        self.barrier_counts = barrier_counts;
         self.wake.fill(0);
         self.counts = counts;
         self.cycle = cycle;
-        self.external_waiting = external_waiting;
         self.last_trace_busy = last_trace_busy;
         self.next_tag = next_tag;
         self.pending = pending;
@@ -1563,7 +1718,6 @@ mod tests {
             let pkt = Packet::new(1_000_000, src, dst, 512, 0);
             Json::Arr(vec![Json::Num(1e6), Json::Num(1e6), pkt.to_json()])
         };
-        let waiting = Json::Arr(vec![Json::Num(4.0), Json::Arr(vec![])]);
         let tampered = [
             (
                 "reply core",
@@ -1574,7 +1728,10 @@ mod tests {
             ),
             (
                 "offload core",
-                with_entry(&["external_waiting"], Json::Arr(vec![tag.clone(), waiting])),
+                with_entry(
+                    &["external_waiting"],
+                    Json::Arr(vec![tag.clone(), Json::Num(4.0)]),
+                ),
             ),
             (
                 "requester core",
@@ -1692,11 +1849,10 @@ mod tests {
                 "offload at next_tag",
                 "next_tag",
                 edited(&|m| {
-                    let waiting = Json::Arr(vec![0usize.to_json(), Json::Arr(vec![])]);
                     push(
                         m,
                         &["external_waiting"],
-                        Json::Arr(vec![next.to_json(), waiting]),
+                        Json::Arr(vec![next.to_json(), 0usize.to_json()]),
                     );
                 }),
             ),
@@ -1744,76 +1900,253 @@ mod tests {
             .expect("a span of exactly MAX_TAG_SPAN restores");
     }
 
-    /// A queued `NetRequest` or `NetSend`, at the top level or inside an
-    /// offload's fallback, that targets a chiplet the instance does not
-    /// have restores as an `Err`, instead of restoring a state whose step
-    /// panics on the network's per-node queues when it issues the task.
+    /// Each core streams remote lines, offloads with a fallback that
+    /// streams and multicasts, computes, offloads with a compute fallback
+    /// and streams again. A [`NullServer`] rejects both offloads.
+    fn offload_tasks() -> Vec<Vec<CoreTask>> {
+        (0..4u64)
+            .map(|c| {
+                // Lines homed on the next chiplet, a region per stream.
+                let remote = |region: u64, n: u64| -> Vec<u64> {
+                    (0..n)
+                        .map(|i| (region << 20) + 64 * ((c + 1) % 4) + i * 256)
+                        .collect()
+                };
+                let next = c as usize + 1;
+                vec![
+                    CoreTask::Stream {
+                        ops: 10,
+                        reads: remote(1, 8),
+                        writes: remote(2, 4),
+                    },
+                    CoreTask::External {
+                        payload: [c; 4],
+                        fallback: vec![
+                            CoreTask::stream_reads(30, remote(3, 8)),
+                            CoreTask::NetSend {
+                                dst_chiplets: vec![next % 4, (next + 1) % 4],
+                                bits: 256,
+                            },
+                        ],
+                    },
+                    CoreTask::Compute { ops: 40 },
+                    CoreTask::External {
+                        payload: [c; 4],
+                        fallback: vec![CoreTask::Compute { ops: 20 }],
+                    },
+                    CoreTask::stream_reads(10, remote(4, 6)),
+                ]
+            })
+            .collect()
+    }
+
     #[test]
-    fn restore_rejects_tasks_naming_missing_chiplets() {
-        use flumen_sim::{FromJson, Json, ToJson};
-        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        for _ in 0..150 {
+    #[should_panic(expected = "an offload's fallback holds another offload")]
+    fn new_rejects_offloads_nested_in_fallbacks() {
+        let mut tasks = empty_tasks(4);
+        tasks[1].push(CoreTask::External {
+            payload: [0; 4],
+            fallback: vec![CoreTask::External {
+                payload: [0; 4],
+                fallback: Vec::new(),
+            }],
+        });
+        SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks);
+    }
+
+    /// A [`NullServer`] that answers only on even cycles, so an offload
+    /// issued on an odd cycle still waits when that cycle ends. (A plain
+    /// `NullServer` rejects within the step that issued the offload.)
+    #[derive(Debug, Default)]
+    struct EvenCycleNull(NullServer);
+
+    impl<N: Network> ExternalServer<N> for EvenCycleNull {
+        fn on_request(
+            &mut self,
+            now: u64,
+            core: usize,
+            chiplet: usize,
+            tag: u64,
+            p: ExternalPayload,
+        ) {
+            ExternalServer::<N>::on_request(&mut self.0, now, core, chiplet, tag, p);
+        }
+        fn step(&mut self, now: u64, net: &mut N) -> Vec<ExternalOutcome> {
+            if now.is_multiple_of(2) {
+                self.0.step(now, net)
+            } else {
+                Vec::new()
+            }
+        }
+        fn outstanding(&self) -> usize {
+            ExternalServer::<N>::outstanding(&self.0)
+        }
+        fn drain_counts(&mut self, _counts: &mut ActivityCounts) {}
+    }
+
+    impl Snapshotable for EvenCycleNull {
+        fn snapshot(&self) -> flumen_sim::Json {
+            self.0.snapshot()
+        }
+        fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
+            self.0.restore(j)
+        }
+    }
+
+    /// Snapshots `offload_tasks` at every cycle of its run, restores each
+    /// snapshot into a fresh instance, checks that the restored instance
+    /// snapshots the same, and that it finishes with the uninterrupted
+    /// run's final state and result. Returns which of four core states
+    /// the snapshots met: inside a fallback, waiting on an offload, a
+    /// fallback stream mid-way and a main-list stream mid-way.
+    fn resume_from_every_cycle<S>(server: impl Fn() -> S) -> [bool; 4]
+    where
+        S: ExternalServer<MzimCrossbar> + Snapshotable,
+    {
+        let build = || {
+            let mut sim = SystemSim::new(tiny_cfg(), net4(), server(), offload_tasks());
+            sim.set_trace_interval(50);
+            sim
+        };
+        // `RunResult`'s `Debug` text prints every f64 in its shortest
+        // round-trip form, so equal text means equal bits.
+        let finish = |mut sim: SystemSim<MzimCrossbar, S>| {
+            sim.run_to(1_000_000);
+            let state = sim.snapshot().to_canonical();
+            format!("{state}\n{:?}", sim.run(1_000_000))
+        };
+        let reference = finish(build());
+        let mut seen = [false; 4];
+        let mut a = build();
+        while !a.finished() {
+            for core in &a.cores {
+                seen[0] |= core.fallback.is_some();
+                seen[2] |= core.fallback.is_some() && core.stream.is_some();
+                seen[3] |= core.fallback.is_none() && core.stream.is_some();
+            }
+            seen[1] |= !a.external_waiting.is_empty();
+            let snap = a.snapshot();
+            let mut b = build();
+            b.restore(&snap)
+                .unwrap_or_else(|e| panic!("cycle {}: {e}", a.cycle));
+            assert!(b.snapshot() == snap, "round trip at cycle {}", a.cycle);
+            assert_eq!(finish(b), reference, "resumed from cycle {}", a.cycle);
             a.step();
         }
-        assert!(!a.finished(), "checkpoint must land mid-run");
+        seen
+    }
+
+    #[test]
+    fn resume_from_every_cycle_through_offload_rejects_is_bit_identical() {
+        let [fallback, waiting, fallback_stream, main_stream] =
+            resume_from_every_cycle(NullServer::default);
+        assert!(fallback && fallback_stream && main_stream);
+        assert!(!waiting, "a plain NullServer rejects within the step");
+        let seen = resume_from_every_cycle(EvenCycleNull::default);
+        assert_eq!(seen, [true; 4], "inside a fallback, waiting, two streams");
+    }
+
+    /// Cursors that do not fit the fresh instance's task lists, and
+    /// restores into an instance that has stepped, return `Err` and leave
+    /// the engine untouched. Cursors at the ends of their lists restore.
+    #[test]
+    fn restore_rejects_cursors_that_do_not_fit_the_task_lists() {
+        use flumen_sim::{Json, ToJson};
+        let build = || SystemSim::new(tiny_cfg(), net4(), NullServer::default(), offload_tasks());
+        let mut a = build();
+        a.run_to(300);
+        assert!(!a.finished() && a.external_waiting.is_empty());
         let snap = a.snapshot();
-        let request = CoreTask::NetRequest {
-            dst_chiplet: 4,
-            req_bits: 128,
-            reply_bits: 512,
-            server_cycles: 10,
-        };
-        let send = CoreTask::NetSend {
-            dst_chiplets: vec![1, 4],
-            bits: 128,
-        };
-        let offload = CoreTask::External {
-            payload: [0; 4],
-            fallback: vec![CoreTask::Compute { ops: 8 }, send.clone()],
-        };
-        // Edits one snapshot field through its typed form.
-        let edited = |key: &str, edit: &dyn Fn(&mut Json)| {
+        let free: Vec<u64> = (0..a.next_tag)
+            .filter(|&t| a.pending.get(t).is_none())
+            .take(2)
+            .collect();
+        assert_eq!(free.len(), 2, "two free tags below next_tag");
+        // Core 0 at a cursor, waiting on offloads tagged `waits`.
+        let at = |taken: usize,
+                  fallback: Option<usize>,
+                  stream: Option<(usize, usize)>,
+                  waits: &[u64]| {
+            let core = CoreSnapshot {
+                barrier: None,
+                busy_until: 0,
+                waiting: waits.len(),
+                taken,
+                fallback,
+                stream,
+            };
             let mut j = snap.clone();
-            if let Json::Obj(m) = &mut j {
-                edit(m.get_mut(key).expect("field in snapshot"));
+            let Json::Obj(m) = &mut j else {
+                panic!("snapshot is an object")
+            };
+            if let Some(Json::Arr(cores)) = m.get_mut("cores") {
+                cores[0] = core.to_json();
             }
+            let waits = waits.iter().map(|&t| (t, 0usize).to_json()).collect();
+            m.insert("external_waiting".into(), Json::Arr(waits));
             j
         };
-        let queued = |task: &CoreTask| {
-            edited("cores", &|j| {
-                let mut cores: Vec<CoreState> = FromJson::from_json(j).unwrap();
-                cores[2].queue.push_back(task.clone());
-                *j = cores.to_json();
-            })
-        };
-        let waiting = edited("external_waiting", &|j| {
-            let mut waiting: BTreeMap<u64, (usize, Vec<CoreTask>)> =
-                FromJson::from_json(j).unwrap();
-            waiting.insert(1_000_000, (0, vec![request.clone()]));
-            *j = waiting.to_json();
-        });
+        // Core 0's list: stream (8 reads, 4 writes), offload (fallback:
+        // stream of 8 reads, multicast), compute, offload, stream.
         let tampered = [
-            ("queued request", queued(&request)),
-            ("queued multicast", queued(&send)),
-            ("queued offload fallback", queued(&offload)),
-            ("waiting offload fallback", waiting),
+            ("taken past the list", at(6, None, None, &[])),
+            ("fallback before any task", at(0, Some(0), None, &[])),
+            ("fallback on a stream", at(1, Some(0), None, &[])),
+            ("fallback past the offload's", at(2, Some(3), None, &[])),
+            ("stream on a compute", at(3, None, Some((0, 0)), &[])),
+            ("stream on the offload", at(2, Some(0), Some((0, 0)), &[])),
+            ("stream on a multicast", at(2, Some(2), Some((0, 0)), &[])),
+            ("reads past the stream", at(1, None, Some((9, 0)), &[])),
+            ("writes past the stream", at(1, None, Some((8, 5)), &[])),
+            (
+                "reads past the fallback stream",
+                at(2, Some(1), Some((9, 0)), &[]),
+            ),
+            ("waiting on a stream", at(1, None, None, &free[..1])),
+            (
+                "waiting inside a fallback",
+                at(2, Some(0), None, &free[..1]),
+            ),
+            ("waiting twice", at(2, None, None, &free)),
         ];
         for (what, bad) in tampered {
-            let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+            let mut b = build();
             let err = b.restore(&bad).expect_err(what);
-            assert!(err.0.contains("chiplet 4"), "{what}: {err}");
+            assert!(
+                err.0.contains("cores[0]") || err.0.contains("two offloads"),
+                "{what}: {err}"
+            );
             assert_eq!(b.cycle, 0, "{what}: a failed restore changed the engine");
         }
-        // A request aimed at a chiplet that exists restores and runs.
-        let ok = CoreTask::NetRequest {
-            dst_chiplet: 3,
-            req_bits: 128,
-            reply_bits: 512,
-            server_cycles: 10,
-        };
-        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        b.restore(&queued(&ok)).expect("in-range request restores");
-        assert!(!b.run(10_000_000).truncated);
+        let mut stepped = build();
+        stepped.step();
+        let err = stepped.restore(&snap).expect_err("stepped instance");
+        assert!(err.0.contains("freshly built"), "{err}");
+        assert_eq!(stepped.cycle, 1);
+
+        // At the ends of their lists the cursors restore, and the queue
+        // is the rest of the fallback followed by the rest of the list.
+        let fits = [
+            at(5, None, None, &[]),
+            at(1, None, Some((8, 4)), &[]),
+            at(2, None, None, &free[..1]),
+            at(2, Some(1), Some((8, 0)), &[]),
+        ];
+        let restored: Vec<_> = (fits.iter().enumerate())
+            .map(|(i, ok)| {
+                let mut b = build();
+                b.restore(ok).unwrap_or_else(|e| panic!("fit {i}: {e}"));
+                assert_eq!(b.cycle, a.cycle, "fit {i}");
+                b
+            })
+            .collect();
+        let (&tag, (core, fallback)) = restored[2].external_waiting.iter().next().unwrap();
+        assert_eq!((tag, *core, fallback.len()), (free[0], 0, 2));
+        let core = &restored[3].cores[0];
+        assert_eq!(core.queue.len(), 4, "multicast, compute, offload, stream");
+        assert!(matches!(core.queue[0], CoreTask::NetSend { .. }));
+        let stream = core.stream.as_ref().expect("fallback stream restored");
+        assert_eq!((stream.reads.len(), stream.ri, stream.ops), (8, 8, 30));
     }
 
     #[test]

@@ -73,105 +73,6 @@ impl CoreTask {
     }
 }
 
-// Canonical JSON bridge for checkpoints: variants carry a `kind` tag,
-// byte addresses and the opaque offload payload ride as hex (they use the
-// full 64-bit range, beyond f64's exact integers), and `External.fallback`
-// recurses.
-impl flumen_sim::ToJson for CoreTask {
-    fn to_json(&self) -> flumen_sim::Json {
-        use flumen_sim::json::u64s_hex;
-        use flumen_sim::Json;
-        match self {
-            CoreTask::Compute { ops } => Json::obj([
-                ("kind", Json::Str("compute".into())),
-                ("ops", ops.to_json()),
-            ]),
-            CoreTask::Stream { ops, reads, writes } => Json::obj([
-                ("kind", Json::Str("stream".into())),
-                ("ops", ops.to_json()),
-                ("reads", u64s_hex(reads)),
-                ("writes", u64s_hex(writes)),
-            ]),
-            CoreTask::NetRequest {
-                dst_chiplet,
-                req_bits,
-                reply_bits,
-                server_cycles,
-            } => Json::obj([
-                ("kind", Json::Str("net_request".into())),
-                ("dst_chiplet", dst_chiplet.to_json()),
-                ("req_bits", req_bits.to_json()),
-                ("reply_bits", reply_bits.to_json()),
-                ("server_cycles", server_cycles.to_json()),
-            ]),
-            CoreTask::NetSend { dst_chiplets, bits } => Json::obj([
-                ("kind", Json::Str("net_send".into())),
-                ("dst_chiplets", dst_chiplets.to_json()),
-                ("bits", bits.to_json()),
-            ]),
-            CoreTask::Barrier { id } => {
-                Json::obj([("kind", Json::Str("barrier".into())), ("id", id.to_json())])
-            }
-            CoreTask::External { payload, fallback } => Json::obj([
-                ("kind", Json::Str("external".into())),
-                ("payload", u64s_hex(payload)),
-                ("fallback", fallback.to_json()),
-            ]),
-        }
-    }
-}
-
-impl flumen_sim::FromJson for CoreTask {
-    fn from_json(j: &flumen_sim::Json) -> std::result::Result<Self, flumen_sim::JsonError> {
-        use crate::engine::ExternalPayload;
-        use flumen_sim::json::u64s_from_hex;
-        use flumen_sim::JsonError;
-        let kind = j.get("kind")?.as_str()?;
-        Ok(match kind {
-            "compute" => CoreTask::Compute {
-                ops: u64::from_json(j.get("ops")?)?,
-            },
-            "stream" => CoreTask::Stream {
-                ops: u64::from_json(j.get("ops")?)?,
-                reads: u64s_from_hex(j.get("reads")?)?,
-                writes: u64s_from_hex(j.get("writes")?)?,
-            },
-            "net_request" => CoreTask::NetRequest {
-                dst_chiplet: usize::from_json(j.get("dst_chiplet")?)?,
-                req_bits: u32::from_json(j.get("req_bits")?)?,
-                reply_bits: u32::from_json(j.get("reply_bits")?)?,
-                server_cycles: u64::from_json(j.get("server_cycles")?)?,
-            },
-            "net_send" => CoreTask::NetSend {
-                dst_chiplets: Vec::from_json(j.get("dst_chiplets")?)?,
-                bits: u32::from_json(j.get("bits")?)?,
-            },
-            "barrier" => CoreTask::Barrier {
-                id: u32::from_json(j.get("id")?)?,
-            },
-            "external" => {
-                let words = u64s_from_hex(j.get("payload")?)?;
-                let payload: ExternalPayload = words.try_into().map_err(|v: Vec<u64>| {
-                    JsonError(format!(
-                        "CoreTask.payload: expected {} words, got {}",
-                        ExternalPayload::default().len(),
-                        v.len()
-                    ))
-                })?;
-                CoreTask::External {
-                    payload,
-                    fallback: Vec::from_json(j.get("fallback")?)?,
-                }
-            }
-            other => {
-                return Err(JsonError(format!(
-                    "CoreTask.kind: unknown variant {other:?}"
-                )));
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,56 +88,5 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn all_variants_round_trip_through_json() {
-        use flumen_sim::{FromJson, ToJson};
-        let tasks = vec![
-            CoreTask::Compute { ops: 42 },
-            CoreTask::Stream {
-                ops: 7,
-                reads: vec![0, u64::MAX, 1 << 60],
-                writes: vec![64],
-            },
-            CoreTask::NetRequest {
-                dst_chiplet: 3,
-                req_bits: 128,
-                reply_bits: 512,
-                server_cycles: 50,
-            },
-            CoreTask::NetSend {
-                dst_chiplets: vec![1, 2],
-                bits: 1024,
-            },
-            CoreTask::Barrier { id: 9 },
-            CoreTask::External {
-                payload: [1, 2, 3, 0xDEAD_BEEF_DEAD_BEEF],
-                fallback: vec![CoreTask::Compute { ops: 500 }],
-            },
-        ];
-        let back = Vec::<CoreTask>::from_json(&tasks.to_json()).unwrap();
-        assert_eq!(back, tasks);
-    }
-
-    /// A payload of the wrong length (here the five-word layout of
-    /// snapshot version 1) parses as an `Err`, not a truncated request.
-    #[test]
-    fn wrong_payload_length_is_rejected() {
-        use flumen_sim::{json::u64s_hex, FromJson, Json};
-        let five = Json::obj([
-            ("kind", Json::Str("external".into())),
-            ("payload", u64s_hex(&[1, 2, 3, 4, 42])),
-            ("fallback", Json::Arr(Vec::new())),
-        ]);
-        let err = CoreTask::from_json(&five).unwrap_err();
-        assert!(err.0.contains("expected 4 words, got 5"), "{}", err.0);
-    }
-
-    #[test]
-    fn unknown_kind_is_rejected() {
-        use flumen_sim::{FromJson, Json};
-        let j = Json::obj([("kind", Json::Str("warp_drive".into()))]);
-        assert!(CoreTask::from_json(&j).is_err());
     }
 }

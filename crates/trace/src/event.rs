@@ -60,15 +60,11 @@ impl TraceCategory {
 pub const REGISTERED_EVENT_NAMES: &[&str] = &[
     "admit",
     "barrier_release",
-    "cache_hit",
     "checkpoint",
     "defer",
     "l2_miss",
     "l3_miss",
-    "link_busy",
     "link_util",
-    "noc::backpressure",
-    "noc::fifo_occupancy",
     "noc::handshake_stall",
     "offload",
     "offload_done",
