@@ -64,8 +64,7 @@ fn main() {
 
     // Execute the distinct payloads once; every sweep point reuses the
     // table (the queueing model is cheap, the payloads are not).
-    let jobs: Vec<_> = mix.choices().iter().map(|(_, j)| j.clone()).collect();
-    let table = execute_payloads(&jobs, threads, None);
+    let table = execute_payloads(mix.choices().iter().map(|(_, j)| j), threads, None);
     let mean_service = mix.weighted_mean(|job| {
         table
             .get(&job.content_hash())

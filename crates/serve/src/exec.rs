@@ -18,14 +18,14 @@ use flumen_sim::{Cycles, ToJson};
 use flumen_sweep::hash::sha256_hex;
 use flumen_sweep::{JobResult, JobSpec};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The memoized outcome of one distinct payload.
 #[derive(Debug, Clone)]
 pub struct Payload {
     /// SHA-256 over the result's canonical JSON — the per-request
-    /// result hash recorded for completed requests.
-    pub result_hash: String,
+    /// result hash recorded for completed requests, which share it.
+    pub result_hash: Arc<str>,
     /// Simulated service demand: how long one worker is occupied
     /// serving a request with this payload.
     pub service: Cycles,
@@ -117,8 +117,8 @@ pub(crate) fn distinct_payloads<'a>(
 /// Propagates payload panics (a payload that cannot execute is a bug in
 /// the spec, not an admission-control condition) and checkpoint I/O
 /// failures.
-pub fn execute_payloads(
-    specs: &[JobSpec],
+pub fn execute_payloads<'a>(
+    specs: impl IntoIterator<Item = &'a JobSpec>,
     threads: usize,
     checkpoint: Option<&CheckpointPolicy>,
 ) -> PayloadTable {
@@ -144,7 +144,7 @@ pub fn execute_payloads(
                 let (hash, spec) = &distinct[i];
                 let result = spec.execute_with(checkpoint);
                 let payload = Payload {
-                    result_hash: sha256_hex(result.to_json().to_canonical().as_bytes()),
+                    result_hash: sha256_hex(result.to_json().to_canonical().as_bytes()).into(),
                     service: service_of(spec, &result),
                 };
                 done.lock().unwrap()[i] = Some((hash.clone(), payload));

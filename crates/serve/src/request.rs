@@ -3,6 +3,7 @@
 use flumen_sim::json::{Json, ToJson};
 use flumen_sim::Cycles;
 use flumen_sweep::JobSpec;
+use std::sync::Arc;
 
 /// Which kind of payload a request carries. Admission policy (deadlines)
 /// and the latency histograms are tracked per class.
@@ -109,8 +110,9 @@ pub struct RequestRecord {
     pub latency: Option<u64>,
     /// Worker that served the request.
     pub worker: Option<u32>,
-    /// Content hash of the payload's result (completed requests only).
-    pub result_hash: Option<String>,
+    /// Content hash of the payload's result (completed requests only),
+    /// shared with the payload table's entry.
+    pub result_hash: Option<Arc<str>>,
 }
 
 impl RequestRecord {
@@ -154,7 +156,7 @@ impl ToJson for RequestRecord {
             (
                 "result_hash",
                 match &self.result_hash {
-                    Some(h) => Json::Str(h.clone()),
+                    Some(h) => Json::Str(h.to_string()),
                     None => Json::Null,
                 },
             ),

@@ -261,18 +261,18 @@ impl JobMix {
         self.choices.iter().map(|(w, job)| w * f(job)).sum::<f64>() / self.total
     }
 
-    /// Draws one payload.
-    fn pick(&self, rng: &mut SimRng) -> &JobSpec {
+    /// Draws one payload: its index into [`JobMix::choices`].
+    fn pick(&self, rng: &mut SimRng) -> usize {
         let mut x: f64 = rng.gen_range(0.0..self.total);
-        for (w, job) in &self.choices {
+        for (k, (w, _)) in self.choices.iter().enumerate() {
             if x < *w {
-                return job;
+                return k;
             }
             x -= w;
         }
         // Float accumulation can leave x == 0 after the loop; the mix is
         // non-empty so the last choice is always valid.
-        &self.choices[self.choices.len() - 1].1
+        self.choices.len() - 1
     }
 }
 
@@ -352,11 +352,14 @@ impl ScenarioSpec {
     /// process at `1/clients` of the aggregate rate from its own derived
     /// seed, and the streams are merged in `(arrival, client)` order with
     /// dense ids assigned in merged order. Pure function of the spec.
+    ///
+    /// The merge sorts small `(arrival, client, choice)` tuples; each
+    /// request's spec is cloned from the mix once, at the end.
     pub fn generate(&self) -> Vec<Request> {
         let clients = self.clients.max(1);
         let share = self.process.scaled(1.0 / f64::from(clients));
         let horizon = self.horizon.count_f64();
-        let mut merged: Vec<(u64, u32, JobSpec)> = Vec::new();
+        let mut merged: Vec<(u64, u32, usize)> = Vec::new();
         for client in 0..clients {
             // SplitMix64-style stream separation keeps sibling seeds
             // uncorrelated even for adjacent master seeds.
@@ -366,19 +369,18 @@ impl ScenarioSpec {
             let mut rng = SimRng::seed_from_u64(stream);
             for t in share.sample(&mut rng, horizon) {
                 let at = t.floor().max(0.0);
-                let job = self.mix.pick(&mut rng).clone();
-                merged.push((at as u64, client, job));
+                merged.push((at as u64, client, self.mix.pick(&mut rng)));
             }
         }
         merged.sort_by_key(|a| (a.0, a.1));
         merged
             .into_iter()
             .enumerate()
-            .map(|(i, (at, client, job))| Request {
+            .map(|(i, (at, client, k))| Request {
                 id: i as u64,
                 client,
                 arrival: Cycles::new(at),
-                job,
+                job: self.mix.choices[k].1.clone(),
             })
             .collect()
     }

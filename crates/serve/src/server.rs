@@ -1,10 +1,11 @@
 //! The serve engine: a deterministic, event-driven queueing simulation.
 //!
-//! Time here is *simulated* cycles on the shared `flumen-sim`
-//! [`EventQueue`] — arrivals, in-queue timeouts, and service completions
-//! are all scheduled events, and every tie breaks by the queue's
-//! `(deadline, insertion)` order. Wall clock never enters the model, so
-//! a scenario replays bit-identically across runs, machines, and
+//! Time here is *simulated* cycles. Arrivals are walked in
+//! `(arrival, index)` order beside the shared `flumen-sim` [`EventQueue`],
+//! which holds only in-queue timeouts and service completions; at one
+//! cycle every arrival goes first, and the queued events follow in the
+//! queue's `(deadline, insertion)` order. Wall clock never enters the
+//! model, so a scenario replays bit-identically across runs, machines, and
 //! payload-executor thread counts; the only nondeterminism in the whole
 //! subsystem (parallel payload execution) is quarantined behind the
 //! content-addressed [`PayloadTable`].
@@ -18,8 +19,10 @@ use flumen::CheckpointPolicy;
 use flumen_sim::{Cycles, EventQueue, Json, ToJson};
 use flumen_sweep::hash::sha256_hex;
 use flumen_trace::{EventKind, Histogram, TraceCategory, TraceEvent, TraceHandle};
+use std::sync::Arc;
 
-/// What the engine schedules on the sim event queue.
+/// What the engine handles next. Only timeouts and completions are
+/// scheduled on the sim event queue; arrivals come from the walk.
 #[derive(Debug, Clone, Copy)]
 enum ServeEvent {
     /// Request `requests[idx]` arrives.
@@ -133,8 +136,11 @@ pub fn run_scenario(
     trace: &TraceHandle,
 ) -> Result<ServeReport, ServeError> {
     let requests = spec.generate();
-    let jobs: Vec<_> = requests.iter().map(|r| r.job.clone()).collect();
-    let table = execute_payloads(&jobs, cfg.exec_threads, checkpoint);
+    let table = execute_payloads(
+        requests.iter().map(|r| &r.job),
+        cfg.exec_threads,
+        checkpoint,
+    );
     serve_requests(spec, &requests, cfg, &table, trace)
 }
 
@@ -188,10 +194,12 @@ pub fn serve_requests(
         });
     }
 
+    // Arrivals in stable `(arrival, index)` order: one pass over the
+    // sorted traces `generate` produces.
+    let mut order: Vec<usize> = (0..requests.len()).collect();
+    order.sort_by_key(|&idx| requests[idx].arrival);
+    let mut arrivals = order.into_iter().peekable();
     let mut events: EventQueue<ServeEvent> = EventQueue::new();
-    for (idx, r) in requests.iter().enumerate() {
-        events.schedule(r.arrival, ServeEvent::Arrival(idx));
-    }
 
     let mut admission = AdmissionController::new(cfg.admission.clone());
     let mut workers: Vec<Option<u64>> = vec![None; cfg.workers as usize];
@@ -268,10 +276,20 @@ pub fn serve_requests(
         }
     }
 
-    while let Some(t) = events.peek_deadline() {
-        let now = t;
+    loop {
+        let next_arrival = arrivals.peek().map(|&idx| requests[idx].arrival);
+        let Some(now) = next_arrival.into_iter().chain(events.peek_deadline()).min() else {
+            break;
+        };
         drained = now.value();
-        while let Some(ev) = events.pop_due(now) {
+        // Every arrival at `now` goes before any queued event due then. In
+        // a single queue holding the arrivals too, they were scheduled
+        // before anything else and so carry the lower insertion numbers:
+        // this is the order that queue pops.
+        while let Some(ev) = match arrivals.next_if(|&idx| requests[idx].arrival <= now) {
+            Some(idx) => Some(ServeEvent::Arrival(idx)),
+            None => events.pop_due(now),
+        } {
             match ev {
                 ServeEvent::Arrival(idx) => {
                     let req = &requests[idx];
@@ -335,7 +353,12 @@ pub fn serve_requests(
                     );
                 }
                 ServeEvent::Timeout(id) => {
-                    if let Some(q) = admission.expire(id, now) {
+                    // Only a request still queued can expire; the timeouts
+                    // of dispatched, shed and expired ones are stale, and
+                    // `expire` would scan the queue to find nothing.
+                    let rec = &records[id as usize];
+                    let queued = rec.outcome == Outcome::Pending && rec.started.is_none();
+                    if let Some(q) = queued.then(|| admission.expire(id, now)).flatten() {
                         let rec = &mut records[id as usize];
                         rec.outcome = Outcome::TimedOut;
                         rec.finished = q.deadline.map(Cycles::value);
@@ -357,7 +380,7 @@ pub fn serve_requests(
                         rec.finished = Some(now.value());
                         let lat = now.value().saturating_sub(rec.arrival);
                         rec.latency = Some(lat);
-                        rec.result_hash = Some(payloads[id as usize].result_hash.clone());
+                        rec.result_hash = Some(Arc::clone(&payloads[id as usize].result_hash));
                         latency.record(lat);
                         match rec.class {
                             RequestClass::Mvm => mvm_latency.record(lat),

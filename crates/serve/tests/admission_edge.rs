@@ -45,8 +45,7 @@ fn spec(rate: f64, horizon: u64, mix: JobMix) -> ScenarioSpec {
 
 fn run(spec: &ScenarioSpec, cfg: &ServeConfig) -> flumen_serve::ServeReport {
     let requests = spec.generate();
-    let jobs: Vec<_> = requests.iter().map(|r| r.job.clone()).collect();
-    let table = execute_payloads(&jobs, 2, None);
+    let table = execute_payloads(requests.iter().map(|r| &r.job), 2, None);
     serve_requests(spec, &requests, cfg, &table, &TraceHandle::disabled()).expect("serve")
 }
 

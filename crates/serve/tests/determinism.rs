@@ -142,8 +142,7 @@ fn same_seed_serves_to_the_same_hash_twice() {
     let trace = TraceHandle::disabled();
     let run = |spec: &ScenarioSpec| {
         let requests = spec.generate();
-        let jobs: Vec<_> = requests.iter().map(|r| r.job.clone()).collect();
-        let table = execute_payloads(&jobs, 2, None);
+        let table = execute_payloads(requests.iter().map(|r| &r.job), 2, None);
         serve_requests(spec, &requests, &cfg, &table, &trace)
             .expect("serve")
             .result_hash()

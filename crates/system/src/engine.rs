@@ -1261,6 +1261,31 @@ where
             })
             .collect::<Result<_, _>>()?;
         let pending = pending_restore(pending_requests, pending_replies)?;
+        // A core's `waiting` counts its live requests, replies and
+        // offloads; each delivery or outcome takes one off. A count that
+        // nothing names would never fall to 0, and the resumed run would
+        // idle to its cycle cap.
+        let mut live = vec![0usize; num_cores];
+        let named = pending.iter().filter_map(|(_, p)| match p {
+            Pending::Request(ReqInfo {
+                kind: ReqKind::Writeback { .. },
+                ..
+            }) => None,
+            Pending::Request(info) => Some(info.requester_core),
+            Pending::Reply(core) => Some(*core),
+        });
+        for core in named.chain(external_waiting.values().copied()) {
+            live[core] += 1;
+        }
+        if let Some((i, (saved, n))) = (cores.iter().zip(&live))
+            .enumerate()
+            .find(|(_, (saved, &n))| saved.waiting != n)
+        {
+            return Err(JsonError(format!(
+                "SystemSim.cores[{i}]: waits on {} requests and offloads, {n} are live",
+                saved.waiting
+            )));
+        }
         let barrier_counts = BTreeMap::from_json(j.get("barrier_counts")?)?;
         let counts = ActivityCounts::from_json(j.get("counts")?)?;
         let cycle = u64::from_json(j.get("cycle")?)?;
@@ -1672,6 +1697,40 @@ mod tests {
         }
     }
 
+    /// A core whose `waiting` count exceeds its live requests, replies and
+    /// offloads restores as an `Err` and leaves the engine untouched.
+    /// Restored, nothing would ever take the extra wait off: the run would
+    /// idle to its cap and report `truncated`.
+    #[test]
+    fn restore_rejects_a_waiting_count_nothing_will_decrement() {
+        use flumen_sim::Json;
+        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        for _ in 0..150 {
+            a.step();
+        }
+        assert!(!a.finished(), "checkpoint must land mid-run");
+        let mut snap = a.snapshot();
+        let Json::Obj(m) = &mut snap else {
+            panic!("snapshot is an object")
+        };
+        let Some(Json::Arr(cores)) = m.get_mut("cores") else {
+            panic!("cores: not an array")
+        };
+        let Json::Obj(core) = &mut cores[3] else {
+            panic!("cores[3]: not an object")
+        };
+        let waiting = core.get_mut("waiting").expect("waiting in core snapshot");
+        let Json::Num(n) = waiting else {
+            panic!("waiting: not a number")
+        };
+        *waiting = Json::Num(*n + 1.0);
+
+        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
+        let err = b.restore(&snap).expect_err("an extra wait restores as Err");
+        assert!(err.0.contains("cores[3]"), "{err}");
+        assert_eq!(b.cycle, 0, "a failed restore changed the engine");
+    }
+
     /// In-flight state that names a core or chiplet the instance does not
     /// have restores as an `Err` and leaves the engine untouched, instead
     /// of restoring a state whose next step indexes past `cores` or the
@@ -1809,13 +1868,11 @@ mod tests {
             entries.push(entry);
         };
         let next = a.next_tag;
+        // A writeback, so the entry adds no wait to any core.
         let request = |tag: u64| {
             let info = ReqInfo {
-                kind: ReqKind::RemoteLine {
-                    addr: 64,
-                    write: false,
-                },
-                requester_core: 0,
+                kind: ReqKind::Writeback { addr: 64 },
+                requester_core: usize::MAX,
                 src_chiplet: 0,
             };
             Json::Arr(vec![tag.to_json(), info.to_json()])
@@ -2062,7 +2119,8 @@ mod tests {
             .take(2)
             .collect();
         assert_eq!(free.len(), 2, "two free tags below next_tag");
-        // Core 0 at a cursor, waiting on offloads tagged `waits`.
+        // Core 0 at a cursor, waiting on its live requests and on
+        // offloads tagged `waits`.
         let at = |taken: usize,
                   fallback: Option<usize>,
                   stream: Option<(usize, usize)>,
@@ -2070,7 +2128,7 @@ mod tests {
             let core = CoreSnapshot {
                 barrier: None,
                 busy_until: 0,
-                waiting: waits.len(),
+                waiting: a.cores[0].waiting + waits.len(),
                 taken,
                 fallback,
                 stream,
