@@ -19,7 +19,6 @@ fn fig_all_quick(dir: &Path) -> String {
         .env("FLUMEN_DATA_DIR", dir)
         .env("FLUMEN_SWEEP_THREADS", "2")
         .env_remove("FLUMEN_SWEEP_FORCE")
-        .env_remove("FLUMEN_SWEEP_CHECKPOINT")
         .output()
         .expect("spawn fig_all");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();

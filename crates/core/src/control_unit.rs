@@ -562,40 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mid_service_resumes_bit_identically() {
-        use flumen_sim::Snapshotable;
-        let mut cu = unit();
-        let mut net = net16();
-        // Background traffic keeps β (and therefore Algorithm 1's
-        // decisions) nontrivial across the checkpoint.
-        for src in 0..16 {
-            net.inject(Packet::new(src as u64, src, (src + 5) % 16, 2048, 0));
-        }
-        cu.on_request(0, 0, 2, 1, [20, 64, 4, 0]);
-        cu.on_request(0, 4, 9, 2, [20, 64, 4, 0]);
-        cu.on_request(0, 8, 5, 3, [4, 16, 4, 0]);
-        let _ = drive(&mut cu, &mut net, 40);
-        let (cu_snap, net_snap) = (cu.snapshot(), net.snapshot());
-
-        let mut cu_b = unit();
-        let mut net_b = net16();
-        cu_b.restore(&cu_snap).unwrap();
-        net_b.restore(&net_snap).unwrap();
-
-        let out_a = drive(&mut cu, &mut net, 3000);
-        let out_b = drive(&mut cu_b, &mut net_b, 3000);
-        assert_eq!(out_a, out_b);
-        assert_eq!(cu.admitted(), cu_b.admitted());
-        assert_eq!(cu.rejected(), cu_b.rejected());
-        assert_eq!(cu.snapshot().to_canonical(), cu_b.snapshot().to_canonical());
-        let mut ca = ActivityCounts::default();
-        let mut cb = ActivityCounts::default();
-        cu.drain_counts(&mut ca);
-        cu_b.drain_counts(&mut cb);
-        assert_eq!(ca, cb);
-    }
-
-    #[test]
     fn quiet_span_ends_at_the_earliest_partition_deadline() {
         let mut cu = unit();
         let mut net = net16();
@@ -670,40 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_wrong_fabric_width() {
-        use flumen_sim::Snapshotable;
-        let snap = unit().snapshot();
-        let mut narrow = MzimControlUnit::new(ControlUnitParams {
-            fabric_n: 4,
-            ..ControlUnitParams::paper()
-        });
-        assert!(narrow.restore(&snap).is_err());
-    }
-
-    /// A snapshot whose active partition holds a wire past the fabric
-    /// restores as an `Err` and leaves the unit untouched, instead of
-    /// restoring a state whose next `step` indexes past `wire_busy`.
-    #[test]
-    fn restore_rejects_out_of_range_active_wires() {
-        use flumen_sim::{Json, Snapshotable};
-        let mut cu = unit();
-        let mut net = net16();
-        cu.on_request(0, 0, 2, 1, [20, 64, 4, 0]);
-        let _ = drive(&mut cu, &mut net, 1);
-        assert_eq!(cu.active.len(), 1);
-        let text = cu.snapshot().to_canonical();
-        let tampered = text.replace(r#""wires":[0,1,2,3]"#, r#""wires":[0,1,2,8]"#);
-        assert_ne!(tampered, text, "snapshot holds the granted wires");
-        let bad = Json::parse(&tampered).unwrap();
-        let mut fresh = unit();
-        assert!(fresh.restore(&bad).is_err());
-        assert_eq!(
-            fresh.snapshot().to_canonical(),
-            unit().snapshot().to_canonical()
-        );
-    }
-
-    #[test]
     fn timeout_rejects_stuck_requests() {
         let params = ControlUnitParams {
             scheduler: SchedulerParams {
@@ -736,8 +668,8 @@ flumen_sim::json_struct!(ControlUnitParams {
     max_partitions,
 });
 
-// Checkpoint bridges.
-flumen_sim::json_struct!(CompRequest {
+// Snapshot bridges.
+flumen_sim::json_struct!(write CompRequest {
     arrived,
     chiplet,
     configs,
@@ -745,12 +677,10 @@ flumen_sim::json_struct!(CompRequest {
     tag,
     vectors,
 });
-flumen_sim::json_struct!(ActivePartition { ports, tag, wires });
+flumen_sim::json_struct!(write ActivePartition { ports, tag, wires });
 
-// Checkpoint support. Parameters and the tracer are reconstruction-time
-// state and not serialized. Restore parses every field first, checks the
-// wire count and every active partition's wires against the
-// already-configured instance, and changes nothing on `Err`.
+// Snapshot support. Parameters and the tracer are construction-time
+// state and not serialized.
 impl flumen_sim::Snapshotable for MzimControlUnit {
     fn snapshot(&self) -> flumen_sim::Json {
         use flumen_sim::{Json, ToJson};
@@ -763,37 +693,5 @@ impl flumen_sim::Snapshotable for MzimControlUnit {
             ("rejected", self.rejected.to_json()),
             ("wire_busy", self.wire_busy.to_json()),
         ])
-    }
-
-    fn restore(&mut self, j: &flumen_sim::Json) -> std::result::Result<(), flumen_sim::JsonError> {
-        use flumen_sim::{FromJson, JsonError};
-        let n = self.params.fabric_n;
-        let wire_busy = Vec::<bool>::from_json(j.get("wire_busy")?)?;
-        if wire_busy.len() != n {
-            return Err(JsonError(format!(
-                "MzimControlUnit.wire_busy: snapshot has {} wires, instance has {n}",
-                wire_busy.len(),
-            )));
-        }
-        let active = EventQueue::<ActivePartition>::from_json(j.get("active")?)?;
-        let wires = active.iter_sorted().flat_map(|(_, p)| &p.wires);
-        if let Some(w) = wires.copied().find(|&w| w >= n) {
-            return Err(JsonError(format!(
-                "MzimControlUnit.active: wire {w} is past the {n}-wire fabric"
-            )));
-        }
-        let queue = VecDeque::from_json(j.get("queue")?)?;
-        let counts = ActivityCounts::from_json(j.get("counts")?)?;
-        let finished = Vec::from_json(j.get("finished")?)?;
-        let admitted = j.get("admitted")?.as_u64()?;
-        let rejected = j.get("rejected")?.as_u64()?;
-        self.queue = queue;
-        self.active = active;
-        self.wire_busy = wire_busy;
-        self.counts = counts;
-        self.finished = finished;
-        self.admitted = admitted;
-        self.rejected = rejected;
-        Ok(())
     }
 }

@@ -5,13 +5,11 @@
 use crate::control_unit::{ControlUnitParams, MzimControlUnit};
 use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, OpticalBus, RoutedNetwork};
 use flumen_power::{system_energy, EnergyBreakdown, EnergyParams, NopKind};
-use flumen_sim::{Snapshot, Snapshotable};
+use flumen_sim::Snapshotable;
 use flumen_system::{ActivityCounts, NullServer, RunResult, SystemConfig, SystemSim};
-use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
+use flumen_trace::TraceHandle;
 use flumen_workloads::taskgen::{self, ExecMode, TaskGenConfig};
 use flumen_workloads::Benchmark;
-use std::io;
-use std::path::PathBuf;
 
 /// The five evaluated system configurations (paper §4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,10 +317,6 @@ impl Snapshotable for TopologySim {
     fn snapshot(&self) -> flumen_sim::Json {
         each_sim!(self, s => s.snapshot())
     }
-
-    fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
-        each_sim!(self, s => s.restore(j))
-    }
 }
 
 fn finish_result(
@@ -378,141 +372,9 @@ pub fn run_utilization_trace(
     finish_result(bench, SystemTopology::FlumenI, cfg, r)
 }
 
-/// Where and how often checkpointed runs snapshot themselves.
-#[derive(Debug, Clone)]
-pub struct CheckpointPolicy {
-    /// Directory the checkpoint files live in (created on demand).
-    pub dir: PathBuf,
-    /// Snapshot interval in cycles (minimum 1).
-    pub every_cycles: u64,
-}
-
-/// Runs `bench` on `topology`, writing a checkpoint every
-/// `policy.every_cycles` cycles and resuming from the newest valid
-/// checkpoint if one exists. Completion deletes the job's checkpoints.
-///
-/// `key` names the job's checkpoints and is stamped into every envelope —
-/// typically the sweep job's content hash, which commits to the full
-/// runtime configuration. A checkpoint written under a different key (or
-/// snapshot version) never restores, and one whose state does not restore
-/// onto this configuration is ignored: the run starts cold.
-///
-/// The run skips idle spans between checkpoints and stops on each
-/// multiple of the interval, so snapshots land on the same cycles, with
-/// the same bytes, as a run stepped cycle by cycle. Checkpoints are
-/// written atomically (temp file + rename), so a run killed at any point —
-/// including mid-write — resumes from the last complete snapshot and
-/// produces bit-identical results to an uninterrupted run.
-pub fn run_benchmark_checkpointed(
-    bench: &dyn Benchmark,
-    topology: SystemTopology,
-    cfg: &RuntimeConfig,
-    policy: &CheckpointPolicy,
-    key: &str,
-    tracer: TraceHandle,
-) -> io::Result<FullRunResult> {
-    let build = || TopologySim::new(bench, topology, cfg, tracer.clone());
-    let mut sim = build();
-    if let Some(snap) = policy.load_latest(key) {
-        if sim.restore(&snap.state).is_ok() {
-            let now = sim.cycle();
-            tracer.emit(|| TraceEvent::instant(TraceCategory::System, "resume", now, 0));
-        } else {
-            // A failed restore can leave caches or the network half
-            // restored, so the cold start needs a fresh system.
-            sim = build();
-        }
-    }
-
-    // Stop on every multiple of the interval to snapshot; the final
-    // `run` finds the system finished (or out of budget) and only
-    // finalizes the result, as an uninterrupted run would.
-    let (every, max_cycles) = (policy.every_cycles.max(1), cfg.max_cycles);
-    while !sim.finished() && sim.cycle() < max_cycles {
-        let stop = (sim.cycle() / every + 1)
-            .saturating_mul(every)
-            .min(max_cycles);
-        sim.run_to(stop);
-        let now = sim.cycle();
-        if now.is_multiple_of(every) && !sim.finished() && now < max_cycles {
-            policy.write(key, now, sim.snapshot())?;
-            tracer.emit(|| TraceEvent::instant(TraceCategory::System, "checkpoint", now, 0));
-        }
-    }
-    let r = sim.run(max_cycles);
-    policy.clear(key)?;
-    Ok(finish_result(bench, topology, cfg, r))
-}
-
-impl CheckpointPolicy {
-    /// Checkpoint file name: fixed-width decimal cycle so lexicographic
-    /// order is cycle order.
-    fn file(&self, key: &str, cycle: u64) -> PathBuf {
-        self.dir.join(format!("{key}.{cycle:020}.ckpt.json"))
-    }
-
-    /// The checkpoint files of job `key`, oldest first.
-    pub fn files(&self, key: &str) -> Vec<PathBuf> {
-        let prefix = format!("{key}.");
-        let mut found: Vec<PathBuf> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".ckpt.json"))
-            })
-            .collect();
-        found.sort();
-        found
-    }
-
-    /// Job `key`'s newest checkpoint whose envelope validates (version and
-    /// key match). Unreadable or foreign files are skipped, not fatal: a
-    /// half-written or stale checkpoint simply falls back to the previous
-    /// one (or a cold start).
-    pub fn load_latest(&self, key: &str) -> Option<Snapshot> {
-        self.files(key).into_iter().rev().find_map(|path| {
-            let text = std::fs::read_to_string(&path).ok()?;
-            let j = flumen_sim::Json::parse(&text).ok()?;
-            Snapshot::from_json(&j, key).ok()
-        })
-    }
-
-    /// Atomically writes component `state` captured at `cycle` as job
-    /// `key`'s newest checkpoint, then prunes its older ones.
-    pub fn write(&self, key: &str, cycle: u64, state: flumen_sim::Json) -> io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let snap = Snapshot::new(key.to_string(), flumen_units::Cycles::new(cycle), state);
-        let path = self.file(key, cycle);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, snap.to_json().to_canonical())?;
-        std::fs::rename(&tmp, &path)?;
-        // Prune everything older: the file just renamed into place is
-        // complete, so earlier checkpoints only waste space.
-        for old in self.files(key) {
-            if old != path {
-                let _ = std::fs::remove_file(old);
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes every checkpoint of job `key` (called on completion).
-    pub fn clear(&self, key: &str) -> io::Result<()> {
-        for path in self.files(key) {
-            std::fs::remove_file(path)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flumen_sim::Cycles;
     use flumen_workloads::Rotation3d;
 
     #[test]
@@ -557,84 +419,6 @@ mod tests {
         let r = run_benchmark(&Rotation3d::small(), SystemTopology::FlumenA, &cfg);
         assert!(r.truncated);
         assert_eq!(r.cycles, 50);
-    }
-
-    #[test]
-    fn checkpointed_run_resumes_identically() {
-        let cfg = RuntimeConfig {
-            max_cycles: 10_000_000,
-            ..RuntimeConfig::paper()
-        };
-        let bench = Rotation3d::small();
-        let dir = std::env::temp_dir().join(format!("flumen-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let policy = CheckpointPolicy {
-            dir: dir.clone(),
-            every_cycles: 1000,
-        };
-        let reference = run_benchmark(&bench, SystemTopology::FlumenA, &cfg);
-
-        // Interrupted run: drive the same simulation partway and leave its
-        // checkpoint on disk, as if the process died right after writing it.
-        {
-            let disabled = TraceHandle::disabled();
-            let mut sim = TopologySim::new(&bench, SystemTopology::FlumenA, &cfg, disabled);
-            sim.run_to(reference.cycles / 2);
-            assert!(!sim.finished(), "checkpoint must land mid-run");
-            policy.write("job", sim.cycle(), sim.snapshot()).unwrap();
-        }
-
-        let resumed = run_benchmark_checkpointed(
-            &bench,
-            SystemTopology::FlumenA,
-            &cfg,
-            &policy,
-            "job",
-            TraceHandle::disabled(),
-        )
-        .unwrap();
-        assert!(!resumed.truncated);
-        assert_eq!(resumed.cycles, reference.cycles);
-        assert_eq!(resumed.counts, reference.counts);
-        assert_eq!(resumed.seconds.to_bits(), reference.seconds.to_bits());
-        assert_eq!(
-            resumed.total_energy_j().to_bits(),
-            reference.total_energy_j().to_bits()
-        );
-        assert_eq!(resumed.net_stats.delivered, reference.net_stats.delivered);
-        assert_eq!(
-            resumed.net_stats.latency_sum,
-            reference.net_stats.latency_sum
-        );
-        // Completion removed the job's checkpoints.
-        assert!(policy.files("job").is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_files_are_keyed_per_job() {
-        let dir = std::env::temp_dir().join(format!("flumen-ckpt-keys-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let policy = CheckpointPolicy {
-            dir: dir.clone(),
-            every_cycles: 5_000,
-        };
-        let state = |n: u64| flumen_sim::Json::obj([("n", flumen_sim::ToJson::to_json(&n))]);
-        policy.write("abc123", 5_000, state(1)).unwrap();
-        policy.write("other", 5_000, state(2)).unwrap();
-        policy.write("abc123", 10_000, state(3)).unwrap();
-        // One directory; each job sees only its own newest checkpoint.
-        let files = policy.files("abc123");
-        assert_eq!(files.len(), 1, "older checkpoint pruned");
-        assert!(files[0].starts_with(&dir));
-        let latest = policy.load_latest("abc123").unwrap();
-        assert_eq!(latest.cycle, Cycles::new(10_000));
-        assert_eq!(latest.state, state(3));
-        assert_eq!(policy.load_latest("other").unwrap().state, state(2));
-        policy.clear("abc123").unwrap();
-        assert!(policy.files("abc123").is_empty());
-        assert_eq!(policy.files("other").len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

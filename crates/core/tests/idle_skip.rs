@@ -3,9 +3,9 @@
 //! `step()` loop, which steps every cycle. On every topology of the
 //! reduced Figs. 14/15 grid, with utilization sampling on, the whole
 //! `RunResult` must match bit for bit: for runs to completion, and for a
-//! cycle cap that lands inside an idle span. A run stopped on checkpoint
+//! cycle cap that lands inside an idle span. A run stopped on interval
 //! boundaries with `run_to` must also snapshot the same bytes there as
-//! the stepping loop.
+//! the stepping loop: the snapshot is the state oracle.
 
 use flumen::{RuntimeConfig, SystemTopology, TopologySim};
 use flumen_noc::NetStats;
@@ -18,9 +18,9 @@ use flumen_workloads::{small_benchmarks, Benchmark};
 /// a sample would show in the utilization trace.
 const TRACE_INTERVAL: u64 = 97;
 
-/// Checkpoint intervals: one on the sample window, one longer than most
+/// Snapshot intervals: one on the sample window, one longer than most
 /// idle spans.
-const CHECKPOINT_INTERVALS: [u64; 2] = [97, 1000];
+const SNAPSHOT_INTERVALS: [u64; 2] = [97, 1000];
 
 /// The per-cycle reference: step until finished or capped, then let `run`
 /// finalize (it finds the system finished or out of budget at once).
@@ -104,7 +104,7 @@ fn assert_same(what: &str, got: &RunResult, want: &RunResult) {
 }
 
 /// Compares skipping with stepping on one grid point: to completion, at
-/// every checkpoint boundary, and (when `cap_inside_span`) truncated in
+/// every snapshot boundary, and (when `cap_inside_span`) truncated in
 /// the middle of a long idle span.
 fn check(what: &str, mk: &dyn Fn() -> TopologySim, budget: u64, cap_inside_span: bool) {
     let want = stepped(mk(), budget);
@@ -112,7 +112,7 @@ fn check(what: &str, mk: &dyn Fn() -> TopologySim, budget: u64, cap_inside_span:
     assert_same(what, &mk().run(budget), &want);
     assert!(!want.utilization_trace.is_empty(), "{what}: sampling is on");
 
-    for every in CHECKPOINT_INTERVALS {
+    for every in SNAPSHOT_INTERVALS {
         // The run finishes on cycle `want.cycles`, so every multiple of
         // `every` below it is a boundary.
         let boundaries = ((want.cycles - 1) / every) as usize;

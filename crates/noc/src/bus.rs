@@ -49,7 +49,7 @@ impl Default for BusConfig {
 /// Built from the shared buffering primitives — `Fifo` source queues,
 /// an `RrToken` for the circulating grant token, and a `FlightBuffer`
 /// for transmissions on the waveguide — with the exact cycle behavior
-/// and checkpoint bytes of the original hand-wired implementation.
+/// and snapshot bytes of the original hand-wired implementation.
 #[derive(Debug)]
 pub struct OpticalBus {
     nodes: usize,
@@ -231,8 +231,8 @@ impl Network for OpticalBus {
     }
 }
 
-// Checkpoint support. As with the crossbar, `in_flight` keeps its exact
-// Vec order because delivery scanning uses `swap_remove`.
+// Snapshot support. As with the crossbar, `in_flight` is written in its
+// exact Vec order because delivery scanning uses `swap_remove`.
 impl flumen_sim::Snapshotable for OpticalBus {
     fn snapshot(&self) -> flumen_sim::Json {
         use flumen_sim::ToJson;
@@ -244,35 +244,6 @@ impl flumen_sim::Snapshotable for OpticalBus {
             ("src_queues", self.src_queues.to_json()),
             ("stats", self.stats.to_json()),
         ])
-    }
-
-    fn restore(&mut self, j: &flumen_sim::Json) -> std::result::Result<(), flumen_sim::JsonError> {
-        use crate::restore::check_len;
-        use flumen_sim::FromJson;
-        let bus_busy_until: Vec<u64> = Vec::from_json(j.get("bus_busy_until")?)?;
-        check_len(
-            "OpticalBus.bus_busy_until",
-            bus_busy_until.len(),
-            self.cfg.buses,
-        )?;
-        let src_queues: Vec<Fifo<Packet>> = Vec::from_json(j.get("src_queues")?)?;
-        check_len("OpticalBus.src_queues", src_queues.len(), self.nodes)?;
-        let stats = NetStats::from_json(j.get("stats")?)?;
-        check_len(
-            "OpticalBus.stats.link_busy",
-            stats.link_busy.len(),
-            self.cfg.buses,
-        )?;
-        let cycle = u64::from_json(j.get("cycle")?)?;
-        let in_flight = FlightBuffer::from_json(j.get("in_flight")?)?;
-        let rr = RrToken::from_json(j.get("rr")?)?;
-        self.cycle = cycle;
-        self.in_flight = in_flight;
-        self.rr = rr;
-        self.bus_busy_until = bus_busy_until;
-        self.src_queues = src_queues;
-        self.stats = stats;
-        Ok(())
     }
 }
 

@@ -55,12 +55,12 @@ pub struct MzimCrossbar {
     /// Multicast packets queue separately per input and are served first.
     mcast_queues: Vec<Fifo<Packet>>,
     /// Packets across all of `voq` and all of `mcast_queues`, kept so
-    /// [`Network::pending`] is O(1); derived state, recomputed on restore.
+    /// [`Network::pending`] is O(1); derived state, not snapshotted.
     queued_unicast: usize,
     queued_mcast: usize,
     /// Bit `j` of `requests[i]` is set iff `voq[i][j]` is non-empty: the
-    /// arbiter's request row for input `i`. Derived state, recomputed on
-    /// restore.
+    /// arbiter's request row for input `i`. Derived state, not
+    /// snapshotted.
     requests: Vec<u64>,
     arb: WavefrontArbiter,
     in_busy_until: Vec<u64>,
@@ -371,7 +371,7 @@ impl Network for MzimCrossbar {
     }
 }
 
-// Checkpoint support: every field that evolves during simulation.
+// Snapshot support: every field that evolves during simulation.
 // `in_flight` is serialized in its exact Vec order — the delivery loop
 // scans with `swap_remove`, so delivery order (and therefore downstream
 // RNG/stat sequences) depends on element positions, not just contents.
@@ -394,66 +394,6 @@ impl flumen_sim::Snapshotable for MzimCrossbar {
             ("voq", self.voq.to_json()),
         ])
     }
-
-    fn restore(&mut self, j: &flumen_sim::Json) -> std::result::Result<(), flumen_sim::JsonError> {
-        use crate::restore::{check_dests, check_len};
-        use flumen_sim::FromJson;
-        let n = self.nodes;
-        let in_busy_until: Vec<u64> = Vec::from_json(j.get("in_busy_until")?)?;
-        check_len("MzimCrossbar.in_busy_until", in_busy_until.len(), n)?;
-        let last_config: Vec<Option<usize>> = Vec::from_json(j.get("last_config")?)?;
-        check_len("MzimCrossbar.last_config", last_config.len(), n)?;
-        // Queued packets' destinations index `out_busy_until` when they
-        // start, so they must fit the network too.
-        let mcast_queues: Vec<Fifo<Packet>> = Vec::from_json(j.get("mcast_queues")?)?;
-        check_len("MzimCrossbar.mcast_queues", mcast_queues.len(), n)?;
-        for q in &mcast_queues {
-            check_dests("MzimCrossbar.mcast_queues", q.iter(), n)?;
-        }
-        let out_busy_until: Vec<u64> = Vec::from_json(j.get("out_busy_until")?)?;
-        check_len("MzimCrossbar.out_busy_until", out_busy_until.len(), n)?;
-        let reserved: Vec<bool> = Vec::from_json(j.get("reserved")?)?;
-        check_len("MzimCrossbar.reserved", reserved.len(), n)?;
-        let reserved = bitmask(reserved);
-        let stats = NetStats::from_json(j.get("stats")?)?;
-        check_len("MzimCrossbar.stats.link_busy", stats.link_busy.len(), n)?;
-        let voq: Vec<Vec<Fifo<Packet>>> = Vec::from_json(j.get("voq")?)?;
-        check_len("MzimCrossbar.voq", voq.len(), n)?;
-        for row in &voq {
-            check_len("MzimCrossbar.voq row", row.len(), n)?;
-            for q in row {
-                check_dests("MzimCrossbar.voq", q.iter(), n)?;
-            }
-        }
-        let arb_priority = usize::from_json(j.get("arb_priority")?)?;
-        let cycle = u64::from_json(j.get("cycle")?)?;
-        let in_flight = FlightBuffer::from_json(j.get("in_flight")?)?;
-        self.arb.set_priority(arb_priority);
-        self.cycle = cycle;
-        self.in_busy_until = in_busy_until;
-        self.in_flight = in_flight;
-        self.last_config = last_config;
-        self.queued_mcast = mcast_queues.iter().map(Fifo::len).sum();
-        self.queued_unicast = voq.iter().flatten().map(Fifo::len).sum();
-        self.requests = voq
-            .iter()
-            .map(|row| bitmask(row.iter().map(|q| !q.is_empty())))
-            .collect();
-        self.mcast_queues = mcast_queues;
-        self.out_busy_until = out_busy_until;
-        self.reserved = reserved;
-        self.stats = stats;
-        self.voq = voq;
-        Ok(())
-    }
-}
-
-/// The mask with bit `i` set iff the `i`-th flag is set.
-fn bitmask(flags: impl IntoIterator<Item = bool>) -> u64 {
-    flags
-        .into_iter()
-        .enumerate()
-        .fold(0, |m, (i, f)| m | u64::from(f) << i)
 }
 
 #[cfg(test)]
@@ -591,13 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn pending_counters_track_queues_through_restore() {
-        use flumen_sim::Snapshotable;
+    fn pending_counters_track_queues() {
         use rand::{Rng, SeedableRng};
         for seed in 0..8 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut net = MzimCrossbar::flumen_16();
-            let mut spare = MzimCrossbar::flumen_16();
             for id in 0..600u64 {
                 match rng.gen_range(0..10) {
                     0..=3 => {
@@ -612,10 +550,6 @@ mod tests {
                     }
                     5 => net.reserve_wires(&[rng.gen_range(0..16)]).unwrap(),
                     6 => net.release_wires(&[rng.gen_range(0..16)]).unwrap(),
-                    7 => {
-                        spare.restore(&net.snapshot()).unwrap();
-                        std::mem::swap(&mut net, &mut spare);
-                    }
                     _ => {
                         net.step();
                     }

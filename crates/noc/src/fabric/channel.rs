@@ -1,6 +1,6 @@
 //! Credit channels: the wires between a composed fabric's routers.
 
-use flumen_sim::{FromJson, Json, JsonError, ToJson};
+use flumen_sim::{Json, ToJson};
 use std::collections::VecDeque;
 
 /// Handle to one channel inside a [`Channels`] arena.
@@ -200,29 +200,6 @@ impl<P: ToJson> Channels<P> {
     }
 }
 
-impl<P: FromJson> Channels<P> {
-    /// Restores channel state in place. The arena must already have the
-    /// same channel count as the snapshot (same built topology).
-    pub(crate) fn restore(&mut self, j: &Json) -> Result<(), JsonError> {
-        let arr = j.as_arr()?;
-        if arr.len() != self.chans.len() {
-            return Err(JsonError(format!(
-                "Channels: snapshot has {} channels, topology has {}",
-                arr.len(),
-                self.chans.len()
-            )));
-        }
-        for (ch, cj) in self.chans.iter_mut().zip(arr) {
-            ch.queue = VecDeque::from_json(cj.get("queue")?)?;
-            ch.stalls = u64::from_json(cj.get("stalls")?)?;
-            ch.transfers = u64::from_json(cj.get("transfers")?)?;
-            ch.credits = 0;
-            ch.delivered = None;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,29 +259,5 @@ mod tests {
         chans.publish_credits(c, 1);
         chans.deliver_due(2);
         assert_eq!(chans.take(c), Some(9));
-    }
-
-    #[test]
-    fn snapshot_round_trip() {
-        let mut chans: Channels<u32> = Channels::new();
-        let a = chans.add(1, 4);
-        let _b = chans.add(2, 4);
-        chans.send(a, 3, 0);
-        chans.send(a, 4, 1);
-        let snap = chans.snapshot().to_canonical();
-
-        let mut fresh: Channels<u32> = Channels::new();
-        let _ = fresh.add(1, 4);
-        let _ = fresh.add(2, 4);
-        fresh
-            .restore(&Json::parse(&snap).expect("parse"))
-            .expect("restore");
-        assert_eq!(fresh.snapshot().to_canonical(), snap);
-        assert_eq!(fresh.pending(), 2);
-
-        // Wrong channel count is rejected.
-        let mut short: Channels<u32> = Channels::new();
-        let _ = short.add(1, 4);
-        assert!(short.restore(&Json::parse(&snap).expect("parse")).is_err());
     }
 }

@@ -1,16 +1,15 @@
 //! The FIFO shared by the hand-written networks' queues and the composed
 //! routers' input buffers.
 
-use flumen_sim::{FromJson, Json, JsonError, ToJson};
+use flumen_sim::{Json, ToJson};
 use std::collections::VecDeque;
 
 /// A FIFO of payloads with optional bounded capacity.
 ///
 /// Serializes exactly like the `VecDeque` it wraps (a JSON array of
 /// items), so the hand-written fabrics swapped their raw queues for
-/// `Fifo` without changing a byte of any checkpoint. Capacity is
-/// construction-time geometry, deliberately not serialized — restore
-/// happens into an already-constructed topology.
+/// `Fifo` without changing a byte of any snapshot. Capacity is
+/// construction-time geometry, deliberately not serialized.
 #[derive(Debug, Clone)]
 pub(crate) struct Fifo<P> {
     items: VecDeque<P>,
@@ -69,11 +68,6 @@ impl<P> Fifo<P> {
         self.capacity.is_some_and(|c| self.items.len() >= c)
     }
 
-    /// Iterates oldest-first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &P> {
-        self.items.iter()
-    }
-
     /// Free slots remaining (`usize::MAX` when unbounded) — the credit
     /// count a consumer publishes on its input channel.
     pub(crate) fn free_slots(&self) -> usize {
@@ -84,28 +78,9 @@ impl<P> Fifo<P> {
     }
 }
 
-impl<P: FromJson> Fifo<P> {
-    /// Restores the queue contents in place, keeping the configured
-    /// capacity (checkpoint restore happens into a freshly-built
-    /// topology whose geometry is not serialized).
-    pub(crate) fn restore_items(&mut self, j: &Json) -> Result<(), JsonError> {
-        self.items = VecDeque::from_json(j)?;
-        Ok(())
-    }
-}
-
 impl<P: ToJson> ToJson for Fifo<P> {
     fn to_json(&self) -> Json {
         self.items.to_json()
-    }
-}
-
-impl<P: FromJson> FromJson for Fifo<P> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Fifo {
-            items: VecDeque::from_json(j)?,
-            capacity: None,
-        })
     }
 }
 
@@ -143,7 +118,5 @@ mod tests {
         v.push_back(3);
         v.push_back(7);
         assert_eq!(f.to_json().to_canonical(), v.to_json().to_canonical());
-        let back = Fifo::<u64>::from_json(&f.to_json()).unwrap();
-        assert_eq!(back.items, VecDeque::from([3, 7]));
     }
 }

@@ -1,6 +1,6 @@
 //! Time-tagged in-flight buffers (items on a wire).
 
-use flumen_sim::{FromJson, Json, JsonError, ToJson};
+use flumen_sim::{Json, ToJson};
 
 /// Items in flight, each tagged with its arrival cycle.
 ///
@@ -70,18 +70,9 @@ impl<T> FlightBuffer<T> {
     }
 
     /// The entries as `(arrival, item)` in their exact positional order
-    /// (checkpoints).
+    /// (snapshots).
     pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &T)> {
         self.ats.iter().copied().zip(&self.items)
-    }
-
-    /// Rebuilds the buffer from checkpointed entries, preserving order.
-    pub(crate) fn from_entries(entries: Vec<(u64, T)>) -> Self {
-        let mut fb = FlightBuffer::new();
-        for (at, item) in entries {
-            fb.push(at, item);
-        }
-        fb
     }
 }
 
@@ -98,12 +89,6 @@ impl<T: ToJson> ToJson for FlightBuffer<T> {
                 .map(|(at, item)| Json::Arr(vec![at.to_json(), item.to_json()]))
                 .collect(),
         )
-    }
-}
-
-impl<T: FromJson> FromJson for FlightBuffer<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(FlightBuffer::from_entries(Vec::from_json(j)?))
     }
 }
 
@@ -146,24 +131,19 @@ mod tests {
         fb.push(1, 20u64);
         let v: Vec<(u64, u64)> = vec![(3, 10), (1, 20)];
         assert_eq!(fb.to_json().to_canonical(), v.to_json().to_canonical());
-        let back = FlightBuffer::<u64>::from_json(&fb.to_json()).unwrap();
-        assert!(back.entries().eq(fb.entries()));
-        assert_eq!(back.next_due(), Some(1));
+        assert_eq!(fb.next_due(), Some(1));
     }
 
     /// One operation on a buffer.
     enum Op {
         Push(u64, u32),
         Drain(u64),
-        /// Round-trip through `entries`/`from_entries` (a restore).
-        Rebuild,
     }
 
     fn op(rng: &mut StdRng) -> Op {
-        match rng.gen_range(0..6) {
+        match rng.gen_range(0..5) {
             0..=2 => Op::Push(rng.gen_range(0..40), rng.gen()),
-            3 | 4 => Op::Drain(rng.gen_range(0..40)),
-            _ => Op::Rebuild,
+            _ => Op::Drain(rng.gen_range(0..40)),
         }
     }
 
@@ -197,10 +177,6 @@ mod tests {
                         let mut got = Vec::new();
                         fb.drain_due(now, |item| got.push(item));
                         prop_assert_eq!(got, want);
-                    }
-                    Op::Rebuild => {
-                        let entries = fb.entries().map(|(at, &item)| (at, item)).collect();
-                        fb = FlightBuffer::from_entries(entries);
                     }
                 }
                 prop_assert_eq!(fb.len(), model.len());

@@ -1,12 +1,11 @@
-//! Wiring routers into a steppable, checkpointable fabric.
+//! Wiring routers into a steppable, snapshotable fabric.
 
 use super::channel::{ChannelId, Channels, CREDIT_UNBOUNDED};
 use super::router::{Flit, RouterNode};
 use crate::packet::{Delivery, Packet};
-use crate::restore::check_len;
 use crate::stats::NetStats;
 use crate::{Network, NocError, Result};
-use flumen_sim::{FromJson, Json, JsonError, ToJson};
+use flumen_sim::{Json, ToJson};
 use flumen_trace::{EventKind, TraceCategory, TraceEvent, TraceHandle};
 use std::collections::VecDeque;
 
@@ -248,7 +247,7 @@ impl Network for ComposedFabric {
     }
 }
 
-// Checkpoint support: `graph` holds every channel's and router's
+// Snapshot support: `graph` holds every channel's and router's
 // evolving state; the fabric adds the open-loop state around it.
 impl flumen_sim::Snapshotable for ComposedFabric {
     fn snapshot(&self) -> Json {
@@ -265,37 +264,6 @@ impl flumen_sim::Snapshotable for ComposedFabric {
             ("src_queues", self.src_queues.to_json()),
             ("stats", self.stats.to_json()),
         ])
-    }
-
-    fn restore(&mut self, j: &Json) -> std::result::Result<(), JsonError> {
-        let cycle = u64::from_json(j.get("cycle")?)?;
-        let graph = j.get("graph")?;
-        let nodes = graph.get("nodes")?.as_arr()?;
-        check_len(
-            "ComposedFabric.graph.nodes",
-            nodes.len(),
-            self.routers.len(),
-        )?;
-        let src_queues: Vec<VecDeque<Packet>> = Vec::from_json(j.get("src_queues")?)?;
-        check_len(
-            "ComposedFabric.src_queues",
-            src_queues.len(),
-            self.src_queues.len(),
-        )?;
-        let stats = NetStats::from_json(j.get("stats")?)?;
-        check_len(
-            "ComposedFabric.stats.link_busy",
-            stats.link_busy.len(),
-            self.chans.len(),
-        )?;
-        self.chans.restore(graph.get("channels")?)?;
-        for (r, nj) in self.routers.iter_mut().zip(nodes) {
-            r.restore_state(nj)?;
-        }
-        self.cycle = cycle;
-        self.src_queues = src_queues;
-        self.stats = stats;
-        Ok(())
     }
 }
 

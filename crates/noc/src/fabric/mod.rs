@@ -29,7 +29,8 @@
 //! Credits subtract items already in flight on the channel
 //! (`Channels::effective_credits`), so a router's send decision is a
 //! pure function of last cycle's state — the determinism contract that
-//! makes composed fabrics bit-identically checkpointable at any cycle.
+//! makes a composed fabric's state a pure function of its inputs, cycle
+//! by cycle.
 //!
 //! The buffering primitives `Fifo`, `RrToken` and `FlightBuffer` live
 //! here too; the hand-written bus, crossbar and routed networks

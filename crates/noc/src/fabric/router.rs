@@ -5,7 +5,7 @@ use super::channel::{ChannelId, Channels};
 use super::fifo::Fifo;
 use crate::packet::Packet;
 use crate::stats::NetStats;
-use flumen_sim::{FromJson, Json, JsonError, ToJson};
+use flumen_sim::{Json, ToJson};
 use std::fmt;
 
 /// Dimension class of a local (injection/ejection) port: never equal to a
@@ -25,7 +25,7 @@ pub(crate) struct Flit {
     pub(crate) ready_at: u64,
 }
 
-flumen_sim::json_struct!(Flit { pkt, ready_at });
+flumen_sim::json_struct!(write Flit { pkt, ready_at });
 
 /// Timing knobs shared by every [`RouterNode`] in a fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,42 +189,12 @@ impl RouterNode {
         self.inputs.iter().map(Fifo::len).sum()
     }
 
-    /// The router's evolving state as canonical JSON (checkpoints).
+    /// The router's evolving state as canonical JSON (snapshots).
     pub(super) fn state_json(&self) -> Json {
         Json::obj([
             ("inputs", self.inputs.to_json()),
             ("out_busy_until", self.out_busy_until.to_json()),
             ("rr", self.rr.to_json()),
         ])
-    }
-
-    /// Restores state written by [`RouterNode::state_json`], rejecting a
-    /// snapshot whose port count differs from this router's.
-    pub(super) fn restore_state(&mut self, j: &Json) -> Result<(), JsonError> {
-        let inputs = j.get("inputs")?;
-        let arr = inputs.as_arr()?;
-        if arr.len() != self.inputs.len() {
-            return Err(JsonError(format!(
-                "RouterNode {}: snapshot has {} input queues, node has {}",
-                self.id,
-                arr.len(),
-                self.inputs.len()
-            )));
-        }
-        for (buf, bj) in self.inputs.iter_mut().zip(arr) {
-            buf.restore_items(bj)?;
-        }
-        let out_busy_until: Vec<u64> = Vec::from_json(j.get("out_busy_until")?)?;
-        if out_busy_until.len() != self.out_ports.len() {
-            return Err(JsonError(format!(
-                "RouterNode {}: snapshot has {} output ports, node has {}",
-                self.id,
-                out_busy_until.len(),
-                self.out_ports.len()
-            )));
-        }
-        self.out_busy_until = out_busy_until;
-        self.rr = RrToken::from_json(j.get("rr")?)?;
-        Ok(())
     }
 }

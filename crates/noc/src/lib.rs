@@ -40,7 +40,6 @@ mod error;
 pub mod fabric;
 pub mod harness;
 mod packet;
-mod restore;
 mod routed;
 mod stats;
 pub mod traffic;

@@ -117,7 +117,7 @@ impl Delivery {
     }
 }
 
-// Canonical JSON bridge for checkpoints. `id` uses the full 64-bit range
+// Canonical JSON bridge for snapshots. `id` uses the full 64-bit range
 // (electrical multicast replicas fold a replica index into the top bits),
 // which `Json::Num`'s f64 cannot hold exactly — so it rides as hex.
 impl flumen_sim::ToJson for Packet {
@@ -131,20 +131,6 @@ impl flumen_sim::ToJson for Packet {
             ("src", self.src.to_json()),
             ("tag", self.tag.to_json()),
         ])
-    }
-}
-
-impl flumen_sim::FromJson for Packet {
-    fn from_json(j: &flumen_sim::Json) -> Result<Self, flumen_sim::JsonError> {
-        Ok(Packet {
-            id: flumen_sim::json::u64_from_hex(j.get("id")?)?,
-            src: usize::from_json(j.get("src")?)?,
-            dst: usize::from_json(j.get("dst")?)?,
-            bits: u32::from_json(j.get("bits")?)?,
-            created_at: u64::from_json(j.get("created_at")?)?,
-            extra_dests: Vec::from_json(j.get("extra_dests")?)?,
-            tag: u64::from_json(j.get("tag")?)?,
-        })
     }
 }
 

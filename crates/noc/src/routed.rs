@@ -79,7 +79,7 @@ struct Router {
 /// An electrical ring or mesh NoP.
 ///
 /// Built from the shared `Fifo`/`RrToken`/`FlightBuffer` primitives with
-/// the exact cycle behavior and checkpoint bytes of the original
+/// the exact cycle behavior and snapshot bytes of the original
 /// hand-wired version. A step visits only the routers that hold flits and
 /// the sources with packets queued, found from two `u64` masks, so at
 /// most 64 routers are supported.
@@ -96,7 +96,7 @@ pub struct RoutedNetwork {
     stats: NetStats,
     tracer: TraceHandle,
     /// Bit `r` is set iff router `r` holds a flit in some input queue.
-    /// Derived state, recomputed on restore, like the two fields below.
+    /// Derived state, not snapshotted, like the two fields below.
     occupied: u64,
     /// Bit `n` is set iff `src_queues[n]` is non-empty.
     sourcing: u64,
@@ -262,29 +262,6 @@ impl RoutedNetwork {
             self.occupied &= !(1 << r);
         }
     }
-
-    /// Recomputes the derived masks and live count from the queues.
-    fn recount(&mut self) {
-        self.occupied = mask(
-            self.routers
-                .iter()
-                .map(|r| r.inputs.iter().any(|q| !q.is_empty())),
-        );
-        self.sourcing = mask(self.src_queues.iter().map(|q| !q.is_empty()));
-        self.live = self.src_queues.iter().map(Fifo::len).sum::<usize>()
-            + self.in_flight.len()
-            + self
-                .routers
-                .iter()
-                .flat_map(|r| &r.inputs)
-                .map(Fifo::len)
-                .sum::<usize>();
-    }
-}
-
-/// Bit `i` set iff the `i`-th flag is.
-fn mask(flags: impl Iterator<Item = bool>) -> u64 {
-    flags.enumerate().fold(0, |m, (i, f)| m | u64::from(f) << i)
 }
 
 /// `table[at * nodes + dst]`: the out port toward `dst` from `at`, the
@@ -563,13 +540,13 @@ impl Network for RoutedNetwork {
     }
 }
 
-flumen_sim::json_struct!(Router {
+flumen_sim::json_struct!(write Router {
     inputs,
     out_busy_until,
     rr
 });
 
-// Checkpoint support. `in_flight` entries are `(arrival, router, in_port,
+// Snapshot support. `in_flight` entries are `(arrival, router, in_port,
 // pkt)`; the in-port is `usize::MAX` for ejections, beyond f64's exact
 // integer range, so it rides as hex. Vec order is preserved — the arrival
 // scan uses `swap_remove`, making delivery order position-dependent.
@@ -596,66 +573,6 @@ impl flumen_sim::Snapshotable for RoutedNetwork {
             ("src_queues", self.src_queues.to_json()),
             ("stats", self.stats.to_json()),
         ])
-    }
-
-    fn restore(&mut self, j: &flumen_sim::Json) -> std::result::Result<(), flumen_sim::JsonError> {
-        use crate::restore::{check_dests, check_index, check_len};
-        use flumen_sim::{FromJson, JsonError};
-        let n = self.topo.nodes();
-        let ports = Self::neighbor_ports(&self.topo) + 1;
-        let cycle = u64::from_json(j.get("cycle")?)?;
-        let mut in_flight = Vec::new();
-        for e in j.get("in_flight")?.as_arr()? {
-            let arr = e.as_arr()?;
-            let [at, node, port, tp] = arr else {
-                return Err(JsonError(format!(
-                    "RoutedNetwork.in_flight: expected 4 elements, got {}",
-                    arr.len()
-                )));
-            };
-            let (node, port) = (
-                usize::from_json(node)?,
-                flumen_sim::json::u64_from_hex(port)? as usize,
-            );
-            let flit = Flit::from_json(tp)?;
-            check_index("RoutedNetwork.in_flight router", node, n)?;
-            if port != usize::MAX {
-                check_index("RoutedNetwork.in_flight in-port", port, ports)?;
-            }
-            check_dests("RoutedNetwork.in_flight", [&flit.pkt], n)?;
-            in_flight.push((u64::from_json(at)?, (node, port, flit)));
-        }
-        let routers: Vec<Router> = Vec::from_json(j.get("routers")?)?;
-        check_len("RoutedNetwork.routers", routers.len(), n)?;
-        for r in &routers {
-            check_len("RoutedNetwork router inputs", r.inputs.len(), ports)?;
-            check_len(
-                "RoutedNetwork router out_busy_until",
-                r.out_busy_until.len(),
-                ports,
-            )?;
-            for q in &r.inputs {
-                check_dests("RoutedNetwork router inputs", q.iter().map(|f| &f.pkt), n)?;
-            }
-        }
-        let src_queues: Vec<Fifo<Packet>> = Vec::from_json(j.get("src_queues")?)?;
-        check_len("RoutedNetwork.src_queues", src_queues.len(), n)?;
-        for q in &src_queues {
-            check_dests("RoutedNetwork.src_queues", q.iter(), n)?;
-        }
-        let stats = NetStats::from_json(j.get("stats")?)?;
-        check_len(
-            "RoutedNetwork.stats.link_busy",
-            stats.link_busy.len(),
-            n * ports,
-        )?;
-        self.cycle = cycle;
-        self.in_flight = FlightBuffer::from_entries(in_flight);
-        self.routers = routers;
-        self.src_queues = src_queues;
-        self.stats = stats;
-        self.recount();
-        Ok(())
     }
 }
 
@@ -812,8 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn masks_and_live_count_track_queues_through_restore() {
-        use flumen_sim::Snapshotable;
+    fn masks_and_live_count_track_queues() {
         use rand::{Rng, SeedableRng};
         let shapes = [
             RoutedTopology::Ring { nodes: 16 },
@@ -828,7 +744,6 @@ mod tests {
             for seed in 0..6 {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 let mut net = RoutedNetwork::new(topo, RoutedConfig::default()).unwrap();
-                let mut spare = RoutedNetwork::new(topo, RoutedConfig::default()).unwrap();
                 for id in 0..800u64 {
                     match rng.gen_range(0..10) {
                         0..=3 => {
@@ -840,10 +755,6 @@ mod tests {
                             let src = rng.gen_range(0..n);
                             let dests = [(src + 1) % n, (src + 2) % n];
                             net.inject(Packet::multicast(id, src, &dests, 512, net.cycle()));
-                        }
-                        5 => {
-                            spare.restore(&net.snapshot()).unwrap();
-                            std::mem::swap(&mut net, &mut spare);
                         }
                         _ => {
                             net.step();

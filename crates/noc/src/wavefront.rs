@@ -70,13 +70,13 @@ impl WavefrontArbiter {
         self.n
     }
 
-    /// Current priority-diagonal position (checkpoint state).
+    /// Current priority-diagonal position (snapshot state).
     pub fn priority(&self) -> usize {
         self.priority
     }
 
-    /// Restores the priority diagonal from a checkpoint. Values are taken
-    /// modulo `n` so a foreign snapshot cannot put the arbiter out of range.
+    /// Sets the priority diagonal. Values are taken modulo `n`, so the
+    /// arbiter cannot be put out of range.
     pub fn set_priority(&mut self, p: usize) {
         self.priority = p % self.n.max(1);
     }

@@ -10,16 +10,12 @@
 //! flumen_served [--scenario poisson|bursty|diurnal] [--rate R] [--horizon N]
 //!               [--clients N] [--seed S] [--workers N] [--queue-depth N]
 //!               [--timeout CYCLES] [--shed newest|oldest] [--threads N]
-//!               [--checkpoint DIR] [--out FILE]
+//!               [--out FILE]
 //! ```
 //!
 //! `--rate` is mean requests per megacycle (aggregate across clients);
-//! `--timeout 0` disables in-queue deadlines. `--checkpoint DIR` makes
-//! full-system payloads snapshot every 1,000 cycles under `DIR`, keyed
-//! by payload content hash, so a killed run resumes them on the next
-//! invocation with the same report.
+//! `--timeout 0` disables in-queue deadlines.
 
-use flumen::CheckpointPolicy;
 use flumen_serve::{
     run_scenario, AdmissionConfig, ArrivalProcess, ClassPolicy, JobMix, ScenarioSpec, ServeConfig,
     ShedPolicy,
@@ -39,7 +35,6 @@ struct Flags {
     timeout: u64,
     shed: ShedPolicy,
     threads: usize,
-    checkpoint: Option<String>,
     out: Option<String>,
 }
 
@@ -56,7 +51,6 @@ impl Default for Flags {
             timeout: 0,
             shed: ShedPolicy::Newest,
             threads: 4,
-            checkpoint: None,
             out: None,
         }
     }
@@ -119,14 +113,12 @@ fn parse_flags() -> Result<Flags, String> {
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
-            "--checkpoint" => f.checkpoint = Some(take("--checkpoint")?),
             "--out" => f.out = Some(take("--out")?),
             "--help" | "-h" => {
                 println!(
                     "usage: flumen_served [--scenario poisson|bursty|diurnal] [--rate R] \
                      [--horizon N] [--clients N] [--seed S] [--workers N] [--queue-depth N] \
-                     [--timeout CYCLES] [--shed newest|oldest] [--threads N] \
-                     [--checkpoint DIR] [--out FILE]"
+                     [--timeout CYCLES] [--shed newest|oldest] [--threads N] [--out FILE]"
                 );
                 std::process::exit(0);
             }
@@ -194,16 +186,12 @@ fn main() -> ExitCode {
         workers: flags.workers,
         exec_threads: flags.threads,
     };
-    let checkpoint = flags.checkpoint.as_ref().map(|dir| CheckpointPolicy {
-        dir: dir.into(),
-        every_cycles: 1_000,
-    });
 
     println!(
         "flumen_served: {} · rate {}/Mcycle · horizon {} cycles · {} clients · seed {:#x}",
         flags.scenario, flags.rate, flags.horizon, flags.clients, flags.seed
     );
-    let report = match run_scenario(&spec, &cfg, checkpoint.as_ref(), &TraceHandle::disabled()) {
+    let report = match run_scenario(&spec, &cfg, None, &TraceHandle::disabled()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");

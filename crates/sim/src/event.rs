@@ -1,6 +1,6 @@
 //! A deterministic scheduled-wakeup queue.
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{Json, ToJson};
 use flumen_units::Cycles;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -126,30 +126,6 @@ impl<T: ToJson> ToJson for EventQueue<T> {
     }
 }
 
-impl<T: FromJson> FromJson for EventQueue<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let mut heap = BinaryHeap::new();
-        for entry in j.get("entries")?.as_arr()? {
-            let arr = entry.as_arr()?;
-            let [at, seq, payload] = arr else {
-                return Err(JsonError(format!(
-                    "EventQueue entry: expected [at, seq, payload], got {} elements",
-                    arr.len()
-                )));
-            };
-            heap.push(Reverse(Entry {
-                at: at.as_u64()?,
-                seq: seq.as_u64()?,
-                payload: T::from_json(payload)?,
-            }));
-        }
-        Ok(EventQueue {
-            heap,
-            next_seq: j.get("next_seq")?.as_u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,23 +147,6 @@ mod tests {
         assert_eq!(q.pop_due(Cycles::new(5)), Some("d"));
         assert_eq!(q.pop_due(Cycles::new(99)), None);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_order() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.schedule(Cycles::new(9), 90);
-        q.schedule(Cycles::new(2), 20);
-        q.schedule(Cycles::new(9), 91);
-        let text = q.to_json().to_canonical();
-        let mut back = EventQueue::<u64>::from_json(&Json::parse(&text).unwrap()).unwrap();
-        // The restored queue pops identically and continues the seq space.
-        assert_eq!(back.to_json().to_canonical(), text);
-        assert_eq!(back.pop_due(Cycles::new(100)), Some(20));
-        back.schedule(Cycles::new(9), 92); // seq 3 > existing seq 2
-        assert_eq!(back.pop_due(Cycles::new(100)), Some(90));
-        assert_eq!(back.pop_due(Cycles::new(100)), Some(91));
-        assert_eq!(back.pop_due(Cycles::new(100)), Some(92));
     }
 
     #[test]

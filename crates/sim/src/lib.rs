@@ -8,9 +8,9 @@
 //!   for DRAM returns, phase-programming completions, and reconfiguration
 //!   guard times. Time is unit-checked [`flumen_units::Cycles`].
 //! * [`SimRng`] — the seeded, snapshotable random stream.
-//! * [`Snapshotable`] + [`Snapshot`] — versioned canonical-JSON
-//!   checkpoints that resume bit-identically mid-run, extending the
-//!   sweep's content-addressed result cache to in-progress jobs.
+//! * [`Snapshotable`] — canonical-JSON snapshots of dynamic state, the
+//!   oracle the quiet-span tests compare to prove that jumping a quiet
+//!   span ends in the same state as stepping it.
 //!
 //! The [`json`] module (canonical serialization, previously private to
 //! `flumen-sweep`) lives here so snapshots and job hashes share one
@@ -29,4 +29,4 @@ pub use event::EventQueue;
 pub use flumen_units::Cycles;
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::SimRng;
-pub use snapshot::{Snapshot, Snapshotable, SNAPSHOT_VERSION};
+pub use snapshot::Snapshotable;

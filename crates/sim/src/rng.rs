@@ -1,6 +1,6 @@
 //! The simulator's deterministic random stream.
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{Json, ToJson};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -8,9 +8,7 @@ use rand::{RngCore, SeedableRng};
 /// replays bit-identically from its seed.
 ///
 /// Wraps the vendored xoshiro256++ [`StdRng`] and exposes its raw state,
-/// which is what makes mid-run checkpoints exact: restoring the four state
-/// words resumes the stream at the precise draw where the snapshot was
-/// taken, with no replay burn-in.
+/// so a snapshot records the precise draw the stream has reached.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: StdRng,
@@ -29,13 +27,6 @@ impl SimRng {
     /// The raw generator state.
     pub fn state(&self) -> [u64; 4] {
         self.inner.state()
-    }
-
-    /// Resumes a stream from a [`SimRng::state`] snapshot.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        SimRng {
-            inner: StdRng::from_state(s),
-        }
     }
 }
 
@@ -59,25 +50,6 @@ impl ToJson for SimRng {
     }
 }
 
-impl FromJson for SimRng {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let arr = j.as_arr()?;
-        let [a, b, c, d] = arr else {
-            return Err(JsonError(format!(
-                "SimRng state: expected 4 words, got {}",
-                arr.len()
-            )));
-        };
-        use crate::json::u64_from_hex;
-        Ok(SimRng::from_state([
-            u64_from_hex(a)?,
-            u64_from_hex(b)?,
-            u64_from_hex(c)?,
-            u64_from_hex(d)?,
-        ]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,19 +62,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn snapshot_resumes_mid_stream() {
-        let mut rng = SimRng::seed_from_u64(7);
-        for _ in 0..13 {
-            rng.next_u64();
-        }
-        let snap = rng.to_json();
-        let tail: Vec<u64> = (0..50).map(|_| rng.next_u64()).collect();
-        let mut resumed = SimRng::from_json(&snap).unwrap();
-        let resumed_tail: Vec<u64> = (0..50).map(|_| resumed.next_u64()).collect();
-        assert_eq!(tail, resumed_tail);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! The `ToJson`/`FromJson` impls themselves live next to the types they
 //! serialize (e.g. `RuntimeConfig` in `flumen::runtime`, `NetStats` in
-//! `flumen_noc::stats`), where the checkpoint/resume machinery also needs
-//! them. What this module pins down is the property the *sweep* layer
+//! `flumen_noc::stats`). What this module pins down is the property the *sweep* layer
 //! depends on: those bridges define the canonical serialized form of
 //! every parameter that feeds a job's content hash, so any field change —
 //! however small — produces a different hash and therefore a cache miss.

@@ -12,7 +12,6 @@
 
 use crate::cache::ResultCache;
 use crate::job::{JobResult, JobSpec};
-use flumen::CheckpointPolicy;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -69,21 +68,12 @@ pub struct SweepOptions {
     pub cache_dir: PathBuf,
     /// Per-job progress lines on stderr.
     pub verbose: bool,
-    /// Periodic simulator checkpointing for full-system jobs (`None` =
-    /// off). Each job keys its checkpoints by its content hash — the
-    /// identity the result cache uses — so an interrupted job resumes
-    /// bit-identically on the next run of the same spec and a changed
-    /// spec never picks up a stale checkpoint.
-    pub checkpoint: Option<CheckpointPolicy>,
 }
 
 impl SweepOptions {
     /// Environment-driven defaults: `FLUMEN_SWEEP_THREADS` (default: all
-    /// available cores), `FLUMEN_SWEEP_FORCE=1` to bypass the cache,
-    /// `FLUMEN_SWEEP_CHECKPOINT=<cycles>` to checkpoint long jobs every
-    /// that many cycles under `$FLUMEN_DATA_DIR/checkpoints` (unset, zero
-    /// or unparsable leaves checkpointing off), and the cache under
-    /// [`ResultCache::default_dir`].
+    /// available cores), `FLUMEN_SWEEP_FORCE=1` to bypass the cache, and
+    /// the cache under [`ResultCache::default_dir`].
     pub fn from_env() -> Self {
         let threads = std::env::var("FLUMEN_SWEEP_THREADS")
             .ok()
@@ -97,20 +87,11 @@ impl SweepOptions {
         let force = std::env::var("FLUMEN_SWEEP_FORCE")
             .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
             .unwrap_or(false);
-        let checkpoint = std::env::var("FLUMEN_SWEEP_CHECKPOINT")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .map(|every_cycles| CheckpointPolicy {
-                dir: default_checkpoint_dir(),
-                every_cycles,
-            });
         SweepOptions {
             threads,
             force,
             cache_dir: ResultCache::default_dir(),
             verbose: false,
-            checkpoint,
         }
     }
 
@@ -121,17 +102,8 @@ impl SweepOptions {
             force: false,
             cache_dir: dir,
             verbose: false,
-            checkpoint: None,
         }
     }
-}
-
-/// The checkpoint directory of [`SweepOptions::from_env`]:
-/// `$FLUMEN_DATA_DIR/checkpoints`, falling back to
-/// `EXPERIMENTS-data/checkpoints`. Completed jobs delete their files.
-fn default_checkpoint_dir() -> PathBuf {
-    let data = std::env::var("FLUMEN_DATA_DIR").unwrap_or_else(|_| "EXPERIMENTS-data".into());
-    PathBuf::from(data).join("checkpoints")
 }
 
 impl Default for SweepOptions {
@@ -256,9 +228,8 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
                 }
                 // Per-job timing is reporting metadata, never result bytes.
                 let tj = Instant::now(); // flumen-check: allow(det-wall-clock)
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    spec.execute_with(opts.checkpoint.as_ref())
-                }));
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.execute()));
                 let wall = tj.elapsed().as_secs_f64() * 1e3;
                 let entry = match outcome {
                     Ok(result) => {
@@ -315,15 +286,5 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
         results,
         records,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_checkpoint_dir_is_under_data_root() {
-        assert!(default_checkpoint_dir().ends_with("checkpoints"));
     }
 }

@@ -10,10 +10,7 @@
 
 use crate::hash::sha256_hex;
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use flumen::{
-    run_benchmark, run_benchmark_checkpointed, CheckpointPolicy, FullRunResult, RuntimeConfig,
-    SystemTopology,
-};
+use flumen::{run_benchmark, FullRunResult, RuntimeConfig, SystemTopology};
 use flumen_noc::harness::{measure_point, LatencyPoint, RunConfig};
 use flumen_noc::traffic::TrafficPattern;
 use flumen_noc::{
@@ -378,19 +375,6 @@ impl JobSpec {
     /// Runs the experiment to completion. Pure function of the spec:
     /// all randomness is seeded from fields hashed above.
     pub fn execute(&self) -> JobResult {
-        self.execute_with(None)
-    }
-
-    /// Like [`execute`](Self::execute), but full-system runs checkpoint
-    /// under `policy`, keyed by this spec's content hash, and resume from
-    /// the newest checkpoint that restores when one exists. Resumption is
-    /// bit-identical, so the result is cacheable under the same address
-    /// whether or not the run was interrupted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if checkpoint files cannot be written or removed.
-    pub fn execute_with(&self, policy: Option<&CheckpointPolicy>) -> JobResult {
         match self {
             JobSpec::FullRun {
                 bench,
@@ -398,19 +382,7 @@ impl JobSpec {
                 cfg,
             } => {
                 let workload = bench.instantiate();
-                let r = match policy {
-                    Some(policy) => run_benchmark_checkpointed(
-                        workload.as_ref(),
-                        *topology,
-                        cfg,
-                        policy,
-                        &self.content_hash(),
-                        flumen_trace::TraceHandle::disabled(),
-                    )
-                    .expect("checkpoint I/O"),
-                    None => run_benchmark(workload.as_ref(), *topology, cfg),
-                };
-                JobResult::FullRun(r)
+                JobResult::FullRun(run_benchmark(workload.as_ref(), *topology, cfg))
             }
             JobSpec::NocPoint {
                 net,

@@ -20,10 +20,9 @@
 //! per-sweep manifest line for auditability.
 //!
 //! Environment knobs: `FLUMEN_SWEEP_THREADS` (worker count),
-//! `FLUMEN_SWEEP_FORCE=1` (bypass cache), `FLUMEN_SWEEP_CHECKPOINT`
-//! (checkpoint interval in cycles for long full-system jobs, which then
-//! resume from their newest snapshot after a kill), `FLUMEN_DATA_DIR`
-//! (data, cache and checkpoint root).
+//! `FLUMEN_SWEEP_FORCE=1` (bypass cache), `FLUMEN_DATA_DIR` (data and
+//! cache root). An interrupted sweep resumes job by job: every finished
+//! job is already a cache entry.
 
 #![warn(missing_docs)]
 

@@ -157,7 +157,7 @@ mod tests {
 
         let events = [
             TraceEvent::new(TraceCategory::Sweep, "job", EventKind::SpanBegin, 0, 0).with_id(0),
-            TraceEvent::instant(TraceCategory::System, "checkpoint", 3, 0),
+            TraceEvent::instant(TraceCategory::System, "truncated", 3, 0),
             TraceEvent::new(TraceCategory::Sweep, "job", EventKind::SpanEnd, 5, 0).with_id(0),
         ];
         let (chrome, jsonl) = write_trace_files(&base, "sweep", &events);

@@ -65,7 +65,6 @@ fn opts(threads: usize, dir: &Path) -> SweepOptions {
         force: false,
         cache_dir: dir.to_path_buf(),
         verbose: false,
-        checkpoint: None,
     }
 }
 
@@ -159,7 +158,6 @@ fn second_run_is_all_cache_hits_and_identical() {
             force: true,
             cache_dir: dir.clone(),
             verbose: false,
-            checkpoint: None,
         },
     );
     assert_eq!(forced.cache_hits(), 0);

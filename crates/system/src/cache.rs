@@ -150,10 +150,9 @@ impl Cache {
     }
 }
 
-// Checkpoint support: contents (per-set `[tag, dirty]` pairs in LRU→MRU
+// Snapshot support: contents (per-set `[tag, dirty]` pairs in LRU→MRU
 // order) plus statistics. Geometry (ways, line_shift, set_bits) is derived
-// from configuration and not serialized — restore validates the set count
-// against the already-constructed instance instead.
+// from configuration and not serialized.
 impl flumen_sim::Snapshotable for Cache {
     fn snapshot(&self) -> flumen_sim::Json {
         use flumen_sim::{Json, ToJson};
@@ -179,64 +178,6 @@ impl flumen_sim::Snapshotable for Cache {
             ("misses", self.misses.to_json()),
             ("sets", sets),
         ])
-    }
-
-    /// All or nothing: the cache changes only once every field has parsed
-    /// and passed its checks. A snapshot with no valid line leaves the
-    /// line array unallocated, as in a new cache.
-    fn restore(&mut self, j: &flumen_sim::Json) -> std::result::Result<(), flumen_sim::JsonError> {
-        use flumen_sim::JsonError;
-        let sets = j.get("sets")?.as_arr()?;
-        if sets.len() != self.sets {
-            return Err(JsonError(format!(
-                "Cache.sets: snapshot has {} sets, instance has {}",
-                sets.len(),
-                self.sets
-            )));
-        }
-        let mut lines = Vec::new();
-        let mut fill = Vec::new();
-        for (set, js) in sets.iter().enumerate() {
-            let jlines = js.as_arr()?;
-            if jlines.len() > self.ways {
-                return Err(JsonError(format!(
-                    "Cache.sets: {} lines exceed {} ways",
-                    jlines.len(),
-                    self.ways
-                )));
-            }
-            if jlines.is_empty() {
-                continue;
-            }
-            if lines.is_empty() {
-                lines = vec![0; self.sets * self.ways];
-                fill = vec![0; self.sets];
-            }
-            for (slot, jl) in lines[set * self.ways..].iter_mut().zip(jlines) {
-                let pair = jl.as_arr()?;
-                let [tag, dirty] = pair else {
-                    return Err(JsonError(format!(
-                        "Cache line: expected [tag, dirty], got {} elements",
-                        pair.len()
-                    )));
-                };
-                let tag = flumen_sim::json::u64_from_hex(tag)?;
-                // No address yields a tag this wide: lines and sets take
-                // at least one address bit.
-                if tag >> 63 != 0 {
-                    return Err(JsonError(format!("Cache line: tag {tag:#x} out of range")));
-                }
-                *slot = tag << 1 | u64::from(dirty.as_bool()?);
-            }
-            fill[set] = jlines.len() as u8;
-        }
-        let accesses = j.get("accesses")?.as_u64()?;
-        let misses = j.get("misses")?.as_u64()?;
-        self.lines = lines;
-        self.fill = fill;
-        self.accesses = accesses;
-        self.misses = misses;
-        Ok(())
     }
 }
 
@@ -318,36 +259,6 @@ mod tests {
         assert!(!c.access(0, false).hit);
     }
 
-    #[test]
-    fn snapshot_restores_contents_and_lru_order() {
-        use flumen_sim::Snapshotable;
-        let mut c = small();
-        c.access(0, true);
-        c.access(256, false);
-        c.access(0, false); // line 0 becomes MRU again
-        let snap = c.snapshot();
-        let mut fresh = small();
-        fresh.restore(&snap).unwrap();
-        assert_eq!(fresh.accesses, c.accesses);
-        assert_eq!(fresh.misses, c.misses);
-        // Both evict the same (LRU) victim and keep identical contents.
-        assert_eq!(c.access(512, false), fresh.access(512, false));
-        assert!(fresh.access(0, false).hit);
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_geometry() {
-        use flumen_sim::Snapshotable;
-        let big = Cache::new(&CacheConfig {
-            size_bytes: 2048,
-            line_bytes: 64,
-            ways: 2,
-            latency: 1,
-        });
-        let mut c = small();
-        assert!(c.restore(&big.snapshot()).is_err());
-    }
-
     /// FNV-1a over the bytes of `s`.
     fn fnv1a(s: &str) -> u64 {
         s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -392,9 +303,6 @@ mod tests {
             let evicted = replay(&mut c, 4 * cfg.size_bytes as u64);
             let snap = c.snapshot().to_canonical();
             got.push((name, fnv1a(&snap), evicted, snap.len()));
-            let mut back = Cache::new(cfg);
-            back.restore(&c.snapshot()).unwrap();
-            assert_eq!(back.snapshot().to_canonical(), snap, "{name} round trip");
         }
         let pinned: [(&str, u64, u64, usize); 3] = [
             ("l1d", 0xb4133e4f877b9def, 0x926304bcc8bc7d00, 13957),
@@ -402,54 +310,6 @@ mod tests {
             ("l3", 0xce292bbe80495472, 0x037008d91ac1d540, 442926),
         ];
         assert_eq!(got, pinned, "{got:#x?}");
-    }
-
-    #[test]
-    fn never_accessed_cache_round_trips() {
-        use flumen_sim::Snapshotable;
-        let cfg = crate::SystemConfig::paper().l2;
-        let cold = Cache::new(&cfg);
-        let snap = cold.snapshot();
-        let mut back = Cache::new(&cfg);
-        back.restore(&snap).unwrap();
-        assert_eq!(back.snapshot().to_canonical(), snap.to_canonical());
-        // A warm cache restored from the cold snapshot is cold again.
-        let mut warm = Cache::new(&cfg);
-        warm.access(0x40, true);
-        warm.restore(&snap).unwrap();
-        assert_eq!(warm.snapshot().to_canonical(), snap.to_canonical());
-        assert!(!warm.access(0x40, false).hit);
-    }
-
-    #[test]
-    fn restore_is_all_or_nothing() {
-        use flumen_sim::{Json, Snapshotable};
-        let mut other = small();
-        other.access(256, true);
-        let edited = |edit: &dyn Fn(&mut std::collections::BTreeMap<String, Json>)| {
-            let mut j = other.snapshot();
-            if let Json::Obj(m) = &mut j {
-                edit(m);
-            }
-            j
-        };
-        let no_misses = edited(&|m| {
-            m.remove("misses");
-        });
-        // Set 0's one line, with a tag no address yields.
-        let wide_tag = edited(&|m| {
-            let line = Json::Arr(vec![flumen_sim::json::u64_hex(1 << 63), Json::Bool(false)]);
-            let mut sets = vec![Json::Arr(Vec::new()); 4];
-            sets[0] = Json::Arr(vec![line]);
-            m.insert("sets".into(), Json::Arr(sets));
-        });
-        for bad in [no_misses, wide_tag] {
-            let mut c = small();
-            c.access(0, true);
-            let before = c.snapshot().to_canonical();
-            assert!(c.restore(&bad).is_err());
-            assert_eq!(c.snapshot().to_canonical(), before);
-        }
     }
 
     #[test]

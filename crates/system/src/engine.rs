@@ -203,12 +203,6 @@ enum Pending {
     Reply(usize),
 }
 
-/// The widest span of pending tags a restored snapshot may hold. The
-/// tag window is dense over that span, so this bounds what a hostile
-/// snapshot can make restore allocate; on the paper grid the span stays
-/// near 650 tags.
-const MAX_TAG_SPAN: u64 = 1 << 20;
-
 /// Result of a full-system run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -239,7 +233,7 @@ pub struct SystemSim<N: Network, S: ExternalServer<N>> {
     /// Per core, the first cycle at which stepping it can do anything
     /// (`CoreState::wake`, set after each step of the core). A reply, an
     /// offload outcome or a barrier release resets it to 0. Derived state,
-    /// not serialized; restore resets it to 0.
+    /// not serialized.
     wake: Vec<u64>,
     net: N,
     server: S,
@@ -385,9 +379,8 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     }
 
     /// Runs until [`SystemSim::finished`] or `max_cycles`, returning the
-    /// result. Call once per constructed system (possibly after a
-    /// checkpoint [`Snapshotable::restore`], in which case the run resumes
-    /// from the restored cycle).
+    /// result. Call once per constructed system (possibly after
+    /// [`SystemSim::run_to`], in which case the run goes on from there).
     pub fn run(mut self, max_cycles: u64) -> RunResult {
         self.run_to(max_cycles);
         // `run_to` leaves a system unfinished only at the cap.
@@ -826,12 +819,12 @@ enum AccessOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint bridges for the engine's internal state. Byte addresses use
+// Snapshot bridges for the engine's internal state. Byte addresses use
 // the full u64 range, so they ride as hex.
 
-/// A core as a snapshot holds it. Restore targets a freshly built
-/// instance, whose queues are the constructed task lists, so a cursor into
-/// that list stands for the queue and a position stands for a stream.
+/// A core as a snapshot holds it. The queues are the constructed task
+/// lists less what the core has popped, so a cursor into that list stands
+/// for the queue and a position stands for a stream.
 struct CoreSnapshot {
     barrier: Option<u32>,
     busy_until: u64,
@@ -846,7 +839,7 @@ struct CoreSnapshot {
     stream: Option<(usize, usize)>,
 }
 
-flumen_sim::json_struct!(CoreSnapshot {
+flumen_sim::json_struct!(write CoreSnapshot {
     barrier,
     busy_until,
     fallback,
@@ -854,82 +847,6 @@ flumen_sim::json_struct!(CoreSnapshot {
     taken,
     waiting
 });
-
-impl CoreSnapshot {
-    /// The core this snapshot describes, rebuilt from `tasks`, its
-    /// constructed list, or why the cursor does not fit that list. With
-    /// `offload` the core waits on an offload, which must be task
-    /// `taken - 1`; that task's fallback comes back with the core.
-    fn resume(
-        &self,
-        tasks: &VecDeque<CoreTask>,
-        offload: bool,
-    ) -> Result<(CoreState, Vec<CoreTask>), String> {
-        if self.taken > tasks.len() {
-            return Err(format!(
-                "taken {} is past its {} tasks",
-                self.taken,
-                tasks.len()
-            ));
-        }
-        let last = self.taken.checked_sub(1).and_then(|i| tasks.get(i));
-        let fallback = match last {
-            Some(CoreTask::External { fallback, .. }) => Some(fallback.as_slice()),
-            _ => None,
-        };
-        // The fallback tasks still queued, and the task popped last.
-        let (rest, current) = match (self.fallback, fallback) {
-            (None, _) => (&[][..], last),
-            (Some(p), Some(f)) if p <= f.len() => {
-                (&f[p..], p.checked_sub(1).and_then(|i| f.get(i)))
-            }
-            (Some(p), _) => {
-                return Err(format!("fallback position {p} does not fit its last task"))
-            }
-        };
-        let stream = match (self.stream, current) {
-            (None, _) => None,
-            (Some((ri, wi)), Some(CoreTask::Stream { ops, reads, writes }))
-                if ri <= reads.len() && wi <= writes.len() =>
-            {
-                Some(StreamState {
-                    ops: *ops,
-                    reads: reads.clone(),
-                    writes: writes.clone(),
-                    ri,
-                    wi,
-                })
-            }
-            (Some((ri, wi)), _) => {
-                return Err(format!(
-                    "stream position [{ri}, {wi}] does not fit its last task"
-                ))
-            }
-        };
-        let waited = match (offload, self.fallback, fallback) {
-            (false, ..) => Vec::new(),
-            (true, None, Some(f)) => f.to_vec(),
-            (true, ..) => return Err("waits on an offload that is not its last task".into()),
-        };
-        let core = CoreState {
-            queue: rest
-                .iter()
-                .chain(tasks.range(self.taken..))
-                .cloned()
-                .collect(),
-            taken: self.taken,
-            fallback: (self.fallback.zip(fallback)).map(|(popped, f)| FallbackCursor {
-                popped,
-                len: f.len(),
-            }),
-            busy_until: self.busy_until,
-            waiting: self.waiting,
-            stream,
-            barrier: self.barrier,
-        };
-        Ok((core, waited))
-    }
-}
 
 impl CoreState {
     fn to_snapshot(&self) -> CoreSnapshot {
@@ -944,7 +861,7 @@ impl CoreState {
     }
 }
 
-flumen_sim::json_struct!(ExternalOutcome { accepted, tag });
+flumen_sim::json_struct!(write ExternalOutcome { accepted, tag });
 
 impl flumen_sim::ToJson for ReqKind {
     fn to_json(&self) -> flumen_sim::Json {
@@ -971,26 +888,6 @@ impl flumen_sim::ToJson for ReqKind {
     }
 }
 
-impl flumen_sim::FromJson for ReqKind {
-    fn from_json(j: &flumen_sim::Json) -> Result<Self, flumen_sim::JsonError> {
-        use flumen_sim::{json::u64_from_hex, JsonError};
-        Ok(match j.get("kind")?.as_str()? {
-            "remote_line" => ReqKind::RemoteLine {
-                addr: u64_from_hex(j.get("addr")?)?,
-                write: bool::from_json(j.get("write")?)?,
-            },
-            "custom" => ReqKind::Custom {
-                server_cycles: u64::from_json(j.get("server_cycles")?)?,
-                reply_bits: u32::from_json(j.get("reply_bits")?)?,
-            },
-            "writeback" => ReqKind::Writeback {
-                addr: u64_from_hex(j.get("addr")?)?,
-            },
-            other => return Err(JsonError(format!("ReqKind: unknown variant {other:?}"))),
-        })
-    }
-}
-
 // `requester_core` is `usize::MAX` for fire-and-forget writebacks —
 // outside f64's exact range, so it rides as hex.
 impl flumen_sim::ToJson for ReqInfo {
@@ -1004,26 +901,10 @@ impl flumen_sim::ToJson for ReqInfo {
     }
 }
 
-impl flumen_sim::FromJson for ReqInfo {
-    fn from_json(j: &flumen_sim::Json) -> Result<Self, flumen_sim::JsonError> {
-        use flumen_sim::json::u64_from_hex;
-        Ok(ReqInfo {
-            kind: ReqKind::from_json(j.get("kind")?)?,
-            requester_core: u64_from_hex(j.get("requester_core")?)? as usize,
-            src_chiplet: usize::from_json(j.get("src_chiplet")?)?,
-        })
-    }
-}
-
 impl Snapshotable for NullServer {
     fn snapshot(&self) -> flumen_sim::Json {
         use flumen_sim::{Json, ToJson};
         Json::obj([("queue", self.queue.to_json())])
-    }
-
-    fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
-        self.queue = flumen_sim::FromJson::from_json(j.get("queue")?)?;
-        Ok(())
     }
 }
 
@@ -1055,72 +936,14 @@ fn pending_json(
     )
 }
 
-/// Builds the tag window from a snapshot's request and reply maps. A tag
-/// may name a request or a reply but not both, and the tags may span at
-/// most [`MAX_TAG_SPAN`].
-fn pending_restore(
-    requests: BTreeMap<u64, ReqInfo>,
-    replies: BTreeMap<u64, usize>,
-) -> Result<TagTable<Pending>, flumen_sim::JsonError> {
-    use flumen_sim::JsonError;
-    if let Some(&tag) = requests.keys().find(|t| replies.contains_key(t)) {
-        return Err(JsonError(format!(
-            "SystemSim: tag {tag} is pending as both a request and a reply"
-        )));
-    }
-    let merged: BTreeMap<u64, Pending> = requests
-        .into_iter()
-        .map(|(tag, info)| (tag, Pending::Request(info)))
-        .chain(
-            replies
-                .into_iter()
-                .map(|(tag, core)| (tag, Pending::Reply(core))),
-        )
-        .collect();
-    if let (Some((&first, _)), Some((&last, _))) =
-        (merged.first_key_value(), merged.last_key_value())
-    {
-        if last - first > MAX_TAG_SPAN {
-            return Err(JsonError(format!(
-                "SystemSim: pending tags {first}..={last} span more than {MAX_TAG_SPAN}"
-            )));
-        }
-    }
-    let mut pending = TagTable::new();
-    for (tag, p) in merged {
-        pending.insert(tag, p);
-    }
-    Ok(pending)
-}
-
 fn caches_snapshot(caches: &[Cache]) -> flumen_sim::Json {
     flumen_sim::Json::Arr(caches.iter().map(Snapshotable::snapshot).collect())
 }
 
-fn caches_restore(
-    caches: &mut [Cache],
-    j: &flumen_sim::Json,
-    what: &str,
-) -> Result<(), flumen_sim::JsonError> {
-    let arr = j.as_arr()?;
-    if arr.len() != caches.len() {
-        return Err(flumen_sim::JsonError(format!(
-            "{what}: snapshot has {} caches, instance has {}",
-            arr.len(),
-            caches.len()
-        )));
-    }
-    for (c, jc) in caches.iter_mut().zip(arr) {
-        c.restore(jc)?;
-    }
-    Ok(())
-}
-
-// Full-system checkpoints capture every field that evolves during
-// [`SystemSim::step`], except what a rebuild reproduces: configuration
-// (`cfg`, `trace_interval`), the tracer and the task lists. Restore needs
-// an identically configured instance that has not stepped, and moves its
-// cores to the snapshot's cursors into their constructed lists.
+// Full-system snapshots capture every field that evolves during
+// [`SystemSim::step`], except what construction fixes: configuration
+// (`cfg`, `trace_interval`), the tracer and the task lists, which the
+// cores' cursors index.
 impl<N, S> Snapshotable for SystemSim<N, S>
 where
     N: Network + Snapshotable,
@@ -1163,159 +986,6 @@ where
             ("server_jobs", self.server_jobs.to_json()),
             ("trace", self.trace.to_json()),
         ])
-    }
-
-    fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
-        use flumen_sim::{FromJson, JsonError};
-        // The cursors index the constructed task lists, which only the
-        // queues of an instance that has not stepped still hold whole.
-        if self.cycle != 0 || self.cores.iter().any(|c| c.taken != 0) {
-            return Err(JsonError(format!(
-                "SystemSim: restore needs a freshly built instance, this one is at cycle {}",
-                self.cycle
-            )));
-        }
-        let (num_cores, chiplets) = (self.cfg.cores, self.cfg.chiplets);
-        let cores: Vec<CoreSnapshot> = Vec::from_json(j.get("cores")?)?;
-        // A core count other than the configured one would index past the
-        // per-core caches (more cores) or never release a barrier (fewer).
-        if cores.len() != num_cores {
-            return Err(JsonError(format!(
-                "SystemSim.cores: snapshot has {} cores, instance has {num_cores}",
-                cores.len(),
-            )));
-        }
-        let external_waiting: BTreeMap<u64, usize> =
-            BTreeMap::from_json(j.get("external_waiting")?)?;
-        let pending_replies: BTreeMap<u64, usize> = BTreeMap::from_json(j.get("pending_replies")?)?;
-        let pending_requests: BTreeMap<u64, ReqInfo> =
-            BTreeMap::from_json(j.get("pending_requests")?)?;
-        let server_jobs: EventQueue<Packet> = EventQueue::from_json(j.get("server_jobs")?)?;
-        // Every core and chiplet the in-flight state names must exist: a
-        // later step indexes `cores[core]` and the network's per-node
-        // queues with them. A writeback's `requester_core` is the
-        // `usize::MAX` sentinel and is never indexed. The tasks' own
-        // chiplets were checked when the instance was built.
-        let requesters = pending_requests
-            .values()
-            .filter(|r| !matches!(r.kind, ReqKind::Writeback { .. }))
-            .map(|r| r.requester_core);
-        let bad_core = external_waiting
-            .values()
-            .chain(pending_replies.values())
-            .copied()
-            .chain(requesters)
-            .find(|&c| c >= num_cores);
-        if let Some(core) = bad_core {
-            return Err(JsonError(format!(
-                "SystemSim: snapshot names core {core}, instance has {num_cores}"
-            )));
-        }
-        let reply_nodes = server_jobs.iter_sorted().flat_map(|(_, p)| {
-            [p.src, p.dst]
-                .into_iter()
-                .chain(p.extra_dests.iter().copied())
-        });
-        let bad_chiplet = pending_requests
-            .values()
-            .map(|r| r.src_chiplet)
-            .chain(reply_nodes)
-            .find(|&c| c >= chiplets);
-        if let Some(chiplet) = bad_chiplet {
-            return Err(JsonError(format!(
-                "SystemSim: snapshot names chiplet {chiplet}, instance has {chiplets}"
-            )));
-        }
-        let next_tag = u64::from_json(j.get("next_tag")?)?;
-        // `fresh_tag` would hand out such a tag again while it is live, and
-        // the new entry would overwrite the live one.
-        let reply_tags = server_jobs.iter_sorted().map(|(_, p)| p.tag);
-        if let Some(tag) = pending_requests
-            .keys()
-            .chain(pending_replies.keys())
-            .chain(external_waiting.keys())
-            .copied()
-            .chain(reply_tags)
-            .find(|&t| t >= next_tag)
-        {
-            return Err(JsonError(format!(
-                "SystemSim: pending tag {tag} is not below next_tag {next_tag}"
-            )));
-        }
-        // A core waits on at most one offload, and each cursor must fit
-        // the core's constructed list.
-        let mut offload = vec![false; num_cores];
-        for &core in external_waiting.values() {
-            if std::mem::replace(&mut offload[core], true) {
-                return Err(JsonError(format!(
-                    "SystemSim: core {core} waits on two offloads"
-                )));
-            }
-        }
-        let resumed: Vec<(CoreState, Vec<CoreTask>)> = (cores.iter().zip(&self.cores))
-            .zip(offload)
-            .enumerate()
-            .map(|(i, ((saved, core), offload))| {
-                (saved.resume(&core.queue, offload))
-                    .map_err(|e| JsonError(format!("SystemSim.cores[{i}]: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
-        let pending = pending_restore(pending_requests, pending_replies)?;
-        // A core's `waiting` counts its live requests, replies and
-        // offloads; each delivery or outcome takes one off. A count that
-        // nothing names would never fall to 0, and the resumed run would
-        // idle to its cycle cap.
-        let mut live = vec![0usize; num_cores];
-        let named = pending.iter().filter_map(|(_, p)| match p {
-            Pending::Request(ReqInfo {
-                kind: ReqKind::Writeback { .. },
-                ..
-            }) => None,
-            Pending::Request(info) => Some(info.requester_core),
-            Pending::Reply(core) => Some(*core),
-        });
-        for core in named.chain(external_waiting.values().copied()) {
-            live[core] += 1;
-        }
-        if let Some((i, (saved, n))) = (cores.iter().zip(&live))
-            .enumerate()
-            .find(|(_, (saved, &n))| saved.waiting != n)
-        {
-            return Err(JsonError(format!(
-                "SystemSim.cores[{i}]: waits on {} requests and offloads, {n} are live",
-                saved.waiting
-            )));
-        }
-        let barrier_counts = BTreeMap::from_json(j.get("barrier_counts")?)?;
-        let counts = ActivityCounts::from_json(j.get("counts")?)?;
-        let cycle = u64::from_json(j.get("cycle")?)?;
-        let last_trace_busy = u64::from_json(j.get("last_trace_busy")?)?;
-        let trace = Vec::from_json(j.get("trace")?)?;
-        // Sub-components restore in place, and only once every engine
-        // field has parsed and passed its checks. Each checks its own
-        // state, but a later one's `Err` can leave an earlier one
-        // restored; callers drop the instance on `Err`.
-        caches_restore(&mut self.l1d, j.get("l1d")?, "SystemSim.l1d")?;
-        caches_restore(&mut self.l2, j.get("l2")?, "SystemSim.l2")?;
-        caches_restore(&mut self.l3, j.get("l3")?, "SystemSim.l3")?;
-        self.net.restore(j.get("net")?)?;
-        self.server.restore(j.get("server")?)?;
-        let (cores, mut waited): (Vec<_>, Vec<_>) = resumed.into_iter().unzip();
-        self.cores = cores;
-        self.external_waiting = external_waiting
-            .into_iter()
-            .map(|(tag, core)| (tag, (core, std::mem::take(&mut waited[core]))))
-            .collect();
-        self.barrier_counts = barrier_counts;
-        self.wake.fill(0);
-        self.counts = counts;
-        self.cycle = cycle;
-        self.last_trace_busy = last_trace_busy;
-        self.next_tag = next_tag;
-        self.pending = pending;
-        self.server_jobs = server_jobs;
-        self.trace = trace;
-        Ok(())
     }
 }
 
@@ -1609,354 +1279,6 @@ mod tests {
         assert_eq!(sim.server.jumped, 499 + 99);
     }
 
-    /// Remote-homed traffic that keeps the network, caches, pending maps
-    /// and server-jobs queue all populated mid-run.
-    fn mid_run_tasks() -> Vec<Vec<CoreTask>> {
-        let mut tasks = empty_tasks(4);
-        let reads: Vec<u64> = (0..200u64).map(|i| 64 + i * 4 * 64).collect();
-        let writes: Vec<u64> = (0..120u64).map(|i| 128 + i * 4 * 64).collect();
-        tasks[0].push(CoreTask::Stream {
-            ops: 50,
-            reads,
-            writes,
-        });
-        tasks[1].push(CoreTask::NetRequest {
-            dst_chiplet: 3,
-            req_bits: 128,
-            reply_bits: 512,
-            server_cycles: 500,
-        });
-        for t in tasks.iter_mut() {
-            t.push(CoreTask::Barrier { id: 2 });
-            t.push(CoreTask::Compute { ops: 64 });
-        }
-        tasks
-    }
-
-    #[test]
-    fn snapshot_mid_run_resumes_bit_identically() {
-        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        a.set_trace_interval(50);
-        for _ in 0..150 {
-            a.step();
-        }
-        assert!(!a.finished(), "checkpoint must land mid-run");
-        let snap = a.snapshot();
-
-        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        b.set_trace_interval(50);
-        b.restore(&snap).unwrap();
-        assert_eq!(b.cycle, a.cycle);
-
-        let mut guard = 0;
-        while !(a.finished() && b.finished()) {
-            assert_eq!(a.finished(), b.finished(), "divergence at {}", a.cycle);
-            a.step();
-            b.step();
-            guard += 1;
-            assert!(guard < 1_000_000, "runaway");
-        }
-        assert_eq!(a.cycle, b.cycle);
-        assert_eq!(a.counts, b.counts);
-        assert_eq!(a.next_tag, b.next_tag);
-        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.trace), bits(&b.trace));
-        assert_eq!(a.net.stats().delivered, b.net.stats().delivered);
-        assert_eq!(a.net.stats().latency_sum, b.net.stats().latency_sum);
-        assert_eq!(a.net.stats().link_busy, b.net.stats().link_busy);
-    }
-
-    #[test]
-    fn restore_rejects_a_core_count_other_than_the_configured_one() {
-        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        for _ in 0..150 {
-            a.step();
-        }
-        assert!(!a.finished(), "checkpoint must land mid-run");
-        let snap = a.snapshot();
-        let with_cores = |edit: &dyn Fn(&mut Vec<flumen_sim::Json>)| {
-            let mut j = snap.clone();
-            if let flumen_sim::Json::Obj(m) = &mut j {
-                if let Some(flumen_sim::Json::Arr(cores)) = m.get_mut("cores") {
-                    edit(cores);
-                }
-            }
-            j
-        };
-        let dropped = with_cores(&|cores| {
-            cores.pop();
-        });
-        let appended = with_cores(&|cores| cores.push(cores[0].clone()));
-        for (what, tampered) in [("dropped", dropped), ("appended", appended)] {
-            let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-            let err = b.restore(&tampered).expect_err(what);
-            assert!(err.0.contains("cores"), "{what}: {err}");
-            // The instance is not stepped: a longer core array would index
-            // past the per-core caches, a shorter one never releases the
-            // barrier.
-        }
-    }
-
-    /// A core whose `waiting` count exceeds its live requests, replies and
-    /// offloads restores as an `Err` and leaves the engine untouched.
-    /// Restored, nothing would ever take the extra wait off: the run would
-    /// idle to its cap and report `truncated`.
-    #[test]
-    fn restore_rejects_a_waiting_count_nothing_will_decrement() {
-        use flumen_sim::Json;
-        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        for _ in 0..150 {
-            a.step();
-        }
-        assert!(!a.finished(), "checkpoint must land mid-run");
-        let mut snap = a.snapshot();
-        let Json::Obj(m) = &mut snap else {
-            panic!("snapshot is an object")
-        };
-        let Some(Json::Arr(cores)) = m.get_mut("cores") else {
-            panic!("cores: not an array")
-        };
-        let Json::Obj(core) = &mut cores[3] else {
-            panic!("cores[3]: not an object")
-        };
-        let waiting = core.get_mut("waiting").expect("waiting in core snapshot");
-        let Json::Num(n) = waiting else {
-            panic!("waiting: not a number")
-        };
-        *waiting = Json::Num(*n + 1.0);
-
-        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        let err = b.restore(&snap).expect_err("an extra wait restores as Err");
-        assert!(err.0.contains("cores[3]"), "{err}");
-        assert_eq!(b.cycle, 0, "a failed restore changed the engine");
-    }
-
-    /// In-flight state that names a core or chiplet the instance does not
-    /// have restores as an `Err` and leaves the engine untouched, instead
-    /// of restoring a state whose next step indexes past `cores` or the
-    /// network's per-node queues. A writeback's `usize::MAX` requester is
-    /// a sentinel and still restores.
-    #[test]
-    fn restore_rejects_out_of_range_cores_and_chiplets() {
-        use flumen_sim::{Json, ToJson};
-        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        for _ in 0..150 {
-            a.step();
-        }
-        assert!(!a.finished(), "checkpoint must land mid-run");
-        let snap = a.snapshot();
-        let with_entry = |path: &[&str], entry: Json| {
-            let mut j = snap.clone();
-            let mut node = &mut j;
-            for key in path {
-                let Json::Obj(m) = node else {
-                    panic!("{key}: not an object")
-                };
-                node = m.get_mut(*key).expect("field in snapshot");
-            }
-            let Json::Arr(entries) = node else {
-                panic!("{path:?}: not an array")
-            };
-            entries.push(entry);
-            j
-        };
-        let tag = Json::Num(1e6);
-        let request = |kind: ReqKind, requester_core: usize, src_chiplet: usize| {
-            let info = ReqInfo {
-                kind,
-                requester_core,
-                src_chiplet,
-            };
-            Json::Arr(vec![tag.clone(), info.to_json()])
-        };
-        let line = ReqKind::RemoteLine {
-            addr: 64,
-            write: false,
-        };
-        let reply = |src: usize, dst: usize| {
-            let pkt = Packet::new(1_000_000, src, dst, 512, 0);
-            Json::Arr(vec![Json::Num(1e6), Json::Num(1e6), pkt.to_json()])
-        };
-        let tampered = [
-            (
-                "reply core",
-                with_entry(
-                    &["pending_replies"],
-                    Json::Arr(vec![tag.clone(), Json::Num(4.0)]),
-                ),
-            ),
-            (
-                "offload core",
-                with_entry(
-                    &["external_waiting"],
-                    Json::Arr(vec![tag.clone(), Json::Num(4.0)]),
-                ),
-            ),
-            (
-                "requester core",
-                with_entry(&["pending_requests"], request(line, 4, 0)),
-            ),
-            (
-                "requester chiplet",
-                with_entry(&["pending_requests"], request(line, 0, 4)),
-            ),
-            (
-                "reply destination",
-                with_entry(&["server_jobs", "entries"], reply(0, 4)),
-            ),
-            (
-                "reply source",
-                with_entry(&["server_jobs", "entries"], reply(4, 0)),
-            ),
-        ];
-        for (what, bad) in tampered {
-            let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-            let err = b.restore(&bad).expect_err(what);
-            assert!(err.0.contains("names"), "{what}: {err}");
-            assert_eq!(b.cycle, 0, "{what}: a failed restore changed the engine");
-        }
-        // The sentinel sits at a tag below `next_tag` that nothing holds.
-        let free = (0..a.next_tag)
-            .find(|&t| a.pending.get(t).is_none() && !a.external_waiting.contains_key(&t))
-            .expect("a free tag below next_tag");
-        let info = ReqInfo {
-            kind: ReqKind::Writeback { addr: 64 },
-            requester_core: usize::MAX,
-            src_chiplet: 0,
-        };
-        let writeback = Json::Arr(vec![free.to_json(), info.to_json()]);
-        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        b.restore(&with_entry(&["pending_requests"], writeback))
-            .expect("writeback sentinel restores");
-        assert_eq!(b.cycle, a.cycle);
-    }
-
-    /// A snapshot whose pending tags `fresh_tag` would hand out again, that
-    /// holds one tag as both a request and a reply, or whose pending tags
-    /// span more than [`MAX_TAG_SPAN`], restores as an `Err`. Restored,
-    /// the first would overwrite a live entry with a reused tag and
-    /// leave a core waiting forever.
-    #[test]
-    fn restore_rejects_tags_at_or_past_next_tag() {
-        use flumen_sim::{FromJson, Json, ToJson};
-        let mut a = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        for _ in 0..150 {
-            a.step();
-        }
-        assert!(!a.finished(), "checkpoint must land mid-run");
-        let snap = a.snapshot();
-        let (oldest, _) = a.pending.iter().next().expect("a pending tag");
-        let edited = |edit: &dyn Fn(&mut BTreeMap<String, Json>)| {
-            let mut j = snap.clone();
-            let Json::Obj(m) = &mut j else {
-                panic!("snapshot is an object")
-            };
-            edit(m);
-            j
-        };
-        let push = |m: &mut BTreeMap<String, Json>, path: &[&str], entry: Json| {
-            let mut node = m.get_mut(path[0]).expect("field in snapshot");
-            for key in &path[1..] {
-                let Json::Obj(o) = node else {
-                    panic!("{key}: not an object")
-                };
-                node = o.get_mut(*key).expect("field in snapshot");
-            }
-            let Json::Arr(entries) = node else {
-                panic!("{path:?}: not an array")
-            };
-            entries.push(entry);
-        };
-        let next = a.next_tag;
-        // A writeback, so the entry adds no wait to any core.
-        let request = |tag: u64| {
-            let info = ReqInfo {
-                kind: ReqKind::Writeback { addr: 64 },
-                requester_core: usize::MAX,
-                src_chiplet: 0,
-            };
-            Json::Arr(vec![tag.to_json(), info.to_json()])
-        };
-        let far = MAX_TAG_SPAN + oldest + 1;
-        let tampered = [
-            (
-                "next_tag rewound to the oldest pending tag",
-                "next_tag",
-                edited(&|m| {
-                    m.insert("next_tag".into(), oldest.to_json());
-                }),
-            ),
-            (
-                "request at next_tag",
-                "next_tag",
-                edited(&|m| push(m, &["pending_requests"], request(next))),
-            ),
-            (
-                "reply at next_tag",
-                "next_tag",
-                edited(&|m| {
-                    push(
-                        m,
-                        &["pending_replies"],
-                        Json::Arr(vec![next.to_json(), 0usize.to_json()]),
-                    )
-                }),
-            ),
-            (
-                "offload at next_tag",
-                "next_tag",
-                edited(&|m| {
-                    push(
-                        m,
-                        &["external_waiting"],
-                        Json::Arr(vec![next.to_json(), 0usize.to_json()]),
-                    );
-                }),
-            ),
-            (
-                "server reply at next_tag",
-                "next_tag",
-                edited(&|m| {
-                    let mut pkt = Packet::new(next, 1, 0, 512, 0);
-                    pkt.tag = next;
-                    let entry = Json::Arr(vec![Json::Num(1e6), Json::Num(1e6), pkt.to_json()]);
-                    push(m, &["server_jobs", "entries"], entry);
-                }),
-            ),
-            (
-                "one tag as request and reply",
-                "both",
-                edited(&|m| {
-                    let replies = BTreeMap::<u64, usize>::from_json(&m["pending_replies"]).unwrap();
-                    let (&tag, _) = replies.iter().next().expect("a pending reply");
-                    push(m, &["pending_requests"], request(tag));
-                }),
-            ),
-            (
-                "tags spanning past the bound",
-                "span",
-                edited(&|m| {
-                    m.insert("next_tag".into(), (far + 1).to_json());
-                    push(m, &["pending_requests"], request(far));
-                }),
-            ),
-        ];
-        for (what, want, bad) in tampered {
-            let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-            let err = b.restore(&bad).expect_err(what);
-            assert!(err.0.contains(want), "{what}: {err}");
-            assert_eq!(b.cycle, 0, "{what}: a failed restore changed the engine");
-        }
-        // At the bound itself the window restores.
-        let at_bound = edited(&|m| {
-            m.insert("next_tag".into(), far.to_json());
-            push(m, &["pending_requests"], request(far - 1));
-        });
-        let mut b = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), mid_run_tasks());
-        b.restore(&at_bound)
-            .expect("a span of exactly MAX_TAG_SPAN restores");
-    }
-
     /// Each core streams remote lines, offloads with a fallback that
     /// streams and multicasts, computes, offloads with a compute fallback
     /// and streams again. A [`NullServer`] rejects both offloads.
@@ -2041,170 +1363,33 @@ mod tests {
         fn drain_counts(&mut self, _counts: &mut ActivityCounts) {}
     }
 
-    impl Snapshotable for EvenCycleNull {
-        fn snapshot(&self) -> flumen_sim::Json {
-            self.0.snapshot()
-        }
-        fn restore(&mut self, j: &flumen_sim::Json) -> Result<(), flumen_sim::JsonError> {
-            self.0.restore(j)
-        }
-    }
-
-    /// Snapshots `offload_tasks` at every cycle of its run, restores each
-    /// snapshot into a fresh instance, checks that the restored instance
-    /// snapshots the same, and that it finishes with the uninterrupted
-    /// run's final state and result. Returns which of four core states
-    /// the snapshots met: inside a fallback, waiting on an offload, a
-    /// fallback stream mid-way and a main-list stream mid-way.
-    fn resume_from_every_cycle<S>(server: impl Fn() -> S) -> [bool; 4]
-    where
-        S: ExternalServer<MzimCrossbar> + Snapshotable,
-    {
-        let build = || {
-            let mut sim = SystemSim::new(tiny_cfg(), net4(), server(), offload_tasks());
-            sim.set_trace_interval(50);
-            sim
-        };
-        // `RunResult`'s `Debug` text prints every f64 in its shortest
-        // round-trip form, so equal text means equal bits.
-        let finish = |mut sim: SystemSim<MzimCrossbar, S>| {
-            sim.run_to(1_000_000);
-            let state = sim.snapshot().to_canonical();
-            format!("{state}\n{:?}", sim.run(1_000_000))
-        };
-        let reference = finish(build());
+    /// Steps `offload_tasks` to the end and returns which of four core
+    /// states a cycle boundary met: inside a fallback, waiting on an
+    /// offload, a fallback stream mid-way and a main-list stream mid-way.
+    fn core_states_met<S: ExternalServer<MzimCrossbar>>(server: S) -> [bool; 4] {
+        let mut sim = SystemSim::new(tiny_cfg(), net4(), server, offload_tasks());
         let mut seen = [false; 4];
-        let mut a = build();
-        while !a.finished() {
-            for core in &a.cores {
+        while !sim.finished() {
+            for core in &sim.cores {
                 seen[0] |= core.fallback.is_some();
                 seen[2] |= core.fallback.is_some() && core.stream.is_some();
                 seen[3] |= core.fallback.is_none() && core.stream.is_some();
             }
-            seen[1] |= !a.external_waiting.is_empty();
-            let snap = a.snapshot();
-            let mut b = build();
-            b.restore(&snap)
-                .unwrap_or_else(|e| panic!("cycle {}: {e}", a.cycle));
-            assert!(b.snapshot() == snap, "round trip at cycle {}", a.cycle);
-            assert_eq!(finish(b), reference, "resumed from cycle {}", a.cycle);
-            a.step();
+            seen[1] |= !sim.external_waiting.is_empty();
+            sim.step();
+            assert!(sim.cycle < 1_000_000, "runaway");
         }
         seen
     }
 
     #[test]
-    fn resume_from_every_cycle_through_offload_rejects_is_bit_identical() {
+    fn rejected_offloads_run_their_fallbacks() {
         let [fallback, waiting, fallback_stream, main_stream] =
-            resume_from_every_cycle(NullServer::default);
+            core_states_met(NullServer::default());
         assert!(fallback && fallback_stream && main_stream);
         assert!(!waiting, "a plain NullServer rejects within the step");
-        let seen = resume_from_every_cycle(EvenCycleNull::default);
+        let seen = core_states_met(EvenCycleNull::default());
         assert_eq!(seen, [true; 4], "inside a fallback, waiting, two streams");
-    }
-
-    /// Cursors that do not fit the fresh instance's task lists, and
-    /// restores into an instance that has stepped, return `Err` and leave
-    /// the engine untouched. Cursors at the ends of their lists restore.
-    #[test]
-    fn restore_rejects_cursors_that_do_not_fit_the_task_lists() {
-        use flumen_sim::{Json, ToJson};
-        let build = || SystemSim::new(tiny_cfg(), net4(), NullServer::default(), offload_tasks());
-        let mut a = build();
-        a.run_to(300);
-        assert!(!a.finished() && a.external_waiting.is_empty());
-        let snap = a.snapshot();
-        let free: Vec<u64> = (0..a.next_tag)
-            .filter(|&t| a.pending.get(t).is_none())
-            .take(2)
-            .collect();
-        assert_eq!(free.len(), 2, "two free tags below next_tag");
-        // Core 0 at a cursor, waiting on its live requests and on
-        // offloads tagged `waits`.
-        let at = |taken: usize,
-                  fallback: Option<usize>,
-                  stream: Option<(usize, usize)>,
-                  waits: &[u64]| {
-            let core = CoreSnapshot {
-                barrier: None,
-                busy_until: 0,
-                waiting: a.cores[0].waiting + waits.len(),
-                taken,
-                fallback,
-                stream,
-            };
-            let mut j = snap.clone();
-            let Json::Obj(m) = &mut j else {
-                panic!("snapshot is an object")
-            };
-            if let Some(Json::Arr(cores)) = m.get_mut("cores") {
-                cores[0] = core.to_json();
-            }
-            let waits = waits.iter().map(|&t| (t, 0usize).to_json()).collect();
-            m.insert("external_waiting".into(), Json::Arr(waits));
-            j
-        };
-        // Core 0's list: stream (8 reads, 4 writes), offload (fallback:
-        // stream of 8 reads, multicast), compute, offload, stream.
-        let tampered = [
-            ("taken past the list", at(6, None, None, &[])),
-            ("fallback before any task", at(0, Some(0), None, &[])),
-            ("fallback on a stream", at(1, Some(0), None, &[])),
-            ("fallback past the offload's", at(2, Some(3), None, &[])),
-            ("stream on a compute", at(3, None, Some((0, 0)), &[])),
-            ("stream on the offload", at(2, Some(0), Some((0, 0)), &[])),
-            ("stream on a multicast", at(2, Some(2), Some((0, 0)), &[])),
-            ("reads past the stream", at(1, None, Some((9, 0)), &[])),
-            ("writes past the stream", at(1, None, Some((8, 5)), &[])),
-            (
-                "reads past the fallback stream",
-                at(2, Some(1), Some((9, 0)), &[]),
-            ),
-            ("waiting on a stream", at(1, None, None, &free[..1])),
-            (
-                "waiting inside a fallback",
-                at(2, Some(0), None, &free[..1]),
-            ),
-            ("waiting twice", at(2, None, None, &free)),
-        ];
-        for (what, bad) in tampered {
-            let mut b = build();
-            let err = b.restore(&bad).expect_err(what);
-            assert!(
-                err.0.contains("cores[0]") || err.0.contains("two offloads"),
-                "{what}: {err}"
-            );
-            assert_eq!(b.cycle, 0, "{what}: a failed restore changed the engine");
-        }
-        let mut stepped = build();
-        stepped.step();
-        let err = stepped.restore(&snap).expect_err("stepped instance");
-        assert!(err.0.contains("freshly built"), "{err}");
-        assert_eq!(stepped.cycle, 1);
-
-        // At the ends of their lists the cursors restore, and the queue
-        // is the rest of the fallback followed by the rest of the list.
-        let fits = [
-            at(5, None, None, &[]),
-            at(1, None, Some((8, 4)), &[]),
-            at(2, None, None, &free[..1]),
-            at(2, Some(1), Some((8, 0)), &[]),
-        ];
-        let restored: Vec<_> = (fits.iter().enumerate())
-            .map(|(i, ok)| {
-                let mut b = build();
-                b.restore(ok).unwrap_or_else(|e| panic!("fit {i}: {e}"));
-                assert_eq!(b.cycle, a.cycle, "fit {i}");
-                b
-            })
-            .collect();
-        let (&tag, (core, fallback)) = restored[2].external_waiting.iter().next().unwrap();
-        assert_eq!((tag, *core, fallback.len()), (free[0], 0, 2));
-        let core = &restored[3].cores[0];
-        assert_eq!(core.queue.len(), 4, "multicast, compute, offload, stream");
-        assert!(matches!(core.queue[0], CoreTask::NetSend { .. }));
-        let stream = core.stream.as_ref().expect("fallback stream restored");
-        assert_eq!((stream.reads.len(), stream.ri, stream.ops), (8, 8, 30));
     }
 
     #[test]

@@ -117,29 +117,18 @@ mod tests {
         Deliver(usize),
         /// Deliver a tag no packet carries.
         Stray(u64),
-        /// Export the table and rebuild it, as a checkpoint does.
-        Checkpoint,
     }
 
     fn op(rng: &mut StdRng) -> Op {
         match rng.gen_range(0..10) {
             0..=3 => Op::Fresh(rng.gen_bool(0.8).then(|| rng.gen())),
             4..=7 => Op::Deliver(rng.gen()),
-            8 => Op::Stray(rng.gen_range(0..400)),
-            _ => Op::Checkpoint,
+            _ => Op::Stray(rng.gen_range(0..400)),
         }
     }
 
     fn export(t: &TagTable<Entry>) -> BTreeMap<u64, Entry> {
         t.iter().map(|(tag, &v)| (tag, v)).collect()
-    }
-
-    fn rebuild(m: &BTreeMap<u64, Entry>) -> TagTable<Entry> {
-        let mut t = TagTable::new();
-        for (&tag, &v) in m {
-            t.insert(tag, v);
-        }
-        t
     }
 
     proptest! {
@@ -148,8 +137,7 @@ mod tests {
         /// Under the engine's access pattern (increasing fresh tags,
         /// writebacks and replies removed on delivery, a request turned
         /// into a reply at its own tag) the window answers every lookup
-        /// like a `BTreeMap` and exports the same map, also after it is
-        /// rebuilt from its export, as a checkpoint restore does.
+        /// like a `BTreeMap` and exports the same map.
         #[test]
         fn matches_a_btreemap(seed in any::<u64>(), len in 0..300usize) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -173,10 +161,6 @@ mod tests {
                     }
                     Op::Deliver(_) => None,
                     Op::Stray(tag) => Some(tag),
-                    Op::Checkpoint => {
-                        table = rebuild(&export(&table));
-                        None
-                    }
                 };
                 if let Some(tag) = delivered {
                     prop_assert_eq!(table.get(tag), model.get(&tag));

@@ -60,7 +60,6 @@ impl TraceCategory {
 pub const REGISTERED_EVENT_NAMES: &[&str] = &[
     "admit",
     "barrier_release",
-    "checkpoint",
     "defer",
     "l2_miss",
     "l3_miss",
@@ -73,7 +72,6 @@ pub const REGISTERED_EVENT_NAMES: &[&str] = &[
     "reconfig",
     "reject",
     "request",
-    "resume",
     "serve::admit",
     "serve::batch",
     "serve::complete",
