@@ -2,7 +2,7 @@
 //!
 //! A function is **tainted** when its output can reach a bit-determinism
 //! contract: the golden-grid benchmark results, sweep/serve result JSON,
-//! or snapshot content hashes. Taint starts at configured *roots*
+//! or job content hashes. Taint starts at configured *roots*
 //! (matched by fn-name prefix or by module path) and flows **callee-ward**
 //! over the call graph of [`crate::index::WorkspaceIndex`]: if a tainted
 //! function calls `f`, then `f` is tainted too, transitively. Everything
@@ -34,7 +34,7 @@ pub struct TaintConfig {
     /// `run_benchmark_suite`, …).
     pub root_fn_prefixes: Vec<String>,
     /// Exact fn names that are roots wherever they are defined
-    /// (`snapshot`, `content_hash`).
+    /// (`content_hash`).
     pub root_fn_names: Vec<String>,
     /// Module paths whose every fn is a root (`sweep::exec`,
     /// `serve::exec`). Matches the module itself and submodules.
@@ -46,12 +46,12 @@ pub struct TaintConfig {
 impl TaintConfig {
     /// The Flumen workspace policy: everything reachable from the
     /// benchmark runners, the sweep/serve executors and the
-    /// snapshot-hash machinery is determinism-critical; the bench
+    /// content-hash machinery is determinism-critical; the bench
     /// timing harness is wall-clock by design.
     pub fn flumen() -> Self {
         TaintConfig {
             root_fn_prefixes: vec!["run_benchmark".into()],
-            root_fn_names: vec!["snapshot".into(), "content_hash".into()],
+            root_fn_names: vec!["content_hash".into()],
             root_modules: vec![
                 "sweep::exec".into(),
                 "serve::exec".into(),
@@ -346,14 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roots_fire_by_name() {
+    fn content_hash_roots_fire_by_name() {
         let ix = build(&[(
-            "system::engine",
-            "pub fn snapshot(&self) { self.hash_state(); }\nfn hash_state(&self) {}\n",
+            "sweep::job",
+            "pub fn content_hash(&self) { self.canonical(); }\nfn canonical(&self) {}\n",
         )]);
         let ts = propagate(&ix, &TaintConfig::flumen());
         let t = tainted_names(&ix, &ts);
-        assert!(t.contains(&"system::engine::snapshot".to_string()));
-        assert!(t.contains(&"system::engine::hash_state".to_string()));
+        assert!(t.contains(&"sweep::job::content_hash".to_string()));
+        assert!(t.contains(&"sweep::job::canonical".to_string()));
     }
 }

@@ -89,7 +89,7 @@ impl Default for ControlUnitParams {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct CompRequest {
     tag: u64,
     chiplet: usize,
@@ -99,7 +99,7 @@ struct CompRequest {
     arrived: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ActivePartition {
     tag: u64,
     wires: Vec<usize>,
@@ -585,7 +585,6 @@ mod tests {
     /// engine does, ends in the same state as one stepped every cycle.
     #[test]
     fn quiet_span_jumps_match_stepping_every_cycle() {
-        use flumen_sim::Snapshotable;
         // Overlapping partitions and a late arrival, so spans end at
         // deadlines and at requests alike.
         let requests: [(u64, usize, u64, ExternalPayload); 4] = [
@@ -624,15 +623,15 @@ mod tests {
                 }
             }
             assert!(!jump || jumps > 0, "the jumping unit never jumped");
-            let mut counts = ActivityCounts::default();
-            let snap = cu.snapshot().to_canonical();
-            cu.drain_counts(&mut counts);
-            (out, snap, net.snapshot().to_canonical(), counts)
+            (out, cu, net)
         };
         let (stepped, jumped) = (run(false), run(true));
         assert_eq!(stepped.0.len(), requests.len());
-        assert!(stepped.3.mzim_active_cycles > 0);
-        assert_eq!(stepped, jumped);
+        assert!(stepped.1.counts.mzim_active_cycles > 0);
+        assert!(
+            stepped == jumped,
+            "jumping quiet spans changed the end state"
+        );
     }
 
     #[test]
@@ -668,30 +667,27 @@ flumen_sim::json_struct!(ControlUnitParams {
     max_partitions,
 });
 
-// Snapshot bridges.
-flumen_sim::json_struct!(write CompRequest {
-    arrived,
-    chiplet,
-    configs,
-    n,
-    tag,
-    vectors,
-});
-flumen_sim::json_struct!(write ActivePartition { ports, tag, wires });
-
-// Snapshot support. Parameters and the tracer are construction-time
-// state and not serialized.
-impl flumen_sim::Snapshotable for MzimControlUnit {
-    fn snapshot(&self) -> flumen_sim::Json {
-        use flumen_sim::{Json, ToJson};
-        Json::obj([
-            ("active", self.active.to_json()),
-            ("admitted", self.admitted.to_json()),
-            ("counts", self.counts.to_json()),
-            ("finished", self.finished.to_json()),
-            ("queue", self.queue.to_json()),
-            ("rejected", self.rejected.to_json()),
-            ("wire_busy", self.wire_busy.to_json()),
-        ])
+// State equality, for the quiet-span tests: every field but the tracer.
+impl PartialEq for MzimControlUnit {
+    fn eq(&self, other: &Self) -> bool {
+        let MzimControlUnit {
+            params,
+            queue,
+            active,
+            wire_busy,
+            counts,
+            finished,
+            admitted,
+            rejected,
+            tracer: _, // an output sink, not state
+        } = self;
+        *admitted == other.admitted
+            && *rejected == other.rejected
+            && *counts == other.counts
+            && *wire_busy == other.wire_busy
+            && *finished == other.finished
+            && *queue == other.queue
+            && *active == other.active
+            && *params == other.params
     }
 }

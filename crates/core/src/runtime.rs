@@ -5,7 +5,6 @@
 use crate::control_unit::{ControlUnitParams, MzimControlUnit};
 use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, OpticalBus, RoutedNetwork};
 use flumen_power::{system_energy, EnergyBreakdown, EnergyParams, NopKind};
-use flumen_sim::Snapshotable;
 use flumen_system::{ActivityCounts, NullServer, RunResult, SystemConfig, SystemSim};
 use flumen_trace::TraceHandle;
 use flumen_workloads::taskgen::{self, ExecMode, TaskGenConfig};
@@ -186,8 +185,9 @@ pub fn run_benchmark_traced(
 }
 
 /// A full-system simulator of any [`SystemTopology`]: one variant per
-/// concrete network and home-node server pairing.
-#[derive(Debug)]
+/// concrete network and home-node server pairing. Two are equal when
+/// they hold the same variant in the same state.
+#[derive(Debug, PartialEq)]
 pub enum TopologySim {
     /// Ring or mesh ([`SystemTopology::Ring`], [`SystemTopology::Mesh`]).
     Routed(SystemSim<RoutedNetwork, NullServer>),
@@ -289,7 +289,7 @@ impl TopologySim {
 
     /// Runs on the idle-skipping loop until the system finishes or cycle
     /// `stop` is reached, whichever comes first ([`SystemSim::run_to`]);
-    /// the system can be snapshotted there and run on.
+    /// the system can be inspected there and run on.
     pub fn run_to(&mut self, stop: u64) {
         each_sim!(self, s => s.run_to(stop))
     }
@@ -310,12 +310,6 @@ impl TopologySim {
     /// ([`SystemSim::run`]).
     pub fn run(self, max_cycles: u64) -> RunResult {
         each_sim!(self, s => s.run(max_cycles))
-    }
-}
-
-impl Snapshotable for TopologySim {
-    fn snapshot(&self) -> flumen_sim::Json {
-        each_sim!(self, s => s.snapshot())
     }
 }
 

@@ -4,12 +4,11 @@
 //! reduced Figs. 14/15 grid, with utilization sampling on, the whole
 //! `RunResult` must match bit for bit: for runs to completion, and for a
 //! cycle cap that lands inside an idle span. A run stopped on interval
-//! boundaries with `run_to` must also snapshot the same bytes there as
-//! the stepping loop: the snapshot is the state oracle.
+//! boundaries with `run_to` must also be in the same state there as the
+//! stepping loop, by `TopologySim`'s `PartialEq`.
 
 use flumen::{RuntimeConfig, SystemTopology, TopologySim};
 use flumen_noc::NetStats;
-use flumen_sim::Snapshotable;
 use flumen_system::RunResult;
 use flumen_trace::TraceHandle;
 use flumen_workloads::{small_benchmarks, Benchmark};
@@ -18,9 +17,9 @@ use flumen_workloads::{small_benchmarks, Benchmark};
 /// a sample would show in the utilization trace.
 const TRACE_INTERVAL: u64 = 97;
 
-/// Snapshot intervals: one on the sample window, one longer than most
+/// Comparison intervals: one on the sample window, one longer than most
 /// idle spans.
-const SNAPSHOT_INTERVALS: [u64; 2] = [97, 1000];
+const COMPARE_INTERVALS: [u64; 2] = [97, 1000];
 
 /// The per-cycle reference: step until finished or capped, then let `run`
 /// finalize (it finds the system finished or out of budget at once).
@@ -47,24 +46,32 @@ fn idle_spans(mut sim: TopologySim) -> Vec<(u64, u64)> {
     spans
 }
 
-/// The canonical snapshot at every multiple of `every` before the run
-/// finishes, reached with `run_to` (`skip`) or by stepping every cycle.
-fn boundary_snapshots(mut sim: TopologySim, every: u64, skip: bool) -> Vec<(u64, String)> {
-    let mut snaps = Vec::new();
-    while !sim.finished() {
-        let stop = (sim.cycle() / every + 1) * every;
-        if skip {
-            sim.run_to(stop);
-        } else {
-            while !sim.finished() && sim.cycle() < stop {
-                sim.step();
-            }
+/// Advances a stepped and a `run_to` twin in lockstep to every multiple
+/// of `every` and compares their states there. Returns how many
+/// boundaries each reached before finishing.
+fn compare_at_boundaries(what: &str, mk: &dyn Fn() -> TopologySim, every: u64) -> (usize, usize) {
+    let (mut stepped, mut skipped) = (mk(), mk());
+    let (mut stepped_stops, mut skipped_stops) = (0, 0);
+    while !stepped.finished() || !skipped.finished() {
+        let stop = (stepped.cycle() / every + 1) * every;
+        while !stepped.finished() && stepped.cycle() < stop {
+            stepped.step();
         }
-        if sim.cycle() == stop && !sim.finished() {
-            snaps.push((stop, sim.snapshot().to_canonical()));
-        }
+        skipped.run_to(stop);
+        let cycle = stepped.cycle();
+        assert_eq!(skipped.cycle(), cycle, "{what}: run_to stopped elsewhere");
+        stepped_stops += usize::from(cycle == stop && !stepped.finished());
+        skipped_stops += usize::from(skipped.cycle() == stop && !skipped.finished());
+        assert!(skipped == stepped, "{what}: state at cycle {cycle} differs");
     }
-    snaps
+    // Negative control: one more step on one twin must show, or the
+    // comparison above could be vacuous.
+    skipped.step();
+    assert!(
+        skipped != stepped,
+        "{what}: equality missed a stepped cycle"
+    );
+    (stepped_stops, skipped_stops)
 }
 
 fn assert_same(what: &str, got: &RunResult, want: &RunResult) {
@@ -104,7 +111,7 @@ fn assert_same(what: &str, got: &RunResult, want: &RunResult) {
 }
 
 /// Compares skipping with stepping on one grid point: to completion, at
-/// every snapshot boundary, and (when `cap_inside_span`) truncated in
+/// every comparison boundary, and (when `cap_inside_span`) truncated in
 /// the middle of a long idle span.
 fn check(what: &str, mk: &dyn Fn() -> TopologySim, budget: u64, cap_inside_span: bool) {
     let want = stepped(mk(), budget);
@@ -112,17 +119,13 @@ fn check(what: &str, mk: &dyn Fn() -> TopologySim, budget: u64, cap_inside_span:
     assert_same(what, &mk().run(budget), &want);
     assert!(!want.utilization_trace.is_empty(), "{what}: sampling is on");
 
-    for every in SNAPSHOT_INTERVALS {
+    for every in COMPARE_INTERVALS {
         // The run finishes on cycle `want.cycles`, so every multiple of
         // `every` below it is a boundary.
         let boundaries = ((want.cycles - 1) / every) as usize;
-        let stepped = boundary_snapshots(mk(), every, false);
-        let skipped = boundary_snapshots(mk(), every, true);
-        assert_eq!(stepped.len(), boundaries, "{what}: stepped every {every}");
-        assert_eq!(skipped.len(), boundaries, "{what}: skipped every {every}");
-        for ((cycle, got), (_, snap)) in skipped.iter().zip(&stepped) {
-            assert!(got == snap, "{what}: snapshot at cycle {cycle} differs");
-        }
+        let (stepped, skipped) = compare_at_boundaries(what, mk, every);
+        assert_eq!(stepped, boundaries, "{what}: stepped every {every}");
+        assert_eq!(skipped, boundaries, "{what}: skipped every {every}");
     }
 
     if cap_inside_span {

@@ -49,7 +49,7 @@ impl Default for BusConfig {
 /// Built from the shared buffering primitives — `Fifo` source queues,
 /// an `RrToken` for the circulating grant token, and a `FlightBuffer`
 /// for transmissions on the waveguide — with the exact cycle behavior
-/// and snapshot bytes of the original hand-wired implementation.
+/// of the original hand-wired implementation.
 #[derive(Debug)]
 pub struct OpticalBus {
     nodes: usize,
@@ -231,19 +231,30 @@ impl Network for OpticalBus {
     }
 }
 
-// Snapshot support. As with the crossbar, `in_flight` is written in its
-// exact Vec order because delivery scanning uses `swap_remove`.
-impl flumen_sim::Snapshotable for OpticalBus {
-    fn snapshot(&self) -> flumen_sim::Json {
-        use flumen_sim::ToJson;
-        flumen_sim::Json::obj([
-            ("bus_busy_until", self.bus_busy_until.to_json()),
-            ("cycle", self.cycle.to_json()),
-            ("in_flight", self.in_flight.to_json()),
-            ("rr", self.rr.to_json()),
-            ("src_queues", self.src_queues.to_json()),
-            ("stats", self.stats.to_json()),
-        ])
+// State equality: every field but the tracer. As with the crossbar,
+// `in_flight` compares in its Vec order because delivery scanning uses
+// `swap_remove`.
+impl PartialEq for OpticalBus {
+    fn eq(&self, other: &Self) -> bool {
+        let OpticalBus {
+            nodes,
+            cfg,
+            src_queues,
+            bus_busy_until,
+            rr,
+            in_flight,
+            cycle,
+            stats,
+            tracer: _, // an output sink, not state
+        } = self;
+        *cycle == other.cycle
+            && *rr == other.rr
+            && *stats == other.stats
+            && *bus_busy_until == other.bus_busy_until
+            && *in_flight == other.in_flight
+            && *src_queues == other.src_queues
+            && *nodes == other.nodes
+            && *cfg == other.cfg
     }
 }
 

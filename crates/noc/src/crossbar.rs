@@ -55,12 +55,11 @@ pub struct MzimCrossbar {
     /// Multicast packets queue separately per input and are served first.
     mcast_queues: Vec<Fifo<Packet>>,
     /// Packets across all of `voq` and all of `mcast_queues`, kept so
-    /// [`Network::pending`] is O(1); derived state, not snapshotted.
+    /// [`Network::pending`] is O(1); derived from the queues.
     queued_unicast: usize,
     queued_mcast: usize,
     /// Bit `j` of `requests[i]` is set iff `voq[i][j]` is non-empty: the
-    /// arbiter's request row for input `i`. Derived state, not
-    /// snapshotted.
+    /// arbiter's request row for input `i`. Derived from `voq`.
     requests: Vec<u64>,
     arb: WavefrontArbiter,
     in_busy_until: Vec<u64>,
@@ -371,28 +370,45 @@ impl Network for MzimCrossbar {
     }
 }
 
-// Snapshot support: every field that evolves during simulation.
-// `in_flight` is serialized in its exact Vec order — the delivery loop
-// scans with `swap_remove`, so delivery order (and therefore downstream
-// RNG/stat sequences) depends on element positions, not just contents.
-impl flumen_sim::Snapshotable for MzimCrossbar {
-    fn snapshot(&self) -> flumen_sim::Json {
-        use flumen_sim::ToJson;
-        let reserved: Vec<bool> = (0..self.nodes)
-            .map(|w| self.reserved >> w & 1 == 1)
-            .collect();
-        flumen_sim::Json::obj([
-            ("arb_priority", self.arb.priority().to_json()),
-            ("cycle", self.cycle.to_json()),
-            ("in_busy_until", self.in_busy_until.to_json()),
-            ("in_flight", self.in_flight.to_json()),
-            ("last_config", self.last_config.to_json()),
-            ("mcast_queues", self.mcast_queues.to_json()),
-            ("out_busy_until", self.out_busy_until.to_json()),
-            ("reserved", reserved.to_json()),
-            ("stats", self.stats.to_json()),
-            ("voq", self.voq.to_json()),
-        ])
+// State equality: every field but the tracer. The queue counts and
+// request rows are derived from the queues and compared too. `in_flight`
+// compares in its Vec order: the delivery loop scans with `swap_remove`,
+// so delivery order depends on element positions, not just contents.
+impl PartialEq for MzimCrossbar {
+    fn eq(&self, other: &Self) -> bool {
+        let MzimCrossbar {
+            nodes,
+            cfg,
+            voq,
+            mcast_queues,
+            queued_unicast,
+            queued_mcast,
+            requests,
+            arb,
+            in_busy_until,
+            out_busy_until,
+            last_config,
+            reserved,
+            in_flight,
+            cycle,
+            stats,
+            tracer: _, // an output sink, not state
+        } = self;
+        *cycle == other.cycle
+            && *queued_unicast == other.queued_unicast
+            && *queued_mcast == other.queued_mcast
+            && *reserved == other.reserved
+            && *arb == other.arb
+            && *stats == other.stats
+            && *requests == other.requests
+            && *in_busy_until == other.in_busy_until
+            && *out_busy_until == other.out_busy_until
+            && *last_config == other.last_config
+            && *in_flight == other.in_flight
+            && *mcast_queues == other.mcast_queues
+            && *voq == other.voq
+            && *nodes == other.nodes
+            && *cfg == other.cfg
     }
 }
 

@@ -1,8 +1,6 @@
 //! Round-robin arbitration, shared by the optical bus and both router
 //! implementations.
 
-use flumen_sim::{Json, ToJson};
-
 /// A rotating round-robin token over `n` requesters.
 ///
 /// Two idioms are supported:
@@ -13,9 +11,6 @@ use flumen_sim::{Json, ToJson};
 /// * **cycle-rotate** (routed networks and `RouterNode`): scan all ports from the token
 ///   each cycle, then advance the token by one regardless of grants
 ///   ([`RrToken::rotate`]).
-///
-/// Serializes as its raw position (a JSON number), byte-identical to the
-/// bare `usize` fields it replaced in the legacy fabrics' snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct RrToken {
     pos: usize,
@@ -68,12 +63,6 @@ impl RrToken {
     }
 }
 
-impl ToJson for RrToken {
-    fn to_json(&self) -> Json {
-        self.pos.to_json()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,11 +107,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn json_matches_bare_usize() {
-        let t = RrToken { pos: 5 };
-        assert_eq!(t.to_json().to_canonical(), 5usize.to_json().to_canonical());
     }
 }

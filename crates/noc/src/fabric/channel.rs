@@ -1,6 +1,5 @@
 //! Credit channels: the wires between a composed fabric's routers.
 
-use flumen_sim::{Json, ToJson};
 use std::collections::VecDeque;
 
 /// Handle to one channel inside a [`Channels`] arena.
@@ -27,7 +26,7 @@ pub(crate) const CREDIT_UNBOUNDED: usize = usize::MAX / 2;
 /// cycle, which is what makes the evaluation order of producers and
 /// consumers within a cycle unobservable (a send can never be consumed in
 /// the cycle it was issued).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Channel<P> {
     /// Wire latency added to every send, cycles (≥ 1).
     latency: u64,
@@ -35,9 +34,8 @@ struct Channel<P> {
     capacity: usize,
     /// In-flight items, FIFO order.
     queue: VecDeque<(u64, P)>,
-    /// Credits the consumer published this cycle (free buffer slots).
-    /// Transient — recomputed every cycle in the ready phase, so it is
-    /// not part of the snapshot.
+    /// Credits the consumer published this cycle (free buffer slots),
+    /// recomputed every cycle in the ready phase.
     credits: usize,
     /// The item handed over this cycle, awaiting consumer pickup.
     delivered: Option<P>,
@@ -52,7 +50,7 @@ struct Channel<P> {
 /// All channels live in one dense vector so nodes refer to them by
 /// [`ChannelId`] — the borrow-friendly shape for a graph where every node
 /// touches several channels each cycle.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Channels<P> {
     chans: Vec<Channel<P>>,
 }
@@ -178,25 +176,6 @@ impl<P> Channels<P> {
     /// Total handshake stalls across all channels.
     pub(crate) fn stalls_total(&self) -> u64 {
         self.chans.iter().map(|ch| ch.stalls).sum()
-    }
-}
-
-impl<P: ToJson> Channels<P> {
-    /// Serializes every channel's evolving state (queue contents and
-    /// handshake counters; latency/capacity are geometry).
-    pub(crate) fn snapshot(&self) -> Json {
-        Json::Arr(
-            self.chans
-                .iter()
-                .map(|ch| {
-                    Json::obj([
-                        ("queue", ch.queue.to_json()),
-                        ("stalls", ch.stalls.to_json()),
-                        ("transfers", ch.transfers.to_json()),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 

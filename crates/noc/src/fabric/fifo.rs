@@ -1,16 +1,10 @@
 //! The FIFO shared by the hand-written networks' queues and the composed
 //! routers' input buffers.
 
-use flumen_sim::{Json, ToJson};
 use std::collections::VecDeque;
 
 /// A FIFO of payloads with optional bounded capacity.
-///
-/// Serializes exactly like the `VecDeque` it wraps (a JSON array of
-/// items), so the hand-written fabrics swapped their raw queues for
-/// `Fifo` without changing a byte of any snapshot. Capacity is
-/// construction-time geometry, deliberately not serialized.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Fifo<P> {
     items: VecDeque<P>,
     capacity: Option<usize>,
@@ -78,12 +72,6 @@ impl<P> Fifo<P> {
     }
 }
 
-impl<P: ToJson> ToJson for Fifo<P> {
-    fn to_json(&self) -> Json {
-        self.items.to_json()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,16 +95,5 @@ mod tests {
             assert!(f.push_back(i));
         }
         assert_eq!(f.free_slots(), usize::MAX);
-    }
-
-    #[test]
-    fn json_matches_vecdeque() {
-        let mut f: Fifo<u64> = Fifo::bounded(8);
-        f.push_back(3);
-        f.push_back(7);
-        let mut v: VecDeque<u64> = VecDeque::new();
-        v.push_back(3);
-        v.push_back(7);
-        assert_eq!(f.to_json().to_canonical(), v.to_json().to_canonical());
     }
 }

@@ -1,21 +1,19 @@
 //! Time-tagged in-flight buffers (items on a wire).
 
-use flumen_sim::{Json, ToJson};
-
 /// Items in flight, each tagged with its arrival cycle.
 ///
 /// The drain order is *position-dependent*: [`FlightBuffer::drain_due`]
 /// scans with `swap_remove`, exactly like the open-coded loops it
 /// replaced in the legacy fabrics, so downstream delivery order (and
-/// therefore every RNG/stat sequence) is preserved bit-for-bit. The
-/// serialized form is the plain `Vec<(u64, T)>` in its exact order.
+/// therefore every RNG/stat sequence) is preserved bit-for-bit. Equality
+/// is positional for the same reason.
 ///
 /// Arrival cycles and items sit in two parallel columns, and every
 /// `swap_remove` applies to both, so a scan for due arrivals reads only
 /// the 8-byte arrival column. `next` caches the earliest arrival
 /// (`u64::MAX` when empty): a step with nothing due returns without a
 /// scan, and [`FlightBuffer::next_due`] is O(1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FlightBuffer<T> {
     ats: Vec<u64>,
     items: Vec<T>,
@@ -69,8 +67,8 @@ impl<T> FlightBuffer<T> {
         self.ats.len()
     }
 
-    /// The entries as `(arrival, item)` in their exact positional order
-    /// (snapshots).
+    /// The entries as `(arrival, item)` in their exact positional order.
+    #[cfg(test)]
     pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &T)> {
         self.ats.iter().copied().zip(&self.items)
     }
@@ -79,16 +77,6 @@ impl<T> FlightBuffer<T> {
 impl<T> Default for FlightBuffer<T> {
     fn default() -> Self {
         FlightBuffer::new()
-    }
-}
-
-impl<T: ToJson> ToJson for FlightBuffer<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(
-            self.entries()
-                .map(|(at, item)| Json::Arr(vec![at.to_json(), item.to_json()]))
-                .collect(),
-        )
     }
 }
 
@@ -122,16 +110,6 @@ mod tests {
         fb.drain_due(1, |item| got.push(item));
         assert_eq!(got, ref_order);
         assert_eq!(fb.len(), 2);
-    }
-
-    #[test]
-    fn json_matches_vec_of_tuples() {
-        let mut fb = FlightBuffer::new();
-        fb.push(3, 10u64);
-        fb.push(1, 20u64);
-        let v: Vec<(u64, u64)> = vec![(3, 10), (1, 20)];
-        assert_eq!(fb.to_json().to_canonical(), v.to_json().to_canonical());
-        assert_eq!(fb.next_due(), Some(1));
     }
 
     /// One operation on a buffer.
@@ -181,7 +159,8 @@ mod tests {
                 }
                 prop_assert_eq!(fb.len(), model.len());
                 prop_assert_eq!(fb.next_due(), model.iter().map(|&(at, _)| at).min());
-                prop_assert_eq!(fb.to_json().to_canonical(), model.to_json().to_canonical());
+                let entries: Vec<(u64, u32)> = fb.entries().map(|(at, &item)| (at, item)).collect();
+                prop_assert_eq!(entries, model.clone());
             }
         }
     }

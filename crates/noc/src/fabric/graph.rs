@@ -1,11 +1,10 @@
-//! Wiring routers into a steppable, snapshotable fabric.
+//! Wiring routers into a steppable fabric.
 
 use super::channel::{ChannelId, Channels, CREDIT_UNBOUNDED};
 use super::router::{Flit, RouterNode};
 use crate::packet::{Delivery, Packet};
 use crate::stats::NetStats;
 use crate::{Network, NocError, Result};
-use flumen_sim::{Json, ToJson};
 use flumen_trace::{EventKind, TraceCategory, TraceEvent, TraceHandle};
 use std::collections::VecDeque;
 
@@ -247,23 +246,24 @@ impl Network for ComposedFabric {
     }
 }
 
-// Snapshot support: `graph` holds every channel's and router's
-// evolving state; the fabric adds the open-loop state around it.
-impl flumen_sim::Snapshotable for ComposedFabric {
-    fn snapshot(&self) -> Json {
-        let graph = Json::obj([
-            ("channels", self.chans.snapshot()),
-            (
-                "nodes",
-                Json::Arr(self.routers.iter().map(RouterNode::state_json).collect()),
-            ),
-        ]);
-        Json::obj([
-            ("cycle", self.cycle.to_json()),
-            ("graph", graph),
-            ("src_queues", self.src_queues.to_json()),
-            ("stats", self.stats.to_json()),
-        ])
+// State equality: every field but the tracer.
+impl PartialEq for ComposedFabric {
+    fn eq(&self, other: &Self) -> bool {
+        let ComposedFabric {
+            chans,
+            routers,
+            endpoints,
+            src_queues,
+            cycle,
+            stats,
+            tracer: _, // an output sink, not state
+        } = self;
+        *cycle == other.cycle
+            && *stats == other.stats
+            && *src_queues == other.src_queues
+            && *chans == other.chans
+            && *routers == other.routers
+            && *endpoints == other.endpoints
     }
 }
 

@@ -6,7 +6,7 @@
 //! endpoint per node; `FabricBuilder` checks that every channel has
 //! exactly one producer and one consumer and returns a
 //! [`ComposedFabric`] that implements the crate's
-//! [`Network`](crate::Network) trait — snapshotable, traceable, and
+//! [`Network`](crate::Network) trait — comparable, traceable, and
 //! covered by the same flit-conservation proptests as the hand-written
 //! fabrics.
 //!

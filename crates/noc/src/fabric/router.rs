@@ -5,7 +5,6 @@ use super::channel::{ChannelId, Channels};
 use super::fifo::Fifo;
 use crate::packet::Packet;
 use crate::stats::NetStats;
-use flumen_sim::{Json, ToJson};
 use std::fmt;
 
 /// Dimension class of a local (injection/ejection) port: never equal to a
@@ -24,8 +23,6 @@ pub(crate) struct Flit {
     /// Earliest cycle the current router may switch it.
     pub(crate) ready_at: u64,
 }
-
-flumen_sim::json_struct!(write Flit { pkt, ready_at });
 
 /// Timing knobs shared by every [`RouterNode`] in a fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,13 +185,32 @@ impl RouterNode {
     pub(super) fn buffered(&self) -> usize {
         self.inputs.iter().map(Fifo::len).sum()
     }
+}
 
-    /// The router's evolving state as canonical JSON (snapshots).
-    pub(super) fn state_json(&self) -> Json {
-        Json::obj([
-            ("inputs", self.inputs.to_json()),
-            ("out_busy_until", self.out_busy_until.to_json()),
-            ("rr", self.rr.to_json()),
-        ])
+// State equality: every field but the routing closure, which has no
+// equality and is fixed at construction with the rest of the geometry.
+impl PartialEq for RouterNode {
+    fn eq(&self, other: &Self) -> bool {
+        let RouterNode {
+            id,
+            timing,
+            in_ports,
+            out_ports,
+            in_dim,
+            out_dim,
+            route: _, // a closure; fixed at construction
+            inputs,
+            out_busy_until,
+            rr,
+        } = self;
+        *rr == other.rr
+            && *out_busy_until == other.out_busy_until
+            && *inputs == other.inputs
+            && *id == other.id
+            && *timing == other.timing
+            && *in_ports == other.in_ports
+            && *out_ports == other.out_ports
+            && *in_dim == other.in_dim
+            && *out_dim == other.out_dim
     }
 }

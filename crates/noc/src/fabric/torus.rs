@@ -4,7 +4,7 @@
 //! equal radix; dimension-order routing plus the routers' bubble rule
 //! keep every unidirectional ring deadlock-free. The entire topology is
 //! the channel grid, one `RouterNode` per node, and the routing
-//! closure below — snapshots and tracing come from
+//! closure below — state equality and tracing come from
 //! [`ComposedFabric`], not from this file.
 
 use super::graph::{ComposedFabric, Endpoint, FabricBuilder};

@@ -44,6 +44,8 @@ mod routed;
 mod stats;
 pub mod traffic;
 mod wavefront;
+#[cfg(test)]
+mod zero_load;
 
 pub use bus::{BusConfig, OpticalBus};
 pub use crossbar::{CrossbarConfig, MzimCrossbar};

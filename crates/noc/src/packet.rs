@@ -117,23 +117,6 @@ impl Delivery {
     }
 }
 
-// Canonical JSON bridge for snapshots. `id` uses the full 64-bit range
-// (electrical multicast replicas fold a replica index into the top bits),
-// which `Json::Num`'s f64 cannot hold exactly — so it rides as hex.
-impl flumen_sim::ToJson for Packet {
-    fn to_json(&self) -> flumen_sim::Json {
-        flumen_sim::Json::obj([
-            ("bits", self.bits.to_json()),
-            ("created_at", self.created_at.to_json()),
-            ("dst", self.dst.to_json()),
-            ("extra_dests", self.extra_dests.to_json()),
-            ("id", flumen_sim::json::u64_hex(self.id)),
-            ("src", self.src.to_json()),
-            ("tag", self.tag.to_json()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

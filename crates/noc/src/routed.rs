@@ -64,7 +64,7 @@ impl Default for RoutedConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Router {
     /// Input queues: one per neighbor in-port plus one local (last index).
     /// Capacity is enforced at the sender via the bubble rule, so the
@@ -79,10 +79,10 @@ struct Router {
 /// An electrical ring or mesh NoP.
 ///
 /// Built from the shared `Fifo`/`RrToken`/`FlightBuffer` primitives with
-/// the exact cycle behavior and snapshot bytes of the original
-/// hand-wired version. A step visits only the routers that hold flits and
-/// the sources with packets queued, found from two `u64` masks, so at
-/// most 64 routers are supported.
+/// the exact cycle behavior of the original hand-wired version. A step
+/// visits only the routers that hold flits and the sources with packets
+/// queued, found from two `u64` masks, so at most 64 routers are
+/// supported.
 #[derive(Debug)]
 pub struct RoutedNetwork {
     topo: RoutedTopology,
@@ -96,7 +96,7 @@ pub struct RoutedNetwork {
     stats: NetStats,
     tracer: TraceHandle,
     /// Bit `r` is set iff router `r` holds a flit in some input queue.
-    /// Derived state, not snapshotted, like the two fields below.
+    /// Derived from the queues, like the two fields below.
     occupied: u64,
     /// Bit `n` is set iff `src_queues[n]` is non-empty.
     sourcing: u64,
@@ -201,6 +201,20 @@ impl RoutedNetwork {
     /// Ports per router: the neighbor ports, then the local port.
     fn ports(&self) -> usize {
         Self::neighbor_ports(&self.topo) + 1
+    }
+
+    /// Links a packet from `src` to `dst` crosses, walked over the route
+    /// table.
+    #[cfg(test)]
+    pub(crate) fn hops(&self, src: usize, dst: usize) -> u64 {
+        let (nodes, ports) = (self.topo.nodes(), self.ports());
+        let (mut at, mut hops) = (src, 0);
+        while at != dst {
+            let port = usize::from(self.routes[at * nodes + dst]);
+            (at, _) = self.links[at * ports + port].expect("a route stays on the network");
+            hops += 1;
+        }
+        hops
     }
 
     /// Advances router `r`, moving at most one packet per input port. The
@@ -540,39 +554,39 @@ impl Network for RoutedNetwork {
     }
 }
 
-flumen_sim::json_struct!(write Router {
-    inputs,
-    out_busy_until,
-    rr
-});
-
-// Snapshot support. `in_flight` entries are `(arrival, router, in_port,
-// pkt)`; the in-port is `usize::MAX` for ejections, beyond f64's exact
-// integer range, so it rides as hex. Vec order is preserved — the arrival
-// scan uses `swap_remove`, making delivery order position-dependent.
-impl flumen_sim::Snapshotable for RoutedNetwork {
-    fn snapshot(&self) -> flumen_sim::Json {
-        use flumen_sim::ToJson;
-        let in_flight = flumen_sim::Json::Arr(
-            self.in_flight
-                .entries()
-                .map(|(at, (node, port, tp))| {
-                    flumen_sim::Json::Arr(vec![
-                        at.to_json(),
-                        node.to_json(),
-                        flumen_sim::json::u64_hex(*port as u64),
-                        tp.to_json(),
-                    ])
-                })
-                .collect(),
-        );
-        flumen_sim::Json::obj([
-            ("cycle", self.cycle.to_json()),
-            ("in_flight", in_flight),
-            ("routers", self.routers.to_json()),
-            ("src_queues", self.src_queues.to_json()),
-            ("stats", self.stats.to_json()),
-        ])
+// State equality: every field but the tracer. The masks and `live` are
+// derived from the queues and compared too, so a jump that let them drift
+// shows. `in_flight` compares in its Vec order: the arrival scan uses
+// `swap_remove`, so delivery order depends on positions.
+impl PartialEq for RoutedNetwork {
+    fn eq(&self, other: &Self) -> bool {
+        let RoutedNetwork {
+            topo,
+            cfg,
+            routers,
+            src_queues,
+            in_flight,
+            cycle,
+            stats,
+            tracer: _, // an output sink, not state
+            occupied,
+            sourcing,
+            live,
+            routes,
+            links,
+        } = self;
+        *cycle == other.cycle
+            && *live == other.live
+            && *occupied == other.occupied
+            && *sourcing == other.sourcing
+            && *stats == other.stats
+            && *in_flight == other.in_flight
+            && *src_queues == other.src_queues
+            && *routers == other.routers
+            && *topo == other.topo
+            && *cfg == other.cfg
+            && *routes == other.routes
+            && *links == other.links
     }
 }
 

@@ -2,7 +2,7 @@
 //! raw activity counts the energy model consumes.
 
 /// Aggregated statistics for one simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Packets handed to the network.
     pub injected: u64,
@@ -232,7 +232,7 @@ mod tests {
 }
 
 // JSON bridge (canonical serialized form; field names feed sweep job
-// hashes and snapshot state). Lives here rather than in `flumen-sweep`
+// hashes and results). Lives here rather than in `flumen-sweep`
 // because the orphan rule keeps trait impls with the type they describe.
 flumen_sim::json_struct!(NetStats {
     injected,

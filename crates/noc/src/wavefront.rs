@@ -15,7 +15,7 @@
 /// diagonal. Cells on one anti-diagonal share no row and no column, so
 /// the order of rows within a diagonal cannot change the matching, and
 /// only rows that can still be granted are visited.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WavefrontArbiter {
     n: usize,
     priority: usize,
@@ -70,7 +70,7 @@ impl WavefrontArbiter {
         self.n
     }
 
-    /// Current priority-diagonal position (snapshot state).
+    /// Current priority-diagonal position.
     pub fn priority(&self) -> usize {
         self.priority
     }

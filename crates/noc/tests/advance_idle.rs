@@ -3,21 +3,22 @@
 //!
 //! * Drained networks: each case drives a network through random traffic
 //!   until it drains at a random cycle, then crosses `k` idle cycles both
-//!   ways: the canonical snapshot bytes and the statistics must match, and
-//!   one packet injected afterwards must arrive on the same cycle with the
-//!   same latency.
+//!   ways: the two must be equal (`PartialEq`, every field but the
+//!   tracer) with equal statistics, and one packet injected afterwards
+//!   must arrive on the same cycle with the same latency.
 //! * Mid-traffic: two copies take the same random injections; one jumps
 //!   every quiet span it meets (to its end or to a random cycle inside
 //!   it), the other steps. Each stepped cycle of a span must deliver
-//!   nothing, the snapshots and statistics must match after every jump,
+//!   nothing, the states and statistics must match after every jump,
 //!   and every later delivery must match.
+//! * Negative control: equal twins become unequal after one more step or
+//!   one more packet on one of them, so the comparisons are not vacuous.
 
 use flumen_noc::fabric::torus_4x4;
 use flumen_noc::{
     BusConfig, CrossbarConfig, MzimCrossbar, Network, OpticalBus, Packet, RoutedConfig,
     RoutedNetwork, RoutedTopology,
 };
-use flumen_sim::{Snapshotable, ToJson};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,7 +53,7 @@ fn drain_at_random_cycle<N: Network>(net: &mut N, nodes: &[usize], seed: u64, li
 
 /// Builds the same drained network twice, crosses `k` idle cycles on one
 /// with `advance_quiet` and on the other with `step`, and compares.
-fn check<N: Network + Snapshotable>(
+fn check<N: Network + PartialEq>(
     mk: impl Fn() -> N,
     nodes: &[usize],
     seed: u64,
@@ -74,14 +75,8 @@ fn check<N: Network + Snapshotable>(
         prop_assert!(stepped.step().is_empty(), "a drained network delivered");
     }
     prop_assert_eq!(jumped.cycle(), stepped.cycle());
-    prop_assert_eq!(
-        jumped.snapshot().to_canonical(),
-        stepped.snapshot().to_canonical()
-    );
-    prop_assert_eq!(
-        jumped.stats().to_json().to_canonical(),
-        stepped.stats().to_json().to_canonical()
-    );
+    prop_assert!(jumped == stepped, "jumped and stepped states differ");
+    prop_assert_eq!(jumped.stats(), stepped.stats());
 
     let (src, dst) = (nodes[0], nodes[nodes.len() - 1]);
     let mut arrival = Vec::new();
@@ -102,7 +97,7 @@ fn all(n: usize) -> Vec<usize> {
 /// Feeds the same random injections to a network that jumps quiet spans
 /// and to one that steps every cycle, until both drain. Returns how many
 /// mid-traffic spans were jumped.
-fn jump_quiet_spans<N: Network + Snapshotable>(
+fn jump_quiet_spans<N: Network + PartialEq>(
     mk: impl Fn() -> N,
     nodes: &[usize],
     seed: u64,
@@ -155,14 +150,8 @@ fn jump_quiet_spans<N: Network + Snapshotable>(
                 for _ in 0..k {
                     prop_assert!(stepped.step().is_empty(), "a quiet step delivered");
                 }
-                prop_assert_eq!(
-                    jumped.snapshot().to_canonical(),
-                    stepped.snapshot().to_canonical()
-                );
-                prop_assert_eq!(
-                    jumped.stats().to_json().to_canonical(),
-                    stepped.stats().to_json().to_canonical()
-                );
+                prop_assert!(jumped == stepped, "states differ after a jump at {now}");
+                prop_assert_eq!(jumped.stats(), stepped.stats());
                 jumps += 1;
             }
             _ => {
@@ -172,10 +161,7 @@ fn jump_quiet_spans<N: Network + Snapshotable>(
         }
     }
     prop_assert_eq!(jumped.pending(), 0, "network failed to drain");
-    prop_assert_eq!(
-        jumped.snapshot().to_canonical(),
-        stepped.snapshot().to_canonical()
-    );
+    prop_assert!(jumped == stepped, "drained states differ");
     Ok(jumps)
 }
 
@@ -223,6 +209,37 @@ fn ring_with_a_packet_between_hops_is_quiet() {
         .collect();
     assert!(got[0].is_some());
     assert_eq!(got[0], got[1]);
+}
+
+/// Drives twins through the same traffic until they drain and match,
+/// then shows that one more step, or one more packet, on one twin makes
+/// them unequal.
+fn differ_after_one_more_step_or_packet<N: Network + PartialEq>(mk: impl Fn() -> N, name: &str) {
+    let nodes = all(mk().num_nodes());
+    let twins = || {
+        let (mut a, mut b) = (mk(), mk());
+        drain_at_random_cycle(&mut a, &nodes, 3, 2);
+        drain_at_random_cycle(&mut b, &nodes, 3, 2);
+        assert!(a == b, "{name}: twins differ");
+        (a, b)
+    };
+    let (mut a, b) = twins();
+    a.step();
+    assert!(a != b, "{name}: equality missed a step");
+    let (mut a, b) = twins();
+    a.inject(Packet::new(1 << 20, 0, 1, 512, a.cycle()));
+    assert!(a != b, "{name}: equality missed a packet");
+}
+
+#[test]
+fn one_more_step_or_packet_breaks_equality() {
+    let (crossbar, _) = reserved_crossbar(0);
+    differ_after_one_more_step_or_packet(ring5, "ring5");
+    differ_after_one_more_step_or_packet(RoutedNetwork::ring_16, "ring");
+    differ_after_one_more_step_or_packet(RoutedNetwork::mesh_4x4, "mesh");
+    differ_after_one_more_step_or_packet(bus16, "optbus");
+    differ_after_one_more_step_or_packet(crossbar, "crossbar");
+    differ_after_one_more_step_or_packet(torus_4x4, "torus");
 }
 
 /// Every mid-traffic run meets quiet spans, so the properties below are

@@ -79,7 +79,7 @@ fn scenarios() -> Vec<ScenarioSpec> {
     ]
 }
 
-fn snapshot_rows() -> Vec<Json> {
+fn current_rows() -> Vec<Json> {
     let cfg = config();
     scenarios()
         .iter()
@@ -118,7 +118,7 @@ fn snapshot_rows() -> Vec<Json> {
 
 #[test]
 fn serve_scenarios_match_golden_snapshot() {
-    let rows = snapshot_rows();
+    let rows = current_rows();
     let path = golden_path();
 
     if std::env::var("FLUMEN_UPDATE_GOLDENS").map(|v| v == "1") == Ok(true) {

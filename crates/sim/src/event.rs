@@ -1,6 +1,5 @@
 //! A deterministic scheduled-wakeup queue.
 
-use crate::json::{Json, ToJson};
 use flumen_units::Cycles;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -41,9 +40,9 @@ impl<T> Ord for Entry<T> {
 /// phase-programming completions, reconfiguration guard times.
 ///
 /// Pop order is fully deterministic — `(deadline, insertion order)` — so a
-/// simulation driven off this queue replays bit-identically, and the
-/// canonical snapshot form ([`ToJson`]) is written deadline-sorted so equal
-/// states serialize to equal bytes.
+/// simulation driven off this queue replays bit-identically. Two queues
+/// are equal when they hold the same payloads in the same pop order and
+/// would number the next entry alike; heap layout is not state.
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
@@ -105,24 +104,9 @@ impl<T> EventQueue<T> {
     }
 }
 
-impl<T: ToJson> ToJson for EventQueue<T> {
-    fn to_json(&self) -> Json {
-        let mut entries: Vec<&Entry<T>> = self.heap.iter().map(|Reverse(e)| e).collect();
-        entries.sort_by_key(|e| (e.at, e.seq));
-        Json::obj([
-            (
-                "entries",
-                Json::Arr(
-                    entries
-                        .into_iter()
-                        .map(|e| {
-                            Json::Arr(vec![e.at.to_json(), e.seq.to_json(), e.payload.to_json()])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("next_seq", self.next_seq.to_json()),
-        ])
+impl<T: PartialEq> PartialEq for EventQueue<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.next_seq == other.next_seq && self.iter_sorted().eq(other.iter_sorted())
     }
 }
 
@@ -158,5 +142,24 @@ mod tests {
         assert_eq!(q.len(), 2);
         let order: Vec<u64> = q.iter_sorted().map(|(_, v)| *v).collect();
         assert_eq!(order, vec![2, 1]);
+    }
+
+    #[test]
+    fn equality_is_pop_order_not_heap_layout() {
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        for (at, v) in [(5, 'x'), (3, 'y'), (4, 'z')] {
+            a.schedule(Cycles::new(at), v);
+        }
+        for (at, v) in [(3, 'y'), (4, 'z'), (5, 'x')] {
+            b.schedule(Cycles::new(at), v);
+        }
+        assert!(a == b);
+        a.pop_due(Cycles::new(3));
+        assert!(a != b);
+        b.pop_due(Cycles::new(3));
+        assert!(a == b);
+        b.schedule(Cycles::new(9), 'w');
+        assert!(a != b);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! crates.io (and therefore serde) is unreachable in the build
 //! environment, so the simulator carries its own serialization
-//! substrate. It serves two distinct consumers — `flumen-sweep` hashes
-//! canonical job specs with it, and [`crate::snapshot`] serializes live
-//! simulation state with it — so two properties matter more here than
+//! substrate. `flumen-sweep` hashes canonical job specs with it and
+//! stores results in it, so two properties matter more here than
 //! generality:
 //!
 //! * **Canonical output** — object keys are kept sorted ([`BTreeMap`])
@@ -16,7 +15,7 @@
 //!   the JSON5-style tokens `Infinity`/`-Infinity`/`NaN` and the parser
 //!   accepts them.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use flumen_units::Picojoules;
@@ -261,9 +260,9 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The deepest
-/// document the simulator writes (a full-system snapshot) nests 10
-/// levels; the bound only stops a file of repeated `[` from recursing
-/// the parser off the stack.
+/// document the simulator writes, a full run's sweep cache entry, nests
+/// 5 levels (`result.data.net_stats.latency_hist`); the bound only stops
+/// a file of repeated `[` from recursing the parser off the stack.
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
@@ -569,12 +568,6 @@ impl<T: FromJson, const N: usize> FromJson for [T; N] {
     }
 }
 
-impl<T: ToJson> ToJson for VecDeque<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         match self {
@@ -582,69 +575,6 @@ impl<T: ToJson> ToJson for Option<T> {
             Some(v) => v.to_json(),
         }
     }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j {
-            Json::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let arr = j.as_arr()?;
-        let [a, b] = arr else {
-            return err(format!("expected 2-element array, got {}", arr.len()));
-        };
-        Ok((A::from_json(a)?, B::from_json(b)?))
-    }
-}
-
-// Hash maps serialize as a key-sorted array of `[key, value]` pairs so the
-// canonical text is independent of hasher iteration order — a requirement
-// for snapshot determinism (identical state must hash identically).
-impl<K: ToJson + Ord, V: ToJson> ToJson for HashMap<K, V> {
-    fn to_json(&self) -> Json {
-        // Hash order never escapes: the pairs are sorted before any byte
-        // of output is produced.
-        let mut entries: Vec<(&K, &V)> = self.iter().collect(); // flumen-check: allow(det-hash-iter)
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        Json::Arr(
-            entries
-                .into_iter()
-                .map(|(k, v)| Json::Arr(vec![k.to_json(), v.to_json()]))
-                .collect(),
-        )
-    }
-}
-
-// BTreeMaps share the pair-array encoding (already key-sorted), so a
-// field converted from HashMap to BTreeMap keeps byte-identical
-// snapshots in both directions.
-impl<K: ToJson, V: ToJson> ToJson for std::collections::BTreeMap<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Arr(
-            self.iter()
-                .map(|(k, v)| Json::Arr(vec![k.to_json(), v.to_json()]))
-                .collect(),
-        )
-    }
-}
-
-/// Serializes a full-range `u64` (content hashes, RNG words) as a
-/// fixed-width hex string. `Json::Num` holds an `f64` and silently loses
-/// bits past 2^53, which is fine for cycle counters but corrupts hashes.
-pub fn u64_hex(x: u64) -> Json {
-    Json::Str(format!("{x:016x}"))
 }
 
 // Unit newtypes serialize as their raw numeric value: the canonical JSON
@@ -668,11 +598,10 @@ impl FromJson for Picojoules {
 /// Exported so every crate can bridge the types *it* owns (the orphan rule
 /// keeps these impls next to the struct definitions, not centralized in one
 /// downstream crate). Deserialization errors name the full
-/// `Type.field: cause` path. `json_struct!(write Type { .. })` implements
-/// [`ToJson`] alone, for state that is only ever written (snapshots).
+/// `Type.field: cause` path.
 #[macro_export]
 macro_rules! json_struct {
-    (write $ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 $crate::json::Json::obj([$(
@@ -680,9 +609,6 @@ macro_rules! json_struct {
                 )+])
             }
         }
-    };
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
-        $crate::json_struct!(write $ty { $($field),+ });
         impl $crate::json::FromJson for $ty {
             fn from_json(
                 j: &$crate::json::Json,
@@ -775,26 +701,15 @@ mod tests {
 
     #[test]
     fn containers_round_trip() {
-        let dq: VecDeque<u64> = VecDeque::from(vec![3, 1, 2]);
-        assert_eq!(dq.to_json().to_canonical(), "[3,1,2]");
+        let v: Vec<u64> = vec![3, 1, 2];
+        assert_eq!(v.to_json().to_canonical(), "[3,1,2]");
+        assert_eq!(Vec::<u64>::from_json(&v.to_json()).unwrap(), v);
 
-        let some: Option<u64> = Some(7);
-        let none: Option<u64> = None;
-        assert_eq!(Option::<u64>::from_json(&some.to_json()).unwrap(), some);
-        assert_eq!(Option::<u64>::from_json(&none.to_json()).unwrap(), none);
+        let a: [u64; 3] = [3, 1, 2];
+        assert_eq!(<[u64; 3]>::from_json(&a.to_json()).unwrap(), a);
+        assert!(<[u64; 2]>::from_json(&a.to_json()).is_err());
 
-        let pair: (u64, bool) = (9, true);
-        assert_eq!(<(u64, bool)>::from_json(&pair.to_json()).unwrap(), pair);
-        assert!(<(u64, bool)>::from_json(&Json::Arr(vec![Json::Num(1.0)])).is_err());
-    }
-
-    #[test]
-    fn hash_maps_serialize_key_sorted() {
-        let mut m: HashMap<u64, u64> = HashMap::new();
-        for k in [42u64, 7, 19, 3] {
-            m.insert(k, k * 10);
-        }
-        let text = m.to_json().to_canonical();
-        assert_eq!(text, "[[3,30],[7,70],[19,190],[42,420]]");
+        assert_eq!(Some(7u64).to_json(), Json::Num(7.0));
+        assert_eq!(None::<u64>.to_json(), Json::Null);
     }
 }

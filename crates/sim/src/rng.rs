@@ -1,14 +1,11 @@
 //! The simulator's deterministic random stream.
 
-use crate::json::{Json, ToJson};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// A seeded, snapshotable random source: one stream per run, so a run
-/// replays bit-identically from its seed.
-///
-/// Wraps the vendored xoshiro256++ [`StdRng`] and exposes its raw state,
-/// so a snapshot records the precise draw the stream has reached.
+/// A seeded random source: one stream per run, so a run replays
+/// bit-identically from its seed. Wraps the vendored xoshiro256++
+/// [`StdRng`].
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: StdRng,
@@ -23,30 +20,12 @@ impl SimRng {
             inner: StdRng::seed_from_u64(seed),
         }
     }
-
-    /// The raw generator state.
-    pub fn state(&self) -> [u64; 4] {
-        self.inner.state()
-    }
 }
 
 impl RngCore for SimRng {
     #[inline]
     fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
-    }
-}
-
-// State words use the full 64-bit range, which `Json::Num`'s f64 cannot
-// hold exactly past 2^53 — so they serialize as fixed-width hex strings.
-impl ToJson for SimRng {
-    fn to_json(&self) -> Json {
-        Json::Arr(
-            self.state()
-                .iter()
-                .map(|w| crate::json::u64_hex(*w))
-                .collect(),
-        )
     }
 }
 

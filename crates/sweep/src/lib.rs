@@ -34,8 +34,7 @@ pub mod job;
 pub mod metrics;
 pub mod sink;
 
-/// Canonical JSON (re-exported from `flumen-sim`, where it moved so
-/// simulation snapshots and job hashes share one canonical byte form).
+/// Canonical JSON (re-exported from `flumen-sim`).
 pub use flumen_sim::json;
 
 pub use cache::{CacheEntry, ResultCache};

@@ -47,7 +47,7 @@ fn reduced_grid() -> SweepPlan {
 
 type Row = flumen_sweep::Json;
 
-fn snapshot_rows() -> Vec<Row> {
+fn current_rows() -> Vec<Row> {
     use flumen_sweep::ToJson;
     let cfg = flumen::RuntimeConfig::paper();
     let dir = std::env::temp_dir().join(format!("flumen-golden-grid-{}", std::process::id()));
@@ -91,7 +91,7 @@ fn rel_close(a: f64, b: f64, tol: f64) -> bool {
 
 #[test]
 fn reduced_grid_matches_golden_snapshot() {
-    let rows = snapshot_rows();
+    let rows = current_rows();
     let path = golden_path();
 
     if std::env::var("FLUMEN_UPDATE_GOLDENS").map(|v| v == "1") == Ok(true) {

@@ -70,7 +70,7 @@ fn reduced_grid() -> SweepPlan {
     plan
 }
 
-fn snapshot_rows() -> Vec<Json> {
+fn current_rows() -> Vec<Json> {
     let dir = std::env::temp_dir().join(format!("flumen-golden-noc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let plan = reduced_grid();
@@ -100,7 +100,7 @@ fn snapshot_rows() -> Vec<Json> {
 
 #[test]
 fn noc_grid_matches_golden_snapshot() {
-    let rows = snapshot_rows();
+    let rows = current_rows();
     let path = golden_path();
 
     if std::env::var("FLUMEN_UPDATE_GOLDENS").map(|v| v == "1") == Ok(true) {

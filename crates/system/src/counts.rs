@@ -100,7 +100,7 @@ mod tests {
     }
 }
 
-// JSON bridge (canonical serialized form for sweep results and snapshots).
+// JSON bridge (canonical serialized form for sweep results).
 flumen_sim::json_struct!(ActivityCounts {
     core_ops,
     core_busy_cycles,

@@ -20,7 +20,7 @@ use crate::counts::ActivityCounts;
 use crate::tag_table::TagTable;
 use crate::tasks::CoreTask;
 use flumen_noc::{NetStats, Network, Packet};
-use flumen_sim::{Cycles, EventQueue, Snapshotable};
+use flumen_sim::{Cycles, EventQueue};
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -76,7 +76,7 @@ pub trait ExternalServer<N: Network> {
 
 /// A no-op server that rejects everything instantly; used by the baseline
 /// topologies, where cores always compute locally.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct NullServer {
     queue: Vec<u64>,
 }
@@ -110,7 +110,7 @@ impl<N: Network> ExternalServer<N> for NullServer {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct StreamState {
     ops: u64,
     reads: Vec<u64>,
@@ -121,7 +121,7 @@ struct StreamState {
 
 /// Where a core stands in the fallback that a rejected offload pushed to
 /// the front of its queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct FallbackCursor {
     /// Fallback tasks popped so far.
     popped: usize,
@@ -129,11 +129,10 @@ struct FallbackCursor {
     len: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct CoreState {
     queue: VecDeque<CoreTask>,
-    /// Tasks popped from the core's constructed list. With `fallback`,
-    /// this cursor is what a snapshot holds in place of the queue.
+    /// Tasks popped from the core's constructed list.
     taken: usize,
     /// Set while the core works through the fallback of task `taken - 1`,
     /// a rejected offload.
@@ -180,14 +179,14 @@ impl CoreState {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum ReqKind {
     RemoteLine { addr: u64, write: bool },
     Custom { server_cycles: u64, reply_bits: u32 },
     Writeback { addr: u64 },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ReqInfo {
     kind: ReqKind,
     requester_core: usize,
@@ -197,7 +196,7 @@ struct ReqInfo {
 /// What a live packet tag is waiting for: its request's delivery, or the
 /// delivery of the reply that reuses the request's tag (to `usize`, the
 /// requesting core).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Pending {
     Request(ReqInfo),
     Reply(usize),
@@ -232,8 +231,8 @@ pub struct SystemSim<N: Network, S: ExternalServer<N>> {
     l3: Vec<Cache>,
     /// Per core, the first cycle at which stepping it can do anything
     /// (`CoreState::wake`, set after each step of the core). A reply, an
-    /// offload outcome or a barrier release resets it to 0. Derived state,
-    /// not serialized.
+    /// offload outcome or a barrier release resets it to 0. Derived from
+    /// the cores.
     wake: Vec<u64>,
     net: N,
     server: S,
@@ -241,8 +240,7 @@ pub struct SystemSim<N: Network, S: ExternalServer<N>> {
     cycle: u64,
     next_tag: u64,
     /// Requests and replies in the network or in home-node service, by
-    /// tag. Serialized as the two maps `pending_requests` and
-    /// `pending_replies`.
+    /// tag.
     pending: TagTable<Pending>,
     external_waiting: BTreeMap<u64, (usize, Vec<CoreTask>)>,
     /// Replies awaiting home-node service completion, ordered by deadline.
@@ -403,7 +401,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
 
     /// Runs until [`SystemSim::finished`] or cycle `stop`, whichever comes
     /// first, jumping each quiet span in one [`SystemSim::advance_quiet`]
-    /// capped at `stop`; the system can be snapshotted there and run on.
+    /// capped at `stop`; the system can be inspected there and run on.
     pub fn run_to(&mut self, stop: u64) {
         while !self.finished() && self.cycle < stop {
             match self.quiet_until() {
@@ -818,96 +816,6 @@ enum AccessOutcome {
     Remote,
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot bridges for the engine's internal state. Byte addresses use
-// the full u64 range, so they ride as hex.
-
-/// A core as a snapshot holds it. The queues are the constructed task
-/// lists less what the core has popped, so a cursor into that list stands
-/// for the queue and a position stands for a stream.
-struct CoreSnapshot {
-    barrier: Option<u32>,
-    busy_until: u64,
-    waiting: usize,
-    /// [`CoreState::taken`].
-    taken: usize,
-    /// The fallback tasks popped, while inside the fallback of task
-    /// `taken - 1`.
-    fallback: Option<usize>,
-    /// The read and write positions of the stream in progress: the last
-    /// popped task.
-    stream: Option<(usize, usize)>,
-}
-
-flumen_sim::json_struct!(write CoreSnapshot {
-    barrier,
-    busy_until,
-    fallback,
-    stream,
-    taken,
-    waiting
-});
-
-impl CoreState {
-    fn to_snapshot(&self) -> CoreSnapshot {
-        CoreSnapshot {
-            barrier: self.barrier,
-            busy_until: self.busy_until,
-            waiting: self.waiting,
-            taken: self.taken,
-            fallback: self.fallback.map(|f| f.popped),
-            stream: self.stream.as_ref().map(|s| (s.ri, s.wi)),
-        }
-    }
-}
-
-flumen_sim::json_struct!(write ExternalOutcome { accepted, tag });
-
-impl flumen_sim::ToJson for ReqKind {
-    fn to_json(&self) -> flumen_sim::Json {
-        use flumen_sim::{json::u64_hex, Json};
-        match self {
-            ReqKind::RemoteLine { addr, write } => Json::obj([
-                ("kind", Json::Str("remote_line".into())),
-                ("addr", u64_hex(*addr)),
-                ("write", write.to_json()),
-            ]),
-            ReqKind::Custom {
-                server_cycles,
-                reply_bits,
-            } => Json::obj([
-                ("kind", Json::Str("custom".into())),
-                ("reply_bits", reply_bits.to_json()),
-                ("server_cycles", server_cycles.to_json()),
-            ]),
-            ReqKind::Writeback { addr } => Json::obj([
-                ("kind", Json::Str("writeback".into())),
-                ("addr", u64_hex(*addr)),
-            ]),
-        }
-    }
-}
-
-// `requester_core` is `usize::MAX` for fire-and-forget writebacks —
-// outside f64's exact range, so it rides as hex.
-impl flumen_sim::ToJson for ReqInfo {
-    fn to_json(&self) -> flumen_sim::Json {
-        use flumen_sim::{json::u64_hex, Json};
-        Json::obj([
-            ("kind", self.kind.to_json()),
-            ("requester_core", u64_hex(self.requester_core as u64)),
-            ("src_chiplet", self.src_chiplet.to_json()),
-        ])
-    }
-}
-
-impl Snapshotable for NullServer {
-    fn snapshot(&self) -> flumen_sim::Json {
-        use flumen_sim::{Json, ToJson};
-        Json::obj([("queue", self.queue.to_json())])
-    }
-}
-
 /// The chiplets `task` itself sends to; an offload's fallback tasks name
 /// their own.
 fn named_chiplets(task: &CoreTask) -> &[usize] {
@@ -921,71 +829,57 @@ fn named_chiplets(task: &CoreTask) -> &[usize] {
     }
 }
 
-/// The `[tag, value]` pairs, in tag order, of the pending entries that
-/// `value` maps: the encoding of a `BTreeMap<u64, _>`.
-fn pending_json(
-    pending: &TagTable<Pending>,
-    value: impl Fn(&Pending) -> Option<flumen_sim::Json>,
-) -> flumen_sim::Json {
-    use flumen_sim::{Json, ToJson};
-    Json::Arr(
-        pending
-            .iter()
-            .filter_map(|(tag, p)| Some(Json::Arr(vec![tag.to_json(), value(p)?])))
-            .collect(),
-    )
-}
-
-fn caches_snapshot(caches: &[Cache]) -> flumen_sim::Json {
-    flumen_sim::Json::Arr(caches.iter().map(Snapshotable::snapshot).collect())
-}
-
-// Full-system snapshots capture every field that evolves during
-// [`SystemSim::step`], except what construction fixes: configuration
-// (`cfg`, `trace_interval`), the tracer and the task lists, which the
-// cores' cursors index.
-impl<N, S> Snapshotable for SystemSim<N, S>
+// State equality, for the quiet-span tests: every field but the tracer.
+// `wake` is derived from the cores and compared too. The utilization
+// trace compares bit for bit.
+impl<N, S> PartialEq for SystemSim<N, S>
 where
-    N: Network + Snapshotable,
-    S: ExternalServer<N> + Snapshotable,
+    N: Network + PartialEq,
+    S: ExternalServer<N> + PartialEq,
 {
-    fn snapshot(&self) -> flumen_sim::Json {
-        use flumen_sim::{Json, ToJson};
-        let cores: Vec<CoreSnapshot> = self.cores.iter().map(CoreState::to_snapshot).collect();
-        let waiting = self
-            .external_waiting
-            .iter()
-            .map(|(&tag, &(core, _))| (tag, core).to_json());
-        Json::obj([
-            ("barrier_counts", self.barrier_counts.to_json()),
-            ("cores", cores.to_json()),
-            ("counts", self.counts.to_json()),
-            ("cycle", self.cycle.to_json()),
-            ("external_waiting", Json::Arr(waiting.collect())),
-            ("l1d", caches_snapshot(&self.l1d)),
-            ("l2", caches_snapshot(&self.l2)),
-            ("l3", caches_snapshot(&self.l3)),
-            ("last_trace_busy", self.last_trace_busy.to_json()),
-            ("net", self.net.snapshot()),
-            ("next_tag", self.next_tag.to_json()),
-            (
-                "pending_replies",
-                pending_json(&self.pending, |p| match p {
-                    Pending::Reply(core) => Some(core.to_json()),
-                    Pending::Request(_) => None,
-                }),
-            ),
-            (
-                "pending_requests",
-                pending_json(&self.pending, |p| match p {
-                    Pending::Request(info) => Some(info.to_json()),
-                    Pending::Reply(_) => None,
-                }),
-            ),
-            ("server", self.server.snapshot()),
-            ("server_jobs", self.server_jobs.to_json()),
-            ("trace", self.trace.to_json()),
-        ])
+    fn eq(&self, other: &Self) -> bool {
+        let SystemSim {
+            cfg,
+            cores,
+            l1d,
+            l2,
+            l3,
+            wake,
+            net,
+            server,
+            counts,
+            cycle,
+            next_tag,
+            pending,
+            external_waiting,
+            server_jobs,
+            barrier_counts,
+            trace_interval,
+            trace,
+            last_trace_busy,
+            tracer: _, // an output sink, not state
+        } = self;
+        *cycle == other.cycle
+            && *next_tag == other.next_tag
+            && *last_trace_busy == other.last_trace_busy
+            && *trace_interval == other.trace_interval
+            && *wake == other.wake
+            && *counts == other.counts
+            && *barrier_counts == other.barrier_counts
+            && *pending == other.pending
+            && *server_jobs == other.server_jobs
+            && *external_waiting == other.external_waiting
+            && trace
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(other.trace.iter().map(|v| v.to_bits()))
+            && *cores == other.cores
+            && *server == other.server
+            && *net == other.net
+            && *l1d == other.l1d
+            && *l2 == other.l2
+            && *l3 == other.l3
+            && *cfg == other.cfg
     }
 }
 
@@ -1024,6 +918,60 @@ mod tests {
             }],
         });
         SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks);
+    }
+
+    /// The quiet-span tests' oracle is not vacuous: two fresh systems are
+    /// equal, and a change to any one field, a single cache access
+    /// included, makes them unequal.
+    #[test]
+    fn equality_sees_a_change_to_any_field() {
+        type Sim = SystemSim<MzimCrossbar, NullServer>;
+        let fresh = || -> Sim {
+            let mut tasks = empty_tasks(4);
+            tasks[0].push(CoreTask::Compute { ops: 10 });
+            SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks)
+        };
+        assert!(fresh() == fresh());
+        let changes: [(_, fn(&mut Sim)); 18] = [
+            ("cfg", |s| s.cfg.dram_latency += 1),
+            ("cores", |s| s.cores[0].busy_until = 7),
+            ("l1d", |s| {
+                s.l1d[0].access(64, false);
+            }),
+            ("l2", |s| {
+                s.l2[1].access(64, false);
+            }),
+            ("l3", |s| {
+                s.l3[2].access(64, false);
+            }),
+            ("wake", |s| s.wake[0] = 9),
+            ("net", |s| s.net.inject(Packet::new(1, 0, 1, 512, 0))),
+            ("server", |s| {
+                ExternalServer::<MzimCrossbar>::on_request(&mut s.server, 0, 0, 0, 5, [0; 4])
+            }),
+            ("counts", |s| s.counts.core_ops = 1),
+            ("cycle", |s| s.cycle = 1),
+            ("next_tag", |s| s.next_tag = 2),
+            ("pending", |s| s.pending.insert(1, Pending::Reply(0))),
+            ("external_waiting", |s| {
+                s.external_waiting.insert(1, (0, Vec::new()));
+            }),
+            ("server_jobs", |s| {
+                s.server_jobs
+                    .schedule(Cycles::new(3), Packet::new(1, 0, 1, 64, 0))
+            }),
+            ("barrier_counts", |s| {
+                s.barrier_counts.insert(0, 1);
+            }),
+            ("trace_interval", |s| s.trace_interval = 97),
+            ("trace", |s| s.trace.push(0.0)),
+            ("last_trace_busy", |s| s.last_trace_busy = 1),
+        ];
+        for (field, change) in changes {
+            let mut sim = fresh();
+            change(&mut sim);
+            assert!(sim != fresh(), "a change to `{field}` went unseen");
+        }
     }
 
     #[test]

@@ -91,6 +91,14 @@ impl<V> TagTable<V> {
     }
 }
 
+// Equal when the same tags hold the same values: the window's base and
+// its empty slots are layout, not state.
+impl<V: PartialEq> PartialEq for TagTable<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.live == other.live && self.iter().eq(other.iter())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
