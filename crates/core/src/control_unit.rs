@@ -107,7 +107,9 @@ struct ActivePartition {
 }
 
 /// The MZIM control unit: request buffers + Algorithm 1 + fabric service.
-#[derive(Debug)]
+///
+/// Two units are equal when every field is, for the quiet-span tests.
+#[derive(Debug, PartialEq)]
 pub struct MzimControlUnit {
     params: ControlUnitParams,
     /// buff_comp: queued compute requests.
@@ -666,28 +668,3 @@ flumen_sim::json_struct!(ControlUnitParams {
     arbitration_cycles,
     max_partitions,
 });
-
-// State equality, for the quiet-span tests: every field but the tracer.
-impl PartialEq for MzimControlUnit {
-    fn eq(&self, other: &Self) -> bool {
-        let MzimControlUnit {
-            params,
-            queue,
-            active,
-            wire_busy,
-            counts,
-            finished,
-            admitted,
-            rejected,
-            tracer: _, // an output sink, not state
-        } = self;
-        *admitted == other.admitted
-            && *rejected == other.rejected
-            && *counts == other.counts
-            && *wire_busy == other.wire_busy
-            && *finished == other.finished
-            && *queue == other.queue
-            && *active == other.active
-            && *params == other.params
-    }
-}

@@ -11,11 +11,11 @@
 //! Multicast is free: optical power on the shared waveguide reaches every
 //! node's drop filters, so one transmission serves all destinations.
 
-use crate::fabric::{Fifo, FlightBuffer, RrToken};
+use crate::fabric::{Fifo, FlightBuffer, Ledger, RrToken};
 use crate::packet::{Delivery, Packet};
 use crate::stats::NetStats;
 use crate::{Network, NocError, Result};
-use flumen_trace::{EventKind, TraceCategory, TraceEvent, TraceHandle};
+use flumen_trace::TraceHandle;
 
 /// Tuning parameters for an optical bus.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +49,9 @@ impl Default for BusConfig {
 /// Built from the shared buffering primitives — `Fifo` source queues,
 /// an `RrToken` for the circulating grant token, and a `FlightBuffer`
 /// for transmissions on the waveguide — with the exact cycle behavior
-/// of the original hand-wired implementation.
-#[derive(Debug)]
+/// of the original hand-wired implementation. `in_flight` compares in
+/// its Vec order because delivery scanning uses `swap_remove`.
+#[derive(Debug, PartialEq)]
 pub struct OpticalBus {
     nodes: usize,
     cfg: BusConfig,
@@ -58,9 +59,7 @@ pub struct OpticalBus {
     bus_busy_until: Vec<u64>,
     rr: RrToken,
     in_flight: FlightBuffer<Packet>,
-    cycle: u64,
-    stats: NetStats,
-    tracer: TraceHandle,
+    ledger: Ledger,
 }
 
 impl OpticalBus {
@@ -83,9 +82,7 @@ impl OpticalBus {
             bus_busy_until: vec![0; buses],
             rr: RrToken::new(),
             in_flight: FlightBuffer::new(),
-            cycle: 0,
-            stats: NetStats::new(buses),
-            tracer: TraceHandle::disabled(),
+            ledger: Ledger::new(buses),
         })
     }
 
@@ -95,16 +92,11 @@ impl OpticalBus {
         // flumen-check: allow(no-panic-hot-path) — fixed paper shape, valid by construction
         OpticalBus::new(16, BusConfig::default()).expect("default optbus is valid")
     }
-
-    /// Current source-queue depths (for scheduler utilization estimates).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.src_queues.iter().map(|q| q.len()).collect()
-    }
 }
 
 impl Network for OpticalBus {
     fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
+        self.ledger.tracer = tracer;
     }
 
     fn num_nodes(&self) -> usize {
@@ -112,26 +104,12 @@ impl Network for OpticalBus {
     }
 
     fn inject(&mut self, pkt: Packet) {
-        self.stats.injected += 1;
-        self.stats.bits_injected += pkt.bits as u64;
-        let now = self.cycle;
-        self.tracer.emit(|| {
-            TraceEvent::new(
-                TraceCategory::Noc,
-                "pkt",
-                EventKind::AsyncBegin,
-                now,
-                pkt.src as u32,
-            )
-            .with_id(pkt.id)
-            .with_arg("ndest", pkt.dests().len() as f64)
-            .with_arg("bits", pkt.bits as f64)
-        });
+        self.ledger.inject(&pkt);
         self.src_queues[pkt.src].push_back(pkt);
     }
 
     fn step(&mut self) -> Vec<Delivery> {
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         // Grant free buses to waiting nodes, round-robin.
         for b in 0..self.cfg.buses {
             if self.bus_busy_until[b] > now {
@@ -143,58 +121,32 @@ impl Network for OpticalBus {
                     let ser = pkt.ser_cycles(self.cfg.bus_bits_per_cycle);
                     let busy = now + self.cfg.arbitration_delay + ser;
                     self.bus_busy_until[b] = busy;
-                    self.stats.link_busy[b] += ser + self.cfg.arbitration_delay;
-                    self.stats.bit_hops += pkt.bits as u64;
+                    self.ledger.stats.link_busy[b] += ser + self.cfg.arbitration_delay;
+                    self.ledger.stats.bit_hops += pkt.bits as u64;
                     self.in_flight.push(busy + self.cfg.port_latency, pkt);
                     self.rr.grant(node, self.nodes);
                     break;
                 }
             }
         }
-        // Deliveries.
         let mut deliveries = Vec::new();
-        let Self {
-            in_flight,
-            stats,
-            tracer,
-            ..
-        } = self;
-        in_flight.drain_due(now, |pkt| {
-            for d in pkt.dests() {
-                let lat = now.saturating_sub(pkt.created_at);
-                stats.record_latency(lat);
-                tracer.emit(|| {
-                    TraceEvent::new(
-                        TraceCategory::Noc,
-                        "pkt",
-                        EventKind::AsyncEnd,
-                        now,
-                        d as u32,
-                    )
-                    .with_id(pkt.id)
-                    .with_arg("lat", lat as f64)
-                });
-                let mut p = pkt.clone();
-                p.dst = d;
-                p.extra_dests.clear();
-                deliveries.push(Delivery { packet: p, at: now });
-            }
-        });
-        self.cycle += 1;
-        self.stats.cycles += 1;
+        let ledger = &mut self.ledger;
+        self.in_flight
+            .drain_due(now, |pkt| ledger.deliver(pkt, &mut deliveries));
+        self.ledger.tick(1);
         deliveries
     }
 
     fn cycle(&self) -> u64 {
-        self.cycle
+        self.ledger.cycle
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.ledger.stats
     }
 
     fn stats_mut(&mut self) -> &mut NetStats {
-        &mut self.stats
+        &mut self.ledger.stats
     }
 
     fn pending(&self) -> usize {
@@ -205,7 +157,7 @@ impl Network for OpticalBus {
     /// bounded by the earliest bus to free, and not quiet at all while a
     /// bus is free.
     fn quiet_until(&self) -> Option<u64> {
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         let mut until = self.in_flight.next_due().unwrap_or(u64::MAX);
         if self.src_queues.iter().any(|q| !q.is_empty()) {
             let free_at = self
@@ -221,40 +173,13 @@ impl Network for OpticalBus {
 
     fn advance_quiet(&mut self, cycles: u64) {
         debug_assert!(
-            self.quiet_until().is_some_and(|t| t - self.cycle >= cycles),
+            self.quiet_until()
+                .is_some_and(|t| t - self.ledger.cycle >= cycles),
             "advance_quiet past the network's quiet span"
         );
         // A quiet step grants nothing, and scanning the token does not
         // move it: only the clock turns.
-        self.cycle += cycles;
-        self.stats.cycles += cycles;
-    }
-}
-
-// State equality: every field but the tracer. As with the crossbar,
-// `in_flight` compares in its Vec order because delivery scanning uses
-// `swap_remove`.
-impl PartialEq for OpticalBus {
-    fn eq(&self, other: &Self) -> bool {
-        let OpticalBus {
-            nodes,
-            cfg,
-            src_queues,
-            bus_busy_until,
-            rr,
-            in_flight,
-            cycle,
-            stats,
-            tracer: _, // an output sink, not state
-        } = self;
-        *cycle == other.cycle
-            && *rr == other.rr
-            && *stats == other.stats
-            && *bus_busy_until == other.bus_busy_until
-            && *in_flight == other.in_flight
-            && *src_queues == other.src_queues
-            && *nodes == other.nodes
-            && *cfg == other.cfg
+        self.ledger.tick(cycles);
     }
 }
 

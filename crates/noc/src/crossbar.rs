@@ -13,12 +13,12 @@
 //! receive, which is exactly the network-side effect of Algorithm 1 carving
 //! a compute partition out of the fabric.
 
-use crate::fabric::{Fifo, FlightBuffer};
+use crate::fabric::{Fifo, FlightBuffer, Ledger};
 use crate::packet::{Delivery, Packet};
 use crate::stats::NetStats;
 use crate::wavefront::WavefrontArbiter;
 use crate::{Network, NocError, Result};
-use flumen_trace::{EventKind, TraceCategory, TraceEvent, TraceHandle};
+use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 
 /// Tuning parameters for the MZIM crossbar.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +44,12 @@ impl Default for CrossbarConfig {
 }
 
 /// The Flumen MZIM fabric viewed as a non-blocking crossbar network.
-#[derive(Debug)]
+///
+/// Two crossbars are equal when every field is: the queue counts and
+/// request rows are derived from the queues and compared too, and
+/// `in_flight` compares in its Vec order, since the delivery loop scans
+/// with `swap_remove` and so delivery order depends on positions.
+#[derive(Debug, PartialEq)]
 pub struct MzimCrossbar {
     nodes: usize,
     cfg: CrossbarConfig,
@@ -69,9 +74,7 @@ pub struct MzimCrossbar {
     /// Wires reserved for compute partitions, bit `w` for wire `w`.
     reserved: u64,
     in_flight: FlightBuffer<Packet>,
-    cycle: u64,
-    stats: NetStats,
-    tracer: TraceHandle,
+    ledger: Ledger,
 }
 
 impl MzimCrossbar {
@@ -103,9 +106,7 @@ impl MzimCrossbar {
             last_config: vec![None; nodes],
             reserved: 0,
             in_flight: FlightBuffer::new(),
-            cycle: 0,
-            stats: NetStats::new(nodes),
-            tracer: TraceHandle::disabled(),
+            ledger: Ledger::new(nodes),
         })
     }
 
@@ -130,10 +131,11 @@ impl MzimCrossbar {
                 });
             }
         }
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         for &w in wires {
             self.reserved |= 1 << w;
-            self.tracer
+            self.ledger
+                .tracer
                 .emit(|| TraceEvent::instant(TraceCategory::Noc, "wire_reserve", now, w as u32));
         }
         Ok(())
@@ -153,10 +155,11 @@ impl MzimCrossbar {
                 });
             }
         }
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         for &w in wires {
             self.reserved &= !(1 << w);
-            self.tracer
+            self.ledger
+                .tracer
                 .emit(|| TraceEvent::instant(TraceCategory::Noc, "wire_release", now, w as u32));
         }
         Ok(())
@@ -187,8 +190,8 @@ impl MzimCrossbar {
         let reconf = if unicast && self.last_config[input] == Some(pkt.dst) {
             0
         } else {
-            self.stats.reconfigurations += 1;
-            self.tracer.emit(|| {
+            self.ledger.stats.reconfigurations += 1;
+            self.ledger.tracer.emit(|| {
                 TraceEvent::instant(TraceCategory::Noc, "reconfig", now, input as u32)
                     .with_id(pkt.id)
                     .with_arg("ndest", pkt.dest_iter().count() as f64)
@@ -201,8 +204,8 @@ impl MzimCrossbar {
         for d in pkt.dest_iter() {
             self.out_busy_until[d] = busy;
         }
-        self.stats.link_busy[input] += reconf + ser;
-        self.stats.bit_hops += pkt.bits as u64;
+        self.ledger.stats.link_busy[input] += reconf + ser;
+        self.ledger.stats.bit_hops += pkt.bits as u64;
         self.in_flight.push(busy + self.cfg.port_latency, pkt);
     }
 
@@ -257,7 +260,7 @@ impl MzimCrossbar {
 
 impl Network for MzimCrossbar {
     fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
+        self.ledger.tracer = tracer;
     }
 
     fn num_nodes(&self) -> usize {
@@ -265,21 +268,7 @@ impl Network for MzimCrossbar {
     }
 
     fn inject(&mut self, pkt: Packet) {
-        self.stats.injected += 1;
-        self.stats.bits_injected += pkt.bits as u64;
-        let now = self.cycle;
-        self.tracer.emit(|| {
-            TraceEvent::new(
-                TraceCategory::Noc,
-                "pkt",
-                EventKind::AsyncBegin,
-                now,
-                pkt.src as u32,
-            )
-            .with_id(pkt.id)
-            .with_arg("ndest", pkt.dest_iter().count() as f64)
-            .with_arg("bits", pkt.bits as f64)
-        });
+        self.ledger.inject(&pkt);
         if pkt.is_multicast() {
             self.queued_mcast += 1;
             self.mcast_queues[pkt.src].push_back(pkt);
@@ -292,56 +281,30 @@ impl Network for MzimCrossbar {
     }
 
     fn step(&mut self) -> Vec<Delivery> {
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         if self.queued_unicast + self.queued_mcast > 0 {
             self.allocate(now);
         } else {
             self.arb.advance(1);
         }
-        // Deliveries.
         let mut deliveries = Vec::new();
-        let Self {
-            in_flight,
-            stats,
-            tracer,
-            ..
-        } = self;
-        in_flight.drain_due(now, |mut pkt| {
-            let extra = std::mem::take(&mut pkt.extra_dests);
-            for d in std::iter::once(pkt.dst).chain(extra) {
-                let lat = now.saturating_sub(pkt.created_at);
-                stats.record_latency(lat);
-                tracer.emit(|| {
-                    TraceEvent::new(
-                        TraceCategory::Noc,
-                        "pkt",
-                        EventKind::AsyncEnd,
-                        now,
-                        d as u32,
-                    )
-                    .with_id(pkt.id)
-                    .with_arg("lat", lat as f64)
-                });
-                let mut p = pkt.clone();
-                p.dst = d;
-                deliveries.push(Delivery { packet: p, at: now });
-            }
-        });
-        self.cycle += 1;
-        self.stats.cycles += 1;
+        let ledger = &mut self.ledger;
+        self.in_flight
+            .drain_due(now, |pkt| ledger.deliver(pkt, &mut deliveries));
+        self.ledger.tick(1);
         deliveries
     }
 
     fn cycle(&self) -> u64 {
-        self.cycle
+        self.ledger.cycle
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.ledger.stats
     }
 
     fn stats_mut(&mut self) -> &mut NetStats {
-        &mut self.stats
+        &mut self.ledger.stats
     }
 
     fn pending(&self) -> usize {
@@ -354,61 +317,19 @@ impl Network for MzimCrossbar {
             return None;
         }
         let until = self.in_flight.next_due().unwrap_or(u64::MAX);
-        (until > self.cycle).then_some(until)
+        (until > self.ledger.cycle).then_some(until)
     }
 
     fn advance_quiet(&mut self, cycles: u64) {
         debug_assert!(
-            self.quiet_until().is_some_and(|t| t - self.cycle >= cycles),
+            self.quiet_until()
+                .is_some_and(|t| t - self.ledger.cycle >= cycles),
             "advance_quiet past the network's quiet span"
         );
         // A quiet step starts and delivers nothing; the arbiter still
         // turns its priority diagonal once per cycle.
         self.arb.advance(cycles);
-        self.cycle += cycles;
-        self.stats.cycles += cycles;
-    }
-}
-
-// State equality: every field but the tracer. The queue counts and
-// request rows are derived from the queues and compared too. `in_flight`
-// compares in its Vec order: the delivery loop scans with `swap_remove`,
-// so delivery order depends on element positions, not just contents.
-impl PartialEq for MzimCrossbar {
-    fn eq(&self, other: &Self) -> bool {
-        let MzimCrossbar {
-            nodes,
-            cfg,
-            voq,
-            mcast_queues,
-            queued_unicast,
-            queued_mcast,
-            requests,
-            arb,
-            in_busy_until,
-            out_busy_until,
-            last_config,
-            reserved,
-            in_flight,
-            cycle,
-            stats,
-            tracer: _, // an output sink, not state
-        } = self;
-        *cycle == other.cycle
-            && *queued_unicast == other.queued_unicast
-            && *queued_mcast == other.queued_mcast
-            && *reserved == other.reserved
-            && *arb == other.arb
-            && *stats == other.stats
-            && *requests == other.requests
-            && *in_busy_until == other.in_busy_until
-            && *out_busy_until == other.out_busy_until
-            && *last_config == other.last_config
-            && *in_flight == other.in_flight
-            && *mcast_queues == other.mcast_queues
-            && *voq == other.voq
-            && *nodes == other.nodes
-            && *cfg == other.cfg
+        self.ledger.tick(cycles);
     }
 }
 
@@ -477,7 +398,7 @@ mod tests {
 
     #[test]
     fn trace_multicast_one_begin_many_ends() {
-        use flumen_trace::RecordingTracer;
+        use flumen_trace::{EventKind, RecordingTracer};
         let rec = RecordingTracer::new();
         let mut net = MzimCrossbar::flumen_16();
         net.set_tracer(rec.handle());

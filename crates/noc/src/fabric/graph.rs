@@ -2,10 +2,11 @@
 
 use super::channel::{ChannelId, Channels, CREDIT_UNBOUNDED};
 use super::router::{Flit, RouterNode};
+use super::Ledger;
 use crate::packet::{Delivery, Packet};
 use crate::stats::NetStats;
 use crate::{Network, NocError, Result};
-use flumen_trace::{EventKind, TraceCategory, TraceEvent, TraceHandle};
+use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use std::collections::VecDeque;
 
 /// One external attachment point: where the fabric accepts packets from
@@ -94,15 +95,13 @@ impl FabricBuilder {
             }
         }
         // Per-link utilization is per channel.
-        let stats = NetStats::new(self.chans.len());
+        let ledger = Ledger::new(self.chans.len());
         Ok(ComposedFabric {
             chans: self.chans,
             routers: self.routers,
             src_queues: endpoints.iter().map(|_| VecDeque::new()).collect(),
             endpoints,
-            cycle: 0,
-            stats,
-            tracer: TraceHandle::disabled(),
+            ledger,
         })
     }
 }
@@ -111,20 +110,18 @@ impl FabricBuilder {
 /// open-loop source queues, statistics, and tracing that make it a
 /// drop-in [`Network`] — usable by the harness, the sweep executor, and
 /// the system engine exactly like the hand-written fabrics.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ComposedFabric {
     chans: Channels<Flit>,
     routers: Vec<RouterNode>,
     endpoints: Vec<Endpoint>,
     src_queues: Vec<VecDeque<Packet>>,
-    cycle: u64,
-    stats: NetStats,
-    tracer: TraceHandle,
+    ledger: Ledger,
 }
 
 impl Network for ComposedFabric {
     fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
+        self.ledger.tracer = tracer;
     }
 
     fn num_nodes(&self) -> usize {
@@ -140,21 +137,7 @@ impl Network for ComposedFabric {
             }
             return;
         }
-        self.stats.injected += 1;
-        self.stats.bits_injected += pkt.bits as u64;
-        let now = self.cycle;
-        self.tracer.emit(|| {
-            TraceEvent::new(
-                TraceCategory::Noc,
-                "pkt",
-                EventKind::AsyncBegin,
-                now,
-                pkt.src as u32,
-            )
-            .with_id(pkt.id)
-            .with_arg("ndest", 1.0)
-            .with_arg("bits", pkt.bits as f64)
-        });
+        self.ledger.inject(&pkt);
         if let Some(q) = self.src_queues.get_mut(pkt.src) {
             q.push_back(pkt);
         }
@@ -163,7 +146,7 @@ impl Network for ComposedFabric {
     /// Runs one cycle of the phased evaluation order (see the module
     /// docs).
     fn step(&mut self) -> Vec<Delivery> {
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         // Phase 1: ready — credits from pre-cycle state.
         for r in &self.routers {
             r.publish_ready(&mut self.chans);
@@ -182,7 +165,7 @@ impl Network for ComposedFabric {
         // Phase 3: valid — due heads move to consumers with credits.
         if self.chans.deliver_due(now) {
             let total = self.chans.stalls_total();
-            self.tracer.emit(|| {
+            self.ledger.tracer.emit(|| {
                 TraceEvent::counter(
                     TraceCategory::Noc,
                     "noc::handshake_stall",
@@ -194,76 +177,37 @@ impl Network for ComposedFabric {
         }
         // Phase 4: step every router.
         for r in &mut self.routers {
-            r.step(now, &mut self.chans, &mut self.stats);
+            r.step(now, &mut self.chans, &mut self.ledger.stats);
         }
         // Phase 5: egress.
-        let mut egressed = Vec::new();
-        for (k, ep) in self.endpoints.iter().enumerate() {
+        let mut deliveries = Vec::new();
+        for ep in &self.endpoints {
             if let Some(flit) = self.chans.take(ep.egress) {
-                egressed.push((k, flit.pkt));
+                self.ledger.deliver(flit.pkt, &mut deliveries);
             }
         }
         // Defensive: a mis-behaved router must not lose packets.
         self.chans.requeue_undelivered(now);
-        let mut deliveries = Vec::with_capacity(egressed.len());
-        for (ep, packet) in egressed {
-            let lat = now.saturating_sub(packet.created_at);
-            self.stats.record_latency(lat);
-            self.tracer.emit(|| {
-                TraceEvent::new(
-                    TraceCategory::Noc,
-                    "pkt",
-                    EventKind::AsyncEnd,
-                    now,
-                    ep as u32,
-                )
-                .with_id(packet.id)
-                .with_arg("lat", lat as f64)
-            });
-            deliveries.push(Delivery { packet, at: now });
-        }
-        self.cycle += 1;
-        self.stats.cycles += 1;
+        self.ledger.tick(1);
         deliveries
     }
 
     fn cycle(&self) -> u64 {
-        self.cycle
+        self.ledger.cycle
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.ledger.stats
     }
 
     fn stats_mut(&mut self) -> &mut NetStats {
-        &mut self.stats
+        &mut self.ledger.stats
     }
 
     fn pending(&self) -> usize {
         self.src_queues.iter().map(VecDeque::len).sum::<usize>()
             + self.chans.pending()
             + self.routers.iter().map(RouterNode::buffered).sum::<usize>()
-    }
-}
-
-// State equality: every field but the tracer.
-impl PartialEq for ComposedFabric {
-    fn eq(&self, other: &Self) -> bool {
-        let ComposedFabric {
-            chans,
-            routers,
-            endpoints,
-            src_queues,
-            cycle,
-            stats,
-            tracer: _, // an output sink, not state
-        } = self;
-        *cycle == other.cycle
-            && *stats == other.stats
-            && *src_queues == other.src_queues
-            && *chans == other.chans
-            && *routers == other.routers
-            && *endpoints == other.endpoints
     }
 }
 

@@ -34,13 +34,16 @@
 //!
 //! The buffering primitives `Fifo`, `RrToken` and `FlightBuffer` live
 //! here too; the hand-written bus, crossbar and routed networks
-//! share them.
+//! share them. So does every network's `Ledger`: the clock, the
+//! statistics and the `pkt` trace span, opened on injection and closed
+//! once per destination on delivery.
 
 mod arbiter;
 mod channel;
 mod fifo;
 mod flight;
 mod graph;
+mod ledger;
 mod router;
 mod torus;
 
@@ -48,5 +51,6 @@ pub(crate) use arbiter::RrToken;
 pub(crate) use fifo::Fifo;
 pub(crate) use flight::FlightBuffer;
 pub use graph::ComposedFabric;
+pub(crate) use ledger::Ledger;
 pub(crate) use router::Flit;
 pub use torus::{torus, torus_4x4};

@@ -15,6 +15,12 @@
 //! A fifth network, the 2-D [`torus`], is not hand-written: [`fabric`]
 //! composes it from input-queued routers joined by credit channels.
 //!
+//! Every network keeps its clock, statistics and trace sink in one
+//! crate-private `Ledger` (in `fabric/ledger.rs`), the one module that
+//! emits the per-packet `pkt` trace span: it counts each injection and
+//! opens the span at the source, and on delivery records the latency
+//! and closes the span once per destination.
+//!
 //! The [`harness`] module measures latency-vs-load points (paper Fig. 11)
 //! on any [`Network`].
 //!

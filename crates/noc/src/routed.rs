@@ -6,11 +6,11 @@
 //! with backpressure, and bubble flow control on the ring to avoid cyclic
 //! buffer deadlock.
 
-use crate::fabric::{Fifo, FlightBuffer, Flit, RrToken};
+use crate::fabric::{Fifo, FlightBuffer, Flit, Ledger, RrToken};
 use crate::packet::{Delivery, Packet};
 use crate::stats::NetStats;
 use crate::{Network, NocError, Result};
-use flumen_trace::{EventKind, TraceCategory, TraceEvent, TraceHandle};
+use flumen_trace::TraceHandle;
 
 /// Shape of a routed electrical network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,12 @@ struct Router {
 /// visits only the routers that hold flits and the sources with packets
 /// queued, found from two `u64` masks, so at most 64 routers are
 /// supported.
-#[derive(Debug)]
+///
+/// Two networks are equal when every field is: the masks and `live` are
+/// derived from the queues and compared too, so a jump that let them
+/// drift shows. `in_flight` compares in its Vec order: the arrival scan
+/// uses `swap_remove`, so delivery order depends on positions.
+#[derive(Debug, PartialEq)]
 pub struct RoutedNetwork {
     topo: RoutedTopology,
     cfg: RoutedConfig,
@@ -92,9 +97,7 @@ pub struct RoutedNetwork {
     src_queues: Vec<Fifo<Packet>>,
     /// Packets on the wire, tagged `(dest_router, dest_in_port, pkt)`.
     in_flight: FlightBuffer<(usize, usize, Flit)>,
-    cycle: u64,
-    stats: NetStats,
-    tracer: TraceHandle,
+    ledger: Ledger,
     /// Bit `r` is set iff router `r` holds a flit in some input queue.
     /// Derived from the queues, like the two fields below.
     occupied: u64,
@@ -156,9 +159,7 @@ impl RoutedNetwork {
             routers,
             src_queues: (0..n).map(|_| Fifo::unbounded()).collect(),
             in_flight: FlightBuffer::new(),
-            cycle: 0,
-            stats: NetStats::new(n * (ports + 1)),
-            tracer: TraceHandle::disabled(),
+            ledger: Ledger::new(n * (ports + 1)),
             occupied: 0,
             sourcing: 0,
             live: 0,
@@ -224,7 +225,7 @@ impl RoutedNetwork {
         let n = self.routers.len();
         let nports = self.routers[r].inputs.len();
         let local_port = nports - 1;
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         let mut in_port = self.routers[r].rr.pos() % nports;
         for _ in 0..nports {
             let port = in_port;
@@ -266,8 +267,8 @@ impl RoutedNetwork {
             let ser = tp.pkt.ser_cycles(self.cfg.link_bits_per_cycle);
             self.routers[r].out_busy_until[out] = now + ser;
             let lid = r * nports + out;
-            self.stats.link_busy[lid] += ser;
-            self.stats.bit_hops += tp.pkt.bits as u64;
+            self.ledger.stats.link_busy[lid] += ser;
+            self.ledger.stats.bit_hops += tp.pkt.bits as u64;
             tp.ready_at = now + ser + self.cfg.link_latency + self.cfg.router_delay;
             self.in_flight
                 .push(now + ser + self.cfg.link_latency, (next, next_in, tp));
@@ -366,7 +367,7 @@ fn link_table(topo: &RoutedTopology) -> Vec<Option<(usize, usize)>> {
 
 impl Network for RoutedNetwork {
     fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
+        self.ledger.tracer = tracer;
     }
 
     fn num_nodes(&self) -> usize {
@@ -382,28 +383,14 @@ impl Network for RoutedNetwork {
             }
             return;
         }
-        self.stats.injected += 1;
-        self.stats.bits_injected += pkt.bits as u64;
-        let now = self.cycle;
-        self.tracer.emit(|| {
-            TraceEvent::new(
-                TraceCategory::Noc,
-                "pkt",
-                EventKind::AsyncBegin,
-                now,
-                pkt.src as u32,
-            )
-            .with_id(pkt.id)
-            .with_arg("ndest", 1.0)
-            .with_arg("bits", pkt.bits as f64)
-        });
+        self.ledger.inject(&pkt);
         self.sourcing |= 1 << pkt.src;
         self.live += 1;
         self.src_queues[pkt.src].push_back(pkt);
     }
 
     fn step(&mut self) -> Vec<Delivery> {
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         let local = self.ports() - 1;
         // Move source-queue heads into the local input port.
         let mut sources = self.sourcing;
@@ -438,8 +425,7 @@ impl Network for RoutedNetwork {
         let Self {
             in_flight,
             routers,
-            stats,
-            tracer,
+            ledger,
             occupied,
             live,
             ..
@@ -447,43 +433,26 @@ impl Network for RoutedNetwork {
         in_flight.drain_due(now, |(node, in_port, tp)| {
             if in_port == usize::MAX {
                 *live -= 1;
-                let lat = now.saturating_sub(tp.pkt.created_at);
-                stats.record_latency(lat);
-                tracer.emit(|| {
-                    TraceEvent::new(
-                        TraceCategory::Noc,
-                        "pkt",
-                        EventKind::AsyncEnd,
-                        now,
-                        node as u32,
-                    )
-                    .with_id(tp.pkt.id)
-                    .with_arg("lat", lat as f64)
-                });
-                deliveries.push(Delivery {
-                    packet: tp.pkt,
-                    at: now,
-                });
+                ledger.deliver(tp.pkt, &mut deliveries);
             } else {
                 routers[node].inputs[in_port].push_back(tp);
                 *occupied |= 1 << node;
             }
         });
-        self.cycle += 1;
-        self.stats.cycles += 1;
+        self.ledger.tick(1);
         deliveries
     }
 
     fn cycle(&self) -> u64 {
-        self.cycle
+        self.ledger.cycle
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.ledger.stats
     }
 
     fn stats_mut(&mut self) -> &mut NetStats {
-        &mut self.stats
+        &mut self.ledger.stats
     }
 
     fn pending(&self) -> usize {
@@ -497,7 +466,7 @@ impl Network for RoutedNetwork {
     /// no bound: its downstream queue frees only when that queue's head
     /// moves, an event bounded in its own right.
     fn quiet_until(&self) -> Option<u64> {
-        let now = self.cycle;
+        let now = self.ledger.cycle;
         let n = self.routers.len();
         let nports = self.ports();
         let local = nports - 1;
@@ -541,7 +510,8 @@ impl Network for RoutedNetwork {
 
     fn advance_quiet(&mut self, cycles: u64) {
         debug_assert!(
-            self.quiet_until().is_some_and(|t| t - self.cycle >= cycles),
+            self.quiet_until()
+                .is_some_and(|t| t - self.ledger.cycle >= cycles),
             "advance_quiet past the network's quiet span"
         );
         // A quiet step moves no flit; each router only turns its token.
@@ -549,50 +519,14 @@ impl Network for RoutedNetwork {
         for r in &mut self.routers {
             r.rr.advance(cycles, nports);
         }
-        self.cycle += cycles;
-        self.stats.cycles += cycles;
-    }
-}
-
-// State equality: every field but the tracer. The masks and `live` are
-// derived from the queues and compared too, so a jump that let them drift
-// shows. `in_flight` compares in its Vec order: the arrival scan uses
-// `swap_remove`, so delivery order depends on positions.
-impl PartialEq for RoutedNetwork {
-    fn eq(&self, other: &Self) -> bool {
-        let RoutedNetwork {
-            topo,
-            cfg,
-            routers,
-            src_queues,
-            in_flight,
-            cycle,
-            stats,
-            tracer: _, // an output sink, not state
-            occupied,
-            sourcing,
-            live,
-            routes,
-            links,
-        } = self;
-        *cycle == other.cycle
-            && *live == other.live
-            && *occupied == other.occupied
-            && *sourcing == other.sourcing
-            && *stats == other.stats
-            && *in_flight == other.in_flight
-            && *src_queues == other.src_queues
-            && *routers == other.routers
-            && *topo == other.topo
-            && *cfg == other.cfg
-            && *routes == other.routes
-            && *links == other.links
+        self.ledger.tick(cycles);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flumen_trace::EventKind;
 
     fn drain(net: &mut RoutedNetwork, cycles: u64) -> Vec<Delivery> {
         let mut out = Vec::new();

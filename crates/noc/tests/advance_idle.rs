@@ -3,22 +3,25 @@
 //!
 //! * Drained networks: each case drives a network through random traffic
 //!   until it drains at a random cycle, then crosses `k` idle cycles both
-//!   ways: the two must be equal (`PartialEq`, every field but the
-//!   tracer) with equal statistics, and one packet injected afterwards
-//!   must arrive on the same cycle with the same latency.
+//!   ways: the two must be equal (the derived `PartialEq`, under which
+//!   a tracer equals any other) with equal statistics, and one packet
+//!   injected afterwards must arrive on the same cycle with the same
+//!   latency.
 //! * Mid-traffic: two copies take the same random injections; one jumps
 //!   every quiet span it meets (to its end or to a random cycle inside
 //!   it), the other steps. Each stepped cycle of a span must deliver
 //!   nothing, the states and statistics must match after every jump,
 //!   and every later delivery must match.
 //! * Negative control: equal twins become unequal after one more step or
-//!   one more packet on one of them, so the comparisons are not vacuous.
+//!   one more packet on one of them, so the comparisons are not vacuous;
+//!   a twin that only differs by recording a trace stays equal.
 
 use flumen_noc::fabric::torus_4x4;
 use flumen_noc::{
     BusConfig, CrossbarConfig, MzimCrossbar, Network, OpticalBus, Packet, RoutedConfig,
     RoutedNetwork, RoutedTopology,
 };
+use flumen_trace::RecordingTracer;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -213,7 +216,7 @@ fn ring_with_a_packet_between_hops_is_quiet() {
 
 /// Drives twins through the same traffic until they drain and match,
 /// then shows that one more step, or one more packet, on one twin makes
-/// them unequal.
+/// them unequal, while a twin driven with a tracer installed stays equal.
 fn differ_after_one_more_step_or_packet<N: Network + PartialEq>(mk: impl Fn() -> N, name: &str) {
     let nodes = all(mk().num_nodes());
     let twins = || {
@@ -229,6 +232,12 @@ fn differ_after_one_more_step_or_packet<N: Network + PartialEq>(mk: impl Fn() ->
     let (mut a, b) = twins();
     a.inject(Packet::new(1 << 20, 0, 1, 512, a.cycle()));
     assert!(a != b, "{name}: equality missed a packet");
+    let rec = RecordingTracer::new();
+    let mut traced = mk();
+    traced.set_tracer(rec.handle());
+    drain_at_random_cycle(&mut traced, &nodes, 3, 2);
+    assert!(!rec.is_empty(), "{name}: the tracer recorded nothing");
+    assert!(traced == twins().0, "{name}: a tracer broke equality");
 }
 
 #[test]

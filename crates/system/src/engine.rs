@@ -119,24 +119,11 @@ struct StreamState {
     wi: usize,
 }
 
-/// Where a core stands in the fallback that a rejected offload pushed to
-/// the front of its queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FallbackCursor {
-    /// Fallback tasks popped so far.
-    popped: usize,
-    /// The fallback's length.
-    len: usize,
-}
-
 #[derive(Debug, PartialEq)]
 struct CoreState {
+    /// Tasks still to run; a rejected offload pushes its fallback to the
+    /// front.
     queue: VecDeque<CoreTask>,
-    /// Tasks popped from the core's constructed list.
-    taken: usize,
-    /// Set while the core works through the fallback of task `taken - 1`,
-    /// a rejected offload.
-    fallback: Option<FallbackCursor>,
     busy_until: u64,
     waiting: usize,
     stream: Option<StreamState>,
@@ -144,19 +131,6 @@ struct CoreState {
 }
 
 impl CoreState {
-    /// Pops the next task and moves the cursor past it.
-    fn pop_task(&mut self) -> Option<CoreTask> {
-        let task = self.queue.pop_front()?;
-        match &mut self.fallback {
-            Some(f) if f.popped < f.len => f.popped += 1,
-            _ => {
-                self.fallback = None;
-                self.taken += 1;
-            }
-        }
-        Some(task)
-    }
-
     fn idle_done(&self) -> bool {
         self.queue.is_empty()
             && self.stream.is_none()
@@ -222,7 +196,13 @@ pub struct RunResult {
 }
 
 /// The coupled multicore + NoP simulator.
-#[derive(Debug)]
+///
+/// Two simulators are equal when every field is, for the quiet-span
+/// tests; `wake` is derived from the cores and compared too. The derive
+/// compares the utilization trace with `f64`'s `==`, which here is bit
+/// equality: each sample is a `u64` delta over a positive `u64` product,
+/// so it is never NaN and never −0.0.
+#[derive(Debug, PartialEq)]
 pub struct SystemSim<N: Network, S: ExternalServer<N>> {
     cfg: SystemConfig,
     cores: Vec<CoreState>,
@@ -258,9 +238,8 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     /// # Panics
     ///
     /// Panics if `tasks.len() != cfg.cores`, the network endpoint count
-    /// differs from `cfg.chiplets`, a task (or an offload's fallback)
-    /// sends to a chiplet `≥ cfg.chiplets`, or an offload's fallback holds
-    /// another offload.
+    /// differs from `cfg.chiplets`, or a task (or an offload's fallback,
+    /// at any depth) sends to a chiplet `≥ cfg.chiplets`.
     pub fn new(cfg: SystemConfig, net: N, server: S, tasks: Vec<Vec<CoreTask>>) -> Self {
         assert_eq!(tasks.len(), cfg.cores, "one task queue per core");
         assert_eq!(
@@ -268,39 +247,29 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             cfg.chiplets,
             "network endpoints must equal chiplets"
         );
+        // Issuing a task that names a missing chiplet would index past the
+        // network's per-node queues. Fallbacks may hold offloads, so they
+        // are walked to any depth.
+        let mut unchecked = Vec::new();
         for task in tasks.iter().flatten() {
-            let fallback: &[CoreTask] = match task {
-                CoreTask::External { fallback, .. } => fallback,
-                _ => &[],
-            };
-            // A reject inside a fallback would need a second fallback
-            // cursor; no workload nests offloads.
-            if fallback
-                .iter()
-                .any(|t| matches!(t, CoreTask::External { .. }))
-            {
-                // flumen-check: allow(no-panic-hot-path) — constructor input validation, documented under `# Panics`
-                panic!("an offload's fallback holds another offload");
-            }
-            // Issuing such a task would index past the network's per-node
-            // queues.
-            let mut named = std::iter::once(task)
-                .chain(fallback)
-                .flat_map(named_chiplets);
-            if let Some(chiplet) = named.find(|&&c| c >= cfg.chiplets) {
-                // flumen-check: allow(no-panic-hot-path) — constructor input validation, documented under `# Panics`
-                panic!(
-                    "a task names chiplet {chiplet}, system has {}",
-                    cfg.chiplets
-                );
+            unchecked.push(task);
+            while let Some(task) = unchecked.pop() {
+                if let CoreTask::External { fallback, .. } = task {
+                    unchecked.extend(fallback);
+                }
+                if let Some(chiplet) = named_chiplets(task).iter().find(|&&c| c >= cfg.chiplets) {
+                    // flumen-check: allow(no-panic-hot-path) — constructor input validation, documented under `# Panics`
+                    panic!(
+                        "a task names chiplet {chiplet}, system has {}",
+                        cfg.chiplets
+                    );
+                }
             }
         }
         let cores = tasks
             .into_iter()
             .map(|q| CoreState {
                 queue: q.into(),
-                taken: 0,
-                fallback: None,
                 busy_until: 0,
                 waiting: 0,
                 stream: None,
@@ -476,10 +445,6 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
                 let core = &mut self.cores[core];
                 core.waiting = core.waiting.saturating_sub(1);
                 if !o.accepted {
-                    core.fallback = Some(FallbackCursor {
-                        popped: 0,
-                        len: fallback.len(),
-                    });
                     for t in fallback.into_iter().rev() {
                         core.queue.push_front(t);
                     }
@@ -532,7 +497,7 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
             self.continue_stream(c, now, stream);
             return;
         }
-        let Some(task) = self.cores[c].pop_task() else {
+        let Some(task) = self.cores[c].queue.pop_front() else {
             return;
         };
         match task {
@@ -826,60 +791,6 @@ fn named_chiplets(task: &CoreTask) -> &[usize] {
         | CoreTask::Stream { .. }
         | CoreTask::Barrier { .. }
         | CoreTask::External { .. } => &[],
-    }
-}
-
-// State equality, for the quiet-span tests: every field but the tracer.
-// `wake` is derived from the cores and compared too. The utilization
-// trace compares bit for bit.
-impl<N, S> PartialEq for SystemSim<N, S>
-where
-    N: Network + PartialEq,
-    S: ExternalServer<N> + PartialEq,
-{
-    fn eq(&self, other: &Self) -> bool {
-        let SystemSim {
-            cfg,
-            cores,
-            l1d,
-            l2,
-            l3,
-            wake,
-            net,
-            server,
-            counts,
-            cycle,
-            next_tag,
-            pending,
-            external_waiting,
-            server_jobs,
-            barrier_counts,
-            trace_interval,
-            trace,
-            last_trace_busy,
-            tracer: _, // an output sink, not state
-        } = self;
-        *cycle == other.cycle
-            && *next_tag == other.next_tag
-            && *last_trace_busy == other.last_trace_busy
-            && *trace_interval == other.trace_interval
-            && *wake == other.wake
-            && *counts == other.counts
-            && *barrier_counts == other.barrier_counts
-            && *pending == other.pending
-            && *server_jobs == other.server_jobs
-            && *external_waiting == other.external_waiting
-            && trace
-                .iter()
-                .map(|v| v.to_bits())
-                .eq(other.trace.iter().map(|v| v.to_bits()))
-            && *cores == other.cores
-            && *server == other.server
-            && *net == other.net
-            && *l1d == other.l1d
-            && *l2 == other.l2
-            && *l3 == other.l3
-            && *cfg == other.cfg
     }
 }
 
@@ -1267,18 +1178,25 @@ mod tests {
             .collect()
     }
 
+    /// An offload nested in a fallback is issued when the outer offload
+    /// is rejected; rejected in turn, it runs its own fallback.
     #[test]
-    #[should_panic(expected = "an offload's fallback holds another offload")]
-    fn new_rejects_offloads_nested_in_fallbacks() {
+    fn offloads_nested_in_fallbacks_run_their_own_fallbacks() {
         let mut tasks = empty_tasks(4);
         tasks[1].push(CoreTask::External {
             payload: [0; 4],
             fallback: vec![CoreTask::External {
-                payload: [0; 4],
-                fallback: Vec::new(),
+                payload: [1; 4],
+                fallback: vec![CoreTask::Compute { ops: 100 }],
             }],
         });
-        SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks);
+        let r = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks).run(10_000);
+        assert!(!r.truncated);
+        assert_eq!(r.counts.offload_requests, 2, "both offloads issued");
+        assert_eq!(r.counts.core_ops, 100, "the inner fallback ran");
+        // 100 ops at IPC 2, after each offload is rejected in the cycle it
+        // is issued.
+        assert!(r.cycles >= 50 && r.cycles < 60, "{}", r.cycles);
     }
 
     /// A [`NullServer`] that answers only on even cycles, so an offload
@@ -1311,6 +1229,27 @@ mod tests {
         fn drain_counts(&mut self, _counts: &mut ActivityCounts) {}
     }
 
+    /// Whether a stream of `offload_tasks` is its fallback's: only that
+    /// one runs 30 ops.
+    fn fallback_stream(stream: &StreamState) -> bool {
+        stream.ops == 30
+    }
+
+    /// Whether `core` is inside a fallback of `offload_tasks`: running its
+    /// fallback stream, or with fallback work next in its queue. Only the
+    /// fallbacks hold a 30-op stream, a `NetSend` or a 20-op compute.
+    fn in_fallback(core: &CoreState) -> bool {
+        core.stream.as_ref().is_some_and(fallback_stream)
+            || core.queue.front().is_some_and(|t| {
+                matches!(
+                    t,
+                    CoreTask::Stream { ops: 30, .. }
+                        | CoreTask::NetSend { .. }
+                        | CoreTask::Compute { ops: 20 }
+                )
+            })
+    }
+
     /// Steps `offload_tasks` to the end and returns which of four core
     /// states a cycle boundary met: inside a fallback, waiting on an
     /// offload, a fallback stream mid-way and a main-list stream mid-way.
@@ -1319,9 +1258,9 @@ mod tests {
         let mut seen = [false; 4];
         while !sim.finished() {
             for core in &sim.cores {
-                seen[0] |= core.fallback.is_some();
-                seen[2] |= core.fallback.is_some() && core.stream.is_some();
-                seen[3] |= core.fallback.is_none() && core.stream.is_some();
+                seen[0] |= in_fallback(core);
+                seen[2] |= core.stream.as_ref().is_some_and(fallback_stream);
+                seen[3] |= core.stream.as_ref().is_some_and(|s| !fallback_stream(s));
             }
             seen[1] |= !sim.external_waiting.is_empty();
             sim.step();
